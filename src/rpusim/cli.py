@@ -23,7 +23,7 @@ from .miner import (
     report_csv,
     to_workload,
 )
-from .model import DeviceProfile, QuerySequence, Strategy, calibrated_profile, require_valid
+from .model import HINT_STRATEGIES, DeviceProfile, QuerySequence, Strategy, calibrated_profile, require_valid
 from .planner import choose_plan, generate_hints
 from .plans import enumerate_plans, strategy_plan
 from .simulate import simulate, timeline_csv
@@ -65,16 +65,16 @@ def _cmd_cost(args) -> int:
             print(f"  {qid}: {t:.3f}")
         return 0
     baseline = plan_cost(seq, strategy_plan(seq, Strategy.S), profile)
-    best = None
     for plan in enumerate_plans(seq):
+        if not args.hints and plan.strategy in HINT_STRATEGIES:
+            continue
         breakdown = plan_cost(seq, plan, profile)
         print(
             f"{str(plan.strategy):<4} total_ms {breakdown.total:>10.3f}  "
             f"improvement_pct {improvement(breakdown, baseline):>8.3f}"
         )
-        if best is None or breakdown.total < best[1].total:
-            best = (plan, breakdown)
-    print(f"best: {best[0].strategy} ({best[1].total:.3f} ms)")
+    best, best_cost = choose_plan(seq, profile, hints_enabled=args.hints)
+    print(f"best: {best.strategy} ({best_cost.total:.3f} ms)")
     return 0
 
 

@@ -15,12 +15,14 @@ A sequence total is assembled left to right out of three kinds of segments:
 * query tail: result transfer, then host-side filtering of whatever was not
   pushed down.
 * pair boundary: the gap sits between the predecessor's completion and the
-  successor's arrival.  In the baseline shape the successor's leading
-  reconfiguration overlaps only its own scan.  Strategy II starts that
-  reconfiguration the moment the predecessor's accelerator finishes, hiding
-  it behind transfer + host work + gap, and the successor starts once the PR
-  is ready.  Strategy III does the same but also lets the successor's scan
-  run during the reload, hiding it behind transfer + gap + scan.
+  successor's arrival; the boundary's mode (:class:`rpusim.plans.Mode`)
+  decides what the successor's leading reconfiguration hides behind.
+  BASELINE releases it at arrival, so it overlaps only the successor's own
+  scan.  HOLD releases it the moment the predecessor's last accelerator
+  finishes, hiding it behind transfer + host work + gap, and the successor
+  starts once the PR is ready.  SPECULATIVE releases it at the same moment
+  but also lets the successor's scan run during the reload, hiding it
+  behind transfer + gap + scan.
 
 The per-query times are reported separately only for the strategies where
 the total genuinely decomposes per query (S, I, IV).
@@ -34,6 +36,7 @@ from typing import Mapping, Sequence
 from .errors import IllegalPlanError
 from .model import (
     DeviceProfile,
+    FilterOp,
     Placement,
     Plan,
     Query,
@@ -41,7 +44,7 @@ from .model import (
     Strategy,
     require_valid,
 )
-from .plans import require_legal
+from .plans import Mode, compile_plan
 
 
 def filtered_size(input_size: float, selectivity: float) -> float:
@@ -109,21 +112,28 @@ def phase_times(
         raise IllegalPlanError(
             f"RPU order for query {query.id!r} must cover all RPU-placed ops"
         )
+    host = tuple(op for op in query.ops if placements[op.id] is Placement.HOST)
+    return _phase_times(query, tuple(ops_by_id[op_id] for op_id in order), host, profile)
 
+
+def _phase_times(
+    query: Query,
+    rpu: Sequence[FilterOp],
+    host: Sequence[FilterOp],
+    profile: DeviceProfile,
+) -> PhaseTimes:
     scan = query.table.size_mb / profile.r_scan
     size = query.table.size_mb
     steps = []
-    for op_id in order:
-        op = ops_by_id[op_id]
+    for op in rpu:
         out = filtered_size(size, op.selectivity)
         steps.append(AccStep(op_id=op.id, time_ms=size / profile.r_acc, input_mb=size, output_mb=out))
         size = out
     trans = size / profile.r_network
     dbms = 0.0
-    for op in query.ops:
-        if placements[op.id] is Placement.HOST:
-            dbms += profile.c_dbms * size
-            size = filtered_size(size, op.selectivity)
+    for op in host:
+        dbms += profile.c_dbms * size
+        size = filtered_size(size, op.selectivity)
     return PhaseTimes(scan=scan, acc=tuple(steps), trans=trans, dbms=dbms)
 
 
@@ -146,66 +156,36 @@ def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBre
     completion (final transfer plus any host filtering), gaps included.
     """
     require_valid(seq)
-    require_legal(plan, seq)
-
-    queries = seq.queries
-    strategy = plan.strategy
-    if strategy is Strategy.III:
-        for load in plan.speculative_loads:
-            anchor_order = plan.rpu_order[load.query_id]
-            if not anchor_order or anchor_order[-1] != load.after_op:
-                raise IllegalPlanError(
-                    "illegal plan: speculative load anchored before the "
-                    f"last RPU op of query {load.query_id!r}"
-                )
     total = 0.0
     per_query: list[tuple[str, float]] = []
     loaded: str | None = None
     prev_tail = 0.0
 
-    for i, q in enumerate(queries):
-        pt = phase_times(q, plan.placements[q.id], plan.rpu_order[q.id], profile)
-        rpu = plan.rpu_ops(q)
+    for i, step in enumerate(compile_plan(plan, seq)):
+        q, rpu = step.query, step.rpu
+        pt = _phase_times(q, rpu, step.host, profile)
         lead = profile.t_reconfig if rpu and loaded != rpu[0].id else 0.0
-        head = max(lead, pt.scan) if rpu else pt.scan
+        head = max(lead, pt.scan)
 
         body = 0.0
-        prev_acc: str | None = rpu[0].id if rpu else None
-        for k, step in enumerate(pt.acc):
-            if k > 0 and prev_acc != step.op_id:
+        for k, acc in enumerate(pt.acc):
+            if k > 0:
                 body += profile.t_reconfig
-            body += step.time_ms
-            prev_acc = step.op_id
+            body += acc.time_ms
 
         tail = pt.trans + pt.dbms
 
         if i == 0:
             total += head + body
+        elif step.mode is Mode.HOLD:
+            # Reload hidden behind transfer + host work + gap; the
+            # successor starts once the PR is ready.
+            total += max(lead, prev_tail + seq.gaps[i - 1]) + pt.scan + body
+        elif step.mode is Mode.SPECULATIVE:
+            # Reload hidden behind transfer + gap + the successor's scan.
+            total += max(lead, prev_tail + seq.gaps[i - 1] + pt.scan) + body
         else:
-            gap = seq.gaps[i - 1]
-            pred = queries[i - 1]
-            load = None
-            pred_order = plan.rpu_order[pred.id]
-            if pred_order:
-                load = plan.load_after(pred.id, pred_order[-1])
-            if strategy is Strategy.II:
-                # Reload hidden behind transfer + host work + gap; the
-                # successor starts once the PR is ready.
-                total += max(lead, prev_tail + gap) + pt.scan + body
-            elif load is not None:
-                if not rpu or load.accelerator != rpu[0].id:
-                    raise IllegalPlanError(
-                        "illegal plan: speculative load must target the "
-                        "accelerator the following query needs first"
-                    )
-                if lead == 0.0:
-                    raise IllegalPlanError(
-                        "illegal plan: redundant speculative load, accelerator already loaded"
-                    )
-                # Reload hidden behind transfer + gap + the successor's scan.
-                total += max(lead, prev_tail + gap + pt.scan) + body
-            else:
-                total += prev_tail + gap + head + body
+            total += prev_tail + seq.gaps[i - 1] + head + body
         per_query.append((q.id, head + body + tail))
 
         prev_tail = tail
@@ -214,9 +194,9 @@ def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBre
     total += prev_tail
 
     return CostBreakdown(
-        strategy=strategy,
+        strategy=plan.strategy,
         total=total,
-        per_query=tuple(per_query) if strategy in _SEPARABLE else (),
+        per_query=tuple(per_query) if plan.strategy in _SEPARABLE else (),
     )
 
 

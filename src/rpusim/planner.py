@@ -34,13 +34,6 @@ class Hint:
     expected_scan: float
 
 
-@dataclass(frozen=True)
-class RpuState:
-    """What the single PR currently holds (None when nothing is loaded)."""
-
-    loaded: str | None = None
-
-
 class ReconfigChoice(Enum):
     SPECULATIVE_LOAD = "SPECULATIVE_LOAD"
     SWAP = "SWAP"
@@ -109,7 +102,6 @@ def generate_hints(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> li
 
 def rpu_policy(
     hint: Hint | None,
-    state: RpuState,
     q0_phase: PhaseTimes,
     profile: DeviceProfile,
     *,
@@ -119,11 +111,10 @@ def rpu_policy(
 
     Swapping wins when the reload could not be hidden anyway: when transfer +
     expected gap + the next query's scan fit inside one reconfiguration time.
-    ``state`` does not enter the inequality (the running query overwrites
-    the PR regardless of what it held before), but callers thread it so the
-    decision point has the full device picture.  ``swap_legal`` is the
-    commutation check for the running query's operators; an illegal swap
-    falls back to the speculative reload.
+    What the PR held before does not enter the inequality: the running query
+    overwrites it regardless.  ``swap_legal`` is the commutation check for
+    the running query's operators; an illegal swap falls back to the
+    speculative reload.
     """
     if hint is None or not hint.next_accelerators:
         return ReconfigDecision(choice=ReconfigChoice.NONE)

@@ -2,8 +2,9 @@
 
 Everything here is cost-free structure: which operators go where, in what
 order the device streams them, and which speculative reloads a strategy-III
-plan schedules.  Costing and scheduling live in :mod:`rpusim.cost` and
-:mod:`rpusim.simulate`.
+plan schedules.  :func:`compile_plan` checks a plan once and lowers it into
+per-query :class:`Step` records; costing (:mod:`rpusim.cost`) and scheduling
+(:mod:`rpusim.simulate`) walk those steps and never look at the strategy.
 
 Generalization beyond two queries: each strategy applies its device trick at
 every adjacent pair where it fits (I/II split every non-final query with at
@@ -13,6 +14,9 @@ first).  Boundaries where the trick does not fit behave like the baseline.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import Enum
 
 from .errors import IllegalPlanError
 from .model import (
@@ -186,7 +190,9 @@ def legality(plan: Plan, seq: QuerySequence) -> tuple[bool, str]:
 
     Checks: every operator placed exactly once, RPU orders consistent with
     placements, reorders confined to commuting operators, speculative loads
-    only in strategy III and only across pairs that share an accelerator.
+    only in strategy III, only across pairs that share an accelerator,
+    anchored at the predecessor's last RPU op, and targeting the successor's
+    first RPU op when it is not already loaded.
     """
     query_ids = {q.id for q in seq.queries}
     if set(plan.placements) != query_ids:
@@ -226,10 +232,11 @@ def legality(plan: Plan, seq: QuerySequence) -> tuple[bool, str]:
             return False, f"speculative load references unknown query {load.query_id!r}"
         if load.query_id not in succ_of:
             return False, "speculative load after the final query has no successor"
-        if load.after_op not in plan.rpu_order[load.query_id]:
+        anchor_order = plan.rpu_order[load.query_id]
+        if not anchor_order or anchor_order[-1] != load.after_op:
             return False, (
-                f"speculative load anchor {load.after_op!r} is not an RPU op of "
-                f"query {load.query_id!r}"
+                f"speculative load anchored at {load.after_op!r}, not at the "
+                f"last RPU op of query {load.query_id!r}"
             )
         succ = succ_of[load.query_id]
         if not shared[(load.query_id, succ.id)]:
@@ -237,12 +244,13 @@ def legality(plan: Plan, seq: QuerySequence) -> tuple[bool, str]:
                 f"speculative load across pair ({load.query_id!r}, {succ.id!r}) "
                 "which shares no accelerator"
             )
-        if load.accelerator not in set(succ.op_ids()):
+        succ_order = plan.rpu_order[succ.id]
+        if not succ_order or succ_order[0] != load.accelerator:
             return False, (
-                f"speculative load target {load.accelerator!r} is not used by "
-                f"the following query {succ.id!r}"
+                f"speculative load target {load.accelerator!r} is not the first "
+                f"RPU op of the following query {succ.id!r}"
             )
-        if plan.rpu_order[load.query_id] and plan.rpu_order[load.query_id][-1] == load.accelerator:
+        if anchor_order[-1] == load.accelerator:
             return False, (
                 f"redundant speculative load: {load.accelerator!r} is already "
                 f"loaded after query {load.query_id!r}"
@@ -259,3 +267,50 @@ def require_legal(plan: Plan, seq: QuerySequence) -> Plan:
     if not ok:
         raise IllegalPlanError(f"illegal plan: {reason}")
     return plan
+
+
+class Mode(Enum):
+    """When a query's leading reconfiguration is released.
+
+    BASELINE     at the query's arrival; it overlaps only the query's scan.
+    HOLD         (II) when the predecessor frees the PR; the query's scan
+                 waits until the PR is ready.
+    SPECULATIVE  (III) when the predecessor frees the PR; the scan starts at
+                 arrival and only the first accelerator waits for the PR.
+
+    A mode only matters when the query needs a reconfiguration at all.
+    """
+
+    BASELINE = "baseline"
+    HOLD = "hold"
+    SPECULATIVE = "speculative"
+
+
+@dataclass(frozen=True)
+class Step:
+    """One query of a compiled plan, in sequence order."""
+
+    query: Query
+    rpu: tuple[FilterOp, ...]   # RPU-placed operators, in streaming order
+    host: tuple[FilterOp, ...]  # host-placed operators, in declared order
+    mode: Mode                  # boundary with the predecessor (BASELINE first)
+
+
+def compile_plan(plan: Plan, seq: QuerySequence) -> tuple[Step, ...]:
+    """Check a plan once and lower it into per-query steps.
+
+    This is the only place a strategy turns into boundary modes: every
+    boundary of a strategy-II plan holds, a boundary behind a speculative
+    load is speculative, and all others are baseline.
+    """
+    require_legal(plan, seq)
+    loaded_ahead = {load.query_id for load in plan.speculative_loads}
+    steps = []
+    for i, q in enumerate(seq.queries):
+        mode = Mode.BASELINE
+        if i > 0 and plan.strategy is Strategy.II:
+            mode = Mode.HOLD
+        elif i > 0 and seq.queries[i - 1].id in loaded_ahead:
+            mode = Mode.SPECULATIVE
+        steps.append(Step(q, plan.rpu_ops(q), plan.host_ops(q), mode))
+    return tuple(steps)

@@ -10,11 +10,12 @@ resulting timeline.  Scheduling rules:
 * the PR is exclusive: reconfiguration never overlaps accelerator execution;
 * the result transfer follows the query's last accelerator (or the scan when
   nothing was pushed down), host filtering follows the transfer;
-* a reconfiguration may run during transfers and gaps: in strategies II and
-  III the reload the next query needs is released the moment the PR goes
-  idle, instead of at that query's arrival.  Strategy II holds the next
-  query until the PR is ready; strategy III lets its scan proceed and gates
-  only its accelerator;
+* a query's leading reconfiguration is released according to its boundary
+  mode (:class:`rpusim.plans.Mode`): BASELINE at the query's arrival; HOLD
+  and SPECULATIVE the moment the predecessor frees the PR, so it may run
+  during transfers and gaps.  HOLD also holds the query's scan until the PR
+  is ready; SPECULATIVE lets the scan proceed and gates only the first
+  accelerator;
 * a query arrives its gap after the predecessor's completion.
 
 Zero-length phases are processed for their ordering effects but omitted
@@ -29,15 +30,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import SchedulingError
-from .model import (
-    DeviceProfile,
-    Plan,
-    QuerySequence,
-    Strategy,
-    Violation,
-    require_valid,
-)
-from .plans import require_legal
+from .model import DeviceProfile, Plan, QuerySequence, Violation, require_valid
+from .plans import Mode, Step, compile_plan
 
 #: Query column placeholder for phases that belong to no query.
 GAP_QUERY = "\u2014"
@@ -81,22 +75,19 @@ class _Task:
     qidx: int
 
 
-def _build_tasks(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> list[_Task]:
+def _build_tasks(seq: QuerySequence, steps: tuple[Step, ...], profile: DeviceProfile) -> list[_Task]:
     tasks: list[_Task] = []
 
     def add(key, resource, label, query, duration, deps, qidx):
         tasks.append(_Task(key, resource, label, query, duration, tuple(deps), qidx))
         return key
 
-    strategy = plan.strategy
     loaded: str | None = None
     prev_completion: str | None = None
     prev_pr_free: str | None = None
-    prev_query = None
 
-    for i, q in enumerate(seq.queries):
-        rpu = plan.rpu_ops(q)
-        host = plan.host_ops(q)
+    for i, step in enumerate(steps):
+        q, rpu = step.query, step.rpu
 
         arrival_dep: list[str] = []
         if i > 0:
@@ -106,46 +97,16 @@ def _build_tasks(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> list
             )
             arrival_dep = [gap_key]
 
-        # Pending speculative load from the predecessor (strategy III).
-        load = None
-        if prev_query is not None:
-            pred_order = plan.rpu_order[prev_query.id]
-            for cand in plan.speculative_loads:
-                if cand.query_id != prev_query.id:
-                    continue
-                if not pred_order or cand.after_op != pred_order[-1]:
-                    raise SchedulingError(
-                        f"speculative load after op {cand.after_op!r} of query "
-                        f"{prev_query.id!r} would start while the PR is still "
-                        "needed by a later operator"
-                    )
-                load = cand
-
         lead_key: str | None = None
-        overlap = False
         if rpu and loaded != rpu[0].id:
-            if i > 0 and strategy is Strategy.II:
-                overlap = True
-            if load is not None:
-                if load.accelerator != rpu[0].id:
-                    raise SchedulingError(
-                        f"speculative load of {load.accelerator!r} conflicts with "
-                        f"the reconfiguration to {rpu[0].id!r} that query {q.id!r} needs"
-                    )
-                overlap = True
-            deps = [] if i == 0 else ([prev_pr_free] if overlap else arrival_dep)
+            deps = arrival_dep if step.mode is Mode.BASELINE else [prev_pr_free]
             lead_key = add(
                 f"rec/{q.id}/{rpu[0].id}", Resource.PR, "reconfig", q.id,
                 profile.t_reconfig, deps, i,
             )
-        elif load is not None:
-            raise SchedulingError(
-                f"speculative load of {load.accelerator!r} is redundant: "
-                "the accelerator is already loaded"
-            )
 
         scan_deps = list(arrival_dep)
-        if strategy is Strategy.II and overlap and lead_key is not None:
+        if step.mode is Mode.HOLD and lead_key is not None:
             scan_deps.append(lead_key)
         scan_key = add(
             f"scan/{q.id}", Resource.SCAN, "scan", q.id,
@@ -155,10 +116,9 @@ def _build_tasks(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> list
         size = q.table.size_mb
         prev_exec: str | None = None
         for k, op in enumerate(rpu):
-            rec_key = None
             if k == 0:
                 rec_key = lead_key
-            elif loaded != op.id:
+            else:
                 rec_key = add(
                     f"rec/{q.id}/{op.id}", Resource.PR, "reconfig", q.id,
                     profile.t_reconfig, [prev_exec], i,
@@ -181,7 +141,7 @@ def _build_tasks(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> list
             size / profile.r_network, [pr_free], i,
         )
         tail_key = trans_key
-        for j, op in enumerate(host):
+        for op in step.host:
             tail_key = add(
                 f"dbms/{q.id}/{op.id}", Resource.DBMS, "dbms", q.id,
                 profile.c_dbms * size, [tail_key], i,
@@ -190,7 +150,6 @@ def _build_tasks(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> list
 
         prev_completion = tail_key
         prev_pr_free = pr_free
-        prev_query = q
     return tasks
 
 
@@ -238,8 +197,7 @@ def _run_tasks(tasks: list[_Task]) -> dict[str, tuple[float, float]]:
 def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline:
     """Execute the plan and return its timeline (phases plus makespan)."""
     require_valid(seq)
-    require_legal(plan, seq)
-    tasks = _build_tasks(seq, plan, profile)
+    tasks = _build_tasks(seq, compile_plan(plan, seq), profile)
     times = _run_tasks(tasks)
 
     makespan = max((end for _, end in times.values()), default=0.0)

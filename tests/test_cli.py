@@ -49,6 +49,15 @@ class TestCostCommand:
             assert f"{name} " in out
         assert "best: III" in out
 
+    def test_no_hints_lists_and_picks_only_s_and_i(self, capsys):
+        assert main(["cost", "--no-hints"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split()[0] for line in lines if not line.startswith("best:")]
+        assert rows == ["S", "I"]
+        best = [line for line in lines if line.startswith("best:")]
+        assert len(best) == 1
+        assert best[0].split()[1] in ("S", "I")
+
 
 class TestSimulateCommand:
     def test_makespan_matches_cost(self, capsys, tmp_path):

@@ -8,7 +8,6 @@ from rpusim import (
     Hint,
     Placement,
     ReconfigChoice,
-    RpuState,
     Strategy,
     choose_plan,
     enumerate_plans,
@@ -117,29 +116,27 @@ class TestRpuPolicy:
 
     def test_reference_scenario_prefers_speculative_load(self, paper_seq, profile):
         hint = Hint(next_accelerators=("acc0",), expected_gap=1.0, expected_scan=1.0)
-        decision = rpu_policy(hint, RpuState(), self._q0_phase(paper_seq, profile), profile)
+        decision = rpu_policy(hint, self._q0_phase(paper_seq, profile), profile)
         assert decision.choice is ReconfigChoice.SPECULATIVE_LOAD
         assert decision.rationale["lhs"] == pytest.approx(17.96375, rel=1e-9)
 
     def test_small_scenario_prefers_swap(self, profile):
         seq = canonical_sequence(s0=4.5, s1=0.5, gap=0.5)
         hint = Hint(next_accelerators=("acc0",), expected_gap=0.5, expected_scan=0.5)
-        decision = rpu_policy(hint, RpuState(), self._q0_phase(seq, profile), profile)
+        decision = rpu_policy(hint, self._q0_phase(seq, profile), profile)
         assert decision.choice is ReconfigChoice.SWAP
         assert decision.rationale["lhs"] == pytest.approx(8.981875, rel=1e-9)
 
     def test_no_hint_means_none(self, paper_seq, profile):
         q0_phase = self._q0_phase(paper_seq, profile)
-        assert rpu_policy(None, RpuState(), q0_phase, profile).choice is ReconfigChoice.NONE
+        assert rpu_policy(None, q0_phase, profile).choice is ReconfigChoice.NONE
         empty = Hint(next_accelerators=(), expected_gap=1.0, expected_scan=1.0)
-        assert rpu_policy(empty, RpuState(), q0_phase, profile).choice is ReconfigChoice.NONE
+        assert rpu_policy(empty, q0_phase, profile).choice is ReconfigChoice.NONE
 
     def test_illegal_swap_falls_back_to_load(self, profile):
         seq = canonical_sequence(s0=4.5, s1=0.5, gap=0.5)
         hint = Hint(next_accelerators=("acc0",), expected_gap=0.5, expected_scan=0.5)
-        decision = rpu_policy(
-            hint, RpuState(), self._q0_phase(seq, profile), profile, swap_legal=False
-        )
+        decision = rpu_policy(hint, self._q0_phase(seq, profile), profile, swap_legal=False)
         assert decision.choice is ReconfigChoice.SPECULATIVE_LOAD
 
     def test_agrees_with_cost_argmin_outside_band(self, profile):
@@ -156,7 +153,7 @@ class TestRpuPolicy:
             lhs = trans + gap + s1 / profile.r_scan
             band = (f1 - f0) * s0 / profile.r_acc
             hint = Hint(("acc0",), gap, s1 / profile.r_scan)
-            decision = rpu_policy(hint, RpuState(), self._q0_phase(seq, profile), profile)
+            decision = rpu_policy(hint, self._q0_phase(seq, profile), profile)
             t_iii = plan_cost(seq, strategy_plan(seq, Strategy.III), profile).total
             t_iv = plan_cost(seq, strategy_plan(seq, Strategy.IV), profile).total
             swap_wins = t_iv < t_iii

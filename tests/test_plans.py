@@ -5,6 +5,7 @@ import pytest
 from rpusim import (
     FilterOp,
     IllegalPlanError,
+    Mode,
     Placement,
     Plan,
     Query,
@@ -12,6 +13,7 @@ from rpusim import (
     SpeculativeLoad,
     Strategy,
     TableSpec,
+    compile_plan,
     enumerate_plans,
     legality,
     local_order,
@@ -229,3 +231,34 @@ class TestLegality:
         ok, reason = legality(plan, seq)
         assert not ok
         assert "requires sequence knowledge" in reason
+
+
+class TestCompilePlan:
+    SEQ = _seq(
+        _q("A", 3.0, ("y", 0.3), ("x", 0.4)),
+        _q("B", 2.0, ("y", 0.5), ("w", 0.6)),
+        _q("C", 1.0, ("z", 0.5)),
+    )
+
+    def test_modes_per_strategy(self):
+        expected = {
+            Strategy.S: [Mode.BASELINE] * 3,
+            Strategy.I: [Mode.BASELINE] * 3,
+            Strategy.II: [Mode.BASELINE, Mode.HOLD, Mode.HOLD],
+            # A leaves x loaded and B needs y first; C shares nothing with B
+            Strategy.III: [Mode.BASELINE, Mode.SPECULATIVE, Mode.BASELINE],
+            Strategy.IV: [Mode.BASELINE] * 3,
+        }
+        plans = enumerate_plans(self.SEQ)
+        assert [p.strategy for p in plans] == list(expected)
+        for plan in plans:
+            assert [s.mode for s in compile_plan(plan, self.SEQ)] == expected[plan.strategy]
+
+    def test_steps_carry_placed_ops_in_order(self):
+        plan = strategy_plan(self.SEQ, Strategy.I)
+        steps = compile_plan(plan, self.SEQ)
+        assert [s.query.id for s in steps] == ["A", "B", "C"]
+        assert [op.id for op in steps[0].rpu] == ["y"]
+        assert [op.id for op in steps[0].host] == ["x"]
+        assert [op.id for op in steps[2].rpu] == ["z"]
+        assert steps[2].host == ()

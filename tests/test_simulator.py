@@ -8,12 +8,12 @@ import pytest
 from rpusim import (
     FilterOp,
     GAP_QUERY,
+    IllegalPlanError,
     Phase,
     Plan,
     Query,
     QuerySequence,
     Resource,
-    SchedulingError,
     SpeculativeLoad,
     Strategy,
     TableSpec,
@@ -99,7 +99,12 @@ class TestOracleEquivalence:
 
 
 class TestSchedulingErrors:
-    def test_load_before_last_op_conflicts_with_pr(self, paper_seq, profile):
+    """Both engines reject an illegal speculative load with the same error."""
+
+    ENGINES = pytest.mark.parametrize("engine", [plan_cost, simulate], ids=["plan_cost", "simulate"])
+
+    @ENGINES
+    def test_load_before_last_op_conflicts_with_pr(self, engine, paper_seq, profile):
         base = strategy_plan(paper_seq, Strategy.III)
         plan = Plan(
             strategy=Strategy.III,
@@ -107,10 +112,11 @@ class TestSchedulingErrors:
             rpu_order=base.rpu_order,
             speculative_loads=(SpeculativeLoad("Q0", "acc0", "acc0"),),
         )
-        with pytest.raises(SchedulingError, match="still needed"):
-            simulate(paper_seq, plan, profile)
+        with pytest.raises(IllegalPlanError, match="not at the last RPU op of query 'Q0'"):
+            engine(paper_seq, plan, profile)
 
-    def test_load_targeting_wrong_accelerator(self, profile):
+    @ENGINES
+    def test_load_targeting_wrong_accelerator(self, engine, profile):
         seq = QuerySequence(
             queries=(
                 Query("Q0", TableSpec("t0", 9.0), (FilterOp("acc0", 0.33), FilterOp("acc1", 0.43))),
@@ -125,8 +131,8 @@ class TestSchedulingErrors:
             rpu_order=base.rpu_order,
             speculative_loads=(SpeculativeLoad("Q0", "acc1", "acc0"),),
         )
-        with pytest.raises(SchedulingError, match="conflicts with"):
-            simulate(seq, plan, profile)
+        with pytest.raises(IllegalPlanError, match="not the first RPU op of the following query 'Q1'"):
+            engine(seq, plan, profile)
 
 
 class TestValidateTimeline:
