@@ -23,7 +23,7 @@ from .miner import (
     report_csv,
     to_workload,
 )
-from .model import HINT_STRATEGIES, DeviceProfile, QuerySequence, Strategy, calibrated_profile, require_valid
+from .model import HINT_STRATEGIES, DeviceProfile, QuerySequence, Strategy, calibrated_profile
 from .planner import choose_plan, generate_hints
 from .plans import enumerate_plans, strategy_plan
 from .simulate import simulate, timeline_csv
@@ -40,11 +40,8 @@ def _parse_strategy(value: str) -> Strategy:
 
 def _load(args) -> tuple[QuerySequence, DeviceProfile]:
     if args.workload:
-        seq, profile = load_workload(args.workload)
-    else:
-        seq, profile = default_scenario(), calibrated_profile()
-    require_valid(seq)
-    return seq, profile
+        return load_workload(args.workload)
+    return default_scenario(), calibrated_profile()
 
 
 def _write(path: str | None, text: str) -> None:

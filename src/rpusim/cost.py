@@ -42,7 +42,6 @@ from .model import (
     Query,
     QuerySequence,
     Strategy,
-    require_valid,
 )
 from .plans import Mode, compile_plan
 
@@ -155,7 +154,6 @@ def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBre
     The clock runs from the first query's arrival to the last query's
     completion (final transfer plus any host filtering), gaps included.
     """
-    require_valid(seq)
     total = 0.0
     per_query: list[tuple[str, float]] = []
     loaded: str | None = None

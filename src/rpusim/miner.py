@@ -11,13 +11,14 @@ has durations, minus nothing when it does not (which overestimates the gap).
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import MiningError
-from .model import FilterOp, Query, QuerySequence, TableSpec, require_valid
+from .model import FilterOp, Query, QuerySequence, TableSpec
 
 _SQL_KEYWORDS = frozenset(
     """
@@ -76,6 +77,10 @@ def parse_log(source: str | Path | Iterable[str]) -> list[LogEntry]:
             duration = float(parts[2]) if len(parts) == 3 else None
         except ValueError as exc:
             raise MiningError(f"line {n}: {exc}") from exc
+        if not math.isfinite(ts):
+            raise MiningError(f"line {n}: non-finite timestamp {parts[0]!r}")
+        if duration is not None and not 0.0 <= duration < math.inf:
+            raise MiningError(f"line {n}: duration must be finite and >= 0, got {parts[2]!r}")
         if not parts[1].strip():
             raise MiningError(f"line {n}: empty query text")
         entries.append(LogEntry(timestamp_ms=ts, text=parts[1], duration_ms=duration))
@@ -158,7 +163,7 @@ def to_workload(mined: MinedSequence, catalog: Mapping[str, CatalogEntry]) -> Qu
         Query(id=f"Q{i}", table=catalog[tid].table, ops=tuple(catalog[tid].ops))
         for i, tid in enumerate(mined.templates)
     )
-    return require_valid(QuerySequence(queries=queries, gaps=mined.avg_gaps))
+    return QuerySequence(queries=queries, gaps=mined.avg_gaps)
 
 
 def report_csv(mined: list[MinedSequence]) -> str:

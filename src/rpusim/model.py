@@ -15,6 +15,7 @@ Unit conventions (uniform across the package):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -67,7 +68,7 @@ class Placement(Enum):
 class DeviceProfile:
     """Calibrated rates and reconfiguration time of the modeled device chain.
 
-    All fields must be strictly positive.
+    All fields must be finite and strictly positive.
     """
 
     t_reconfig: float  # ms to load one accelerator into the PR
@@ -79,8 +80,8 @@ class DeviceProfile:
     def __post_init__(self) -> None:
         for name in ("t_reconfig", "r_scan", "r_acc", "r_network", "c_dbms"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"DeviceProfile.{name} must be > 0, got {value!r}")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"DeviceProfile.{name} must be finite and > 0, got {value!r}")
 
 
 def calibrated_profile() -> DeviceProfile:
@@ -143,6 +144,10 @@ class QuerySequence:
     ``gaps[i]`` is the average time between completion of ``queries[i]``
     (result fully delivered, host post-processing done) and the arrival of
     ``queries[i + 1]``.
+
+    A sequence is valid by construction: building one that breaks a model
+    invariant raises :class:`InvalidSequenceError` listing every violation,
+    so code that receives a ``QuerySequence`` need not check it again.
     """
 
     queries: tuple[Query, ...]
@@ -151,6 +156,7 @@ class QuerySequence:
     def __post_init__(self) -> None:
         object.__setattr__(self, "queries", tuple(self.queries))
         object.__setattr__(self, "gaps", tuple(float(g) for g in self.gaps))
+        require_valid(self)
 
     def query(self, query_id: str) -> Query:
         for q in self.queries:
@@ -171,7 +177,8 @@ def validate_sequence(seq: QuerySequence) -> list[Violation]:
     """Check every model invariant of a sequence; empty result means ok.
 
     Violations are data, not exceptions, so callers can report all of them
-    at once.  Use :func:`require_valid` to raise instead.
+    at once.  Use :func:`require_valid` to raise instead; constructing a
+    :class:`QuerySequence` already does.
     """
     out: list[Violation] = []
     n = len(seq.queries)
@@ -185,7 +192,9 @@ def validate_sequence(seq: QuerySequence) -> list[Violation]:
             )
         )
     for i, g in enumerate(seq.gaps):
-        if g < 0:
+        if not math.isfinite(g):
+            out.append(Violation(f"sequence.gaps[{i}]", f"non-finite gap {g}"))
+        elif g < 0:
             out.append(Violation(f"sequence.gaps[{i}]", f"negative gap {g}"))
 
     seen_ids: set[str] = set()
@@ -194,7 +203,9 @@ def validate_sequence(seq: QuerySequence) -> list[Violation]:
         if q.id in seen_ids:
             out.append(Violation(loc, f"duplicate query id {q.id!r} in sequence"))
         seen_ids.add(q.id)
-        if q.table.size_mb < 0:
+        if not math.isfinite(q.table.size_mb):
+            out.append(Violation(f"{loc}.table", f"non-finite table size {q.table.size_mb}"))
+        elif q.table.size_mb < 0:
             out.append(Violation(f"{loc}.table", f"negative table size {q.table.size_mb}"))
         if not q.ops:
             out.append(Violation(f"{loc}.ops", "query has no operators"))

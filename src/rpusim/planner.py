@@ -20,7 +20,6 @@ from .model import (
     Plan,
     QuerySequence,
     STRATEGY_ORDER,
-    require_valid,
 )
 from .plans import enumerate_plans, require_legal, shared_accelerators
 
@@ -57,7 +56,6 @@ def choose_plan(
     reproducible.  Disabling hints removes strategies II, III, and IV from
     the candidate set.
     """
-    require_valid(seq)
     candidates = enumerate_plans(seq)
     if not hints_enabled:
         candidates = [p for p in candidates if p.strategy not in HINT_STRATEGIES]
@@ -80,7 +78,6 @@ def generate_hints(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> li
     order and carries the pair's expected gap and the successor's scan-time
     estimate.
     """
-    require_valid(seq)
     require_legal(plan, seq)
     shared = shared_accelerators(seq)
     hints: list[Hint] = []

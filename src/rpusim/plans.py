@@ -28,7 +28,6 @@ from .model import (
     SpeculativeLoad,
     Strategy,
     STRATEGY_ORDER,
-    require_valid,
 )
 
 
@@ -39,7 +38,6 @@ def shared_accelerators(seq: QuerySequence) -> dict[tuple[str, str], list[str]]:
     value lists the shared accelerator ids in the successor's declared
     operator order (empty when the pair has nothing in common).
     """
-    require_valid(seq)
     out: dict[tuple[str, str], list[str]] = {}
     for pred, succ in zip(seq.queries, seq.queries[1:]):
         pred_ids = set(pred.op_ids())
@@ -159,7 +157,6 @@ def strategy_plan(seq: QuerySequence, strategy: Strategy) -> Plan:
     Raises :class:`IllegalPlanError` when the strategy has nothing to work
     with (nothing to split, share, or swap).
     """
-    require_valid(seq)
     if strategy is Strategy.S:
         return _full_pushdown(seq, Strategy.S)
     if strategy is Strategy.I:
@@ -175,7 +172,6 @@ def strategy_plan(seq: QuerySequence, strategy: Strategy) -> Plan:
 
 def enumerate_plans(seq: QuerySequence) -> list[Plan]:
     """All strategy plans applicable to the sequence, in strategy order."""
-    require_valid(seq)
     plans = []
     for strategy in STRATEGY_ORDER:
         try:

@@ -1,8 +1,8 @@
-"""Event-driven execution of a plan on the single-PR device model.
+"""Dependency-driven execution of a plan on the single-PR device model.
 
 The simulator turns a plan into phases on four resources plus an idle lane
-for gaps, releases them through a time-ordered event queue, and reports the
-resulting timeline.  Scheduling rules:
+for gaps, starts each phase the moment its last dependency ends, and reports
+the resulting timeline.  Scheduling rules:
 
 * the table scan may run while the PR is being reconfigured;
 * an accelerator starts only once its reconfiguration, the query's scan, and
@@ -18,19 +18,17 @@ resulting timeline.  Scheduling rules:
   accelerator;
 * a query arrives its gap after the predecessor's completion.
 
-Zero-length phases are processed for their ordering effects but omitted
-from the emitted timeline.
+Zero-length phases are scheduled like any other but omitted from the
+emitted timeline.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import SchedulingError
-from .model import DeviceProfile, Plan, QuerySequence, Violation, require_valid
+from .model import DeviceProfile, Plan, QuerySequence, Violation
 from .plans import Mode, Step, compile_plan
 
 #: Query column placeholder for phases that belong to no query.
@@ -43,10 +41,6 @@ class Resource(Enum):
     NET = "NET"
     DBMS = "DBMS"
     IDLE = "IDLE"
-
-
-#: Event tie-break ranks: reconfiguration completions are processed first.
-_RANK = {"reconfig": 0, "scan": 1, "acc-exec": 2, "transfer": 3, "dbms": 4, "gap": 5}
 
 
 @dataclass(frozen=True)
@@ -72,14 +66,13 @@ class _Task:
     query: str
     duration: float
     deps: tuple[str, ...]
-    qidx: int
 
 
 def _build_tasks(seq: QuerySequence, steps: tuple[Step, ...], profile: DeviceProfile) -> list[_Task]:
     tasks: list[_Task] = []
 
-    def add(key, resource, label, query, duration, deps, qidx):
-        tasks.append(_Task(key, resource, label, query, duration, tuple(deps), qidx))
+    def add(key, resource, label, query, duration, deps):
+        tasks.append(_Task(key, resource, label, query, duration, tuple(deps)))
         return key
 
     loaded: str | None = None
@@ -93,7 +86,7 @@ def _build_tasks(seq: QuerySequence, steps: tuple[Step, ...], profile: DevicePro
         if i > 0:
             gap_key = add(
                 f"gap/{i - 1}", Resource.IDLE, "gap", GAP_QUERY,
-                seq.gaps[i - 1], [prev_completion], i,
+                seq.gaps[i - 1], [prev_completion],
             )
             arrival_dep = [gap_key]
 
@@ -102,7 +95,7 @@ def _build_tasks(seq: QuerySequence, steps: tuple[Step, ...], profile: DevicePro
             deps = arrival_dep if step.mode is Mode.BASELINE else [prev_pr_free]
             lead_key = add(
                 f"rec/{q.id}/{rpu[0].id}", Resource.PR, "reconfig", q.id,
-                profile.t_reconfig, deps, i,
+                profile.t_reconfig, deps,
             )
 
         scan_deps = list(arrival_dep)
@@ -110,7 +103,7 @@ def _build_tasks(seq: QuerySequence, steps: tuple[Step, ...], profile: DevicePro
             scan_deps.append(lead_key)
         scan_key = add(
             f"scan/{q.id}", Resource.SCAN, "scan", q.id,
-            q.table.size_mb / profile.r_scan, scan_deps, i,
+            q.table.size_mb / profile.r_scan, scan_deps,
         )
 
         size = q.table.size_mb
@@ -121,7 +114,7 @@ def _build_tasks(seq: QuerySequence, steps: tuple[Step, ...], profile: DevicePro
             else:
                 rec_key = add(
                     f"rec/{q.id}/{op.id}", Resource.PR, "reconfig", q.id,
-                    profile.t_reconfig, [prev_exec], i,
+                    profile.t_reconfig, [prev_exec],
                 )
             deps = [scan_key]
             if rec_key is not None:
@@ -130,7 +123,7 @@ def _build_tasks(seq: QuerySequence, steps: tuple[Step, ...], profile: DevicePro
                 deps.append(prev_exec)
             prev_exec = add(
                 f"acc/{q.id}/{op.id}", Resource.PR, "acc-exec", q.id,
-                size / profile.r_acc, deps, i,
+                size / profile.r_acc, deps,
             )
             size *= op.selectivity
             loaded = op.id
@@ -138,13 +131,13 @@ def _build_tasks(seq: QuerySequence, steps: tuple[Step, ...], profile: DevicePro
         pr_free = prev_exec if prev_exec is not None else scan_key
         trans_key = add(
             f"trans/{q.id}", Resource.NET, "transfer", q.id,
-            size / profile.r_network, [pr_free], i,
+            size / profile.r_network, [pr_free],
         )
         tail_key = trans_key
         for op in step.host:
             tail_key = add(
                 f"dbms/{q.id}/{op.id}", Resource.DBMS, "dbms", q.id,
-                profile.c_dbms * size, [tail_key], i,
+                profile.c_dbms * size, [tail_key],
             )
             size *= op.selectivity
 
@@ -154,19 +147,21 @@ def _build_tasks(seq: QuerySequence, steps: tuple[Step, ...], profile: DevicePro
 
 
 def _run_tasks(tasks: list[_Task]) -> dict[str, tuple[float, float]]:
-    by_key = {t.key: t for t in tasks}
-    waiting = {t.key: set(t.deps) for t in tasks}
-    dependents: dict[str, list[str]] = {t.key: [] for t in tasks}
-    for t in tasks:
-        for dep in t.deps:
-            dependents[dep].append(t.key)
+    """Start every task when its last dependency ends, in one pass.
 
+    ``_build_tasks`` lists each task after its dependencies and the tasks of
+    each resource in time order, so a single walk schedules them all.
+    """
     times: dict[str, tuple[float, float]] = {}
     free_at: dict[Resource, float] = {r: 0.0 for r in Resource}
-    heap: list[tuple[float, int, int, int, str]] = []
-    order = itertools.count()
-
-    def start(task: _Task, at: float) -> None:
+    for task in tasks:
+        try:
+            at = max((times[dep][1] for dep in task.deps), default=0.0)
+        except KeyError as exc:
+            raise SchedulingError(
+                f"{task.label} for {task.query} depends on {exc.args[0]!r}, "
+                "which is not listed before it"
+            ) from None
         if free_at[task.resource] > at:
             raise SchedulingError(
                 f"{task.resource.value} is busy until {free_at[task.resource]:.6f} ms "
@@ -175,28 +170,11 @@ def _run_tasks(tasks: list[_Task]) -> dict[str, tuple[float, float]]:
         end = at + task.duration
         times[task.key] = (at, end)
         free_at[task.resource] = end
-        heapq.heappush(heap, (end, _RANK[task.label], task.qidx, next(order), task.key))
-
-    for t in tasks:
-        if not t.deps:
-            start(t, 0.0)
-    while heap:
-        _, _, _, _, key = heapq.heappop(heap)
-        for dep_key in dependents[key]:
-            pending = waiting[dep_key]
-            pending.discard(key)
-            if not pending:
-                task = by_key[dep_key]
-                start(task, max(times[d][1] for d in task.deps))
-    if len(times) != len(tasks):
-        stuck = sorted(set(by_key) - set(times))
-        raise SchedulingError(f"dependency cycle, tasks never released: {stuck}")
     return times
 
 
 def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline:
     """Execute the plan and return its timeline (phases plus makespan)."""
-    require_valid(seq)
     tasks = _build_tasks(seq, compile_plan(plan, seq), profile)
     times = _run_tasks(tasks)
 
@@ -218,9 +196,14 @@ def validate_timeline(timeline: Timeline) -> list[Violation]:
         if p.end < p.start:
             out.append(Violation(f"phases[{i}]", f"end {p.end} before start {p.start}"))
 
+    # reconfig and acc-exec share Resource.PR, so this one check also
+    # reports every PR exclusivity breach.
     by_resource: dict[Resource, list[Phase]] = {}
+    by_query: dict[str, list[Phase]] = {}
     for p in phases:
         by_resource.setdefault(p.resource, []).append(p)
+        if p.query != GAP_QUERY:
+            by_query.setdefault(p.query, []).append(p)
     for resource, group in by_resource.items():
         group = sorted(group, key=lambda p: (p.start, p.end))
         for a, b in zip(group, group[1:]):
@@ -233,22 +216,8 @@ def validate_timeline(timeline: Timeline) -> list[Violation]:
                     )
                 )
 
-    recs = [p for p in phases if p.label == "reconfig"]
-    execs = [p for p in phases if p.label == "acc-exec"]
-    for r in recs:
-        for e in execs:
-            if r.start < e.end and e.start < r.end:
-                out.append(
-                    Violation(
-                        "PR",
-                        f"PR conflict: reconfig [{r.start}, {r.end}) overlaps "
-                        f"acc-exec [{e.start}, {e.end})",
-                    )
-                )
-
-    queries = {p.query for p in phases if p.query != GAP_QUERY}
-    for qid in sorted(queries):
-        mine = [p for p in phases if p.query == qid]
+    for qid in sorted(by_query):
+        mine = by_query[qid]
         scan_end = max((p.end for p in mine if p.label == "scan"), default=None)
         accs = sorted((p for p in mine if p.label == "acc-exec"), key=lambda p: p.start)
         trans = [p for p in mine if p.label == "transfer"]

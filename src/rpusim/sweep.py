@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .cost import improvement, plan_cost
-from .model import DeviceProfile, FilterOp, Query, QuerySequence, Strategy, require_valid
+from .model import DeviceProfile, FilterOp, Query, QuerySequence, Strategy
 from .plans import strategy_plan
 
 VARIABLES = ("scale", "selectivity", "gap")
@@ -87,7 +87,6 @@ class SweepRow:
 
 def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> list[SweepRow]:
     """Evaluate each strategy at every grid point, improvements vs S."""
-    require_valid(seq)
     transform = _TRANSFORMS[spec.variable]
     rows: list[SweepRow] = []
     for value in spec.grid():

@@ -54,7 +54,8 @@ def parse_workload(doc: Any) -> tuple[QuerySequence, DeviceProfile]:
 
     Unknown keys are rejected at every level; a missing ``profile`` section
     falls back to :func:`calibrated_profile`.  Model invariants (gap counts,
-    selectivity ranges, ...) are left to ``validate_sequence``.
+    selectivity ranges, finite sizes and gaps, ...) are checked when the
+    :class:`QuerySequence` is built, which raises ``InvalidSequenceError``.
     """
     _require_keys(doc, {"profile", "tables", "queries", "sequence"},
                   {"tables", "queries", "sequence"}, "workload")

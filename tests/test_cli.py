@@ -1,10 +1,19 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
-from rpusim import Strategy, SweepSpec, calibrated_profile, default_scenario, run_sweep, sweep_csv
+from rpusim import (
+    Strategy,
+    SweepSpec,
+    calibrated_profile,
+    default_scenario,
+    run_sweep,
+    sweep_csv,
+    workload_dict,
+)
 from rpusim.cli import main
 from test_miner import A_ID, B_ID, C_ID, planted_log_lines
 
@@ -180,6 +189,22 @@ class TestExitCodes:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["plan", "--workload", str(path)]) == 1
         assert "selectivity range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mutate, fragment",
+        [
+            (lambda d: d["tables"][1].update(size_mb=math.nan), "non-finite table size"),
+            (lambda d: d["sequence"].update(gaps_ms=[math.inf]), "non-finite gap"),
+        ],
+        ids=["nan-table-size", "inf-gap"],
+    )
+    def test_non_finite_workload_is_validation_error(self, capsys, tmp_path, mutate, fragment):
+        doc = workload_dict(default_scenario(), calibrated_profile())
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")  # writes NaN / Infinity literals
+        assert main(["plan", "--workload", str(path)]) == 1
+        assert fragment in capsys.readouterr().err
 
     def test_unknown_key_is_validation_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,4 +1,5 @@
-"""Cost model and simulator agree on every plan of random n-query sequences.
+"""Cost model and simulator agree on every plan of random n-query sequences,
+and hints never make the chosen plan slower.
 
 The sequences mix the shapes the 2- and 3-query cross-checks do not reach:
 2-8 queries over a small accelerator pool (so accelerators repeat across and
@@ -17,6 +18,7 @@ from rpusim import (
     Query,
     QuerySequence,
     TableSpec,
+    choose_plan,
     enumerate_plans,
     plan_cost,
     simulate,
@@ -67,5 +69,7 @@ def test_simulator_matches_cost_on_n_query_sequences():
             assert math.isclose(timeline.makespan, total, rel_tol=1e-9), (plan.strategy, seq)
             assert validate_timeline(timeline) == [], (plan.strategy, seq)
             checked += 1
+        hinted = choose_plan(seq, profile, hints_enabled=True)[1].total
+        assert hinted <= choose_plan(seq, profile, hints_enabled=False)[1].total, seq
     # every sequence admits S, and most admit several more strategies
     assert checked > 1200

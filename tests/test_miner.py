@@ -93,6 +93,20 @@ class TestParseLog:
         with pytest.raises(MiningError, match="empty query"):
             parse_log(["5\t \t1"])
 
+    @pytest.mark.parametrize("ts", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_rejected(self, ts):
+        with pytest.raises(MiningError, match="line 2: non-finite timestamp"):
+            parse_log(["5\tSELECT a FROM t", f"{ts}\tSELECT b FROM t"])
+
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(MiningError, match="line 2: duration must be finite"):
+            parse_log(["5\tSELECT a FROM t\t1", f"9\tSELECT b FROM t\t{duration}"])
+
+    def test_negative_duration_rejected(self):
+        with pytest.raises(MiningError, match="line 2: duration must be finite and >= 0"):
+            parse_log(["5\tSELECT a FROM t\t1", "9\tSELECT b FROM t\t-0.5"])
+
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "queries.log"
         path.write_text("\n".join(planted_log_lines()) + "\n", encoding="utf-8")

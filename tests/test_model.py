@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from rpusim import (
@@ -36,7 +38,7 @@ class TestCalibratedProfile:
         assert 80.0 / 1000.0 == p.r_network
 
     @pytest.mark.parametrize("field", ["t_reconfig", "r_scan", "r_acc", "r_network", "c_dbms"])
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_nonpositive(self, field, bad):
         kwargs = dict(t_reconfig=15.0, r_scan=1.0, r_acc=1.5, r_network=0.08, c_dbms=0.03)
         kwargs[field] = bad
@@ -45,55 +47,80 @@ class TestCalibratedProfile:
 
 
 class TestValidateSequence:
+    """A QuerySequence is checked when it is built, so each broken invariant
+    surfaces as an InvalidSequenceError from the constructor."""
+
     def test_well_formed(self, paper_seq):
         assert validate_sequence(paper_seq) == []
         assert require_valid(paper_seq) is paper_seq
 
     def test_gap_count_mismatch(self, paper_seq):
-        seq = QuerySequence(queries=paper_seq.queries, gaps=())
-        messages = [v.message for v in validate_sequence(seq)]
-        assert any("gap count" in m for m in messages)
+        with pytest.raises(InvalidSequenceError) as exc:
+            QuerySequence(queries=paper_seq.queries, gaps=())
+        assert any("gap count" in v.message for v in exc.value.violations)
 
     def test_selectivity_out_of_range(self):
-        seq = canonical_sequence(f0=1.2)
-        violations = validate_sequence(seq)
+        with pytest.raises(InvalidSequenceError) as exc:
+            canonical_sequence(f0=1.2)
+        violations = exc.value.violations
         assert any("selectivity range" in v.message for v in violations)
         assert any("selectivity" in v.location for v in violations)
 
     def test_negative_gap(self):
-        seq = canonical_sequence(gap=-1.0)
-        assert any("negative gap" in v.message for v in validate_sequence(seq))
+        with pytest.raises(InvalidSequenceError) as exc:
+            canonical_sequence(gap=-1.0)
+        assert any("negative gap" in v.message for v in exc.value.violations)
 
     def test_single_query_rejected(self):
         q = Query("Q0", TableSpec("t", 1.0), (FilterOp("a", 0.5),))
-        seq = QuerySequence(queries=(q,), gaps=())
-        assert any(">= 2 queries" in v.message for v in validate_sequence(seq))
+        with pytest.raises(InvalidSequenceError) as exc:
+            QuerySequence(queries=(q,), gaps=())
+        assert any(">= 2 queries" in v.message for v in exc.value.violations)
 
     def test_empty_ops(self):
         q0 = Query("Q0", TableSpec("t", 1.0), ())
         q1 = Query("Q1", TableSpec("t", 1.0), (FilterOp("a", 0.5),))
-        seq = QuerySequence(queries=(q0, q1), gaps=(0.0,))
-        assert any("no operators" in v.message for v in validate_sequence(seq))
+        with pytest.raises(InvalidSequenceError) as exc:
+            QuerySequence(queries=(q0, q1), gaps=(0.0,))
+        assert any("no operators" in v.message for v in exc.value.violations)
 
     def test_duplicate_op_ids(self):
         q0 = Query("Q0", TableSpec("t", 1.0), (FilterOp("a", 0.5), FilterOp("a", 0.2)))
         q1 = Query("Q1", TableSpec("t", 1.0), (FilterOp("a", 0.5),))
-        seq = QuerySequence(queries=(q0, q1), gaps=(0.0,))
-        assert any("duplicate op id" in v.message for v in validate_sequence(seq))
+        with pytest.raises(InvalidSequenceError) as exc:
+            QuerySequence(queries=(q0, q1), gaps=(0.0,))
+        assert any("duplicate op id" in v.message for v in exc.value.violations)
 
     def test_duplicate_query_ids(self):
         q = Query("Q0", TableSpec("t", 1.0), (FilterOp("a", 0.5),))
-        seq = QuerySequence(queries=(q, q), gaps=(0.0,))
-        assert any("duplicate query id" in v.message for v in validate_sequence(seq))
+        with pytest.raises(InvalidSequenceError) as exc:
+            QuerySequence(queries=(q, q), gaps=(0.0,))
+        assert any("duplicate query id" in v.message for v in exc.value.violations)
 
     def test_negative_table_size(self):
-        seq = canonical_sequence(s0=-3.0)
-        assert any("negative table size" in v.message for v in validate_sequence(seq))
+        with pytest.raises(InvalidSequenceError) as exc:
+            canonical_sequence(s0=-3.0)
+        assert any("negative table size" in v.message for v in exc.value.violations)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_table_size(self, bad):
+        with pytest.raises(InvalidSequenceError) as exc:
+            canonical_sequence(s1=bad)
+        assert [(v.location, v.message) for v in exc.value.violations] == [
+            ("queries[1].table", f"non-finite table size {bad}")
+        ]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gap(self, bad):
+        with pytest.raises(InvalidSequenceError) as exc:
+            canonical_sequence(gap=bad)
+        assert [(v.location, v.message) for v in exc.value.violations] == [
+            ("sequence.gaps[0]", f"non-finite gap {bad}")
+        ]
 
     def test_require_valid_raises_with_all_violations(self):
-        seq = canonical_sequence(f0=1.2, gap=-1.0)
         with pytest.raises(InvalidSequenceError) as exc:
-            require_valid(seq)
+            canonical_sequence(f0=1.2, gap=-1.0)
         assert len(exc.value.violations) == 2
 
 

@@ -14,6 +14,7 @@ from rpusim import (
     Query,
     QuerySequence,
     Resource,
+    SchedulingError,
     SpeculativeLoad,
     Strategy,
     TableSpec,
@@ -25,6 +26,7 @@ from rpusim import (
     timeline_csv,
     validate_timeline,
 )
+from rpusim.simulate import _run_tasks, _Task
 from conftest import canonical_sequence, random_params
 
 
@@ -133,6 +135,24 @@ class TestSchedulingErrors:
         )
         with pytest.raises(IllegalPlanError, match="not the first RPU op of the following query 'Q1'"):
             engine(seq, plan, profile)
+
+
+class TestRunTasks:
+    def test_forward_dependency_rejected(self):
+        tasks = [
+            _Task("scan/Q0", Resource.SCAN, "scan", "Q0", 5.0, ("rec/Q0/a",)),
+            _Task("rec/Q0/a", Resource.PR, "reconfig", "Q0", 15.0, ()),
+        ]
+        with pytest.raises(SchedulingError, match="depends on 'rec/Q0/a', which is not listed before it"):
+            _run_tasks(tasks)
+
+    def test_busy_resource_rejected(self):
+        tasks = [
+            _Task("rec/Q0/a", Resource.PR, "reconfig", "Q0", 15.0, ()),
+            _Task("acc/Q0/a", Resource.PR, "acc-exec", "Q0", 2.0, ()),
+        ]
+        with pytest.raises(SchedulingError, match="PR is busy until 15.000000 ms"):
+            _run_tasks(tasks)
 
 
 class TestValidateTimeline:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from rpusim import (
+    InvalidSequenceError,
     WorkloadFormatError,
     calibrated_profile,
     default_scenario,
@@ -87,6 +89,28 @@ class TestParse:
         doc["profile"]["r_scan_mb_per_ms"] = 0
         with pytest.raises(WorkloadFormatError, match="r_scan"):
             parse_workload(doc)
+
+    def test_infinite_profile_rejected(self):
+        doc = json.loads(json.dumps(SCHEMA_DOC))
+        doc["profile"]["t_reconfig_ms"] = math.inf
+        with pytest.raises(WorkloadFormatError, match="t_reconfig"):
+            parse_workload(doc)
+
+    @pytest.mark.parametrize(
+        "mutate, fragment",
+        [
+            (lambda d: d["tables"][1].update(size_mb=math.nan), "non-finite table size"),
+            (lambda d: d["sequence"].update(gaps_ms=[math.inf]), "non-finite gap"),
+        ],
+        ids=["nan-table-size", "inf-gap"],
+    )
+    def test_non_finite_sequence_rejected(self, mutate, fragment):
+        doc = json.loads(json.dumps(SCHEMA_DOC))
+        mutate(doc)
+        # json.loads reads back the NaN and Infinity literals json.dumps
+        # writes, so the sequence itself has to refuse them.
+        with pytest.raises(InvalidSequenceError, match=fragment):
+            parse_workload(json.loads(json.dumps(doc)))
 
 
 class TestRoundTrip:
