@@ -23,9 +23,9 @@ from .miner import (
     report_csv,
     to_workload,
 )
-from .model import HINT_STRATEGIES, DeviceProfile, QuerySequence, Strategy, calibrated_profile
-from .planner import choose_plan, generate_hints
-from .plans import enumerate_plans, strategy_plan
+from .model import DeviceProfile, QuerySequence, Strategy, calibrated_profile
+from .planner import choose_plan, costed_plans, generate_hints
+from .plans import strategy_plan
 from .simulate import simulate, timeline_csv
 from .sweep import SweepSpec, run_sweep, scale_sequence, set_gaps, set_selectivity, sweep_csv
 from .workload import default_scenario, load_workload, save_workload
@@ -61,16 +61,14 @@ def _cmd_cost(args) -> int:
         for qid, t in breakdown.per_query:
             print(f"  {qid}: {t:.3f}")
         return 0
-    baseline = plan_cost(seq, strategy_plan(seq, Strategy.S), profile)
-    for plan in enumerate_plans(seq):
-        if not args.hints and plan.strategy in HINT_STRATEGIES:
-            continue
-        breakdown = plan_cost(seq, plan, profile)
+    rows = costed_plans(seq, profile, hints_enabled=args.hints)
+    baseline = rows[0][1]  # S always applies and comes first
+    for plan, breakdown in rows:
         print(
             f"{str(plan.strategy):<4} total_ms {breakdown.total:>10.3f}  "
             f"improvement_pct {improvement(breakdown, baseline):>8.3f}"
         )
-    best, best_cost = choose_plan(seq, profile, hints_enabled=args.hints)
+    best, best_cost = min(rows, key=lambda row: row[1].total)
     print(f"best: {best.strategy} ({best_cost.total:.3f} ms)")
     return 0
 

@@ -1,4 +1,4 @@
-"""Closed-form execution times for every plan strategy.
+"""Closed-form execution times for any legal plan.
 
 Phase durations are pure streaming arithmetic: a phase moving ``s`` MB
 through a stage rated ``r`` MB/ms takes ``s / r`` ms, host filtering costs a
@@ -15,7 +15,7 @@ A sequence total is assembled left to right out of three kinds of segments:
 * query tail: result transfer, then host-side filtering of whatever was not
   pushed down.
 * pair boundary: the gap sits between the predecessor's completion and the
-  successor's arrival; the boundary's mode (:class:`rpusim.plans.Mode`)
+  successor's arrival; the boundary's mode (:class:`rpusim.model.Mode`)
   decides what the successor's leading reconfiguration hides behind.
   BASELINE releases it at arrival, so it overlaps only the successor's own
   scan.  HOLD releases it the moment the predecessor's last accelerator
@@ -24,26 +24,17 @@ A sequence total is assembled left to right out of three kinds of segments:
   but also lets the successor's scan run during the reload, hiding it
   behind transfer + gap + scan.
 
-The per-query times are reported separately only for the strategies where
-the total genuinely decomposes per query (S, I, IV).
+The per-query times are reported separately only when every boundary is
+BASELINE, because only then does the total decompose per query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .errors import IllegalPlanError
-from .model import (
-    DeviceProfile,
-    FilterOp,
-    Placement,
-    Plan,
-    Query,
-    QuerySequence,
-    Strategy,
-)
-from .plans import Mode, compile_plan
+from .model import DeviceProfile, FilterOp, Mode, Plan, Query, QuerySequence
+from .plans import compile_plan
 
 
 def filtered_size(input_size: float, selectivity: float) -> float:
@@ -81,46 +72,16 @@ class PhaseTimes:
 
 def phase_times(
     query: Query,
-    placements: Mapping[str, Placement],
-    order: Sequence[str],
-    profile: DeviceProfile,
-) -> PhaseTimes:
-    """Scan, per-accelerator, transfer, and host times for one query.
-
-    ``order`` lists the RPU-placed operators in streaming order; host-placed
-    operators run on the host in the query's declared order, each charged
-    per MB of its own input.
-    """
-    ops_by_id = {op.id: op for op in query.ops}
-    if set(placements) != set(ops_by_id):
-        raise IllegalPlanError(
-            f"placements for query {query.id!r} must cover its ops exactly"
-        )
-    if len(set(order)) != len(order):
-        raise IllegalPlanError(f"duplicate op in RPU order for query {query.id!r}")
-    rpu_ids = {op_id for op_id, p in placements.items() if p is Placement.RPU}
-    for op_id in order:
-        if op_id not in ops_by_id:
-            raise IllegalPlanError(f"unknown op {op_id!r} in RPU order for query {query.id!r}")
-        if op_id not in rpu_ids:
-            raise IllegalPlanError(
-                f"op {op_id!r} appears in the RPU order of query {query.id!r} "
-                "but is placed on the host"
-            )
-    if set(order) != rpu_ids:
-        raise IllegalPlanError(
-            f"RPU order for query {query.id!r} must cover all RPU-placed ops"
-        )
-    host = tuple(op for op in query.ops if placements[op.id] is Placement.HOST)
-    return _phase_times(query, tuple(ops_by_id[op_id] for op_id in order), host, profile)
-
-
-def _phase_times(
-    query: Query,
     rpu: Sequence[FilterOp],
     host: Sequence[FilterOp],
     profile: DeviceProfile,
 ) -> PhaseTimes:
+    """Scan, per-accelerator, transfer, and host times for one query.
+
+    ``rpu`` lists the RPU-placed operators in streaming order; ``host``
+    lists the host-placed ones, which run in that order after the transfer,
+    each charged per MB of its own input.
+    """
     scan = query.table.size_mb / profile.r_scan
     size = query.table.size_mb
     steps = []
@@ -140,12 +101,8 @@ def _phase_times(
 class CostBreakdown:
     """Total sequence time and, where separable, the per-query times."""
 
-    strategy: Strategy
     total: float
     per_query: tuple[tuple[str, float], ...] = field(default_factory=tuple)
-
-
-_SEPARABLE = frozenset({Strategy.S, Strategy.I, Strategy.IV})
 
 
 def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBreakdown:
@@ -159,9 +116,10 @@ def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBre
     loaded: str | None = None
     prev_tail = 0.0
 
-    for i, step in enumerate(compile_plan(plan, seq)):
+    steps = compile_plan(plan, seq)
+    for i, step in enumerate(steps):
         q, rpu = step.query, step.rpu
-        pt = _phase_times(q, rpu, step.host, profile)
+        pt = phase_times(q, rpu, step.host, profile)
         lead = profile.t_reconfig if rpu and loaded != rpu[0].id else 0.0
         head = max(lead, pt.scan)
 
@@ -191,11 +149,8 @@ def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBre
             loaded = rpu[-1].id
     total += prev_tail
 
-    return CostBreakdown(
-        strategy=plan.strategy,
-        total=total,
-        per_query=tuple(per_query) if plan.strategy in _SEPARABLE else (),
-    )
+    separable = all(step.mode is Mode.BASELINE for step in steps)
+    return CostBreakdown(total=total, per_query=tuple(per_query) if separable else ())
 
 
 def improvement(candidate: CostBreakdown, baseline: CostBreakdown) -> float:

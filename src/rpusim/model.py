@@ -16,14 +16,18 @@ Unit conventions (uniform across the package):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidSequenceError
 
 
 class Strategy(Enum):
-    """The five sequence-plan shapes, in canonical (tie-break) order.
+    """The five sequence-plan builders, in canonical (tie-break) order.
+
+    A plan's strategy is only a label naming the builder that made it: the
+    legality check and both engines read the plan's RPU orders and boundary
+    modes, never this value.
 
     S    full pushdown of every operator, no lookahead: the device
          reconfigures on demand for each operator and again when the next
@@ -57,11 +61,21 @@ STRATEGY_ORDER = (Strategy.S, Strategy.I, Strategy.II, Strategy.III, Strategy.IV
 HINT_STRATEGIES = frozenset({Strategy.II, Strategy.III, Strategy.IV})
 
 
-class Placement(Enum):
-    """Where an operator executes."""
+class Mode(Enum):
+    """When a query's leading reconfiguration is released.
 
-    RPU = "RPU"
-    HOST = "HOST"
+    BASELINE     at the query's arrival; it overlaps only the query's scan.
+    HOLD         (II) when the predecessor frees the PR; the query's scan
+                 waits until the PR is ready.
+    SPECULATIVE  (III) when the predecessor frees the PR; the scan starts at
+                 arrival and only the first accelerator waits for the PR.
+
+    A mode only matters when the query needs a reconfiguration at all.
+    """
+
+    BASELINE = "baseline"
+    HOLD = "hold"
+    SPECULATIVE = "speculative"
 
 
 @dataclass(frozen=True)
@@ -231,32 +245,20 @@ def require_valid(seq: QuerySequence) -> QuerySequence:
 
 
 @dataclass(frozen=True)
-class SpeculativeLoad:
-    """A reconfiguration started ahead of need (strategy III).
-
-    The PR starts loading ``accelerator`` as soon as ``after_op`` of query
-    ``query_id`` finishes executing, i.e. the moment the PR goes idle.
-    """
-
-    query_id: str
-    after_op: str
-    accelerator: str
-
-
-@dataclass(frozen=True)
 class Plan:
     """A concrete executable choice for a whole sequence.
 
-    ``placements`` maps query id -> op id -> :class:`Placement`;
-    ``rpu_order`` gives, per query, the order in which its RPU-placed
-    operators stream.  ``speculative_loads`` is only populated for
-    strategy III.
+    ``rpu_order`` maps each query id to the operators pushed down to the
+    RPU, in streaming order; every other operator of the query runs on the
+    host, in declared order.  ``modes[i]`` is the boundary between
+    ``queries[i]`` and ``queries[i + 1]``: it releases ``queries[i + 1]``'s
+    leading reconfiguration.  ``strategy`` names the builder (see
+    :class:`Strategy`).
     """
 
     strategy: Strategy
-    placements: dict[str, dict[str, Placement]]
     rpu_order: dict[str, tuple[str, ...]]
-    speculative_loads: tuple[SpeculativeLoad, ...] = field(default_factory=tuple)
+    modes: tuple[Mode, ...]
 
     def rpu_ops(self, query: Query) -> tuple[FilterOp, ...]:
         """The query's RPU-placed operators, in streaming order."""
@@ -265,11 +267,9 @@ class Plan:
 
     def host_ops(self, query: Query) -> tuple[FilterOp, ...]:
         """The query's host-placed operators, in declared order."""
-        placed = self.placements.get(query.id, {})
-        return tuple(op for op in query.ops if placed.get(op.id) is Placement.HOST)
+        pushed = set(self.rpu_order.get(query.id, ()))
+        return tuple(op for op in query.ops if op.id not in pushed)
 
-    def load_after(self, query_id: str, op_id: str) -> SpeculativeLoad | None:
-        for load in self.speculative_loads:
-            if load.query_id == query_id and load.after_op == op_id:
-                return load
-        return None
+    def load_after(self, boundary: int) -> bool:
+        """Whether boundary ``boundary`` reloads the PR speculatively."""
+        return self.modes[boundary] is Mode.SPECULATIVE

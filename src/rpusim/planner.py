@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .cost import CostBreakdown, PhaseTimes, plan_cost
-from .model import (
-    DeviceProfile,
-    HINT_STRATEGIES,
-    Plan,
-    QuerySequence,
-    STRATEGY_ORDER,
-)
+from .model import DeviceProfile, HINT_STRATEGIES, Plan, QuerySequence
 from .plans import enumerate_plans, require_legal, shared_accelerators
 
 
@@ -45,6 +39,22 @@ class ReconfigDecision:
     rationale: dict[str, float] = field(default_factory=dict)
 
 
+def costed_plans(
+    seq: QuerySequence,
+    profile: DeviceProfile,
+    hints_enabled: bool = True,
+) -> list[tuple[Plan, CostBreakdown]]:
+    """Every applicable plan with its cost, in strategy order (S first).
+
+    Disabling hints removes strategies II, III, and IV from the candidates.
+    """
+    return [
+        (plan, plan_cost(seq, plan, profile))
+        for plan in enumerate_plans(seq)
+        if hints_enabled or plan.strategy not in HINT_STRATEGIES
+    ]
+
+
 def choose_plan(
     seq: QuerySequence,
     profile: DeviceProfile,
@@ -56,19 +66,7 @@ def choose_plan(
     reproducible.  Disabling hints removes strategies II, III, and IV from
     the candidate set.
     """
-    candidates = enumerate_plans(seq)
-    if not hints_enabled:
-        candidates = [p for p in candidates if p.strategy not in HINT_STRATEGIES]
-    best: tuple[float, int] | None = None
-    chosen: tuple[Plan, CostBreakdown] | None = None
-    for plan in candidates:
-        breakdown = plan_cost(seq, plan, profile)
-        rank = (breakdown.total, STRATEGY_ORDER.index(plan.strategy))
-        if best is None or rank < best:
-            best = rank
-            chosen = (plan, breakdown)
-    assert chosen is not None  # strategy S always applies
-    return chosen
+    return min(costed_plans(seq, profile, hints_enabled), key=lambda row: row[1].total)
 
 
 def generate_hints(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> list[Hint]:

@@ -1,8 +1,9 @@
 """Dependency-driven execution of a plan on the single-PR device model.
 
-The simulator turns a plan into phases on four resources plus an idle lane
-for gaps, starts each phase the moment its last dependency ends, and reports
-the resulting timeline.  Scheduling rules:
+The simulator turns a plan (the operators each query pushes down, in
+streaming order, and one mode per query boundary) into phases on four
+resources plus an idle lane for gaps, starts each phase the moment its last
+dependency ends, and reports the resulting timeline.  Scheduling rules:
 
 * the table scan may run while the PR is being reconfigured;
 * an accelerator starts only once its reconfiguration, the query's scan, and
@@ -11,7 +12,7 @@ the resulting timeline.  Scheduling rules:
 * the result transfer follows the query's last accelerator (or the scan when
   nothing was pushed down), host filtering follows the transfer;
 * a query's leading reconfiguration is released according to its boundary
-  mode (:class:`rpusim.plans.Mode`): BASELINE at the query's arrival; HOLD
+  mode (:class:`rpusim.model.Mode`): BASELINE at the query's arrival; HOLD
   and SPECULATIVE the moment the predecessor frees the PR, so it may run
   during transfers and gaps.  HOLD also holds the query's scan until the PR
   is ready; SPECULATIVE lets the scan proceed and gates only the first
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import SchedulingError
-from .model import DeviceProfile, Plan, QuerySequence, Violation
-from .plans import Mode, Step, compile_plan
+from .model import DeviceProfile, Mode, Plan, QuerySequence, Violation
+from .plans import Step, compile_plan
 
 #: Query column placeholder for phases that belong to no query.
 GAP_QUERY = "\u2014"

@@ -67,6 +67,23 @@ class TestCostCommand:
         assert len(best) == 1
         assert best[0].split()[1] in ("S", "I")
 
+    def test_auto_costs_each_plan_once(self, capsys, monkeypatch):
+        import rpusim.cli
+        import rpusim.planner
+
+        costed = []
+        original = rpusim.planner.plan_cost
+
+        def counted(seq, plan, profile):
+            costed.append(plan.strategy)
+            return original(seq, plan, profile)
+
+        for module in (rpusim.cli, rpusim.planner):
+            monkeypatch.setattr(module, "plan_cost", counted)
+        assert main(["cost"]) == 0
+        assert "best: III" in capsys.readouterr().out
+        assert costed == list(Strategy)
+
 
 class TestSimulateCommand:
     def test_makespan_matches_cost(self, capsys, tmp_path):

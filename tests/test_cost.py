@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rpusim import (
+    CostBreakdown,
     FilterOp,
     IllegalPlanError,
-    Placement,
+    Mode,
     Plan,
     Query,
     QuerySequence,
@@ -67,12 +68,7 @@ class TestFilteredSize:
 class TestPhaseTimes:
     def test_full_pushdown_reference(self, paper_seq, profile):
         q0 = paper_seq.queries[0]
-        pt = phase_times(
-            q0,
-            {"acc0": Placement.RPU, "acc1": Placement.RPU},
-            ("acc0", "acc1"),
-            profile,
-        )
+        pt = phase_times(q0, q0.ops, (), profile)
         assert pt.scan == pytest.approx(9.0, rel=1e-9)
         assert [s.time_ms for s in pt.acc] == pytest.approx([6.0, 1.98], rel=1e-9)
         assert pt.trans == pytest.approx(15.96375, rel=1e-9)
@@ -82,31 +78,16 @@ class TestPhaseTimes:
 
     def test_zero_table(self, profile):
         q = Query("Q", TableSpec("t", 0.0), (FilterOp("a", 0.5),))
-        pt = phase_times(q, {"a": Placement.RPU}, ("a",), profile)
+        pt = phase_times(q, q.ops, (), profile)
         assert pt.scan == 0.0
         assert pt.acc[0].time_ms == 0.0
         assert pt.trans == 0.0
 
     def test_partial_pushdown_reference(self, paper_seq, profile):
         q0 = paper_seq.queries[0]
-        pt = phase_times(
-            q0,
-            {"acc0": Placement.RPU, "acc1": Placement.HOST},
-            ("acc0",),
-            profile,
-        )
+        pt = phase_times(q0, q0.ops[:1], q0.ops[1:], profile)
         assert pt.trans == pytest.approx(37.125, rel=1e-9)
         assert pt.dbms == pytest.approx(0.0891, rel=1e-9)
-
-    def test_rejects_host_op_in_order(self, paper_seq, profile):
-        q0 = paper_seq.queries[0]
-        with pytest.raises(IllegalPlanError, match="placed on the host"):
-            phase_times(
-                q0,
-                {"acc0": Placement.RPU, "acc1": Placement.HOST},
-                ("acc0", "acc1"),
-                profile,
-            )
 
 
 class TestPlanCostReference:
@@ -133,6 +114,7 @@ class TestPlanCostReference:
         assert totals["IV"] == pytest.approx(30.0, abs=1e-12)
 
     def test_separable_strategies_decompose_per_query(self, paper_seq, profile):
+        # per_query is reported iff every boundary is BASELINE
         for name in ("S", "I", "IV"):
             breakdown = plan_cost(paper_seq, strategy_plan(paper_seq, Strategy(name)), profile)
             assert [qid for qid, _ in breakdown.per_query] == ["Q0", "Q1"]
@@ -187,15 +169,12 @@ class TestPlanCostProperties:
 
 class TestPlanCostErrors:
     def test_illegal_plan_rejected(self, paper_seq, profile):
-        plan = Plan(
-            strategy=Strategy.S,
-            placements={"Q0": {"acc0": Placement.RPU}, "Q1": {"acc0": Placement.RPU}},
-            rpu_order={"Q0": ("acc0",), "Q1": ("acc0",)},
-        )
+        plan = Plan(Strategy.S, {"Q0": ("acc0",), "Q1": ("acc0",)}, ())
         with pytest.raises(IllegalPlanError, match="illegal plan"):
             plan_cost(paper_seq, plan, profile)
 
     def test_iii_without_sharing_needs_sequence_knowledge(self, profile):
+        # a speculative reload needs to know the successor shares an accelerator
         seq = QuerySequence(
             queries=(
                 Query("Q0", TableSpec("t0", 9.0), (FilterOp("a", 0.3), FilterOp("b", 0.4))),
@@ -204,32 +183,14 @@ class TestPlanCostErrors:
             gaps=(1.0,),
         )
         base = strategy_plan(seq, Strategy.S)
-        plan = Plan(strategy=Strategy.III, placements=base.placements, rpu_order=base.rpu_order)
-        with pytest.raises(IllegalPlanError, match="requires sequence knowledge"):
+        plan = Plan(Strategy.III, base.rpu_order, (Mode.SPECULATIVE,))
+        with pytest.raises(IllegalPlanError, match="share no accelerator"):
             plan_cost(seq, plan, profile)
-
-    def test_misanchored_speculative_load(self, paper_seq, profile):
-        base = strategy_plan(paper_seq, Strategy.III)
-        plan = Plan(
-            strategy=Strategy.III,
-            placements=base.placements,
-            rpu_order=base.rpu_order,
-            speculative_loads=(type(base.speculative_loads[0])("Q0", "acc0", "acc0"),),
-        )
-        with pytest.raises(IllegalPlanError, match="last RPU op"):
-            plan_cost(paper_seq, plan, profile)
 
     def test_all_host_query_still_costs(self, profile):
         # nothing pushed down: scan, raw transfer, host filtering
         seq = canonical_sequence()
-        plan = Plan(
-            strategy=Strategy.S,
-            placements={
-                "Q0": {"acc0": Placement.HOST, "acc1": Placement.HOST},
-                "Q1": {"acc0": Placement.RPU},
-            },
-            rpu_order={"Q0": (), "Q1": ("acc0",)},
-        )
+        plan = Plan(Strategy.S, {"Q0": (), "Q1": ("acc0",)}, (Mode.BASELINE,))
         breakdown = plan_cost(seq, plan, profile)
         expected_q0 = 9.0 + 9.0 / 0.08 + 0.03 * (9.0 + 2.97)
         expected_q1 = max(15.0, 1.0) + 1.0 / 1.5 + 0.14 / 0.08
@@ -253,7 +214,5 @@ class TestImprovement:
 
     def test_zero_baseline_rejected(self, paper_seq, profile):
         t_s = plan_cost(paper_seq, strategy_plan(paper_seq, Strategy.S), profile)
-        from rpusim import CostBreakdown
-
         with pytest.raises(ValueError):
-            improvement(t_s, CostBreakdown(strategy=Strategy.S, total=0.0))
+            improvement(t_s, CostBreakdown(total=0.0))

@@ -4,7 +4,10 @@ and hints never make the chosen plan slower.
 The sequences mix the shapes the 2- and 3-query cross-checks do not reach:
 2-8 queries over a small accelerator pool (so accelerators repeat across and
 between adjacent queries), non-commuting filters, random device profiles, and
-zero table sizes, gaps and selectivities.
+zero table sizes, gaps and selectivities.  Besides the strategy plans, the
+engines are checked on random legal plans that push down a random subset of
+each query's operators and pick a mode per boundary, as no single strategy
+does.
 """
 
 from __future__ import annotations
@@ -13,14 +16,20 @@ import math
 import random
 
 from rpusim import (
+    STRATEGY_ORDER,
     DeviceProfile,
     FilterOp,
+    Mode,
+    Plan,
     Query,
     QuerySequence,
     TableSpec,
     choose_plan,
     enumerate_plans,
+    local_order,
     plan_cost,
+    scale_sequence,
+    shared_accelerators,
     simulate,
     validate_timeline,
 )
@@ -55,6 +64,60 @@ def random_sequence(rng: random.Random) -> QuerySequence:
         queries.append(Query(f"Q{qi}", TableSpec(f"t{qi}", size), ops))
     gaps = tuple(_maybe_zero(rng, rng.uniform(0.0, 40.0)) for _ in range(n - 1))
     return QuerySequence(tuple(queries), gaps)
+
+
+def random_plan(rng: random.Random, seq: QuerySequence) -> Plan:
+    """A legal plan: a random subsequence of each query's local order and a
+    random mode per boundary, SPECULATIVE only across sharing pairs."""
+    rpu_order = {
+        q.id: tuple(op.id for op in local_order(q.ops) if rng.random() < 0.7)
+        for q in seq.queries
+    }
+    shared = shared_accelerators(seq)
+    modes = tuple(
+        rng.choice(list(Mode) if shared[(pred.id, succ.id)] else [Mode.BASELINE, Mode.HOLD])
+        for pred, succ in zip(seq.queries, seq.queries[1:])
+    )
+    return Plan(rng.choice(STRATEGY_ORDER), rpu_order, modes)
+
+
+def random_cases(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng, random_sequence(rng), random_profile(rng)
+
+
+def test_simulator_matches_cost_on_mixed_plans():
+    mixed = 0
+    for rng, seq, profile in random_cases(2017, 300):
+        for _ in range(6):
+            plan = random_plan(rng, seq)
+            total = plan_cost(seq, plan, profile).total
+            timeline = simulate(seq, plan, profile)
+            assert math.isclose(timeline.makespan, total, rel_tol=1e-9), (plan, seq)
+            assert validate_timeline(timeline) == [], (plan, seq)
+            mixed += any(mode is not Mode.BASELINE for mode in plan.modes)
+    # most random plans have at least one HOLD or SPECULATIVE boundary
+    assert mixed > 1200
+
+
+def test_cost_monotone_in_table_size():
+    for rng, seq, profile in random_cases(2029, 200):
+        grown = scale_sequence(seq, rng.uniform(1.0, 4.0))
+        for plan in enumerate_plans(seq) + [random_plan(rng, seq) for _ in range(3)]:
+            assert plan_cost(grown, plan, profile).total >= plan_cost(seq, plan, profile).total, (plan, seq)
+
+
+def test_per_query_reported_iff_every_boundary_is_baseline():
+    for rng, seq, profile in random_cases(2039, 200):
+        for plan in enumerate_plans(seq) + [random_plan(rng, seq) for _ in range(3)]:
+            breakdown = plan_cost(seq, plan, profile)
+            if all(mode is Mode.BASELINE for mode in plan.modes):
+                assert [qid for qid, _ in breakdown.per_query] == [q.id for q in seq.queries]
+                summed = sum(t for _, t in breakdown.per_query) + sum(seq.gaps)
+                assert math.isclose(summed, breakdown.total, rel_tol=1e-9, abs_tol=1e-12), (plan, seq)
+            else:
+                assert breakdown.per_query == (), (plan, seq)
 
 
 def test_simulator_matches_cost_on_n_query_sequences():

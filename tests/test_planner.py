@@ -6,7 +6,6 @@ import pytest
 
 from rpusim import (
     Hint,
-    Placement,
     ReconfigChoice,
     Strategy,
     choose_plan,
@@ -107,12 +106,7 @@ class TestGenerateHints:
 class TestRpuPolicy:
     def _q0_phase(self, seq, profile):
         q0 = seq.queries[0]
-        return phase_times(
-            q0,
-            {op.id: Placement.RPU for op in q0.ops},
-            tuple(op.id for op in q0.ops),
-            profile,
-        )
+        return phase_times(q0, q0.ops, (), profile)
 
     def test_reference_scenario_prefers_speculative_load(self, paper_seq, profile):
         hint = Hint(next_accelerators=("acc0",), expected_gap=1.0, expected_scan=1.0)

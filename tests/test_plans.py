@@ -6,11 +6,9 @@ from rpusim import (
     FilterOp,
     IllegalPlanError,
     Mode,
-    Placement,
     Plan,
     Query,
     QuerySequence,
-    SpeculativeLoad,
     Strategy,
     TableSpec,
     compile_plan,
@@ -95,29 +93,31 @@ class TestEnumerate:
 class TestStrategyPlans:
     def test_s_orders_ascending(self, paper_seq):
         plan = strategy_plan(paper_seq, Strategy.S)
-        assert plan.rpu_order["Q0"] == ("acc0", "acc1")
-        assert plan.placements["Q0"] == {"acc0": Placement.RPU, "acc1": Placement.RPU}
+        assert plan.rpu_order == {"Q0": ("acc0", "acc1"), "Q1": ("acc0",)}
+        assert plan.modes == (Mode.BASELINE,)
 
     def test_i_pushes_lowest_selectivity(self, paper_seq):
         plan = strategy_plan(paper_seq, Strategy.I)
         assert plan.rpu_order["Q0"] == ("acc0",)
-        assert plan.placements["Q0"]["acc1"] is Placement.HOST
+        assert [op.id for op in plan.host_ops(paper_seq.queries[0])] == ["acc1"]
         assert plan.rpu_order["Q1"] == ("acc0",)
 
     def test_ii_pushes_second(self, paper_seq):
         plan = strategy_plan(paper_seq, Strategy.II)
         assert plan.rpu_order["Q0"] == ("acc1",)
-        assert plan.placements["Q0"]["acc0"] is Placement.HOST
+        assert [op.id for op in plan.host_ops(paper_seq.queries[0])] == ["acc0"]
+        assert plan.modes == (Mode.HOLD,)
 
     def test_iii_speculative_load(self, paper_seq):
         plan = strategy_plan(paper_seq, Strategy.III)
-        assert plan.speculative_loads == (SpeculativeLoad("Q0", "acc1", "acc0"),)
+        assert plan.modes == (Mode.SPECULATIVE,)
+        assert plan.load_after(0)
         assert plan.rpu_order["Q0"] == ("acc0", "acc1")
 
     def test_iv_swaps_shared_accelerator_last(self, paper_seq):
         plan = strategy_plan(paper_seq, Strategy.IV)
         assert plan.rpu_order["Q0"] == ("acc1", "acc0")
-        assert plan.speculative_loads == ()
+        assert plan.modes == (Mode.BASELINE,)
 
     def test_inapplicable_raises(self):
         seq = _seq(_q("Q0", 2.0, ("a", 0.5)), _q("Q1", 1.0, ("b", 0.4)))
@@ -140,14 +140,7 @@ class TestLegality:
             _q("Q0", 9.0, ("acc0", 0.33), ("acc1", 0.43), commutes=False),
             _q("Q1", 1.0, ("acc0", 0.14)),
         )
-        plan = Plan(
-            strategy=Strategy.IV,
-            placements={
-                "Q0": {"acc0": Placement.RPU, "acc1": Placement.RPU},
-                "Q1": {"acc0": Placement.RPU},
-            },
-            rpu_order={"Q0": ("acc1", "acc0"), "Q1": ("acc0",)},
-        )
+        plan = Plan(Strategy.IV, {"Q0": ("acc1", "acc0"), "Q1": ("acc0",)}, (Mode.BASELINE,))
         ok, reason = legality(plan, seq)
         assert not ok
         assert "non-commuting" in reason
@@ -155,39 +148,26 @@ class TestLegality:
             require_legal(plan, seq)
 
     def test_missing_placement_is_illegal(self, paper_seq):
-        plan = Plan(
-            strategy=Strategy.S,
-            placements={"Q0": {"acc0": Placement.RPU}, "Q1": {"acc0": Placement.RPU}},
-            rpu_order={"Q0": ("acc0",), "Q1": ("acc0",)},
-        )
+        plan = Plan(Strategy.S, {"Q0": ("acc0", "acc1")}, (Mode.BASELINE,))
         ok, reason = legality(plan, paper_seq)
         assert not ok
-        assert "cover its ops" in reason
+        assert "cover exactly the sequence's queries" in reason
 
     def test_rpu_order_must_match_placements(self, paper_seq):
-        plan = Plan(
-            strategy=Strategy.I,
-            placements={
-                "Q0": {"acc0": Placement.RPU, "acc1": Placement.HOST},
-                "Q1": {"acc0": Placement.RPU},
-            },
-            rpu_order={"Q0": ("acc0", "acc1"), "Q1": ("acc0",)},
-        )
-        ok, reason = legality(plan, paper_seq)
-        assert not ok
-        assert "RPU-placed" in reason
+        # an op runs on the RPU iff its query's order lists it, so the order
+        # may only list distinct ops of that query
+        for q1_order in (("acc1",), ("acc0", "acc0")):
+            plan = Plan(Strategy.S, {"Q0": ("acc0", "acc1"), "Q1": q1_order}, (Mode.BASELINE,))
+            ok, reason = legality(plan, paper_seq)
+            assert not ok
+            assert "distinct ops of that query" in reason
 
-    def test_loads_only_in_strategy_iii(self, paper_seq):
-        plan = strategy_plan(paper_seq, Strategy.S)
-        tampered = Plan(
-            strategy=Strategy.S,
-            placements=plan.placements,
-            rpu_order=plan.rpu_order,
-            speculative_loads=(SpeculativeLoad("Q0", "acc1", "acc0"),),
-        )
-        ok, reason = legality(tampered, paper_seq)
-        assert not ok
-        assert "strategy III" in reason
+    def test_mode_count_must_match_boundaries(self, paper_seq):
+        base = strategy_plan(paper_seq, Strategy.S)
+        for modes in ((), (Mode.BASELINE, Mode.BASELINE)):
+            ok, reason = legality(Plan(Strategy.S, base.rpu_order, modes), paper_seq)
+            assert not ok
+            assert "boundary modes for 1 query boundaries" in reason
 
     def test_load_on_non_sharing_pair_is_illegal(self):
         seq = _seq(
@@ -196,41 +176,24 @@ class TestLegality:
             _q("C", 1.0, ("w", 0.5)),
         )
         plan = strategy_plan(seq, Strategy.III)
-        tampered = Plan(
-            strategy=Strategy.III,
-            placements=plan.placements,
-            rpu_order=plan.rpu_order,
-            speculative_loads=plan.speculative_loads + (SpeculativeLoad("B", "y", "w"),),
-        )
+        # A leaves y loaded, which B needs first, so III reloads nowhere
+        assert plan.modes == (Mode.BASELINE, Mode.BASELINE)
+        tampered = Plan(Strategy.III, plan.rpu_order, (Mode.BASELINE, Mode.SPECULATIVE))
         ok, reason = legality(tampered, seq)
         assert not ok
-        assert "shares no accelerator" in reason
-
-    def test_redundant_load_is_illegal(self):
-        # Q0's last accelerator is already the one Q1 needs
-        seq = _seq(_q("Q0", 3.0, ("a", 0.3), ("b", 0.9)), _q("Q1", 2.0, ("b", 0.5)))
-        base = strategy_plan(seq, Strategy.S)
-        plan = Plan(
-            strategy=Strategy.III,
-            placements=base.placements,
-            rpu_order=base.rpu_order,
-            speculative_loads=(SpeculativeLoad("Q0", "b", "b"),),
-        )
-        ok, reason = legality(plan, seq)
-        assert not ok
-        assert "redundant" in reason
+        assert "between 'B' and 'C', which share no accelerator" in reason
 
     def test_iii_without_sharing_requires_sequence_knowledge(self):
         seq = _seq(_q("Q0", 9.0, ("a", 0.3), ("b", 0.4)), _q("Q1", 1.0, ("c", 0.5)))
-        base = strategy_plan(seq, Strategy.S)
-        plan = Plan(
-            strategy=Strategy.III,
-            placements=base.placements,
-            rpu_order=base.rpu_order,
-        )
-        ok, reason = legality(plan, seq)
-        assert not ok
-        assert "requires sequence knowledge" in reason
+        with pytest.raises(IllegalPlanError, match="requires sequence knowledge"):
+            strategy_plan(seq, Strategy.III)
+
+    def test_strategy_is_only_a_label(self, paper_seq):
+        # legality reads the orders and modes; any builder name may carry them
+        iii = strategy_plan(paper_seq, Strategy.III)
+        for strategy in Strategy:
+            ok, reason = legality(Plan(strategy, iii.rpu_order, iii.modes), paper_seq)
+            assert ok, reason
 
 
 class TestCompilePlan:
@@ -242,17 +205,19 @@ class TestCompilePlan:
 
     def test_modes_per_strategy(self):
         expected = {
-            Strategy.S: [Mode.BASELINE] * 3,
-            Strategy.I: [Mode.BASELINE] * 3,
-            Strategy.II: [Mode.BASELINE, Mode.HOLD, Mode.HOLD],
+            Strategy.S: (Mode.BASELINE, Mode.BASELINE),
+            Strategy.I: (Mode.BASELINE, Mode.BASELINE),
+            Strategy.II: (Mode.HOLD, Mode.HOLD),
             # A leaves x loaded and B needs y first; C shares nothing with B
-            Strategy.III: [Mode.BASELINE, Mode.SPECULATIVE, Mode.BASELINE],
-            Strategy.IV: [Mode.BASELINE] * 3,
+            Strategy.III: (Mode.SPECULATIVE, Mode.BASELINE),
+            Strategy.IV: (Mode.BASELINE, Mode.BASELINE),
         }
         plans = enumerate_plans(self.SEQ)
         assert [p.strategy for p in plans] == list(expected)
         for plan in plans:
-            assert [s.mode for s in compile_plan(plan, self.SEQ)] == expected[plan.strategy]
+            assert strategy_plan(self.SEQ, plan.strategy).modes == expected[plan.strategy]
+            steps = compile_plan(plan, self.SEQ)
+            assert [s.mode for s in steps] == [Mode.BASELINE, *expected[plan.strategy]]
 
     def test_steps_carry_placed_ops_in_order(self):
         plan = strategy_plan(self.SEQ, Strategy.I)

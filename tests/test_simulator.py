@@ -9,13 +9,13 @@ from rpusim import (
     FilterOp,
     GAP_QUERY,
     IllegalPlanError,
+    Mode,
     Phase,
     Plan,
     Query,
     QuerySequence,
     Resource,
     SchedulingError,
-    SpeculativeLoad,
     Strategy,
     TableSpec,
     Timeline,
@@ -101,39 +101,29 @@ class TestOracleEquivalence:
 
 
 class TestSchedulingErrors:
-    """Both engines reject an illegal speculative load with the same error."""
+    """Both engines reject an illegal plan with the same error."""
 
     ENGINES = pytest.mark.parametrize("engine", [plan_cost, simulate], ids=["plan_cost", "simulate"])
 
     @ENGINES
-    def test_load_before_last_op_conflicts_with_pr(self, engine, paper_seq, profile):
+    def test_wrong_mode_count(self, engine, paper_seq, profile):
         base = strategy_plan(paper_seq, Strategy.III)
-        plan = Plan(
-            strategy=Strategy.III,
-            placements=base.placements,
-            rpu_order=base.rpu_order,
-            speculative_loads=(SpeculativeLoad("Q0", "acc0", "acc0"),),
-        )
-        with pytest.raises(IllegalPlanError, match="not at the last RPU op of query 'Q0'"):
+        plan = Plan(Strategy.III, base.rpu_order, base.modes * 2)
+        with pytest.raises(IllegalPlanError, match="2 boundary modes for 1 query boundaries"):
             engine(paper_seq, plan, profile)
 
     @ENGINES
-    def test_load_targeting_wrong_accelerator(self, engine, profile):
+    def test_speculative_across_non_sharing_pair(self, engine, profile):
         seq = QuerySequence(
             queries=(
                 Query("Q0", TableSpec("t0", 9.0), (FilterOp("acc0", 0.33), FilterOp("acc1", 0.43))),
-                Query("Q1", TableSpec("t1", 1.0), (FilterOp("accx", 0.1), FilterOp("acc0", 0.9))),
+                Query("Q1", TableSpec("t1", 1.0), (FilterOp("accx", 0.1),)),
             ),
             gaps=(1.0,),
         )
         base = strategy_plan(seq, Strategy.S)
-        plan = Plan(
-            strategy=Strategy.III,
-            placements=base.placements,
-            rpu_order=base.rpu_order,
-            speculative_loads=(SpeculativeLoad("Q0", "acc1", "acc0"),),
-        )
-        with pytest.raises(IllegalPlanError, match="not the first RPU op of the following query 'Q1'"):
+        plan = Plan(Strategy.III, base.rpu_order, (Mode.SPECULATIVE,))
+        with pytest.raises(IllegalPlanError, match="between 'Q0' and 'Q1', which share no accelerator"):
             engine(seq, plan, profile)
 
 
