@@ -26,6 +26,9 @@ A sequence total is assembled left to right out of three kinds of segments:
 
 The per-query times are reported separately only when every boundary is
 BASELINE, because only then does the total decompose per query.
+:func:`plan_cost` and :func:`phase_times` (the per-query report) share one
+stream walk that returns plain floats, so :func:`plan_cost` adds the same
+terms in the same order without building per-query objects.
 """
 
 from __future__ import annotations
@@ -70,6 +73,22 @@ class PhaseTimes:
     dbms: float
 
 
+def _stream(
+    size: float, rpu: Sequence[FilterOp], host: Sequence[FilterOp], profile: DeviceProfile
+) -> tuple[list[float], float]:
+    """The size (MB) entering each RPU operator, then the size transferred;
+    and the host time.  Plain floats, shared by the cost fold and the report."""
+    sizes = [size]
+    for op in rpu:
+        size = filtered_size(size, op.selectivity)
+        sizes.append(size)
+    dbms = 0.0
+    for op in host:
+        dbms += profile.c_dbms * size
+        size = filtered_size(size, op.selectivity)
+    return sizes, dbms
+
+
 def phase_times(
     query: Query,
     rpu: Sequence[FilterOp],
@@ -82,19 +101,12 @@ def phase_times(
     lists the host-placed ones, which run in that order after the transfer,
     each charged per MB of its own input.
     """
-    scan = query.table.size_mb / profile.r_scan
-    size = query.table.size_mb
-    steps = []
-    for op in rpu:
-        out = filtered_size(size, op.selectivity)
-        steps.append(AccStep(op_id=op.id, time_ms=size / profile.r_acc, input_mb=size, output_mb=out))
-        size = out
-    trans = size / profile.r_network
-    dbms = 0.0
-    for op in host:
-        dbms += profile.c_dbms * size
-        size = filtered_size(size, op.selectivity)
-    return PhaseTimes(scan=scan, acc=tuple(steps), trans=trans, dbms=dbms)
+    sizes, dbms = _stream(query.table.size_mb, rpu, host, profile)
+    steps = tuple(
+        AccStep(op_id=op.id, time_ms=size / profile.r_acc, input_mb=size, output_mb=out)
+        for op, size, out in zip(rpu, sizes, sizes[1:])
+    )
+    return PhaseTimes(query.table.size_mb / profile.r_scan, steps, sizes[-1] / profile.r_network, dbms)
 
 
 @dataclass(frozen=True)
@@ -116,30 +128,30 @@ def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBre
     loaded: str | None = None
     prev_tail = 0.0
 
-    steps = compile_plan(plan, seq)
-    for i, step in enumerate(steps):
+    for i, step in enumerate(compile_plan(plan, seq)):
         q, rpu = step.query, step.rpu
-        pt = phase_times(q, rpu, step.host, profile)
+        sizes, dbms = _stream(q.table.size_mb, rpu, step.host, profile)
+        scan = q.table.size_mb / profile.r_scan
         lead = profile.t_reconfig if rpu and loaded != rpu[0].id else 0.0
-        head = max(lead, pt.scan)
+        head = max(lead, scan)
 
         body = 0.0
-        for k, acc in enumerate(pt.acc):
+        for k in range(len(rpu)):
             if k > 0:
                 body += profile.t_reconfig
-            body += acc.time_ms
+            body += sizes[k] / profile.r_acc
 
-        tail = pt.trans + pt.dbms
+        tail = sizes[-1] / profile.r_network + dbms
 
         if i == 0:
             total += head + body
         elif step.mode is Mode.HOLD:
             # Reload hidden behind transfer + host work + gap; the
             # successor starts once the PR is ready.
-            total += max(lead, prev_tail + seq.gaps[i - 1]) + pt.scan + body
+            total += max(lead, prev_tail + seq.gaps[i - 1]) + scan + body
         elif step.mode is Mode.SPECULATIVE:
             # Reload hidden behind transfer + gap + the successor's scan.
-            total += max(lead, prev_tail + seq.gaps[i - 1] + pt.scan) + body
+            total += max(lead, prev_tail + seq.gaps[i - 1] + scan) + body
         else:
             total += prev_tail + seq.gaps[i - 1] + head + body
         per_query.append((q.id, head + body + tail))
@@ -149,7 +161,7 @@ def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBre
             loaded = rpu[-1].id
     total += prev_tail
 
-    separable = all(step.mode is Mode.BASELINE for step in steps)
+    separable = all(mode is Mode.BASELINE for mode in plan.modes)
     return CostBreakdown(total=total, per_query=tuple(per_query) if separable else ())
 
 

@@ -16,7 +16,7 @@ Unit conventions (uniform across the package):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import InvalidSequenceError
@@ -138,17 +138,21 @@ class FilterOp:
 
 @dataclass(frozen=True)
 class Query:
-    """An ordered list of filters over one table."""
+    """An ordered list of filters over one table (plus read-only caches of ``ops``)."""
 
     id: str
     table: TableSpec
     ops: tuple[FilterOp, ...]
+    _op_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _ops_by_id: dict[str, FilterOp] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
+        object.__setattr__(self, "_op_ids", tuple(op.id for op in self.ops))
+        object.__setattr__(self, "_ops_by_id", {op.id: op for op in self.ops})
 
     def op_ids(self) -> tuple[str, ...]:
-        return tuple(op.id for op in self.ops)
+        return self._op_ids
 
 
 @dataclass(frozen=True)
@@ -262,13 +266,12 @@ class Plan:
 
     def rpu_ops(self, query: Query) -> tuple[FilterOp, ...]:
         """The query's RPU-placed operators, in streaming order."""
-        by_id = {op.id: op for op in query.ops}
-        return tuple(by_id[op_id] for op_id in self.rpu_order.get(query.id, ()))
+        return tuple(map(query._ops_by_id.__getitem__, self.rpu_order.get(query.id, ())))
 
     def host_ops(self, query: Query) -> tuple[FilterOp, ...]:
         """The query's host-placed operators, in declared order."""
-        pushed = set(self.rpu_order.get(query.id, ()))
-        return tuple(op for op in query.ops if op.id not in pushed)
+        pushed = self.rpu_order.get(query.id, ())
+        return tuple([op for op in query.ops if op.id not in pushed])
 
     def load_after(self, boundary: int) -> bool:
         """Whether boundary ``boundary`` reloads the PR speculatively."""

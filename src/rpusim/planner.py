@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .cost import CostBreakdown, PhaseTimes, plan_cost
-from .model import DeviceProfile, HINT_STRATEGIES, Plan, QuerySequence
+from .model import DeviceProfile, HINT_STRATEGIES, STRATEGY_ORDER, Plan, QuerySequence
 from .plans import enumerate_plans, require_legal, shared_accelerators
 
 
@@ -48,11 +48,8 @@ def costed_plans(
 
     Disabling hints removes strategies II, III, and IV from the candidates.
     """
-    return [
-        (plan, plan_cost(seq, plan, profile))
-        for plan in enumerate_plans(seq)
-        if hints_enabled or plan.strategy not in HINT_STRATEGIES
-    ]
+    strategies = [s for s in STRATEGY_ORDER if hints_enabled or s not in HINT_STRATEGIES]
+    return [(plan, plan_cost(seq, plan, profile)) for plan in enumerate_plans(seq, strategies)]
 
 
 def choose_plan(

@@ -18,7 +18,7 @@ first).  Boundaries where the trick does not fit behave like the baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .errors import IllegalPlanError
 from .model import (
@@ -41,8 +41,8 @@ def shared_accelerators(seq: QuerySequence) -> dict[tuple[str, str], list[str]]:
     """
     out: dict[tuple[str, str], list[str]] = {}
     for pred, succ in zip(seq.queries, seq.queries[1:]):
-        pred_ids = set(pred.op_ids())
-        out[(pred.id, succ.id)] = [op.id for op in succ.ops if op.id in pred_ids]
+        pred_ids = pred._ops_by_id
+        out[(pred.id, succ.id)] = [op_id for op_id in succ.op_ids() if op_id in pred_ids]
     return out
 
 
@@ -57,71 +57,70 @@ def local_order(ops: tuple[FilterOp, ...]) -> tuple[FilterOp, ...]:
     return tuple(ops)
 
 
-def _local_ids(query: Query) -> tuple[str, ...]:
-    return tuple(op.id for op in local_order(query.ops))
+_LocalIds = tuple[tuple[str, ...], ...]
 
 
-def _full_pushdown(seq: QuerySequence, strategy: Strategy) -> Plan:
-    rpu_order = {q.id: _local_ids(q) for q in seq.queries}
+def _local_ids(seq: QuerySequence) -> _LocalIds:
+    """Each query's local order as op ids; one sort serves every builder."""
+    return tuple(tuple(op.id for op in local_order(q.ops)) for q in seq.queries)
+
+
+def _full_pushdown(seq: QuerySequence, local: _LocalIds, strategy: Strategy) -> Plan:
+    rpu_order = {q.id: order for q, order in zip(seq.queries, local)}
     return Plan(strategy, rpu_order, (Mode.BASELINE,) * len(seq.gaps))
 
 
-def _split_pushdown(seq: QuerySequence, strategy: Strategy, keep_index: int, mode: Mode) -> Plan:
+def _split_pushdown(seq: QuerySequence, local: _LocalIds, strategy: Strategy, keep: int, mode: Mode) -> Plan:
     """Plans I and II: non-final queries push exactly one operator down."""
     if not any(len(q.ops) >= 2 for q in seq.queries[:-1]):
         raise IllegalPlanError(
             f"strategy {strategy} is not applicable: no non-final query has two or more operators"
         )
     rpu_order = {}
-    for i, q in enumerate(seq.queries):
-        order = _local_ids(q)
+    for i, (q, order) in enumerate(zip(seq.queries, local)):
         if i < len(seq.queries) - 1 and len(order) >= 2:
-            order = (order[keep_index],)
+            order = (order[keep],)
         rpu_order[q.id] = order
     return Plan(strategy, rpu_order, (mode,) * len(seq.gaps))
 
 
-def _plan_iii(seq: QuerySequence) -> Plan:
+def _plan_iii(seq: QuerySequence, local: _LocalIds) -> Plan:
     shared = shared_accelerators(seq)
     if not any(shared.values()):
         raise IllegalPlanError(
             "strategy III requires sequence knowledge: no adjacent pair shares an accelerator"
         )
-    rpu_order = _full_pushdown(seq, Strategy.III).rpu_order
     modes = tuple(
         Mode.SPECULATIVE
-        if shared[(pred.id, succ.id)] and rpu_order[pred.id][-1] != rpu_order[succ.id][0]
+        if shared[(pred.id, succ.id)] and pred_order[-1] != succ_order[0]
         else Mode.BASELINE
-        for pred, succ in zip(seq.queries, seq.queries[1:])
+        for pred, succ, pred_order, succ_order in zip(seq.queries, seq.queries[1:], local, local[1:])
     )
-    return Plan(Strategy.III, rpu_order, modes)
+    return Plan(Strategy.III, {q.id: order for q, order in zip(seq.queries, local)}, modes)
 
 
-def _plan_iv(seq: QuerySequence) -> Plan:
+def _plan_iv(seq: QuerySequence, local: _LocalIds) -> Plan:
     orders: dict[str, tuple[str, ...]] = {}
     # Resolve right to left: a swap in one query changes which accelerator
     # its own predecessor must leave loaded.
     queries = seq.queries
     swapped_any = False
+    needed_first = None
     for i in range(len(queries) - 1, -1, -1):
-        q = queries[i]
-        order = list(local_order(q.ops))
+        q, order = queries[i], local[i]
         if i < len(queries) - 1:
-            succ = queries[i + 1]
-            needed_first = orders[succ.id][0]
             applicable = (
                 len(order) >= 2
                 and all(op.commutes for op in q.ops)
-                and any(op.id == needed_first for op in order)
+                and needed_first in order
             )
-            if applicable and order[-1].id != needed_first:
-                order = [op for op in order if op.id != needed_first] + [
-                    op for op in order if op.id == needed_first
-                ]
+            if applicable and order[-1] != needed_first:
+                order = tuple(op_id for op_id in order if op_id != needed_first) + (needed_first,)
                 swapped_any = True
             elif applicable:
                 swapped_any = True  # already in place; swap is the identity
-        orders[q.id] = tuple(op.id for op in order)
+        orders[q.id] = order
+        needed_first = order[0]
     if not swapped_any:
         raise IllegalPlanError(
             "strategy IV is not applicable: no commuting predecessor contains "
@@ -130,31 +129,36 @@ def _plan_iv(seq: QuerySequence) -> Plan:
     return Plan(Strategy.IV, orders, (Mode.BASELINE,) * len(seq.gaps))
 
 
+def _build(seq: QuerySequence, strategy: Strategy, local: _LocalIds) -> Plan:
+    if strategy is Strategy.S:
+        return _full_pushdown(seq, local, Strategy.S)
+    if strategy is Strategy.I:
+        return _split_pushdown(seq, local, Strategy.I, keep=0, mode=Mode.BASELINE)
+    if strategy is Strategy.II:
+        return _split_pushdown(seq, local, Strategy.II, keep=1, mode=Mode.HOLD)
+    if strategy is Strategy.III:
+        return _plan_iii(seq, local)
+    if strategy is Strategy.IV:
+        return _plan_iv(seq, local)
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
 def strategy_plan(seq: QuerySequence, strategy: Strategy) -> Plan:
     """Build the canonical plan of one strategy for a sequence.
 
     Raises :class:`IllegalPlanError` when the strategy has nothing to work
     with (nothing to split, share, or swap).
     """
-    if strategy is Strategy.S:
-        return _full_pushdown(seq, Strategy.S)
-    if strategy is Strategy.I:
-        return _split_pushdown(seq, Strategy.I, keep_index=0, mode=Mode.BASELINE)
-    if strategy is Strategy.II:
-        return _split_pushdown(seq, Strategy.II, keep_index=1, mode=Mode.HOLD)
-    if strategy is Strategy.III:
-        return _plan_iii(seq)
-    if strategy is Strategy.IV:
-        return _plan_iv(seq)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return _build(seq, strategy, _local_ids(seq))
 
 
-def enumerate_plans(seq: QuerySequence) -> list[Plan]:
-    """All strategy plans applicable to the sequence, in strategy order."""
+def enumerate_plans(seq: QuerySequence, strategies: Iterable[Strategy] = STRATEGY_ORDER) -> list[Plan]:
+    """The applicable plans of ``strategies`` (default: all), in that order."""
+    local = _local_ids(seq)
     plans = []
-    for strategy in STRATEGY_ORDER:
+    for strategy in strategies:
         try:
-            plans.append(strategy_plan(seq, strategy))
+            plans.append(_build(seq, strategy, local))
         except IllegalPlanError:
             continue
     return plans
@@ -168,25 +172,27 @@ def legality(plan: Plan, seq: QuerySequence) -> tuple[bool, str]:
     there is one mode per boundary, and a SPECULATIVE boundary joins a pair
     that shares an accelerator.
     """
-    if set(plan.rpu_order) != {q.id for q in seq.queries}:
+    if plan.rpu_order.keys() != {q.id for q in seq.queries}:
         return False, "rpu_order must cover exactly the sequence's queries"
 
     for q in seq.queries:
         order = plan.rpu_order[q.id]
-        declared = {op_id: k for k, op_id in enumerate(q.op_ids())}
-        if len(set(order)) != len(order) or not declared.keys() >= set(order):
+        by_id = q._ops_by_id
+        distinct = set(order)
+        if len(distinct) != len(order) or not by_id.keys() >= distinct:
             return False, f"rpu_order for query {q.id!r} must list distinct ops of that query"
-        ops_by_id = {op.id: op for op in q.ops}
+        declared = q.op_ids()
         for a_pos, a in enumerate(order):
             for b in order[a_pos + 1 :]:
-                if declared[a] > declared[b]:
-                    if not (ops_by_id[a].commutes and ops_by_id[b].commutes):
-                        return False, f"non-commuting reorder of {a!r} and {b!r} in query {q.id!r}"
+                if declared.index(a) > declared.index(b) and not (
+                    by_id[a].commutes and by_id[b].commutes
+                ):
+                    return False, f"non-commuting reorder of {a!r} and {b!r} in query {q.id!r}"
 
     if len(plan.modes) != len(seq.gaps):
         return False, f"{len(plan.modes)} boundary modes for {len(seq.gaps)} query boundaries"
     for mode, pred, succ in zip(plan.modes, seq.queries, seq.queries[1:]):
-        if mode is Mode.SPECULATIVE and not set(pred.op_ids()) & set(succ.op_ids()):
+        if mode is Mode.SPECULATIVE and pred._ops_by_id.keys().isdisjoint(succ.op_ids()):
             return False, (
                 f"speculative boundary between {pred.id!r} and {succ.id!r}, "
                 "which share no accelerator"
@@ -201,8 +207,7 @@ def require_legal(plan: Plan, seq: QuerySequence) -> Plan:
     return plan
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One query of a compiled plan, in sequence order."""
 
     query: Query

@@ -3,7 +3,9 @@
 The simulator turns a plan (the operators each query pushes down, in
 streaming order, and one mode per query boundary) into phases on four
 resources plus an idle lane for gaps, starts each phase the moment its last
-dependency ends, and reports the resulting timeline.  Scheduling rules:
+dependency ends, and reports the resulting timeline.  Phases name their
+dependencies by position in the task list and are scheduled in one pass,
+in list order.  Scheduling rules:
 
 * the table scan may run while the PR is being reconfigured;
 * an accelerator starts only once its reconfiguration, the query's scan, and
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import SchedulingError
 from .model import DeviceProfile, Mode, Plan, QuerySequence, Violation
@@ -59,117 +62,94 @@ class Timeline:
     makespan: float
 
 
-@dataclass(frozen=True)
-class _Task:
-    key: str
+class _Task(NamedTuple):
+    """One phase to schedule.  ``deps`` are positions in the task list."""
+
     resource: Resource
     label: str
     query: str
     duration: float
-    deps: tuple[str, ...]
+    deps: tuple[int, ...]
 
 
 def _build_tasks(seq: QuerySequence, steps: tuple[Step, ...], profile: DeviceProfile) -> list[_Task]:
     tasks: list[_Task] = []
 
-    def add(key, resource, label, query, duration, deps):
-        tasks.append(_Task(key, resource, label, query, duration, tuple(deps)))
-        return key
+    def add(resource, label, query, duration, deps):
+        tasks.append(_Task(resource, label, query, duration, deps))
+        return len(tasks) - 1
 
     loaded: str | None = None
-    prev_completion: str | None = None
-    prev_pr_free: str | None = None
+    prev_completion = prev_pr_free = -1  # set before any boundary reads them
 
     for i, step in enumerate(steps):
         q, rpu = step.query, step.rpu
 
-        arrival_dep: list[str] = []
+        arrival_dep: tuple[int, ...] = ()
         if i > 0:
-            gap_key = add(
-                f"gap/{i - 1}", Resource.IDLE, "gap", GAP_QUERY,
-                seq.gaps[i - 1], [prev_completion],
-            )
-            arrival_dep = [gap_key]
+            arrival_dep = (add(Resource.IDLE, "gap", GAP_QUERY, seq.gaps[i - 1], (prev_completion,)),)
 
-        lead_key: str | None = None
+        lead: int | None = None
         if rpu and loaded != rpu[0].id:
-            deps = arrival_dep if step.mode is Mode.BASELINE else [prev_pr_free]
-            lead_key = add(
-                f"rec/{q.id}/{rpu[0].id}", Resource.PR, "reconfig", q.id,
-                profile.t_reconfig, deps,
-            )
+            deps = arrival_dep if step.mode is Mode.BASELINE else (prev_pr_free,)
+            lead = add(Resource.PR, "reconfig", q.id, profile.t_reconfig, deps)
 
-        scan_deps = list(arrival_dep)
-        if step.mode is Mode.HOLD and lead_key is not None:
-            scan_deps.append(lead_key)
-        scan_key = add(
-            f"scan/{q.id}", Resource.SCAN, "scan", q.id,
-            q.table.size_mb / profile.r_scan, scan_deps,
-        )
+        scan_deps = arrival_dep
+        if step.mode is Mode.HOLD and lead is not None:
+            scan_deps += (lead,)
+        scan = add(Resource.SCAN, "scan", q.id, q.table.size_mb / profile.r_scan, scan_deps)
 
         size = q.table.size_mb
-        prev_exec: str | None = None
+        prev_exec: int | None = None
         for k, op in enumerate(rpu):
             if k == 0:
-                rec_key = lead_key
+                rec = lead
             else:
-                rec_key = add(
-                    f"rec/{q.id}/{op.id}", Resource.PR, "reconfig", q.id,
-                    profile.t_reconfig, [prev_exec],
-                )
-            deps = [scan_key]
-            if rec_key is not None:
-                deps.append(rec_key)
+                rec = add(Resource.PR, "reconfig", q.id, profile.t_reconfig, (prev_exec,))
+            deps = (scan,)
+            if rec is not None:
+                deps += (rec,)
             if prev_exec is not None:
-                deps.append(prev_exec)
-            prev_exec = add(
-                f"acc/{q.id}/{op.id}", Resource.PR, "acc-exec", q.id,
-                size / profile.r_acc, deps,
-            )
+                deps += (prev_exec,)
+            prev_exec = add(Resource.PR, "acc-exec", q.id, size / profile.r_acc, deps)
             size *= op.selectivity
             loaded = op.id
 
-        pr_free = prev_exec if prev_exec is not None else scan_key
-        trans_key = add(
-            f"trans/{q.id}", Resource.NET, "transfer", q.id,
-            size / profile.r_network, [pr_free],
-        )
-        tail_key = trans_key
+        pr_free = prev_exec if prev_exec is not None else scan
+        tail = add(Resource.NET, "transfer", q.id, size / profile.r_network, (pr_free,))
         for op in step.host:
-            tail_key = add(
-                f"dbms/{q.id}/{op.id}", Resource.DBMS, "dbms", q.id,
-                profile.c_dbms * size, [tail_key],
-            )
+            tail = add(Resource.DBMS, "dbms", q.id, profile.c_dbms * size, (tail,))
             size *= op.selectivity
 
-        prev_completion = tail_key
+        prev_completion = tail
         prev_pr_free = pr_free
     return tasks
 
 
-def _run_tasks(tasks: list[_Task]) -> dict[str, tuple[float, float]]:
+def _run_tasks(tasks: list[_Task]) -> list[tuple[float, float]]:
     """Start every task when its last dependency ends, in one pass.
 
     ``_build_tasks`` lists each task after its dependencies and the tasks of
     each resource in time order, so a single walk schedules them all.
+    Returns ``(start, end)`` per task, aligned with ``tasks``.
     """
-    times: dict[str, tuple[float, float]] = {}
+    times: list[tuple[float, float]] = []
     free_at: dict[Resource, float] = {r: 0.0 for r in Resource}
-    for task in tasks:
-        try:
-            at = max((times[dep][1] for dep in task.deps), default=0.0)
-        except KeyError as exc:
+    for index, task in enumerate(tasks):
+        if task.deps and not (0 <= min(task.deps) and max(task.deps) < index):
+            bad = next(dep for dep in task.deps if not 0 <= dep < index)
             raise SchedulingError(
-                f"{task.label} for {task.query} depends on {exc.args[0]!r}, "
-                "which is not listed before it"
-            ) from None
+                f"{task.label} for {task.query} depends on task {bad}, "
+                f"which is not listed before task {index}"
+            )
+        at = max([times[dep][1] for dep in task.deps], default=0.0)
         if free_at[task.resource] > at:
             raise SchedulingError(
                 f"{task.resource.value} is busy until {free_at[task.resource]:.6f} ms "
                 f"when {task.label} for {task.query} is released at {at:.6f} ms"
             )
         end = at + task.duration
-        times[task.key] = (at, end)
+        times.append((at, end))
         free_at[task.resource] = end
     return times
 
@@ -179,11 +159,11 @@ def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline
     tasks = _build_tasks(seq, compile_plan(plan, seq), profile)
     times = _run_tasks(tasks)
 
-    makespan = max((end for _, end in times.values()), default=0.0)
+    makespan = max((end for _, end in times), default=0.0)
     phases = [
-        Phase(t.resource, t.label, t.query, times[t.key][0], times[t.key][1])
-        for t in tasks
-        if times[t.key][1] > times[t.key][0]
+        Phase(t.resource, t.label, t.query, start, end)
+        for t, (start, end) in zip(tasks, times)
+        if end > start
     ]
     phases.sort(key=lambda p: (p.start, p.resource.value, p.end, p.label, p.query))
     return Timeline(phases=tuple(phases), makespan=makespan)

@@ -88,15 +88,17 @@ class SweepRow:
 def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> list[SweepRow]:
     """Evaluate each strategy at every grid point, improvements vs S."""
     transform = _TRANSFORMS[spec.variable]
+    grid = spec.grid()
+    # Plans depend on op ids, commutation and selectivity order only; no
+    # transform changes those (a common selectivity ties every operator).
+    first = transform(seq, grid[0])
+    plans = {s: strategy_plan(first, s) for s in dict.fromkeys((Strategy.S, *spec.strategies))}
     rows: list[SweepRow] = []
-    for value in spec.grid():
+    for value in grid:
         variant = transform(seq, value)
-        baseline = plan_cost(variant, strategy_plan(variant, Strategy.S), profile)
+        baseline = plan_cost(variant, plans[Strategy.S], profile)
         for strategy in spec.strategies:
-            if strategy is Strategy.S:
-                breakdown = baseline
-            else:
-                breakdown = plan_cost(variant, strategy_plan(variant, strategy), profile)
+            breakdown = baseline if strategy is Strategy.S else plan_cost(variant, plans[strategy], profile)
             rows.append(
                 SweepRow(
                     variable=spec.variable,

@@ -7,7 +7,8 @@ between adjacent queries), non-commuting filters, random device profiles, and
 zero table sizes, gaps and selectivities.  Besides the strategy plans, the
 engines are checked on random legal plans that push down a random subset of
 each query's operators and pick a mode per boundary, as no single strategy
-does.
+does.  ``plan_cost`` is also pinned, bit for bit, to a fold of the public
+per-query ``phase_times`` report.
 """
 
 from __future__ import annotations
@@ -24,13 +25,17 @@ from rpusim import (
     Query,
     QuerySequence,
     TableSpec,
+    calibrated_profile,
     choose_plan,
+    default_scenario,
     enumerate_plans,
     local_order,
+    phase_times,
     plan_cost,
     scale_sequence,
     shared_accelerators,
     simulate,
+    strategy_plan,
     validate_timeline,
 )
 
@@ -136,3 +141,73 @@ def test_simulator_matches_cost_on_n_query_sequences():
         assert hinted <= choose_plan(seq, profile, hints_enabled=False)[1].total, seq
     # every sequence admits S, and most admit several more strategies
     assert checked > 1200
+
+
+def reference_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile):
+    """``plan_cost`` written out from the public ``phase_times``: the same
+    terms, added in the same order, so the two must agree bit for bit."""
+    total, per_query, loaded, prev_tail = 0.0, [], None, 0.0
+    for i, (q, mode) in enumerate(zip(seq.queries, (Mode.BASELINE, *plan.modes))):
+        rpu = plan.rpu_ops(q)
+        pt = phase_times(q, rpu, plan.host_ops(q), profile)
+        lead = profile.t_reconfig if rpu and loaded != rpu[0].id else 0.0
+        head = max(lead, pt.scan)
+        body = 0.0
+        for k, acc in enumerate(pt.acc):
+            if k > 0:
+                body += profile.t_reconfig
+            body += acc.time_ms
+        tail = pt.trans + pt.dbms
+        if i == 0:
+            total += head + body
+        elif mode is Mode.HOLD:
+            total += max(lead, prev_tail + seq.gaps[i - 1]) + pt.scan + body
+        elif mode is Mode.SPECULATIVE:
+            total += max(lead, prev_tail + seq.gaps[i - 1] + pt.scan) + body
+        else:
+            total += prev_tail + seq.gaps[i - 1] + head + body
+        per_query.append((q.id, head + body + tail))
+        prev_tail = tail
+        if rpu:
+            loaded = rpu[-1].id
+    total += prev_tail
+    separable = all(mode is Mode.BASELINE for mode in plan.modes)
+    return total, tuple(per_query) if separable else ()
+
+
+def test_plan_cost_equals_phase_times_fold_bit_for_bit():
+    rng = random.Random(2005)
+    checked = 0
+    for _ in range(400):
+        seq = random_sequence(rng)
+        profile = random_profile(rng)
+        plans = enumerate_plans(seq) + [random_plan(rng, seq) for _ in range(3)]
+        for plan in plans:
+            breakdown = plan_cost(seq, plan, profile)
+            assert (breakdown.total, breakdown.per_query) == reference_cost(seq, plan, profile), (plan, seq)
+            checked += 1
+    assert checked > 2400
+
+
+#: ``float.hex`` of ``plan_cost`` totals and ``simulate`` makespans on the
+#: default scenario.  The two engines add in different orders, so they may
+#: differ in the last bit, but neither may drift.
+DEFAULT_SCENARIO_HEX = {
+    "S": ("0x1.2171111111112p+6", "0x1.2171111111111p+6"),
+    "I": ("0x1.f50bcf64e5ec1p+5", "0x1.f50bcf64e5ec1p+5"),
+    "II": ("0x1.27a18d95c6edep+6", "0x1.27a18d95c6edep+6"),
+    "III": ("0x1.d2e2222222223p+5", "0x1.d2e2222222221p+5"),
+    "IV": ("0x1.d7aeeeeeeeeefp+5", "0x1.d7aeeeeeeeeefp+5"),
+}
+
+
+def test_default_scenario_totals_pinned_to_the_bit():
+    seq, profile = default_scenario(), calibrated_profile()
+    found = {}
+    for strategy in STRATEGY_ORDER:
+        plan = strategy_plan(seq, strategy)
+        found[str(strategy)] = (
+            plan_cost(seq, plan, profile).total.hex(),
+            simulate(seq, plan, profile).makespan.hex(),
+        )
+    assert found == DEFAULT_SCENARIO_HEX

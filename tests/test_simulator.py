@@ -66,6 +66,21 @@ class TestReferenceTimelines:
         assert [p.label for p in timeline.phases] == ["reconfig", "reconfig", "reconfig"]
         assert validate_timeline(timeline) == []
 
+    def test_ids_containing_slashes_keep_their_own_phases(self, profile):
+        # query "x" running "y/z" and query "x/y" running "z" once shared a
+        # task key, so one query's phases took the other's times
+        seq = QuerySequence(
+            queries=(
+                Query("x", TableSpec("t0", 5.0), (FilterOp("y/z", 0.5),)),
+                Query("x/y", TableSpec("t1", 5.0), (FilterOp("z", 0.5),)),
+            ),
+            gaps=(1.0,),
+        )
+        timeline = simulate(seq, strategy_plan(seq, Strategy.S), profile)
+        assert validate_timeline(timeline) == []
+        assert _phase(timeline, "reconfig", "x")[0].start == 0.0
+        assert _phase(timeline, "acc-exec", "x")[0].end == _phase(timeline, "transfer", "x")[0].start
+
     def test_deterministic(self, paper_seq, profile):
         plan = strategy_plan(paper_seq, Strategy.III)
         assert simulate(paper_seq, plan, profile) == simulate(paper_seq, plan, profile)
@@ -130,19 +145,44 @@ class TestSchedulingErrors:
 class TestRunTasks:
     def test_forward_dependency_rejected(self):
         tasks = [
-            _Task("scan/Q0", Resource.SCAN, "scan", "Q0", 5.0, ("rec/Q0/a",)),
-            _Task("rec/Q0/a", Resource.PR, "reconfig", "Q0", 15.0, ()),
+            _Task(Resource.SCAN, "scan", "Q0", 5.0, (1,)),
+            _Task(Resource.PR, "reconfig", "Q0", 15.0, ()),
         ]
-        with pytest.raises(SchedulingError, match="depends on 'rec/Q0/a', which is not listed before it"):
+        with pytest.raises(SchedulingError, match="depends on task 1, which is not listed before task 0"):
+            _run_tasks(tasks)
+
+    def test_self_dependency_rejected(self):
+        tasks = [
+            _Task(Resource.PR, "reconfig", "Q0", 15.0, ()),
+            _Task(Resource.SCAN, "scan", "Q0", 5.0, (0, 1)),
+        ]
+        with pytest.raises(SchedulingError, match="depends on task 1, which is not listed before task 1"):
+            _run_tasks(tasks)
+
+    def test_negative_dependency_rejected(self):
+        tasks = [
+            _Task(Resource.PR, "reconfig", "Q0", 15.0, ()),
+            _Task(Resource.SCAN, "scan", "Q0", 5.0, (0, -1)),
+        ]
+        with pytest.raises(SchedulingError, match="depends on task -1, which is not listed before task 1"):
             _run_tasks(tasks)
 
     def test_busy_resource_rejected(self):
         tasks = [
-            _Task("rec/Q0/a", Resource.PR, "reconfig", "Q0", 15.0, ()),
-            _Task("acc/Q0/a", Resource.PR, "acc-exec", "Q0", 2.0, ()),
+            _Task(Resource.PR, "reconfig", "Q0", 15.0, ()),
+            _Task(Resource.PR, "acc-exec", "Q0", 2.0, ()),
         ]
         with pytest.raises(SchedulingError, match="PR is busy until 15.000000 ms"):
             _run_tasks(tasks)
+
+    def test_times_follow_dependencies_by_position(self):
+        tasks = [
+            _Task(Resource.PR, "reconfig", "Q0", 15.0, ()),
+            _Task(Resource.SCAN, "scan", "Q0", 5.0, ()),
+            _Task(Resource.PR, "acc-exec", "Q0", 2.0, (1, 0)),
+            _Task(Resource.NET, "transfer", "Q0", 3.0, (2,)),
+        ]
+        assert _run_tasks(tasks) == [(0.0, 15.0), (0.0, 5.0), (15.0, 17.0), (17.0, 20.0)]
 
 
 class TestValidateTimeline:

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 
 from rpusim import (
+    IllegalPlanError,
     Strategy,
     SweepSpec,
     improvement,
@@ -14,6 +18,8 @@ from rpusim import (
     strategy_plan,
     sweep_csv,
 )
+from rpusim.sweep import _TRANSFORMS, SweepRow
+from test_engine_agreement import random_profile, random_sequence
 
 
 class TestTransforms:
@@ -110,3 +116,35 @@ def test_sweep_csv_format(paper_seq, profile):
     assert all(len(line.split(",")) == 5 for line in lines[1:])
     # byte-for-byte reproducible
     assert text == sweep_csv(run_sweep(paper_seq, profile, spec))
+
+
+def per_point_sweep(seq, profile, spec):
+    """``run_sweep`` rebuilding every plan at every grid point."""
+    rows = []
+    for value in spec.grid():
+        variant = _TRANSFORMS[spec.variable](seq, value)
+        baseline = plan_cost(variant, strategy_plan(variant, Strategy.S), profile)
+        for strategy in spec.strategies:
+            breakdown = plan_cost(variant, strategy_plan(variant, strategy), profile)
+            rows.append(SweepRow(spec.variable, value, strategy, breakdown.total, improvement(breakdown, baseline)))
+    return rows
+
+
+@pytest.mark.parametrize("variable, start, stop", [("scale", 0.0, 4.0), ("gap", 0.0, 40.0), ("selectivity", 0.0, 1.0)])
+def test_rows_equal_a_per_point_rebuild(variable, start, stop):
+    rng = random.Random(311)
+    illegal = 0
+    for _ in range(150):
+        seq, profile = random_sequence(rng), random_profile(rng)
+        strategies = tuple(rng.sample(list(Strategy), rng.randint(1, 5)))
+        spec = SweepSpec(variable, start, stop, 6, strategies)
+        try:
+            expected = per_point_sweep(seq, profile, spec)
+        except IllegalPlanError as exc:
+            # the first inapplicable strategy, in spec order, is the one reported
+            with pytest.raises(IllegalPlanError, match=f"^{re.escape(str(exc))}$"):
+                run_sweep(seq, profile, spec)
+            illegal += 1
+            continue
+        assert run_sweep(seq, profile, spec) == expected, (spec, seq)
+    assert 0 < illegal < 150

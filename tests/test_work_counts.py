@@ -1,0 +1,117 @@
+"""Deterministic guards on how much work planning, costing and sweeping do.
+
+Each test counts calls by wrapping a module-level name with ``monkeypatch``,
+so the guards do not depend on wall-clock time.  They pin the work the
+pipeline does once per call (one local order per query, one plan per
+strategy and sweep) and the checks it must keep doing (one legality check
+per public engine call).
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+
+import pytest
+
+import rpusim.cost
+import rpusim.planner
+import rpusim.plans
+import rpusim.sweep
+from rpusim import (
+    Strategy,
+    SweepSpec,
+    choose_plan,
+    compile_plan,
+    enumerate_plans,
+    generate_hints,
+    phase_times,
+    plan_cost,
+    run_sweep,
+    simulate,
+)
+from test_engine_agreement import random_sequence
+
+
+def _counting(monkeypatch, module, name, key=lambda *args, **kwargs: None) -> Counter:
+    """Replace ``module.name`` by a wrapper counting its calls under ``key(args)``."""
+    calls: Counter = Counter()
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[key(*args, **kwargs)] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("hints_enabled, built", [(True, set(Strategy)), (False, {Strategy.S, Strategy.I})])
+def test_choose_plan_builds_only_candidate_plans(monkeypatch, paper_seq, profile, hints_enabled, built):
+    # every strategy applies to the paper's scenario
+    assert len(enumerate_plans(paper_seq)) == len(Strategy)
+    plans = _counting(monkeypatch, rpusim.plans, "Plan", key=lambda strategy, *rest: strategy)
+    choose_plan(paper_seq, profile, hints_enabled=hints_enabled)
+    assert set(plans) == built
+    assert all(count == 1 for count in plans.values())
+
+
+def test_local_order_runs_once_per_query_per_enumeration(monkeypatch):
+    rng = random.Random(5)
+    calls = _counting(monkeypatch, rpusim.plans, "local_order")
+    for _ in range(20):
+        seq = random_sequence(rng)
+        calls.clear()
+        enumerate_plans(seq)
+        assert sum(calls.values()) == len(seq.queries)
+
+
+def test_plan_cost_constructs_no_phase_times(monkeypatch, paper_seq, profile):
+    made = _counting(monkeypatch, rpusim.cost, "PhaseTimes")
+    for plan in enumerate_plans(paper_seq):
+        plan_cost(paper_seq, plan, profile)
+    assert sum(made.values()) == 0
+    # the public per-query report still builds one
+    plan = enumerate_plans(paper_seq)[0]
+    query = paper_seq.queries[0]
+    phase_times(query, plan.rpu_ops(query), plan.host_ops(query), profile)
+    assert sum(made.values()) == 1
+
+
+@pytest.mark.parametrize("variable, start, stop", [("scale", 0.5, 4.0), ("gap", 0.0, 30.0), ("selectivity", 0.0, 1.0)])
+def test_sweeps_build_each_plan_once(monkeypatch, paper_seq, profile, variable, start, stop):
+    built = _counting(monkeypatch, rpusim.sweep, "strategy_plan", key=lambda seq, strategy: strategy)
+    spec = SweepSpec(variable, start, stop, 9, (Strategy.III, Strategy.S, Strategy.IV))
+    assert len(run_sweep(paper_seq, profile, spec)) == 27
+    assert built == Counter({Strategy.S: 1, Strategy.III: 1, Strategy.IV: 1})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seq, plan, profile: plan_cost(seq, plan, profile),
+        lambda seq, plan, profile: simulate(seq, plan, profile),
+        lambda seq, plan, profile: generate_hints(seq, plan, profile),
+        lambda seq, plan, profile: compile_plan(plan, seq),
+    ],
+    ids=["plan_cost", "simulate", "generate_hints", "compile_plan"],
+)
+def test_legality_runs_once_per_engine_call(monkeypatch, paper_seq, profile, call):
+    checks = _counting(monkeypatch, rpusim.plans, "legality")
+    for plan in enumerate_plans(paper_seq):
+        checks.clear()
+        call(paper_seq, plan, profile)
+        assert sum(checks.values()) == 1
+
+
+def test_planning_pipeline_checks_every_plan_it_receives(monkeypatch, paper_seq, profile):
+    """Hints on (5 plans), hints off (S and I), then hints and simulate of the
+    chosen plan: 9 legality checks and 7 costings, none skipped."""
+    checks = _counting(monkeypatch, rpusim.plans, "legality")
+    costed = _counting(monkeypatch, rpusim.planner, "plan_cost")
+    plan, _ = choose_plan(paper_seq, profile, hints_enabled=True)
+    choose_plan(paper_seq, profile, hints_enabled=False)
+    generate_hints(paper_seq, plan, profile)
+    simulate(paper_seq, plan, profile)
+    assert sum(checks.values()) == 9
+    assert sum(costed.values()) == 7
