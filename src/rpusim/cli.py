@@ -15,7 +15,6 @@ from pathlib import Path
 from .cost import improvement, plan_cost
 from .errors import RpusimError
 from .miner import (
-    fingerprint,
     mine_sequences,
     normalize_query,
     parse_catalog,
@@ -133,15 +132,13 @@ def _cmd_mine(args) -> int:
     _write(args.out, report_csv(mined))
     if args.out:
         print(f"report: {args.out} ({len(mined)} sequences)")
-    seen: dict[str, str] = {}
-    for entry in log:
-        tid = fingerprint(entry.text)
-        if tid not in seen:
-            seen[tid] = normalize_query(entry.text)
     used = {tid for m in mined for tid in m.templates}
-    for tid in seen:
-        if tid in used:
-            print(f"template {tid}: {seen[tid]}")
+    first: dict[str, str] = {}
+    for entry in log:
+        if entry.template_id in used and entry.template_id not in first:
+            first[entry.template_id] = entry.text
+    for tid, text in first.items():
+        print(f"template {tid}: {normalize_query(text)}")
     if args.workload_out:
         if not args.catalog:
             raise ValueError("--workload-out requires --catalog")

@@ -1,11 +1,14 @@
 """Recurring-sequence mining over query logs.
 
 Log lines are ``epoch_ms<TAB>query_text`` with an optional third
-``duration_ms`` field.  Query texts are reduced to templates (constants
-parameterized away), and contiguous template n-grams whose internal gaps stay
-under a session cutoff are counted.  Gaps are completion-to-arrival: the next
-arrival minus the previous arrival minus the previous duration when the log
-has durations, minus nothing when it does not (which overestimates the gap).
+``duration_ms`` field.  Each query text is reduced to a template (constants
+parameterized away) once, when its ``LogEntry`` is built, and contiguous
+template n-grams whose internal gaps stay under a session cutoff are counted.
+Counting runs per n-gram length: all windows of one length are counted at
+once, and gap sums are kept only for the n-grams that reach the minimum
+support.  Gaps are completion-to-arrival: the next arrival minus the previous
+arrival minus the previous duration when the log has durations, minus nothing
+when it does not (which overestimates the gap).
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -54,9 +59,15 @@ def fingerprint(text: str) -> str:
 
 @dataclass(frozen=True)
 class LogEntry:
+    """One log line; ``template_id`` is its text's ``fingerprint``."""
+
     timestamp_ms: float
     text: str
     duration_ms: float | None = None
+    template_id: str = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "template_id", fingerprint(self.text))
 
 
 def parse_log(source: str | Path | Iterable[str]) -> list[LogEntry]:
@@ -113,35 +124,49 @@ def mine_sequences(
         raise MiningError(f"min_support must be >= 1, got {min_support}")
     if max_len < 2:
         raise MiningError(f"max_len must be >= 2, got {max_len}")
+    if not 0.0 <= max_gap < math.inf:
+        raise MiningError(f"max_gap must be finite and >= 0, got {max_gap}")
     for a, b in zip(log, log[1:]):
         if b.timestamp_ms < a.timestamp_ms:
             raise MiningError("log is not sorted by timestamp")
 
-    templates = [fingerprint(e.text) for e in log]
+    templates = [e.template_id for e in log]
     gap_after = [
         max(0.0, b.timestamp_ms - (a.timestamp_ms + (a.duration_ms or 0.0)))
         for a, b in zip(log, log[1:])
     ]
+    # reach[i]: how many consecutive gaps from entry i on stay under the cutoff
+    reach = [0] * len(log)
+    for i in range(len(log) - 2, -1, -1):
+        reach[i] = 0 if gap_after[i] > max_gap else reach[i + 1] + 1
 
-    counts: dict[tuple[str, ...], tuple[int, list[float]]] = {}
-    for n in range(2, max_len + 1):
-        for i in range(len(log) - n + 1):
-            window_gaps = gap_after[i : i + n - 1]
-            if any(g > max_gap for g in window_gaps):
-                continue
-            key = tuple(templates[i : i + n])
-            support, sums = counts.get(key, (0, [0.0] * (n - 1)))
-            counts[key] = (support + 1, [s + g for s, g in zip(sums, window_gaps)])
-
-    mined = [
-        MinedSequence(
-            templates=key,
-            support=support,
-            avg_gaps=tuple(s / support for s in sums),
+    mined = []
+    # no window is longer than the longest run of gaps under the cutoff
+    for n in range(2, min(max_len, max(reach, default=0) + 1) + 1):
+        valid = [r >= n - 1 for r in reach]
+        starts = list(compress(range(len(log)), valid))
+        keys = list(compress(zip(*(templates[k:] for k in range(n))), valid))
+        support = Counter(keys)
+        frequent = {key for key, count in support.items() if count >= min_support}
+        # gaps are max(0.0, ...), never -0.0, so seeding with the first
+        # window's gaps equals a fold from 0.0, in log order
+        sums: dict[tuple[str, ...], list[float]] = {}
+        for key, i in zip(keys, starts):
+            if key in frequent:
+                acc = sums.get(key)
+                if acc is None:
+                    sums[key] = gap_after[i : i + n - 1]
+                else:
+                    for j in range(n - 1):
+                        acc[j] += gap_after[i + j]
+        mined.extend(
+            MinedSequence(
+                templates=key,
+                support=support[key],
+                avg_gaps=tuple(s / support[key] for s in acc),
+            )
+            for key, acc in sums.items()
         )
-        for key, (support, sums) in counts.items()
-        if support >= min_support
-    ]
     mined.sort(key=lambda m: (-m.support, -len(m.templates), m.templates))
     return mined
 

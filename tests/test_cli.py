@@ -187,6 +187,46 @@ class TestMineCommand:
         assert main(args) == 1
         assert "catalog missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_gap", ["nan", "inf", "-5"])
+    def test_max_gap_out_of_range_is_validation_error(self, tmp_path, capsys, max_gap):
+        log = tmp_path / "queries.log"
+        log.write_text("\n".join(planted_log_lines()) + "\n", encoding="utf-8")
+        assert main(["mine", "--log", str(log), f"--max-gap={max_gap}"]) == 1
+        assert "max_gap must be finite and >= 0" in capsys.readouterr().err
+
+    def test_golden_stdout_and_report(self, tmp_path, capsys):
+        # Templates first occur as n, c, a, b; the report ranks a|b first.
+        # Template lines are printed in first-occurrence order, for used
+        # templates only, each with its first occurrence normalized.
+        log = tmp_path / "queries.log"
+        log.write_text(
+            "0\tSELECT n FROM t0\t1\n"
+            "1000\tSELECT c FROM t3 WHERE k = 1\t2\n"
+            "1010\tselect a from t1 where k = 5\t1\n"
+            "1014\tSELECT b FROM t2 WHERE k = 'x'\t3\n"
+            "1500\tSELECT noise FROM t9\t1\n"
+            "2000\tSELECT c FROM t3 WHERE k = 2\t2\n"
+            "2005\tSELECT a FROM t1 WHERE k = 6.5\t1\n"
+            "2008\tSELECT b FROM t2 WHERE k = 'y'\t3\n"
+            "3000\tSELECT a FROM t1 WHERE k = 7\t1\n"
+            "3010\tSelect b From t2 Where k = 'z'\t3\n",
+            encoding="utf-8",
+        )
+        report = tmp_path / "report.csv"
+        assert main(["mine", "--log", str(log), "--max-gap", "50", "--out", str(report)]) == 0
+        assert capsys.readouterr().out == (
+            f"report: {report} (3 sequences)\n"
+            "template 8c27a273a37e: select c from t3 where k = ?\n"
+            "template df83ec984908: select a from t1 where k = ?\n"
+            "template 82e9ed4bc03e: select b from t2 where k = ?\n"
+        )
+        assert report.read_text(encoding="utf-8") == (
+            "templates,support,avg_gaps_ms\n"
+            "df83ec984908|82e9ed4bc03e,3,4.666667\n"
+            "8c27a273a37e|df83ec984908|82e9ed4bc03e,2,5.500000|2.500000\n"
+            "8c27a273a37e|df83ec984908,2,5.500000\n"
+        )
+
 
 class TestExitCodes:
     def test_missing_file_is_io_error(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
@@ -65,6 +66,13 @@ class TestFingerprint:
     def test_empty_text_rejected(self):
         with pytest.raises(MiningError):
             fingerprint("   ")
+
+    def test_log_entry_carries_its_template_id(self):
+        entry = LogEntry(5.0, "SELECT a FROM t WHERE k = 3", 1.0)
+        assert entry.template_id == fingerprint("select a from t where k = 9")
+        assert "template_id" not in repr(entry)
+        with pytest.raises(MiningError, match="empty query text"):
+            LogEntry(5.0, "   ")
 
     @given(st.text(alphabet=st.characters(codec="ascii"), min_size=1, max_size=80))
     def test_normalization_is_idempotent(self, text):
@@ -162,6 +170,17 @@ class TestMineSequences:
         with pytest.raises(MiningError):
             mine_sequences(log, min_support=1, max_len=1)
 
+    @pytest.mark.parametrize("max_gap", [math.nan, math.inf, -5.0])
+    def test_max_gap_must_be_finite_and_non_negative(self, max_gap):
+        log = parse_log(["0\tQRY A", "10\tQRY B", "20\tQRY A", "30\tQRY B"])
+        with pytest.raises(MiningError, match="max_gap must be finite and >= 0"):
+            mine_sequences(log, min_support=1, max_gap=max_gap)
+
+    def test_zero_max_gap_keeps_only_back_to_back_windows(self):
+        log = parse_log(["0\tQRY A\t5", "5\tQRY B", "9\tQRY A\t1", "10\tQRY B"])
+        mined = mine_sequences(log, min_support=2, max_gap=0.0)
+        assert [(m.support, m.avg_gaps) for m in mined] == [(2, (0.0,))]
+
     def test_durations_recover_gaps_exactly(self):
         # alternating completion-to-arrival gaps 4.0 and 6.0 average to 5.0
         lines = []
@@ -197,6 +216,71 @@ class TestMineSequences:
                 prefix = brute[m.templates[:-1]]
                 suffix = brute[m.templates[1:]]
                 assert m.support <= prefix and m.support <= suffix
+
+
+def _reference_mine(log, min_support, max_len, max_gap):
+    """Mining restated window by window: gap sums are a left-to-right ``+=``
+    fold from 0.0 in log order, returned as ``float.hex`` averages."""
+    ids = [fingerprint(e.text) for e in log]
+    gaps = [
+        max(0.0, b.timestamp_ms - (a.timestamp_ms + (a.duration_ms or 0.0)))
+        for a, b in zip(log, log[1:])
+    ]
+    supports: Counter = Counter()
+    sums: dict = {}
+    for n in range(2, max_len + 1):
+        for i in range(len(log) - n + 1):
+            window = gaps[i : i + n - 1]
+            if all(g <= max_gap for g in window):
+                key = tuple(ids[i : i + n])
+                supports[key] += 1
+                acc = sums.setdefault(key, [0.0] * (n - 1))
+                for j, g in enumerate(window):
+                    acc[j] += g
+    rows = [
+        (key, support, tuple((s / support).hex() for s in sums[key]))
+        for key, support in supports.items()
+        if support >= min_support
+    ]
+    rows.sort(key=lambda row: (-row[1], -len(row[0]), row[0]))
+    return rows
+
+
+def test_avg_gaps_match_reference_fold_bit_for_bit():
+    rng = random.Random(2024)
+    cutoff = 2.5
+    seen = Counter()
+    for _ in range(400):
+        size = rng.choice([0, 1, 2, 3, 8, 30, 90])
+        with_durations = rng.random() < 0.7
+        # timestamps start near 0, so early gaps are finer-grained than later sums
+        log, t = [], rng.uniform(0.0, 1.0)
+        for _ in range(size):
+            duration = rng.choice([None, 0.0, 0.5, rng.uniform(0.0, 3.0)]) if with_durations else None
+            if log:
+                prev = log[-1]
+                # repeated timestamps, a gap exactly at the cutoff, small and large gaps
+                t = rng.choice([
+                    prev.timestamp_ms,
+                    prev.timestamp_ms + (prev.duration_ms or 0.0) + cutoff,
+                    prev.timestamp_ms + rng.uniform(0.0, 4.0),
+                    prev.timestamp_ms + 40.0,
+                ])
+            log.append(LogEntry(t, rng.choice(["QRY A", "QRY B", "QRY C"]), duration))
+        max_len = rng.choice([2, 3, 4, size + 3])
+        min_support = rng.choice([1, 2, 3])
+        expected = _reference_mine(log, min_support, max_len, cutoff)
+        mined = mine_sequences(log, min_support=min_support, max_len=max_len, max_gap=cutoff)
+        got = [(m.templates, m.support, tuple(g.hex() for g in m.avg_gaps)) for m in mined]
+        assert got == expected
+        seen["empty" if size == 0 else "one line" if size == 1 else "longer"] += 1
+        seen["max_len above size"] += max_len > size
+        seen["at cutoff"] += any(
+            b.timestamp_ms - (a.timestamp_ms + (a.duration_ms or 0.0)) == cutoff for a, b in zip(log, log[1:])
+        )
+        seen["tie"] += any(a.timestamp_ms == b.timestamp_ms for a, b in zip(log, log[1:]))
+        seen["mined"] += bool(mined)
+    assert min(seen.values()) > 0
 
 
 class TestToWorkload:

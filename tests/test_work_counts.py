@@ -1,4 +1,4 @@
-"""Deterministic guards on how much work planning, costing and sweeping do.
+"""Deterministic guards on how much work planning, costing, sweeping and mining do.
 
 Each test counts calls by wrapping a module-level name with ``monkeypatch``,
 so the guards do not depend on wall-clock time.  They pin the work the
@@ -9,12 +9,15 @@ per public engine call).
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
 import pytest
 
+import rpusim.cli
 import rpusim.cost
+import rpusim.miner
 import rpusim.planner
 import rpusim.plans
 import rpusim.sweep
@@ -31,6 +34,7 @@ from rpusim import (
     simulate,
 )
 from test_engine_agreement import random_sequence
+from test_miner import A_ID, B_ID, C_ID, planted_log_lines
 
 
 def _counting(monkeypatch, module, name, key=lambda *args, **kwargs: None) -> Counter:
@@ -115,3 +119,23 @@ def test_planning_pipeline_checks_every_plan_it_receives(monkeypatch, paper_seq,
     simulate(paper_seq, plan, profile)
     assert sum(checks.values()) == 9
     assert sum(costed.values()) == 7
+
+
+def test_mine_fingerprints_each_line_once(monkeypatch, tmp_path, capsys):
+    """One ``rpusim mine`` run that also emits a workload: one fingerprint per
+    log line, and one ``normalize_query`` per printed template line."""
+    lines = planted_log_lines()
+    log = tmp_path / "queries.log"
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    catalog = tmp_path / "catalog.json"
+    entry = {"table": {"name": "t", "size_mb": 1.0}, "ops": [{"id": "acc0", "selectivity": 0.5}]}
+    catalog.write_text(json.dumps({tid: entry for tid in (A_ID, B_ID, C_ID)}), encoding="utf-8")
+    fingerprints = _counting(monkeypatch, rpusim.miner, "fingerprint")
+    normalized = _counting(monkeypatch, rpusim.cli, "normalize_query")
+    args = ["mine", "--log", str(log), "--min-support", "5", "--max-gap", "50",
+            "--out", str(tmp_path / "report.csv"),
+            "--catalog", str(catalog), "--workload-out", str(tmp_path / "workload.json")]
+    assert rpusim.cli.main(args) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("template ")]
+    assert sum(fingerprints.values()) == len(lines)
+    assert sum(normalized.values()) == len(printed) == 3
