@@ -22,7 +22,7 @@ from .miner import (
     report_csv,
     to_workload,
 )
-from .model import DeviceProfile, QuerySequence, Strategy, calibrated_profile
+from .model import HINT_STRATEGIES, DeviceProfile, QuerySequence, Strategy, calibrated_profile
 from .planner import choose_plan, costed_plans, generate_hints
 from .plans import strategy_plan
 from .simulate import simulate, timeline_csv
@@ -30,11 +30,14 @@ from .sweep import SweepSpec, run_sweep, scale_sequence, set_gaps, set_selectivi
 from .workload import default_scenario, load_workload, save_workload
 
 
-def _parse_strategy(value: str) -> Strategy:
+def _parse_strategy(value: str, hints: bool) -> Strategy:
     try:
-        return Strategy(value)
+        strategy = Strategy(value)
     except ValueError:
         raise ValueError(f"unknown strategy {value!r}; expected S, I, II, III, IV") from None
+    if not hints and strategy in HINT_STRATEGIES:
+        raise ValueError(f"strategy {strategy} needs hints about upcoming queries; --no-hints allows S and I")
+    return strategy
 
 
 def _load(args) -> tuple[QuerySequence, DeviceProfile]:
@@ -53,7 +56,7 @@ def _write(path: str | None, text: str) -> None:
 def _cmd_cost(args) -> int:
     seq, profile = _load(args)
     if args.strategy != "auto":
-        plan = strategy_plan(seq, _parse_strategy(args.strategy))
+        plan = strategy_plan(seq, _parse_strategy(args.strategy, args.hints))
         breakdown = plan_cost(seq, plan, profile)
         print(f"strategy: {plan.strategy}")
         print(f"total_ms: {breakdown.total:.3f}")
@@ -93,7 +96,7 @@ def _cmd_simulate(args) -> int:
     if args.strategy == "auto":
         plan, _ = choose_plan(seq, profile, hints_enabled=args.hints)
     else:
-        plan = strategy_plan(seq, _parse_strategy(args.strategy))
+        plan = strategy_plan(seq, _parse_strategy(args.strategy, args.hints))
     timeline = simulate(seq, plan, profile)
     print(f"strategy: {plan.strategy}")
     print(f"makespan_ms: {timeline.makespan:.3f}")
@@ -111,7 +114,7 @@ def _cmd_sweep(args) -> int:
         seq = set_selectivity(seq, args.fix_selectivity)
     if args.fix_gap is not None:
         seq = set_gaps(seq, args.fix_gap)
-    strategies = tuple(_parse_strategy(s.strip()) for s in args.strategies.split(","))
+    strategies = tuple(_parse_strategy(s.strip(), args.hints) for s in args.strategies.split(","))
     spec = SweepSpec(
         variable=args.sweep,
         start=args.start,

@@ -26,9 +26,9 @@ A sequence total is assembled left to right out of three kinds of segments:
 
 The per-query times are reported separately only when every boundary is
 BASELINE, because only then does the total decompose per query.
-:func:`plan_cost` and :func:`phase_times` (the per-query report) share one
-stream walk that returns plain floats, so :func:`plan_cost` adds the same
-terms in the same order without building per-query objects.
+:func:`plan_cost` folds the terms of :func:`phase_times` (the per-query
+report) in place, adding them in the same order without building per-query
+objects.
 """
 
 from __future__ import annotations
@@ -73,22 +73,6 @@ class PhaseTimes:
     dbms: float
 
 
-def _stream(
-    size: float, rpu: Sequence[FilterOp], host: Sequence[FilterOp], profile: DeviceProfile
-) -> tuple[list[float], float]:
-    """The size (MB) entering each RPU operator, then the size transferred;
-    and the host time.  Plain floats, shared by the cost fold and the report."""
-    sizes = [size]
-    for op in rpu:
-        size = filtered_size(size, op.selectivity)
-        sizes.append(size)
-    dbms = 0.0
-    for op in host:
-        dbms += profile.c_dbms * size
-        size = filtered_size(size, op.selectivity)
-    return sizes, dbms
-
-
 def phase_times(
     query: Query,
     rpu: Sequence[FilterOp],
@@ -101,12 +85,18 @@ def phase_times(
     lists the host-placed ones, which run in that order after the transfer,
     each charged per MB of its own input.
     """
-    sizes, dbms = _stream(query.table.size_mb, rpu, host, profile)
-    steps = tuple(
-        AccStep(op_id=op.id, time_ms=size / profile.r_acc, input_mb=size, output_mb=out)
-        for op, size, out in zip(rpu, sizes, sizes[1:])
-    )
-    return PhaseTimes(query.table.size_mb / profile.r_scan, steps, sizes[-1] / profile.r_network, dbms)
+    size = query.table.size_mb
+    steps = []
+    for op in rpu:
+        out = filtered_size(size, op.selectivity)
+        steps.append(AccStep(op_id=op.id, time_ms=size / profile.r_acc, input_mb=size, output_mb=out))
+        size = out
+    trans = size / profile.r_network
+    dbms = 0.0
+    for op in host:
+        dbms += profile.c_dbms * size
+        size = filtered_size(size, op.selectivity)
+    return PhaseTimes(query.table.size_mb / profile.r_scan, tuple(steps), trans, dbms)
 
 
 @dataclass(frozen=True)
@@ -123,46 +113,54 @@ def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBre
     The clock runs from the first query's arrival to the last query's
     completion (final transfer plus any host filtering), gaps included.
     """
+    steps = compile_plan(plan, seq)
+    t_reconfig, r_scan, r_acc = profile.t_reconfig, profile.r_scan, profile.r_acc
+    r_network, c_dbms, gaps = profile.r_network, profile.c_dbms, seq.gaps
+    separable = plan.modes.count(Mode.BASELINE) == len(plan.modes)
     total = 0.0
     per_query: list[tuple[str, float]] = []
     loaded: str | None = None
     prev_tail = 0.0
 
-    for i, step in enumerate(compile_plan(plan, seq)):
-        q, rpu = step.query, step.rpu
-        sizes, dbms = _stream(q.table.size_mb, rpu, step.host, profile)
-        scan = q.table.size_mb / profile.r_scan
-        lead = profile.t_reconfig if rpu and loaded != rpu[0].id else 0.0
+    for i, (q, rpu, host, mode) in enumerate(steps):
+        size = q.table.size_mb
+        scan = size / r_scan
+        lead = t_reconfig if rpu and loaded != rpu[0].id else 0.0
         head = max(lead, scan)
 
         body = 0.0
-        for k in range(len(rpu)):
+        for k, op in enumerate(rpu):
             if k > 0:
-                body += profile.t_reconfig
-            body += sizes[k] / profile.r_acc
+                body += t_reconfig
+            body += size / r_acc
+            size = filtered_size(size, op.selectivity)
 
-        tail = sizes[-1] / profile.r_network + dbms
+        trans = size / r_network
+        dbms = 0.0
+        for op in host:
+            dbms += c_dbms * size
+            size = filtered_size(size, op.selectivity)
+        tail = trans + dbms
 
         if i == 0:
             total += head + body
-        elif step.mode is Mode.HOLD:
+        elif mode is Mode.HOLD:
             # Reload hidden behind transfer + host work + gap; the
             # successor starts once the PR is ready.
-            total += max(lead, prev_tail + seq.gaps[i - 1]) + scan + body
-        elif step.mode is Mode.SPECULATIVE:
+            total += max(lead, prev_tail + gaps[i - 1]) + scan + body
+        elif mode is Mode.SPECULATIVE:
             # Reload hidden behind transfer + gap + the successor's scan.
-            total += max(lead, prev_tail + seq.gaps[i - 1] + scan) + body
+            total += max(lead, prev_tail + gaps[i - 1] + scan) + body
         else:
-            total += prev_tail + seq.gaps[i - 1] + head + body
-        per_query.append((q.id, head + body + tail))
+            total += prev_tail + gaps[i - 1] + head + body
+        if separable:
+            per_query.append((q.id, head + body + tail))
 
         prev_tail = tail
         if rpu:
             loaded = rpu[-1].id
     total += prev_tail
-
-    separable = all(mode is Mode.BASELINE for mode in plan.modes)
-    return CostBreakdown(total=total, per_query=tuple(per_query) if separable else ())
+    return CostBreakdown(total=total, per_query=tuple(per_query))
 
 
 def improvement(candidate: CostBreakdown, baseline: CostBreakdown) -> float:

@@ -145,11 +145,13 @@ class Query:
     ops: tuple[FilterOp, ...]
     _op_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _ops_by_id: dict[str, FilterOp] = field(init=False, repr=False, compare=False)
+    _all_commute: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
         object.__setattr__(self, "_op_ids", tuple(op.id for op in self.ops))
         object.__setattr__(self, "_ops_by_id", {op.id: op for op in self.ops})
+        object.__setattr__(self, "_all_commute", all(op.commutes for op in self.ops))
 
     def op_ids(self) -> tuple[str, ...]:
         return self._op_ids
@@ -170,10 +172,12 @@ class QuerySequence:
 
     queries: tuple[Query, ...]
     gaps: tuple[float, ...]
+    _query_ids: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "queries", tuple(self.queries))
         object.__setattr__(self, "gaps", tuple(float(g) for g in self.gaps))
+        object.__setattr__(self, "_query_ids", frozenset(q.id for q in self.queries))
         require_valid(self)
 
     def query(self, query_id: str) -> Query:
@@ -217,26 +221,25 @@ def validate_sequence(seq: QuerySequence) -> list[Violation]:
 
     seen_ids: set[str] = set()
     for qi, q in enumerate(seq.queries):
-        loc = f"queries[{qi}]"
         if q.id in seen_ids:
-            out.append(Violation(loc, f"duplicate query id {q.id!r} in sequence"))
+            out.append(Violation(f"queries[{qi}]", f"duplicate query id {q.id!r} in sequence"))
         seen_ids.add(q.id)
         if not math.isfinite(q.table.size_mb):
-            out.append(Violation(f"{loc}.table", f"non-finite table size {q.table.size_mb}"))
+            out.append(Violation(f"queries[{qi}].table", f"non-finite table size {q.table.size_mb}"))
         elif q.table.size_mb < 0:
-            out.append(Violation(f"{loc}.table", f"negative table size {q.table.size_mb}"))
+            out.append(Violation(f"queries[{qi}].table", f"negative table size {q.table.size_mb}"))
         if not q.ops:
-            out.append(Violation(f"{loc}.ops", "query has no operators"))
+            out.append(Violation(f"queries[{qi}].ops", "query has no operators"))
         op_ids: set[str] = set()
         for oi, op in enumerate(q.ops):
-            oloc = f"{loc}.ops[{oi}]"
             if op.id in op_ids:
-                out.append(Violation(oloc, f"duplicate op id {op.id!r} within query"))
+                out.append(Violation(f"queries[{qi}].ops[{oi}]", f"duplicate op id {op.id!r} within query"))
             op_ids.add(op.id)
             if not 0.0 <= op.selectivity <= 1.0:
-                out.append(
-                    Violation(f"{oloc}.selectivity", f"selectivity range: {op.selectivity} outside [0, 1]")
-                )
+                out.append(Violation(
+                    f"queries[{qi}].ops[{oi}].selectivity",
+                    f"selectivity range: {op.selectivity} outside [0, 1]",
+                ))
     return out
 
 

@@ -111,7 +111,7 @@ def _plan_iv(seq: QuerySequence, local: _LocalIds) -> Plan:
         if i < len(queries) - 1:
             applicable = (
                 len(order) >= 2
-                and all(op.commutes for op in q.ops)
+                and q._all_commute
                 and needed_first in order
             )
             if applicable and order[-1] != needed_first:
@@ -172,15 +172,20 @@ def legality(plan: Plan, seq: QuerySequence) -> tuple[bool, str]:
     there is one mode per boundary, and a SPECULATIVE boundary joins a pair
     that shares an accelerator.
     """
-    if plan.rpu_order.keys() != {q.id for q in seq.queries}:
+    rpu_order = plan.rpu_order
+    if rpu_order.keys() != seq._query_ids:
         return False, "rpu_order must cover exactly the sequence's queries"
 
     for q in seq.queries:
-        order = plan.rpu_order[q.id]
+        order = rpu_order[q.id]
         by_id = q._ops_by_id
+        if not order or len(order) == 1 and order[0] in by_id:
+            continue  # nothing to reorder
         distinct = set(order)
         if len(distinct) != len(order) or not by_id.keys() >= distinct:
             return False, f"rpu_order for query {q.id!r} must list distinct ops of that query"
+        if q._all_commute:
+            continue  # every reorder is legal
         declared = q.op_ids()
         for a_pos, a in enumerate(order):
             for b in order[a_pos + 1 :]:
@@ -191,6 +196,8 @@ def legality(plan: Plan, seq: QuerySequence) -> tuple[bool, str]:
 
     if len(plan.modes) != len(seq.gaps):
         return False, f"{len(plan.modes)} boundary modes for {len(seq.gaps)} query boundaries"
+    if Mode.SPECULATIVE not in plan.modes:
+        return True, "ok"
     for mode, pred, succ in zip(plan.modes, seq.queries, seq.queries[1:]):
         if mode is Mode.SPECULATIVE and pred._ops_by_id.keys().isdisjoint(succ.op_ids()):
             return False, (
@@ -219,7 +226,12 @@ class Step(NamedTuple):
 def compile_plan(plan: Plan, seq: QuerySequence) -> tuple[Step, ...]:
     """Check a plan once and lower it into per-query steps."""
     require_legal(plan, seq)
-    return tuple(
-        Step(q, plan.rpu_ops(q), plan.host_ops(q), mode)
-        for q, mode in zip(seq.queries, (Mode.BASELINE, *plan.modes))
-    )
+    rpu_order = plan.rpu_order
+    steps = []
+    for q, mode in zip(seq.queries, (Mode.BASELINE, *plan.modes)):
+        order = rpu_order[q.id]
+        # legal orders list distinct ops of the query, so equal lengths
+        # mean every op is pushed down
+        host = () if len(order) == len(q.ops) else tuple([op for op in q.ops if op.id not in order])
+        steps.append(Step(q, tuple(map(q._ops_by_id.__getitem__, order)), host, mode))
+    return tuple(steps)

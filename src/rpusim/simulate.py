@@ -46,6 +46,13 @@ class Resource(Enum):
     DBMS = "DBMS"
     IDLE = "IDLE"
 
+    # Members are singletons: hash by identity, in C, not by name.
+    __hash__ = object.__hash__
+
+
+#: Each resource's position in ``value`` order, for cheap sort keys.
+_RANK = {r: rank for rank, r in enumerate(sorted(Resource, key=lambda r: r.value))}
+
 
 @dataclass(frozen=True)
 class Phase:
@@ -126,14 +133,15 @@ def _build_tasks(seq: QuerySequence, steps: tuple[Step, ...], profile: DevicePro
     return tasks
 
 
-def _run_tasks(tasks: list[_Task]) -> list[tuple[float, float]]:
+def _run_tasks(tasks: list[_Task]) -> tuple[list[float], list[float]]:
     """Start every task when its last dependency ends, in one pass.
 
     ``_build_tasks`` lists each task after its dependencies and the tasks of
     each resource in time order, so a single walk schedules them all.
-    Returns ``(start, end)`` per task, aligned with ``tasks``.
+    Returns the start and the end of every task, aligned with ``tasks``.
     """
-    times: list[tuple[float, float]] = []
+    starts: list[float] = []
+    ends: list[float] = []
     free_at: dict[Resource, float] = {r: 0.0 for r in Resource}
     for index, task in enumerate(tasks):
         if task.deps and not (0 <= min(task.deps) and max(task.deps) < index):
@@ -142,30 +150,31 @@ def _run_tasks(tasks: list[_Task]) -> list[tuple[float, float]]:
                 f"{task.label} for {task.query} depends on task {bad}, "
                 f"which is not listed before task {index}"
             )
-        at = max([times[dep][1] for dep in task.deps], default=0.0)
+        at = max(map(ends.__getitem__, task.deps), default=0.0)
         if free_at[task.resource] > at:
             raise SchedulingError(
                 f"{task.resource.value} is busy until {free_at[task.resource]:.6f} ms "
                 f"when {task.label} for {task.query} is released at {at:.6f} ms"
             )
         end = at + task.duration
-        times.append((at, end))
+        starts.append(at)
+        ends.append(end)
         free_at[task.resource] = end
-    return times
+    return starts, ends
 
 
 def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline:
     """Execute the plan and return its timeline (phases plus makespan)."""
     tasks = _build_tasks(seq, compile_plan(plan, seq), profile)
-    times = _run_tasks(tasks)
+    starts, ends = _run_tasks(tasks)
 
-    makespan = max((end for _, end in times), default=0.0)
+    makespan = max(ends, default=0.0)
     phases = [
         Phase(t.resource, t.label, t.query, start, end)
-        for t, (start, end) in zip(tasks, times)
+        for t, start, end in zip(tasks, starts, ends)
         if end > start
     ]
-    phases.sort(key=lambda p: (p.start, p.resource.value, p.end, p.label, p.query))
+    phases.sort(key=lambda p: (p.start, _RANK[p.resource], p.end, p.label, p.query))
     return Timeline(phases=tuple(phases), makespan=makespan)
 
 

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cost import improvement, plan_cost
-from .model import DeviceProfile, FilterOp, Query, QuerySequence, Strategy
+from .model import DeviceProfile, FilterOp, Query, QuerySequence, Strategy, TableSpec
 from .plans import strategy_plan
 
 VARIABLES = ("scale", "selectivity", "gap")
@@ -16,7 +16,7 @@ def scale_sequence(seq: QuerySequence, factor: float) -> QuerySequence:
     if factor < 0:
         raise ValueError(f"scale factor must be >= 0, got {factor}")
     queries = tuple(
-        replace(q, table=replace(q.table, size_mb=q.table.size_mb * factor))
+        Query(q.id, TableSpec(q.table.name, q.table.size_mb * factor), q.ops)
         for q in seq.queries
     )
     return QuerySequence(queries=queries, gaps=seq.gaps)

@@ -23,29 +23,47 @@ _PROFILE_KEYS = {
     "r_network_mb_per_ms": "r_network",
     "c_dbms_ms_per_mb": "c_dbms",
 }
+_PROFILE_FIELDS = frozenset(_PROFILE_KEYS)
+_WORKLOAD_KEYS = frozenset({"profile", "tables", "queries", "sequence"})
+_WORKLOAD_REQUIRED = _WORKLOAD_KEYS - {"profile"}
+_TABLE_KEYS = frozenset({"name", "size_mb"})
+_QUERY_KEYS = frozenset({"id", "table", "ops"})
+_OP_KEYS = frozenset({"id", "selectivity", "commutes"})
+_OP_REQUIRED = _OP_KEYS - {"commutes"}
+_SEQUENCE_KEYS = frozenset({"order", "gaps_ms"})
 
 
-def _require_keys(obj: Any, allowed: set[str], required: set[str], where: str) -> dict:
+def _where(parts: tuple) -> str:
+    """``("queries", 0, "ops", 1, "id")`` -> ``"queries[0].ops[1].id"``.
+
+    The checks take a location as parts and join them only when they fail.
+    """
+    out = parts[0]
+    for part in parts[1:]:
+        out += f"[{part}]" if isinstance(part, int) else f".{part}"
+    return out
+
+
+def _require_keys(obj: Any, allowed: frozenset, required: frozenset, *where) -> dict:
+    if isinstance(obj, dict) and obj.keys() <= allowed and obj.keys() >= required:
+        return obj
     if not isinstance(obj, dict):
-        raise WorkloadFormatError(f"{where} must be an object")
+        raise WorkloadFormatError(f"{_where(where)} must be an object")
     unknown = set(obj) - allowed
     if unknown:
-        raise WorkloadFormatError(f"{where}: unknown key(s) {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise WorkloadFormatError(f"{where}: missing key(s) {sorted(missing)}")
-    return obj
+        raise WorkloadFormatError(f"{_where(where)}: unknown key(s) {sorted(unknown)}")
+    raise WorkloadFormatError(f"{_where(where)}: missing key(s) {sorted(required - set(obj))}")
 
 
-def _number(value: Any, where: str) -> float:
+def _number(value: Any, *where) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise WorkloadFormatError(f"{where} must be a number, got {value!r}")
+        raise WorkloadFormatError(f"{_where(where)} must be a number, got {value!r}")
     return float(value)
 
 
-def _string(value: Any, where: str) -> str:
+def _string(value: Any, *where) -> str:
     if not isinstance(value, str):
-        raise WorkloadFormatError(f"{where} must be a string, got {value!r}")
+        raise WorkloadFormatError(f"{_where(where)} must be a string, got {value!r}")
     return value
 
 
@@ -57,14 +75,13 @@ def parse_workload(doc: Any) -> tuple[QuerySequence, DeviceProfile]:
     selectivity ranges, finite sizes and gaps, ...) are checked when the
     :class:`QuerySequence` is built, which raises ``InvalidSequenceError``.
     """
-    _require_keys(doc, {"profile", "tables", "queries", "sequence"},
-                  {"tables", "queries", "sequence"}, "workload")
+    _require_keys(doc, _WORKLOAD_KEYS, _WORKLOAD_REQUIRED, "workload")
 
     if "profile" in doc:
-        raw = _require_keys(doc["profile"], set(_PROFILE_KEYS), set(_PROFILE_KEYS), "profile")
+        raw = _require_keys(doc["profile"], _PROFILE_FIELDS, _PROFILE_FIELDS, "profile")
         try:
             profile = DeviceProfile(**{
-                attr: _number(raw[key], f"profile.{key}") for key, attr in _PROFILE_KEYS.items()
+                attr: _number(raw[key], "profile", key) for key, attr in _PROFILE_KEYS.items()
             })
         except ValueError as exc:
             raise WorkloadFormatError(str(exc)) from exc
@@ -75,53 +92,50 @@ def parse_workload(doc: Any) -> tuple[QuerySequence, DeviceProfile]:
         raise WorkloadFormatError("tables must be an array")
     tables: dict[str, TableSpec] = {}
     for i, entry in enumerate(doc["tables"]):
-        where = f"tables[{i}]"
-        _require_keys(entry, {"name", "size_mb"}, {"name", "size_mb"}, where)
-        name = _string(entry["name"], f"{where}.name")
+        _require_keys(entry, _TABLE_KEYS, _TABLE_KEYS, "tables", i)
+        name = _string(entry["name"], "tables", i, "name")
         if name in tables:
-            raise WorkloadFormatError(f"{where}: duplicate table name {name!r}")
-        tables[name] = TableSpec(name=name, size_mb=_number(entry["size_mb"], f"{where}.size_mb"))
+            raise WorkloadFormatError(f"tables[{i}]: duplicate table name {name!r}")
+        tables[name] = TableSpec(name=name, size_mb=_number(entry["size_mb"], "tables", i, "size_mb"))
 
     if not isinstance(doc["queries"], list):
         raise WorkloadFormatError("queries must be an array")
     queries: dict[str, Query] = {}
     for i, entry in enumerate(doc["queries"]):
-        where = f"queries[{i}]"
-        _require_keys(entry, {"id", "table", "ops"}, {"id", "table", "ops"}, where)
-        qid = _string(entry["id"], f"{where}.id")
+        _require_keys(entry, _QUERY_KEYS, _QUERY_KEYS, "queries", i)
+        qid = _string(entry["id"], "queries", i, "id")
         if qid in queries:
-            raise WorkloadFormatError(f"{where}: duplicate query id {qid!r}")
-        table_name = _string(entry["table"], f"{where}.table")
+            raise WorkloadFormatError(f"queries[{i}]: duplicate query id {qid!r}")
+        table_name = _string(entry["table"], "queries", i, "table")
         if table_name not in tables:
-            raise WorkloadFormatError(f"{where}: unknown table {table_name!r}")
+            raise WorkloadFormatError(f"queries[{i}]: unknown table {table_name!r}")
         if not isinstance(entry["ops"], list):
-            raise WorkloadFormatError(f"{where}.ops must be an array")
+            raise WorkloadFormatError(f"queries[{i}].ops must be an array")
         ops = []
         for j, op in enumerate(entry["ops"]):
-            owhere = f"{where}.ops[{j}]"
-            _require_keys(op, {"id", "selectivity", "commutes"}, {"id", "selectivity"}, owhere)
+            _require_keys(op, _OP_KEYS, _OP_REQUIRED, "queries", i, "ops", j)
             commutes = op.get("commutes", True)
             if not isinstance(commutes, bool):
-                raise WorkloadFormatError(f"{owhere}.commutes must be a boolean")
+                raise WorkloadFormatError(f"queries[{i}].ops[{j}].commutes must be a boolean")
             ops.append(
                 FilterOp(
-                    id=_string(op["id"], f"{owhere}.id"),
-                    selectivity=_number(op["selectivity"], f"{owhere}.selectivity"),
+                    id=_string(op["id"], "queries", i, "ops", j, "id"),
+                    selectivity=_number(op["selectivity"], "queries", i, "ops", j, "selectivity"),
                     commutes=commutes,
                 )
             )
         queries[qid] = Query(id=qid, table=tables[table_name], ops=tuple(ops))
 
-    seq_doc = _require_keys(doc["sequence"], {"order", "gaps_ms"}, {"order", "gaps_ms"}, "sequence")
+    seq_doc = _require_keys(doc["sequence"], _SEQUENCE_KEYS, _SEQUENCE_KEYS, "sequence")
     if not isinstance(seq_doc["order"], list) or not isinstance(seq_doc["gaps_ms"], list):
         raise WorkloadFormatError("sequence.order and sequence.gaps_ms must be arrays")
     ordered = []
     for i, qid in enumerate(seq_doc["order"]):
-        qid = _string(qid, f"sequence.order[{i}]")
+        qid = _string(qid, "sequence", "order", i)
         if qid not in queries:
             raise WorkloadFormatError(f"sequence.order[{i}]: unknown query {qid!r}")
         ordered.append(queries[qid])
-    gaps = tuple(_number(g, f"sequence.gaps_ms[{i}]") for i, g in enumerate(seq_doc["gaps_ms"]))
+    gaps = tuple(_number(g, "sequence", "gaps_ms", i) for i, g in enumerate(seq_doc["gaps_ms"]))
     return QuerySequence(queries=tuple(ordered), gaps=gaps), profile
 
 

@@ -132,6 +132,45 @@ class TestSweepCommand:
         assert main(args) == 1
 
 
+class TestNoHints:
+    """``--no-hints`` rules out II, III and IV wherever a strategy is named."""
+
+    SWEEP = ["sweep", "--sweep", "gap", "--from", "0", "--to", "1", "--steps", "2"]
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["cost", "--strategy", "IV", "--no-hints"], "IV"),
+            (["cost", "--no-hints", "--strategy", "II"], "II"),
+            (["simulate", "--strategy", "III", "--no-hints"], "III"),
+            (SWEEP + ["--no-hints"], "II"),
+            (SWEEP + ["--no-hints", "--strategies", "I,IV"], "IV"),
+        ],
+    )
+    def test_hint_strategy_is_validation_error(self, capsys, args, named):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: strategy {named} needs hints about upcoming queries; --no-hints allows S and I\n"
+        )
+
+    @pytest.mark.parametrize("command", ["cost", "simulate"])
+    @pytest.mark.parametrize("strategy", ["S", "I"])
+    def test_non_hint_strategy_output_unchanged(self, capsys, command, strategy):
+        assert main([command, "--strategy", strategy, "--no-hints"]) == 0
+        without = capsys.readouterr().out
+        assert main([command, "--strategy", strategy]) == 0
+        assert capsys.readouterr().out == without
+
+    def test_sweep_of_s_and_i_unchanged(self, capsys):
+        args = self.SWEEP + ["--strategies", "S,I"]
+        assert main(args + ["--no-hints"]) == 0
+        without = capsys.readouterr().out
+        assert main(args) == 0
+        assert capsys.readouterr().out == without
+
+
 class TestMineCommand:
     def test_planted_log_report(self, capsys, tmp_path):
         log = tmp_path / "queries.log"

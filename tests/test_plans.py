@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 from rpusim import (
@@ -19,6 +22,7 @@ from rpusim import (
     shared_accelerators,
     strategy_plan,
 )
+from test_engine_agreement import POOL, random_plan, random_profile, random_sequence
 
 
 def _seq(*queries: Query, gaps=None) -> QuerySequence:
@@ -227,3 +231,87 @@ class TestCompilePlan:
         assert [op.id for op in steps[0].host] == ["x"]
         assert [op.id for op in steps[2].rpu] == ["z"]
         assert steps[2].host == ()
+
+
+def reference_legality(plan: Plan, seq: QuerySequence) -> tuple[bool, str]:
+    """``legality`` as it was before its fast paths: every query builds its
+    op sets and runs the pairwise reorder loop."""
+    if plan.rpu_order.keys() != {q.id for q in seq.queries}:
+        return False, "rpu_order must cover exactly the sequence's queries"
+
+    for q in seq.queries:
+        order = plan.rpu_order[q.id]
+        by_id = {op.id: op for op in q.ops}
+        distinct = set(order)
+        if len(distinct) != len(order) or not by_id.keys() >= distinct:
+            return False, f"rpu_order for query {q.id!r} must list distinct ops of that query"
+        declared = q.op_ids()
+        for a_pos, a in enumerate(order):
+            for b in order[a_pos + 1 :]:
+                if declared.index(a) > declared.index(b) and not (
+                    by_id[a].commutes and by_id[b].commutes
+                ):
+                    return False, f"non-commuting reorder of {a!r} and {b!r} in query {q.id!r}"
+
+    if len(plan.modes) != len(seq.gaps):
+        return False, f"{len(plan.modes)} boundary modes for {len(seq.gaps)} query boundaries"
+    for mode, pred, succ in zip(plan.modes, seq.queries, seq.queries[1:]):
+        if mode is Mode.SPECULATIVE and {op.id for op in pred.ops}.isdisjoint(succ.op_ids()):
+            return False, (
+                f"speculative boundary between {pred.id!r} and {succ.id!r}, "
+                "which share no accelerator"
+            )
+    return True, "ok"
+
+
+def _order_mutations(q: Query, order: tuple[str, ...]):
+    """Orders for one query: foreign and duplicated ops, swapped pairs, and
+    every empty, 1-op and reversed order."""
+    declared = q.op_ids()
+    foreign = next(op_id for op_id in (*POOL, "zz") if op_id not in declared)
+    yield order + (foreign,)
+    yield (foreign,)
+    yield order + order[:1] if order else declared[:1] * 2
+    yield ()
+    yield from ((op_id,) for op_id in declared)
+    yield tuple(reversed(declared))
+    for i, a in enumerate(declared):
+        for b in declared[i + 1 :]:
+            yield (b, a)
+
+
+def _mutations(seq: QuerySequence, plan: Plan):
+    queries, order, modes = seq.queries, plan.rpu_order, plan.modes
+    for q in queries:
+        for mutated in _order_mutations(q, order[q.id]):
+            yield Plan(plan.strategy, {**order, q.id: mutated}, modes)
+    yield Plan(plan.strategy, {k: v for k, v in order.items() if k != queries[0].id}, modes)
+    yield Plan(plan.strategy, {k: v for k, v in order.items() if k != queries[-1].id}, modes)
+    yield Plan(plan.strategy, {**order, "QX": ()}, modes)
+    yield Plan(plan.strategy, order, modes[:-1])
+    yield Plan(plan.strategy, order, modes + (Mode.BASELINE,))
+    for i in range(len(modes)):
+        yield Plan(plan.strategy, order, modes[:i] + (Mode.SPECULATIVE,) + modes[i + 1 :])
+
+
+def _rule(reason: str) -> str:
+    for rule in ("ok", "cover exactly", "distinct ops", "non-commuting", "boundary modes", "speculative"):
+        if rule in reason:
+            return rule
+    raise AssertionError(reason)
+
+
+def test_legality_matches_reference_on_engine_agreement_sequences():
+    rng = random.Random(2005)
+    plan_rng = random.Random(2006)
+    rules: Counter = Counter()
+    for _ in range(400):
+        seq = random_sequence(rng)
+        random_profile(rng)  # keep the stream of the engine-agreement sequences
+        for plan in enumerate_plans(seq) + [random_plan(plan_rng, seq)]:
+            for candidate in (plan, *_mutations(seq, plan)):
+                expected = reference_legality(candidate, seq)
+                assert legality(candidate, seq) == expected, (candidate, seq)
+                rules[_rule(expected[1])] += 1
+    # every rule passes and fails many times
+    assert min(rules.values()) > 1000 and len(rules) == 6, rules

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from rpusim import (
 )
 from rpusim.simulate import _run_tasks, _Task
 from conftest import canonical_sequence, random_params
+from test_engine_agreement import random_plan, random_profile, random_sequence
 
 
 def _phase(timeline, label, query):
@@ -182,7 +184,7 @@ class TestRunTasks:
             _Task(Resource.PR, "acc-exec", "Q0", 2.0, (1, 0)),
             _Task(Resource.NET, "transfer", "Q0", 3.0, (2,)),
         ]
-        assert _run_tasks(tasks) == [(0.0, 15.0), (0.0, 5.0), (15.0, 17.0), (17.0, 20.0)]
+        assert _run_tasks(tasks) == ([0.0, 0.0, 15.0, 17.0], [15.0, 5.0, 17.0, 20.0])
 
 
 class TestValidateTimeline:
@@ -264,3 +266,33 @@ class TestTimelineCsv:
         a = timeline_csv(simulate(paper_seq, plan, profile))
         b = timeline_csv(simulate(paper_seq, plan, profile))
         assert a == b
+
+
+def _pinned(phases) -> list[tuple]:
+    return [(p.resource, p.label, p.query, p.start.hex(), p.end.hex()) for p in phases]
+
+
+class TestPhaseOrder:
+    def test_phases_sorted_by_start_then_resource_name(self):
+        rng = random.Random(2053)
+        ties = 0
+        for _ in range(200):
+            seq, profile = random_sequence(rng), random_profile(rng)
+            for plan in enumerate_plans(seq) + [random_plan(rng, seq) for _ in range(2)]:
+                phases = simulate(seq, plan, profile).phases
+                reference = sorted(phases, key=lambda p: (p.start, p.resource.value, p.end, p.label, p.query))
+                assert _pinned(phases) == _pinned(reference), (plan, seq)
+                ties += sum(a.start == b.start and a.resource is not b.resource for a, b in zip(phases, phases[1:]))
+        # resources often start together (a scan and a reconfiguration at 0)
+        assert ties > 500
+
+    def test_resources_are_dict_keys_and_pickle(self, paper_seq, profile):
+        names = {resource: resource.value for resource in Resource}
+        assert [names[Resource(v)] for v in ("SCAN", "PR", "NET", "DBMS", "IDLE")] == [
+            "SCAN", "PR", "NET", "DBMS", "IDLE"
+        ]
+        for resource in Resource:
+            clone = pickle.loads(pickle.dumps(resource))
+            assert clone is resource and names[clone] == resource.value
+        timeline = simulate(paper_seq, strategy_plan(paper_seq, Strategy.III), profile)
+        assert pickle.loads(pickle.dumps(timeline)) == timeline

@@ -97,6 +97,61 @@ class TestParse:
             parse_workload(doc)
 
     @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d.update(extra=1, alpha=2), "workload: unknown key(s) ['alpha', 'extra']"),
+            (lambda d: [d.pop("sequence"), d.pop("tables")], "workload: missing key(s) ['sequence', 'tables']"),
+            (lambda d: d.update(profile=None), "profile must be an object"),
+            (lambda d: d["profile"].update(voltage=3.3), "profile: unknown key(s) ['voltage']"),
+            (lambda d: d["profile"].pop("t_reconfig_ms"), "profile: missing key(s) ['t_reconfig_ms']"),
+            (lambda d: d["profile"].update(r_acc_mb_per_ms="fast"), "profile.r_acc_mb_per_ms must be a number, got 'fast'"),
+            (lambda d: d["profile"].update(c_dbms_ms_per_mb=True), "profile.c_dbms_ms_per_mb must be a number, got True"),
+            (lambda d: d["profile"].update(r_scan_mb_per_ms=0), "DeviceProfile.r_scan must be finite and > 0, got 0.0"),
+            (lambda d: d.update(tables={}), "tables must be an array"),
+            (lambda d: d["tables"].append("t2"), "tables[2] must be an object"),
+            (lambda d: d["tables"][0].update(rows=10), "tables[0]: unknown key(s) ['rows']"),
+            (lambda d: d["tables"][0].update(rows=d["tables"][0].pop("size_mb")), "tables[0]: unknown key(s) ['rows']"),
+            (lambda d: d["tables"][1].pop("size_mb"), "tables[1]: missing key(s) ['size_mb']"),
+            (lambda d: d["tables"][1].update(name=7), "tables[1].name must be a string, got 7"),
+            (lambda d: d["tables"].append({"name": "date_dim", "size_mb": 2.0}), "tables[2]: duplicate table name 'date_dim'"),
+            (lambda d: d["tables"][0].update(size_mb="big"), "tables[0].size_mb must be a number, got 'big'"),
+            (lambda d: d.update(queries="Q0"), "queries must be an array"),
+            (lambda d: d["queries"].insert(0, ["Q9"]), "queries[0] must be an object"),
+            (lambda d: d["queries"][0].update(cost=1), "queries[0]: unknown key(s) ['cost']"),
+            (lambda d: d["queries"][1].pop("ops"), "queries[1]: missing key(s) ['ops']"),
+            (lambda d: d["queries"][1].update(id=None), "queries[1].id must be a string, got None"),
+            (lambda d: d["queries"][0].update(id="Q1"), "queries[1]: duplicate query id 'Q1'"),
+            (lambda d: d["queries"][0].update(table=0), "queries[0].table must be a string, got 0"),
+            (lambda d: d["queries"][0].update(table="nope"), "queries[0]: unknown table 'nope'"),
+            (lambda d: d["queries"][1].update(ops={"id": "acc0"}), "queries[1].ops must be an array"),
+            (lambda d: d["queries"][0]["ops"].append("acc2"), "queries[0].ops[2] must be an object"),
+            (lambda d: d["queries"][0]["ops"][0].update(kind="eq"), "queries[0].ops[0]: unknown key(s) ['kind']"),
+            (lambda d: d["queries"][1]["ops"][0].pop("selectivity"), "queries[1].ops[0]: missing key(s) ['selectivity']"),
+            (lambda d: d["queries"][0]["ops"][1].update(commutes="yes"), "queries[0].ops[1].commutes must be a boolean"),
+            (lambda d: d["queries"][0]["ops"][1].update(id=1.5), "queries[0].ops[1].id must be a string, got 1.5"),
+            (lambda d: d["queries"][1]["ops"][0].update(selectivity=None), "queries[1].ops[0].selectivity must be a number, got None"),
+            (lambda d: d.update(sequence=["Q0", "Q1"]), "sequence must be an object"),
+            (lambda d: d["sequence"].update(loop=True), "sequence: unknown key(s) ['loop']"),
+            (lambda d: d["sequence"].pop("gaps_ms"), "sequence: missing key(s) ['gaps_ms']"),
+            (lambda d: d["sequence"].update(gaps_ms=1.0), "sequence.order and sequence.gaps_ms must be arrays"),
+            (lambda d: d["sequence"]["order"].insert(1, {"id": "Q1"}), "sequence.order[1] must be a string, got {'id': 'Q1'}"),
+            (lambda d: d["sequence"]["order"].append("QX"), "sequence.order[2]: unknown query 'QX'"),
+            (lambda d: d["sequence"].update(gaps_ms=["1"]), "sequence.gaps_ms[0] must be a number, got '1'"),
+        ],
+    )
+    def test_format_error_messages_byte_for_byte(self, mutate, message):
+        doc = json.loads(json.dumps(SCHEMA_DOC))
+        mutate(doc)
+        with pytest.raises(WorkloadFormatError) as info:
+            parse_workload(doc)
+        assert str(info.value) == message
+
+    def test_non_object_document_message(self):
+        with pytest.raises(WorkloadFormatError) as info:
+            parse_workload([SCHEMA_DOC])
+        assert str(info.value) == "workload must be an object"
+
+    @pytest.mark.parametrize(
         "mutate, fragment",
         [
             (lambda d: d["tables"][1].update(size_mb=math.nan), "non-finite table size"),
