@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .cost import improvement, plan_cost
+from .cost import CostBreakdown, improvement, plan_cost
 from .errors import RpusimError
 from .miner import (
     mine_sequences,
@@ -22,7 +22,7 @@ from .miner import (
     report_csv,
     to_workload,
 )
-from .model import HINT_STRATEGIES, DeviceProfile, QuerySequence, Strategy, calibrated_profile
+from .model import HINT_STRATEGIES, DeviceProfile, Plan, QuerySequence, Strategy, calibrated_profile
 from .planner import choose_plan, costed_plans, generate_hints
 from .plans import strategy_plan
 from .simulate import simulate, timeline_csv
@@ -53,15 +53,18 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _print_cost(plan: Plan, breakdown: CostBreakdown) -> None:
+    print(f"strategy: {plan.strategy}")
+    print(f"total_ms: {breakdown.total:.3f}")
+    for qid, t in breakdown.per_query:
+        print(f"  {qid}: {t:.3f}")
+
+
 def _cmd_cost(args) -> int:
     seq, profile = _load(args)
     if args.strategy != "auto":
         plan = strategy_plan(seq, _parse_strategy(args.strategy, args.hints))
-        breakdown = plan_cost(seq, plan, profile)
-        print(f"strategy: {plan.strategy}")
-        print(f"total_ms: {breakdown.total:.3f}")
-        for qid, t in breakdown.per_query:
-            print(f"  {qid}: {t:.3f}")
+        _print_cost(plan, plan_cost(seq, plan, profile))
         return 0
     rows = costed_plans(seq, profile, hints_enabled=args.hints)
     baseline = rows[0][1]  # S always applies and comes first
@@ -78,10 +81,7 @@ def _cmd_cost(args) -> int:
 def _cmd_plan(args) -> int:
     seq, profile = _load(args)
     plan, breakdown = choose_plan(seq, profile, hints_enabled=args.hints)
-    print(f"strategy: {plan.strategy}")
-    print(f"total_ms: {breakdown.total:.3f}")
-    for qid, t in breakdown.per_query:
-        print(f"  {qid}: {t:.3f}")
+    _print_cost(plan, breakdown)
     for hint in generate_hints(seq, plan, profile):
         accs = ",".join(hint.next_accelerators)
         print(

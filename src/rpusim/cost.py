@@ -17,18 +17,13 @@ A sequence total is assembled left to right out of three kinds of segments:
 * pair boundary: the gap sits between the predecessor's completion and the
   successor's arrival; the boundary's mode (:class:`rpusim.model.Mode`)
   decides what the successor's leading reconfiguration hides behind.
-  BASELINE releases it at arrival, so it overlaps only the successor's own
-  scan.  HOLD releases it the moment the predecessor's last accelerator
-  finishes, hiding it behind transfer + host work + gap, and the successor
-  starts once the PR is ready.  SPECULATIVE releases it at the same moment
-  but also lets the successor's scan run during the reload, hiding it
-  behind transfer + gap + scan.
 
-The per-query times are reported separately only when every boundary is
+:func:`boundary` is the one place the three modes are costed, and
+:func:`step_cost` costs one compiled step from the state its predecessor
+leaves.  :func:`plan_cost` is a fold over it; the device policy
+(:func:`rpusim.planner.rpu_policy`) weighs its two options with the same
+two functions.  Per-query times are reported only when every boundary is
 BASELINE, because only then does the total decompose per query.
-:func:`plan_cost` folds the terms of :func:`phase_times` (the per-query
-report) in place, adding them in the same order without building per-query
-objects.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .model import DeviceProfile, FilterOp, Mode, Plan, Query, QuerySequence
-from .plans import compile_plan
+from .plans import Step, compile_plan
 
 
 def filtered_size(input_size: float, selectivity: float) -> float:
@@ -107,60 +102,73 @@ class CostBreakdown:
     per_query: tuple[tuple[str, float], ...] = field(default_factory=tuple)
 
 
+# Reading an Enum member off its class is slow; the fold reads these per step.
+_BASELINE, _HOLD = Mode.BASELINE, Mode.HOLD
+
+
+def boundary(mode: Mode, lead: float, scan: float, prev_tail: float, gap: float) -> float:
+    """Ms from the end of the predecessor's body to the end of the successor's
+    head, with the successor's leading reconfiguration ``lead`` (0 when its
+    first accelerator is already loaded) released as ``mode`` says.  ``scan``
+    is the successor's table scan, ``prev_tail`` the predecessor's transfer
+    plus host work.
+    """
+    if mode is _BASELINE:
+        return prev_tail + gap + max(lead, scan)
+    if mode is _HOLD:
+        return max(lead, prev_tail + gap) + scan
+    return max(lead, prev_tail + gap + scan)  # SPECULATIVE
+
+
+def step_cost(
+    step: Step, loaded: str | None, prev_tail: float, gap: float, profile: DeviceProfile
+) -> tuple[float, float, float]:
+    """What one compiled step adds to a sequence total.
+
+    ``loaded`` is the accelerator the PR holds when the step's query
+    arrives.  Returns the ms the step adds before its tail (its boundary
+    with the predecessor, then its body), its tail (transfer plus host
+    work), and its own head plus body.
+    """
+    q, rpu, host, mode = step
+    t_reconfig = profile.t_reconfig
+    size = q.table.size_mb
+    scan = size / profile.r_scan
+    lead = t_reconfig if rpu and loaded != rpu[0].id else 0.0
+    body = 0.0
+    for k, op in enumerate(rpu):
+        if k > 0:
+            body += t_reconfig
+        body += size / profile.r_acc
+        size *= op.selectivity
+    trans = size / profile.r_network
+    dbms = 0.0
+    for op in host:
+        dbms += profile.c_dbms * size
+        size *= op.selectivity
+    return boundary(mode, lead, scan, prev_tail, gap) + body, trans + dbms, max(lead, scan) + body
+
+
 def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBreakdown:
     """Total execution time of the sequence under the plan.
 
     The clock runs from the first query's arrival to the last query's
     completion (final transfer plus any host filtering), gaps included.
+    The first query arrives at a BASELINE boundary with no tail and no gap.
     """
-    steps = compile_plan(plan, seq)
-    t_reconfig, r_scan, r_acc = profile.t_reconfig, profile.r_scan, profile.r_acc
-    r_network, c_dbms, gaps = profile.r_network, profile.c_dbms, seq.gaps
     separable = plan.modes.count(Mode.BASELINE) == len(plan.modes)
-    total = 0.0
+    total = prev_tail = 0.0
     per_query: list[tuple[str, float]] = []
     loaded: str | None = None
-    prev_tail = 0.0
-
-    for i, (q, rpu, host, mode) in enumerate(steps):
-        size = q.table.size_mb
-        scan = size / r_scan
-        lead = t_reconfig if rpu and loaded != rpu[0].id else 0.0
-        head = max(lead, scan)
-
-        body = 0.0
-        for k, op in enumerate(rpu):
-            if k > 0:
-                body += t_reconfig
-            body += size / r_acc
-            size = filtered_size(size, op.selectivity)
-
-        trans = size / r_network
-        dbms = 0.0
-        for op in host:
-            dbms += c_dbms * size
-            size = filtered_size(size, op.selectivity)
-        tail = trans + dbms
-
-        if i == 0:
-            total += head + body
-        elif mode is Mode.HOLD:
-            # Reload hidden behind transfer + host work + gap; the
-            # successor starts once the PR is ready.
-            total += max(lead, prev_tail + gaps[i - 1]) + scan + body
-        elif mode is Mode.SPECULATIVE:
-            # Reload hidden behind transfer + gap + the successor's scan.
-            total += max(lead, prev_tail + gaps[i - 1] + scan) + body
-        else:
-            total += prev_tail + gaps[i - 1] + head + body
+    for step, gap in zip(compile_plan(plan, seq), (0.0, *seq.gaps)):
+        added, tail, own = step_cost(step, loaded, prev_tail, gap, profile)
+        total += added
         if separable:
-            per_query.append((q.id, head + body + tail))
-
+            per_query.append((step.query.id, own + tail))
         prev_tail = tail
-        if rpu:
-            loaded = rpu[-1].id
-    total += prev_tail
-    return CostBreakdown(total=total, per_query=tuple(per_query))
+        if step.rpu:
+            loaded = step.rpu[-1].id
+    return CostBreakdown(total=total + prev_tail, per_query=tuple(per_query))
 
 
 def improvement(candidate: CostBreakdown, baseline: CostBreakdown) -> float:

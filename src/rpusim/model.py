@@ -180,12 +180,6 @@ class QuerySequence:
         object.__setattr__(self, "_query_ids", frozenset(q.id for q in self.queries))
         require_valid(self)
 
-    def query(self, query_id: str) -> Query:
-        for q in self.queries:
-            if q.id == query_id:
-                return q
-        raise KeyError(query_id)
-
 
 @dataclass(frozen=True)
 class Violation:

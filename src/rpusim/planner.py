@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .cost import CostBreakdown, PhaseTimes, plan_cost
-from .model import DeviceProfile, HINT_STRATEGIES, STRATEGY_ORDER, Plan, QuerySequence
-from .plans import enumerate_plans, require_legal, shared_accelerators
+from .cost import CostBreakdown, boundary, plan_cost, step_cost
+from .model import DeviceProfile, HINT_STRATEGIES, STRATEGY_ORDER, Mode, Plan, QuerySequence
+from .plans import Step, enumerate_plans, require_legal, shared_accelerators
 
 
 @dataclass(frozen=True)
@@ -93,31 +93,37 @@ def generate_hints(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> li
 
 
 def rpu_policy(
-    hint: Hint | None,
-    q0_phase: PhaseTimes,
-    profile: DeviceProfile,
-    *,
-    swap_legal: bool = True,
+    hint: Hint | None, running: Step, profile: DeviceProfile, *, loaded: str | None = None
 ) -> ReconfigDecision:
-    """Swap or speculatively reload, judged from the running query's numbers.
+    """Swap or speculatively reload, whichever ends the next query's head first.
 
-    Swapping wins when the reload could not be hidden anyway: when transfer +
-    expected gap + the next query's scan fit inside one reconfiguration time.
-    What the PR held before does not enter the inequality: the running query
-    overwrites it regardless.  ``swap_legal`` is the commutation check for
-    the running query's operators; an illegal swap falls back to the
-    speculative reload.
+    Both options are costed from the running query's arrival, with the PR
+    holding ``loaded``: the running order, then a SPECULATIVE reload of the
+    hinted accelerator; or that accelerator moved last (legal only if the
+    running query streams it and all its operators commute), then a
+    BASELINE boundary.  The rationale keeps the paper's inequality terms
+    (``t_trans`` is the running query's transfer plus host work) and adds
+    both totals.
     """
     if hint is None or not hint.next_accelerators:
         return ReconfigDecision(choice=ReconfigChoice.NONE)
-    lhs = q0_phase.trans + hint.expected_gap + hint.expected_scan
+    acc, gap, scan = hint.next_accelerators[0], hint.expected_gap, hint.expected_scan
+    _, tail, own = step_cost(running, loaded, 0.0, 0.0, profile)
+    t_speculative = own + boundary(Mode.SPECULATIVE, profile.t_reconfig, scan, tail, gap)
     rationale = {
-        "t_trans": q0_phase.trans,
-        "expected_gap": hint.expected_gap,
-        "expected_scan": hint.expected_scan,
-        "lhs": lhs,
+        "t_trans": tail,
+        "expected_gap": gap,
+        "expected_scan": scan,
+        "lhs": tail + gap + scan,
         "t_reconfig": profile.t_reconfig,
+        "t_speculative": t_speculative,
     }
-    if lhs <= profile.t_reconfig and swap_legal:
-        return ReconfigDecision(choice=ReconfigChoice.SWAP, rationale=rationale)
+    q, rpu = running.query, running.rpu
+    kept = [op for op in rpu if op.id != acc]
+    if q._all_commute and len(kept) < len(rpu):
+        swapped = running._replace(rpu=(*kept, q._ops_by_id[acc]))
+        _, tail, own = step_cost(swapped, loaded, 0.0, 0.0, profile)
+        rationale["t_swap"] = t_swap = own + boundary(Mode.BASELINE, 0.0, scan, tail, gap)
+        if t_swap <= t_speculative:
+            return ReconfigDecision(choice=ReconfigChoice.SWAP, rationale=rationale)
     return ReconfigDecision(choice=ReconfigChoice.SPECULATIVE_LOAD, rationale=rationale)

@@ -109,11 +109,7 @@ def _plan_iv(seq: QuerySequence, local: _LocalIds) -> Plan:
     for i in range(len(queries) - 1, -1, -1):
         q, order = queries[i], local[i]
         if i < len(queries) - 1:
-            applicable = (
-                len(order) >= 2
-                and q._all_commute
-                and needed_first in order
-            )
+            applicable = len(order) >= 2 and q._all_commute and needed_first in order
             if applicable and order[-1] != needed_first:
                 order = tuple(op_id for op_id in order if op_id != needed_first) + (needed_first,)
                 swapped_any = True

@@ -27,11 +27,7 @@ def set_selectivity(seq: QuerySequence, selectivity: float) -> QuerySequence:
     if not 0.0 <= selectivity <= 1.0:
         raise ValueError(f"selectivity must be in [0, 1], got {selectivity}")
     queries = tuple(
-        Query(
-            id=q.id,
-            table=q.table,
-            ops=tuple(FilterOp(op.id, selectivity, op.commutes) for op in q.ops),
-        )
+        Query(q.id, q.table, tuple(FilterOp(op.id, selectivity, op.commutes) for op in q.ops))
         for q in seq.queries
     )
     return QuerySequence(queries=queries, gaps=seq.gaps)

@@ -8,7 +8,8 @@ zero table sizes, gaps and selectivities.  Besides the strategy plans, the
 engines are checked on random legal plans that push down a random subset of
 each query's operators and pick a mode per boundary, as no single strategy
 does.  ``plan_cost`` is also pinned, bit for bit, to a fold of the public
-per-query ``phase_times`` report.
+per-query ``phase_times`` report, and the device-side ``rpu_policy`` must
+pick the ``plan_cost`` argmin at every boundary where it can swap.
 """
 
 from __future__ import annotations
@@ -20,18 +21,23 @@ from rpusim import (
     STRATEGY_ORDER,
     DeviceProfile,
     FilterOp,
+    Hint,
     Mode,
     Plan,
     Query,
     QuerySequence,
+    ReconfigChoice,
+    Strategy,
     TableSpec,
     calibrated_profile,
     choose_plan,
+    compile_plan,
     default_scenario,
     enumerate_plans,
     local_order,
     phase_times,
     plan_cost,
+    rpu_policy,
     scale_sequence,
     shared_accelerators,
     simulate,
@@ -187,6 +193,43 @@ def test_plan_cost_equals_phase_times_fold_bit_for_bit():
             assert (breakdown.total, breakdown.per_query) == reference_cost(seq, plan, profile), (plan, seq)
             checked += 1
     assert checked > 2400
+
+
+def test_rpu_policy_picks_the_cost_argmin_at_n_query_boundaries():
+    # every boundary where the all-commuting predecessor streams the
+    # successor's first accelerator before its last op: the device policy,
+    # given the accelerator loaded before the predecessor, must pick the
+    # cheaper of a SPECULATIVE reload there and the swapped order
+    checked = swaps = 0
+    for _, seq, profile in random_cases(2053, 560):
+        local = strategy_plan(seq, Strategy.S)
+        steps = compile_plan(local, seq)
+        loaded = None
+        for i, (pred, succ) in enumerate(zip(steps, steps[1:])):
+            ids = tuple(op.id for op in pred.rpu)
+            acc = succ.rpu[0].id
+            if all(op.commutes for op in pred.query.ops) and acc in ids[:-1]:
+                modes = list(local.modes)
+                modes[i] = Mode.SPECULATIVE
+                speculative = Plan(Strategy.III, local.rpu_order, tuple(modes))
+                moved = tuple(op_id for op_id in ids if op_id != acc) + (acc,)
+                swapped = Plan(Strategy.IV, {**local.rpu_order, pred.query.id: moved}, local.modes)
+                t_speculative = plan_cost(seq, speculative, profile).total
+                t_swap = plan_cost(seq, swapped, profile).total
+
+                hint = Hint((acc,), seq.gaps[i], succ.query.table.size_mb / profile.r_scan)
+                decision = rpu_policy(hint, pred, profile, loaded=loaded)
+                margin = decision.rationale["t_swap"] - decision.rationale["t_speculative"]
+                assert math.isclose(margin, t_swap - t_speculative, abs_tol=1e-9), (i, seq, profile)
+                if decision.choice is ReconfigChoice.SWAP:
+                    assert t_swap <= t_speculative + 1e-9, (i, seq, profile)
+                    swaps += 1
+                else:
+                    assert t_speculative <= t_swap + 1e-9, (i, seq, profile)
+                checked += 1
+            if pred.rpu:
+                loaded = pred.rpu[-1].id
+    assert checked >= 300 and 0 < swaps < checked
 
 
 #: ``float.hex`` of ``plan_cost`` totals and ``simulate`` makespans on the

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from rpusim import (
+    FilterOp,
     Hint,
+    Query,
+    QuerySequence,
     ReconfigChoice,
     Strategy,
     choose_plan,
+    compile_plan,
     enumerate_plans,
     generate_hints,
-    phase_times,
     plan_cost,
     rpu_policy,
     strategy_plan,
@@ -104,63 +108,66 @@ class TestGenerateHints:
 
 
 class TestRpuPolicy:
-    def _q0_phase(self, seq, profile):
-        q0 = seq.queries[0]
-        return phase_times(q0, q0.ops, (), profile)
+    @staticmethod
+    def _running(seq, strategy=Strategy.S):
+        """The first query's compiled step under the strategy's plan."""
+        return compile_plan(strategy_plan(seq, strategy), seq)[0]
 
     def test_reference_scenario_prefers_speculative_load(self, paper_seq, profile):
         hint = Hint(next_accelerators=("acc0",), expected_gap=1.0, expected_scan=1.0)
-        decision = rpu_policy(hint, self._q0_phase(paper_seq, profile), profile)
+        decision = rpu_policy(hint, self._running(paper_seq), profile)
         assert decision.choice is ReconfigChoice.SPECULATIVE_LOAD
         assert decision.rationale["lhs"] == pytest.approx(17.96375, rel=1e-9)
 
     def test_small_scenario_prefers_swap(self, profile):
         seq = canonical_sequence(s0=4.5, s1=0.5, gap=0.5)
         hint = Hint(next_accelerators=("acc0",), expected_gap=0.5, expected_scan=0.5)
-        decision = rpu_policy(hint, self._q0_phase(seq, profile), profile)
+        decision = rpu_policy(hint, self._running(seq), profile)
         assert decision.choice is ReconfigChoice.SWAP
         assert decision.rationale["lhs"] == pytest.approx(8.981875, rel=1e-9)
 
     def test_no_hint_means_none(self, paper_seq, profile):
-        q0_phase = self._q0_phase(paper_seq, profile)
-        assert rpu_policy(None, q0_phase, profile).choice is ReconfigChoice.NONE
+        running = self._running(paper_seq)
+        assert rpu_policy(None, running, profile).choice is ReconfigChoice.NONE
         empty = Hint(next_accelerators=(), expected_gap=1.0, expected_scan=1.0)
-        assert rpu_policy(empty, q0_phase, profile).choice is ReconfigChoice.NONE
+        assert rpu_policy(empty, running, profile).choice is ReconfigChoice.NONE
 
-    def test_illegal_swap_falls_back_to_load(self, profile):
+    def test_non_commuting_running_query_falls_back_to_load(self, profile):
+        # the small scenario swaps when it may; a non-commuting op forbids it
+        small = canonical_sequence(s0=4.5, s1=0.5, gap=0.5)
+        q0, q1 = small.queries
+        pinned = Query(q0.id, q0.table, (q0.ops[0], FilterOp("acc1", 0.43, commutes=False)))
+        seq = QuerySequence((pinned, q1), small.gaps)
+        hint = Hint(next_accelerators=("acc0",), expected_gap=0.5, expected_scan=0.5)
+        decision = rpu_policy(hint, self._running(seq), profile)
+        assert decision.choice is ReconfigChoice.SPECULATIVE_LOAD
+        assert "t_swap" not in decision.rationale
+
+    def test_hint_outside_running_query_falls_back_to_load(self, profile):
+        # plan II streams only acc1 in Q0 and filters acc0 on the host
         seq = canonical_sequence(s0=4.5, s1=0.5, gap=0.5)
         hint = Hint(next_accelerators=("acc0",), expected_gap=0.5, expected_scan=0.5)
-        decision = rpu_policy(hint, self._q0_phase(seq, profile), profile, swap_legal=False)
+        decision = rpu_policy(hint, self._running(seq, Strategy.II), profile)
         assert decision.choice is ReconfigChoice.SPECULATIVE_LOAD
+        assert "t_swap" not in decision.rationale
 
-    def test_agrees_with_cost_argmin_outside_band(self, profile):
-        # the device rule ignores the accelerator-time delta of the swap, so
-        # it may mispredict inside a band of width (f1-f0)*s0/r_acc below the
-        # reconfiguration time; outside it must match the cost argmin
+    def test_agrees_with_cost_argmin(self, profile):
+        # the policy's two totals differ exactly as plans IV and III do
         rng = random.Random(31)
-        checked = 0
-        band_disagreements: list[tuple[float, float]] = []
-        for _ in range(500):
+        swaps = 0
+        for _ in range(3000):
             s0, f0, f1, s1, f2, gap = random_params(rng)
             seq = canonical_sequence(s0, f0, f1, s1, f2, gap)
-            trans = s0 * f0 * f1 / profile.r_network
-            lhs = trans + gap + s1 / profile.r_scan
-            band = (f1 - f0) * s0 / profile.r_acc
+            iii, iv = strategy_plan(seq, Strategy.III), strategy_plan(seq, Strategy.IV)
             hint = Hint(("acc0",), gap, s1 / profile.r_scan)
-            decision = rpu_policy(hint, self._q0_phase(seq, profile), profile)
-            t_iii = plan_cost(seq, strategy_plan(seq, Strategy.III), profile).total
-            t_iv = plan_cost(seq, strategy_plan(seq, Strategy.IV), profile).total
-            swap_wins = t_iv < t_iii
-            if profile.t_reconfig - band - 1e-9 <= lhs <= profile.t_reconfig + 1e-9:
-                if (decision.choice is ReconfigChoice.SWAP) != swap_wins:
-                    band_disagreements.append((lhs, band))
-                continue
-            checked += 1
+            decision = rpu_policy(hint, compile_plan(iii, seq)[0], profile)
+            t_iii = plan_cost(seq, iii, profile).total
+            t_iv = plan_cost(seq, iv, profile).total
+            margin = decision.rationale["t_swap"] - decision.rationale["t_speculative"]
+            assert math.isclose(margin, t_iv - t_iii, abs_tol=1e-9), seq
             if decision.choice is ReconfigChoice.SWAP:
-                assert swap_wins or t_iv == t_iii
+                assert t_iv <= t_iii + 1e-9, seq
+                swaps += 1
             else:
-                assert t_iii <= t_iv + 1e-9
-        assert checked > 400
-        if band_disagreements:
-            print(f"rpu_policy band disagreements: {len(band_disagreements)} "
-                  f"(lhs, band) samples: {band_disagreements[:3]}")
+                assert t_iii <= t_iv + 1e-9, seq
+        assert 0 < swaps < 3000
