@@ -156,11 +156,19 @@ def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBre
     completion (final transfer plus any host filtering), gaps included.
     The first query arrives at a BASELINE boundary with no tail and no gap.
     """
-    separable = plan.modes.count(Mode.BASELINE) == len(plan.modes)
+    return _fold(compile_plan(plan, seq), seq.gaps, plan.modes, profile)
+
+
+def _fold(
+    steps: Sequence[Step], gaps: Sequence[float], modes: Sequence[Mode], profile: DeviceProfile
+) -> CostBreakdown:
+    """:func:`plan_cost` of a plan already compiled into ``steps``; ``gaps``
+    are the sequence's and ``modes`` the plan's."""
+    separable = modes.count(_BASELINE) == len(modes)
     total = prev_tail = 0.0
     per_query: list[tuple[str, float]] = []
     loaded: str | None = None
-    for step, gap in zip(compile_plan(plan, seq), (0.0, *seq.gaps)):
+    for step, gap in zip(steps, (0.0, *gaps)):
         added, tail, own = step_cost(step, loaded, prev_tail, gap, profile)
         total += added
         if separable:

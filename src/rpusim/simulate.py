@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter, le
 from typing import NamedTuple
 
 from .errors import SchedulingError
@@ -52,6 +53,10 @@ class Resource(Enum):
 
 #: Each resource's position in ``value`` order, for cheap sort keys.
 _RANK = {r: rank for rank, r in enumerate(sorted(Resource, key=lambda r: r.value))}
+
+# Reading an Enum member off its class is slow; _build_tasks reads these per task.
+_SCAN, _PR, _NET, _DBMS, _IDLE = Resource.SCAN, Resource.PR, Resource.NET, Resource.DBMS, Resource.IDLE
+_BASELINE, _HOLD = Mode.BASELINE, Mode.HOLD
 
 
 @dataclass(frozen=True)
@@ -94,17 +99,17 @@ def _build_tasks(seq: QuerySequence, steps: tuple[Step, ...], profile: DevicePro
 
         arrival_dep: tuple[int, ...] = ()
         if i > 0:
-            arrival_dep = (add(Resource.IDLE, "gap", GAP_QUERY, seq.gaps[i - 1], (prev_completion,)),)
+            arrival_dep = (add(_IDLE, "gap", GAP_QUERY, seq.gaps[i - 1], (prev_completion,)),)
 
         lead: int | None = None
         if rpu and loaded != rpu[0].id:
-            deps = arrival_dep if step.mode is Mode.BASELINE else (prev_pr_free,)
-            lead = add(Resource.PR, "reconfig", q.id, profile.t_reconfig, deps)
+            deps = arrival_dep if step.mode is _BASELINE else (prev_pr_free,)
+            lead = add(_PR, "reconfig", q.id, profile.t_reconfig, deps)
 
         scan_deps = arrival_dep
-        if step.mode is Mode.HOLD and lead is not None:
+        if step.mode is _HOLD and lead is not None:
             scan_deps += (lead,)
-        scan = add(Resource.SCAN, "scan", q.id, q.table.size_mb / profile.r_scan, scan_deps)
+        scan = add(_SCAN, "scan", q.id, q.table.size_mb / profile.r_scan, scan_deps)
 
         size = q.table.size_mb
         prev_exec: int | None = None
@@ -112,20 +117,20 @@ def _build_tasks(seq: QuerySequence, steps: tuple[Step, ...], profile: DevicePro
             if k == 0:
                 rec = lead
             else:
-                rec = add(Resource.PR, "reconfig", q.id, profile.t_reconfig, (prev_exec,))
+                rec = add(_PR, "reconfig", q.id, profile.t_reconfig, (prev_exec,))
             deps = (scan,)
             if rec is not None:
                 deps += (rec,)
             if prev_exec is not None:
                 deps += (prev_exec,)
-            prev_exec = add(Resource.PR, "acc-exec", q.id, size / profile.r_acc, deps)
+            prev_exec = add(_PR, "acc-exec", q.id, size / profile.r_acc, deps)
             size *= op.selectivity
             loaded = op.id
 
         pr_free = prev_exec if prev_exec is not None else scan
-        tail = add(Resource.NET, "transfer", q.id, size / profile.r_network, (pr_free,))
+        tail = add(_NET, "transfer", q.id, size / profile.r_network, (pr_free,))
         for op in step.host:
-            tail = add(Resource.DBMS, "dbms", q.id, profile.c_dbms * size, (tail,))
+            tail = add(_DBMS, "dbms", q.id, profile.c_dbms * size, (tail,))
             size *= op.selectivity
 
         prev_completion = tail
@@ -178,24 +183,36 @@ def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline
     return Timeline(phases=tuple(phases), makespan=makespan)
 
 
+_START, _START_END, _END = attrgetter("start"), attrgetter("start", "end"), attrgetter("end")
+
+
+def _in_order(group: list[Phase], key) -> list[Phase]:
+    """``group`` stably sorted by ``key``.  ``simulate`` emits phases by
+    start, so the group is sorted only when one pass finds it out of order.
+    A NaN key fails that pass, so such a group is always sorted."""
+    if len(group) > 1:
+        keys = list(map(key, group))
+        if not all(map(le, keys, keys[1:])):
+            return sorted(group, key=key)
+    return group
+
+
 def validate_timeline(timeline: Timeline) -> list[Violation]:
     """Check a timeline's structural rules; empty result means ok."""
     out: list[Violation] = []
     phases = timeline.phases
+    # reconfig and acc-exec share Resource.PR, so the per-resource check
+    # also reports every PR exclusivity breach.
+    by_resource: dict[Resource, list[Phase]] = {}
+    by_query: dict[str, list[Phase]] = {}
     for i, p in enumerate(phases):
         if p.end < p.start:
             out.append(Violation(f"phases[{i}]", f"end {p.end} before start {p.start}"))
-
-    # reconfig and acc-exec share Resource.PR, so this one check also
-    # reports every PR exclusivity breach.
-    by_resource: dict[Resource, list[Phase]] = {}
-    by_query: dict[str, list[Phase]] = {}
-    for p in phases:
         by_resource.setdefault(p.resource, []).append(p)
         if p.query != GAP_QUERY:
             by_query.setdefault(p.query, []).append(p)
     for resource, group in by_resource.items():
-        group = sorted(group, key=lambda p: (p.start, p.end))
+        group = _in_order(group, _START_END)
         for a, b in zip(group, group[1:]):
             if b.start < a.end:
                 out.append(
@@ -207,11 +224,23 @@ def validate_timeline(timeline: Timeline) -> list[Violation]:
                 )
 
     for qid in sorted(by_query):
-        mine = by_query[qid]
-        scan_end = max((p.end for p in mine if p.label == "scan"), default=None)
-        accs = sorted((p for p in mine if p.label == "acc-exec"), key=lambda p: p.start)
-        trans = [p for p in mine if p.label == "transfer"]
-        dbms = sorted((p for p in mine if p.label == "dbms"), key=lambda p: p.start)
+        scan_end = None
+        accs: list[Phase] = []
+        trans: list[Phase] = []
+        dbms: list[Phase] = []
+        for p in by_query[qid]:
+            label = p.label
+            if label == "scan":
+                if scan_end is None or p.end > scan_end:  # as max() picks
+                    scan_end = p.end
+            elif label == "acc-exec":
+                accs.append(p)
+            elif label == "transfer":
+                trans.append(p)
+            elif label == "dbms":
+                dbms.append(p)
+        accs = _in_order(accs, _START)
+        dbms = _in_order(dbms, _START)
         if scan_end is not None and accs and accs[0].start < scan_end:
             out.append(Violation(f"query {qid}", "acc-exec started before scan finished"))
         for a, b in zip(accs, accs[1:]):
@@ -224,7 +253,7 @@ def validate_timeline(timeline: Timeline) -> list[Violation]:
             if dbms and dbms[0].start < trans[-1].end:
                 out.append(Violation(f"query {qid}", "dbms started before transfer finished"))
 
-    max_end = max((p.end for p in phases), default=0.0)
+    max_end = max(map(_END, phases), default=0.0)
     if timeline.makespan != max_end:
         out.append(
             Violation("makespan", f"makespan {timeline.makespan} != max phase end {max_end}")

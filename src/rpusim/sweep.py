@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .cost import improvement, plan_cost
+from .cost import _fold, improvement
 from .model import DeviceProfile, FilterOp, Query, QuerySequence, Strategy, TableSpec
-from .plans import strategy_plan
+from .plans import Step, compile_plan, strategy_plan
 
 VARIABLES = ("scale", "selectivity", "gap")
 
@@ -47,6 +48,33 @@ _TRANSFORMS = {
 }
 
 
+def _same_steps(steps: tuple[Step, ...], variant: QuerySequence) -> tuple[Step, ...]:
+    return steps  # set_gaps keeps every query object
+
+
+def _rescaled_steps(steps: tuple[Step, ...], variant: QuerySequence) -> tuple[Step, ...]:
+    # scale_sequence keeps every operator object and replaces only the query
+    return tuple([Step(q, rpu, host, mode) for (_, rpu, host, mode), q in zip(steps, variant.queries)])
+
+
+def _reselected_steps(steps: tuple[Step, ...], variant: QuerySequence) -> tuple[Step, ...]:
+    out = []
+    for (_, rpu, host, mode), q in zip(steps, variant.queries):
+        by_id = q._ops_by_id
+        out.append(Step(q, tuple([by_id[op.id] for op in rpu]), tuple([by_id[op.id] for op in host]), mode))
+    return tuple(out)
+
+
+#: Per transform, steps compiled against one variant of a sequence rebound
+#: to another variant under the same transform.  Transforms keep every query
+#: and op id, so only the objects carrying sizes and selectivities change.
+_REBINDS = {
+    "scale": _rescaled_steps,
+    "selectivity": _reselected_steps,
+    "gap": _same_steps,
+}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One swept variable over an inclusive range, for a set of strategies."""
@@ -60,16 +88,26 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.variable not in VARIABLES:
             raise ValueError(f"variable must be one of {VARIABLES}, got {self.variable!r}")
+        for name in ("start", "stop"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"sweep {name} must be finite, got {getattr(self, name)}")
         if not self.start <= self.stop:
             raise ValueError(f"invalid range: from {self.start} > to {self.stop}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if not self.strategies:
             raise ValueError("strategies must not be empty")
+        # the grid rises monotonically, so a finite last point bounds them all
+        if not math.isfinite(self._point(self.steps - 1)):
+            raise ValueError(
+                f"sweep from {self.start} to {self.stop} in {self.steps} steps overflows a float"
+            )
+
+    def _point(self, i: int) -> float:
+        return self.start + i * ((self.stop - self.start) / (self.steps - 1))
 
     def grid(self) -> list[float]:
-        step = (self.stop - self.start) / (self.steps - 1)
-        return [self.start + i * step for i in range(self.steps)]
+        return [self._point(i) for i in range(self.steps)]
 
 
 @dataclass(frozen=True)
@@ -82,19 +120,33 @@ class SweepRow:
 
 
 def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate each strategy at every grid point, improvements vs S."""
-    transform = _TRANSFORMS[spec.variable]
+    """Evaluate each strategy at every grid point, improvements vs S.
+
+    Each strategy's plan is built, checked and lowered once; every grid
+    point re-costs those steps, rebound to its own variant of ``seq``.
+    """
+    transform, rebind = _TRANSFORMS[spec.variable], _REBINDS[spec.variable]
     grid = spec.grid()
     # Plans depend on op ids, commutation and selectivity order only; no
     # transform changes those (a common selectivity ties every operator).
+    # Legality reads only query and op ids, commute flags and the boundary
+    # count, which no transform changes either, so one check covers every
+    # point.
     first = transform(seq, grid[0])
-    plans = {s: strategy_plan(first, s) for s in dict.fromkeys((Strategy.S, *spec.strategies))}
+    plans = [strategy_plan(first, s) for s in dict.fromkeys((Strategy.S, *spec.strategies))]
+    compiled = [(compile_plan(plan, first), plan.modes) for plan in plans]
+    # positions, not a dict keyed by Strategy: Enum members hash slowly
+    position = {plan.strategy: k for k, plan in enumerate(plans)}
+    columns = [(strategy, position[strategy]) for strategy in spec.strategies]
     rows: list[SweepRow] = []
-    for value in grid:
-        variant = transform(seq, value)
-        baseline = plan_cost(variant, plans[Strategy.S], profile)
-        for strategy in spec.strategies:
-            breakdown = baseline if strategy is Strategy.S else plan_cost(variant, plans[strategy], profile)
+    for i, value in enumerate(grid):
+        # each point still builds its variant, so a value the model rejects
+        # (say, a table size that overflows) fails at that point
+        variant = first if i == 0 else transform(seq, value)
+        costs = [_fold(rebind(steps, variant), variant.gaps, modes, profile) for steps, modes in compiled]
+        baseline = costs[0]  # S
+        for strategy, k in columns:
+            breakdown = costs[k]
             rows.append(
                 SweepRow(
                     variable=spec.variable,

@@ -131,6 +131,17 @@ class TestSweepCommand:
         args = ["sweep", "--sweep", "selectivity", "--from", "0.5", "--to", "1.5", "--steps", "3"]
         assert main(args) == 1
 
+    @pytest.mark.parametrize(
+        "start, stop, named",
+        [("0", "inf", "stop must be finite"), ("nan", "1", "start must be finite"),
+         ("-1e308", "1e308", "overflows a float")],
+    )
+    def test_non_finite_range_is_validation_error(self, capsys, start, stop, named):
+        args = ["sweep", "--sweep", "gap", f"--from={start}", f"--to={stop}", "--steps", "3"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert named in err and "non-finite gap" not in err
+
 
 class TestNoHints:
     """``--no-hints`` rules out II, III and IV wherever a strategy is named."""

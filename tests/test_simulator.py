@@ -240,6 +240,25 @@ class TestValidateTimeline:
     def test_empty_timeline_ok(self):
         assert validate_timeline(Timeline(phases=(), makespan=0.0)) == []
 
+    def test_out_of_order_timeline_reports_the_violations_of_its_sorted_copy(self, paper_seq, profile):
+        timeline = simulate(paper_seq, strategy_plan(paper_seq, Strategy.S), profile)
+        faults = (
+            Phase(Resource.PR, "reconfig", "Q1", 20.0, 25.0),  # overlaps Q0's acc-exec
+            Phase(Resource.PR, "acc-exec", "Q1", 40.0, 40.5),  # before Q1's scan ends
+        )
+        phases = list(timeline.phases + faults)
+        ordered = sorted(phases, key=lambda p: (p.start, p.end))
+        expected = validate_timeline(Timeline(tuple(ordered), timeline.makespan))
+        messages = " | ".join(v.message for v in expected)
+        assert "PR conflict: acc-exec" in messages and "acc-exec started before scan finished" in messages
+        rng = random.Random(3)
+        for variant in [phases[::-1]] + [rng.sample(phases, len(phases)) for _ in range(20)]:
+            got = validate_timeline(Timeline(tuple(variant), timeline.makespan))
+            # resources are reported in order of first appearance
+            assert sorted(got, key=lambda v: (v.location, v.message)) == sorted(
+                expected, key=lambda v: (v.location, v.message)
+            )
+
 
 class TestTimelineCsv:
     def test_format_and_order(self, paper_seq, profile):

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import math
 import random
 import re
+import sys
+from collections import Counter
 
 import pytest
 
 from rpusim import (
     IllegalPlanError,
+    InvalidSequenceError,
     Strategy,
     SweepSpec,
     improvement,
@@ -58,11 +62,23 @@ class TestSweepSpec:
             dict(variable="scale", start=5.0, stop=1.0, steps=2, strategies=(Strategy.I,)),
             dict(variable="scale", start=1.0, stop=5.0, steps=1, strategies=(Strategy.I,)),
             dict(variable="scale", start=1.0, stop=5.0, steps=2, strategies=()),
+            dict(variable="gap", start=0.0, stop=math.inf, steps=3, strategies=(Strategy.I,)),
+            dict(variable="gap", start=-math.inf, stop=0.0, steps=3, strategies=(Strategy.I,)),
+            dict(variable="gap", start=math.nan, stop=1.0, steps=3, strategies=(Strategy.I,)),
+            dict(variable="gap", start=0.0, stop=math.nan, steps=3, strategies=(Strategy.I,)),
+            # finite bounds whose difference overflows
+            dict(variable="gap", start=-1e308, stop=1e308, steps=3, strategies=(Strategy.I,)),
+            # a finite range whose last point rounds up to inf
+            dict(variable="scale", start=0.0, stop=sys.float_info.max, steps=7, strategies=(Strategy.I,)),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SweepSpec(**kwargs)
+
+    def test_widest_finite_grid_is_accepted(self):
+        spec = SweepSpec("scale", 0.0, sys.float_info.max, 3, (Strategy.I,))
+        assert spec.grid() == [0.0, sys.float_info.max / 2, sys.float_info.max]
 
 
 class TestRunSweep:
@@ -130,21 +146,34 @@ def per_point_sweep(seq, profile, spec):
     return rows
 
 
-@pytest.mark.parametrize("variable, start, stop", [("scale", 0.0, 4.0), ("gap", 0.0, 40.0), ("selectivity", 0.0, 1.0)])
+#: Scales every table above about 1.8 MB past the largest float by the last
+#: point, so each sweep over an applicable plan set fails part-way.
+OVERFLOWING = ("scale", 0.0, 1e308)
+
+
+@pytest.mark.parametrize(
+    "variable, start, stop",
+    [("scale", 0.0, 4.0), ("gap", 0.0, 40.0), ("selectivity", 0.0, 1.0), OVERFLOWING],
+)
 def test_rows_equal_a_per_point_rebuild(variable, start, stop):
     rng = random.Random(311)
-    illegal = 0
+    raised: Counter = Counter()
     for _ in range(150):
         seq, profile = random_sequence(rng), random_profile(rng)
         strategies = tuple(rng.sample(list(Strategy), rng.randint(1, 5)))
         spec = SweepSpec(variable, start, stop, 6, strategies)
         try:
             expected = per_point_sweep(seq, profile, spec)
-        except IllegalPlanError as exc:
-            # the first inapplicable strategy, in spec order, is the one reported
-            with pytest.raises(IllegalPlanError, match=f"^{re.escape(str(exc))}$"):
+        except (IllegalPlanError, InvalidSequenceError) as exc:
+            # the first inapplicable strategy, in spec order, or the first
+            # point whose variant is invalid, is the one reported
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 run_sweep(seq, profile, spec)
-            illegal += 1
+            raised[type(exc)] += 1
             continue
         assert run_sweep(seq, profile, spec) == expected, (spec, seq)
-    assert 0 < illegal < 150
+    assert raised[IllegalPlanError] > 0
+    if (variable, start, stop) == OVERFLOWING:
+        assert raised[InvalidSequenceError] > 0 and sum(raised.values()) == 150
+    else:
+        assert raised[InvalidSequenceError] == 0 and raised[IllegalPlanError] < 150
