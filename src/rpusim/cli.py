@@ -68,11 +68,13 @@ def _cmd_cost(args) -> int:
         return 0
     rows = costed_plans(seq, profile, hints_enabled=args.hints)
     baseline = rows[0][1]  # S always applies and comes first
-    for plan, breakdown in rows:
-        print(
-            f"{str(plan.strategy):<4} total_ms {breakdown.total:>10.3f}  "
-            f"improvement_pct {improvement(breakdown, baseline):>8.3f}"
-        )
+    # all rows before any output, so a saving that overflows prints nothing
+    lines = [
+        f"{str(plan.strategy):<4} total_ms {breakdown.total:>10.3f}  "
+        f"improvement_pct {improvement(breakdown, baseline):>8.3f}"
+        for plan, breakdown in rows
+    ]
+    print("\n".join(lines))
     best, best_cost = min(rows, key=lambda row: row[1].total)
     print(f"best: {best.strategy} ({best_cost.total:.3f} ms)")
     return 0

@@ -28,9 +28,11 @@ BASELINE, because only then does the total decompose per query.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .errors import NonFiniteResultError
 from .model import DeviceProfile, FilterOp, Mode, Plan, Query, QuerySequence
 from .plans import Step, compile_plan
 
@@ -163,7 +165,8 @@ def _fold(
     steps: Sequence[Step], gaps: Sequence[float], modes: Sequence[Mode], profile: DeviceProfile
 ) -> CostBreakdown:
     """:func:`plan_cost` of a plan already compiled into ``steps``; ``gaps``
-    are the sequence's and ``modes`` the plan's."""
+    are the sequence's and ``modes`` the plan's.  Raises
+    :class:`NonFiniteResultError` when the total overflows."""
     separable = modes.count(_BASELINE) == len(modes)
     total = prev_tail = 0.0
     per_query: list[tuple[str, float]] = []
@@ -176,14 +179,23 @@ def _fold(
         prev_tail = tail
         if step.rpu:
             loaded = step.rpu[-1].id
-    return CostBreakdown(total=total + prev_tail, per_query=tuple(per_query))
+    total += prev_tail
+    if not math.isfinite(total):
+        raise NonFiniteResultError(f"plan cost overflows: total {total!r} ms")
+    return CostBreakdown(total=total, per_query=tuple(per_query))
 
 
 def improvement(candidate: CostBreakdown, baseline: CostBreakdown) -> float:
     """Relative time saving of ``candidate`` over ``baseline``, in percent.
 
-    Negative when the candidate is slower.
+    Negative when the candidate is slower.  A non-finite total or saving
+    raises :class:`NonFiniteResultError`.
     """
     if not baseline.total > 0.0:
         raise ValueError(f"baseline total must be > 0, got {baseline.total!r}")
-    return 100.0 * (1.0 - candidate.total / baseline.total)
+    pct = 100.0 * (1.0 - candidate.total / baseline.total)  # not finite if candidate.total is not
+    if not (math.isfinite(pct) and math.isfinite(baseline.total)):
+        raise NonFiniteResultError(
+            f"improvement of {candidate.total!r} over {baseline.total!r} ms is not finite"
+        )
+    return pct

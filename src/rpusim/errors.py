@@ -30,3 +30,7 @@ class WorkloadFormatError(RpusimError):
 
 class MiningError(RpusimError):
     """A query log or mining request cannot be processed."""
+
+
+class NonFiniteResultError(RpusimError):
+    """Finite inputs produced an infinite or NaN result (a float overflow)."""

@@ -22,8 +22,9 @@ from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import MiningError
+from .errors import MiningError, WorkloadFormatError
 from .model import FilterOp, Query, QuerySequence, TableSpec
+from .workload import _op, _require_keys, _table, _where
 
 _SQL_KEYWORDS = frozenset(
     """
@@ -171,6 +172,9 @@ def mine_sequences(
     return mined
 
 
+_CATALOG_KEYS = frozenset({"table", "ops"})
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """What a template means to the cost model: its table and operators."""
@@ -201,29 +205,18 @@ def report_csv(mined: list[MinedSequence]) -> str:
 
 
 def parse_catalog(doc: object) -> dict[str, CatalogEntry]:
-    """Decode a template catalog document (template id -> table + ops)."""
+    """Decode a template catalog document (template id -> table + ops) with
+    the workload parser's field checks."""
     if not isinstance(doc, dict):
-        raise MiningError("catalog must be an object mapping template ids")
+        raise WorkloadFormatError("catalog must be an object mapping template ids")
     out: dict[str, CatalogEntry] = {}
     for tid, entry in doc.items():
-        if not isinstance(entry, dict) or set(entry) != {"table", "ops"}:
-            raise MiningError(f"catalog[{tid!r}] must have exactly 'table' and 'ops'")
-        table = entry["table"]
-        if not isinstance(table, dict) or set(table) != {"name", "size_mb"}:
-            raise MiningError(f"catalog[{tid!r}].table must have 'name' and 'size_mb'")
+        _require_keys(entry, _CATALOG_KEYS, _CATALOG_KEYS, "catalog", tid)
         ops = entry["ops"]
         if not isinstance(ops, list) or not ops:
-            raise MiningError(f"catalog[{tid!r}].ops must be a non-empty array")
-        parsed_ops = []
-        for j, op in enumerate(ops):
-            if not isinstance(op, dict) or not {"id", "selectivity"} <= set(op) <= {"id", "selectivity", "commutes"}:
-                raise MiningError(f"catalog[{tid!r}].ops[{j}] must have 'id' and 'selectivity'")
-            parsed_ops.append(
-                FilterOp(id=str(op["id"]), selectivity=float(op["selectivity"]),
-                         commutes=bool(op.get("commutes", True)))
-            )
+            raise WorkloadFormatError(f"{_where(('catalog', tid, 'ops'))} must be a non-empty array")
         out[tid] = CatalogEntry(
-            table=TableSpec(name=str(table["name"]), size_mb=float(table["size_mb"])),
-            ops=tuple(parsed_ops),
+            table=_table(entry["table"], "catalog", tid, "table"),
+            ops=tuple([_op(op, "catalog", tid, "ops", j) for j, op in enumerate(ops)]),
         )
     return out

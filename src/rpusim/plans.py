@@ -65,9 +65,10 @@ def _local_ids(seq: QuerySequence) -> _LocalIds:
     return tuple(tuple(op.id for op in local_order(q.ops)) for q in seq.queries)
 
 
-def _full_pushdown(seq: QuerySequence, local: _LocalIds, strategy: Strategy) -> Plan:
+def _full_pushdown(seq: QuerySequence, local: _LocalIds) -> Plan:
+    """Plan S: every query streams all its operators in local order."""
     rpu_order = {q.id: order for q, order in zip(seq.queries, local)}
-    return Plan(strategy, rpu_order, (Mode.BASELINE,) * len(seq.gaps))
+    return Plan(Strategy.S, rpu_order, (Mode.BASELINE,) * len(seq.gaps))
 
 
 def _split_pushdown(seq: QuerySequence, local: _LocalIds, strategy: Strategy, keep: int, mode: Mode) -> Plan:
@@ -127,7 +128,7 @@ def _plan_iv(seq: QuerySequence, local: _LocalIds) -> Plan:
 
 def _build(seq: QuerySequence, strategy: Strategy, local: _LocalIds) -> Plan:
     if strategy is Strategy.S:
-        return _full_pushdown(seq, local, Strategy.S)
+        return _full_pushdown(seq, local)
     if strategy is Strategy.I:
         return _split_pushdown(seq, local, Strategy.I, keep=0, mode=Mode.BASELINE)
     if strategy is Strategy.II:

@@ -3,9 +3,9 @@
 The simulator turns a plan (the operators each query pushes down, in
 streaming order, and one mode per query boundary) into phases on four
 resources plus an idle lane for gaps, starts each phase the moment its last
-dependency ends, and reports the resulting timeline.  Phases name their
-dependencies by position in the task list and are scheduled in one pass,
-in list order.  Scheduling rules:
+dependency ends, and reports the resulting timeline.  Phases are placed in
+time as they are added, in one in-order pass; a phase names its
+dependencies by the positions at which they were added.  Scheduling rules:
 
 * the table scan may run while the PR is being reconfigured;
 * an accelerator starts only once its reconfiguration, the query's scan, and
@@ -22,19 +22,19 @@ in list order.  Scheduling rules:
 * a query arrives its gap after the predecessor's completion.
 
 Zero-length phases are scheduled like any other but omitted from the
-emitted timeline.
+emitted timeline.  A makespan that overflows to infinity is an error.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter, le
-from typing import NamedTuple
 
-from .errors import SchedulingError
+from .errors import NonFiniteResultError, SchedulingError
 from .model import DeviceProfile, Mode, Plan, QuerySequence, Violation
-from .plans import Step, compile_plan
+from .plans import compile_plan
 
 #: Query column placeholder for phases that belong to no query.
 GAP_QUERY = "\u2014"
@@ -54,7 +54,7 @@ class Resource(Enum):
 #: Each resource's position in ``value`` order, for cheap sort keys.
 _RANK = {r: rank for rank, r in enumerate(sorted(Resource, key=lambda r: r.value))}
 
-# Reading an Enum member off its class is slow; _build_tasks reads these per task.
+# Reading an Enum member off its class is slow; simulate reads these per phase.
 _SCAN, _PR, _NET, _DBMS, _IDLE = Resource.SCAN, Resource.PR, Resource.NET, Resource.DBMS, Resource.IDLE
 _BASELINE, _HOLD = Mode.BASELINE, Mode.HOLD
 
@@ -74,27 +74,49 @@ class Timeline:
     makespan: float
 
 
-class _Task(NamedTuple):
-    """One phase to schedule.  ``deps`` are positions in the task list."""
+class _Schedule:
+    """Phases placed in time as they are added, in one in-order pass.
 
-    resource: Resource
-    label: str
-    query: str
-    duration: float
-    deps: tuple[int, ...]
+    Each phase starts when its last dependency ends; dependencies are the
+    positions :meth:`add` returned for earlier phases.  A phase of zero
+    length is scheduled like any other but not kept.
+    """
+
+    def __init__(self) -> None:
+        self.ends: list[float] = []
+        self.free_at: dict[Resource, float] = dict.fromkeys(Resource, 0.0)
+        self.phases: list[Phase] = []
+
+    def add(self, resource: Resource, label: str, query: str, duration: float, deps: tuple[int, ...]) -> int:
+        ends, index = self.ends, len(self.ends)
+        if deps and not (0 <= min(deps) and max(deps) < index):
+            bad = next(dep for dep in deps if not 0 <= dep < index)
+            raise SchedulingError(
+                f"{label} for {query} depends on task {bad}, "
+                f"which is not listed before task {index}"
+            )
+        at = max(map(ends.__getitem__, deps), default=0.0)
+        if self.free_at[resource] > at:
+            raise SchedulingError(
+                f"{resource.value} is busy until {self.free_at[resource]:.6f} ms "
+                f"when {label} for {query} is released at {at:.6f} ms"
+            )
+        end = at + duration
+        ends.append(end)
+        self.free_at[resource] = end
+        if end > at:
+            self.phases.append(Phase(resource, label, query, at, end))
+        return index
 
 
-def _build_tasks(seq: QuerySequence, steps: tuple[Step, ...], profile: DeviceProfile) -> list[_Task]:
-    tasks: list[_Task] = []
-
-    def add(resource, label, query, duration, deps):
-        tasks.append(_Task(resource, label, query, duration, deps))
-        return len(tasks) - 1
-
+def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline:
+    """Execute the plan and return its timeline (phases plus makespan)."""
+    schedule = _Schedule()
+    add = schedule.add
     loaded: str | None = None
     prev_completion = prev_pr_free = -1  # set before any boundary reads them
 
-    for i, step in enumerate(steps):
+    for i, step in enumerate(compile_plan(plan, seq)):
         q, rpu = step.query, step.rpu
 
         arrival_dep: tuple[int, ...] = ()
@@ -113,16 +135,11 @@ def _build_tasks(seq: QuerySequence, steps: tuple[Step, ...], profile: DevicePro
 
         size = q.table.size_mb
         prev_exec: int | None = None
-        for k, op in enumerate(rpu):
-            if k == 0:
-                rec = lead
+        for op in rpu:
+            if prev_exec is None:
+                deps = (scan,) if lead is None else (scan, lead)
             else:
-                rec = add(_PR, "reconfig", q.id, profile.t_reconfig, (prev_exec,))
-            deps = (scan,)
-            if rec is not None:
-                deps += (rec,)
-            if prev_exec is not None:
-                deps += (prev_exec,)
+                deps = (scan, add(_PR, "reconfig", q.id, profile.t_reconfig, (prev_exec,)), prev_exec)
             prev_exec = add(_PR, "acc-exec", q.id, size / profile.r_acc, deps)
             size *= op.selectivity
             loaded = op.id
@@ -135,50 +152,11 @@ def _build_tasks(seq: QuerySequence, steps: tuple[Step, ...], profile: DevicePro
 
         prev_completion = tail
         prev_pr_free = pr_free
-    return tasks
 
-
-def _run_tasks(tasks: list[_Task]) -> tuple[list[float], list[float]]:
-    """Start every task when its last dependency ends, in one pass.
-
-    ``_build_tasks`` lists each task after its dependencies and the tasks of
-    each resource in time order, so a single walk schedules them all.
-    Returns the start and the end of every task, aligned with ``tasks``.
-    """
-    starts: list[float] = []
-    ends: list[float] = []
-    free_at: dict[Resource, float] = {r: 0.0 for r in Resource}
-    for index, task in enumerate(tasks):
-        if task.deps and not (0 <= min(task.deps) and max(task.deps) < index):
-            bad = next(dep for dep in task.deps if not 0 <= dep < index)
-            raise SchedulingError(
-                f"{task.label} for {task.query} depends on task {bad}, "
-                f"which is not listed before task {index}"
-            )
-        at = max(map(ends.__getitem__, task.deps), default=0.0)
-        if free_at[task.resource] > at:
-            raise SchedulingError(
-                f"{task.resource.value} is busy until {free_at[task.resource]:.6f} ms "
-                f"when {task.label} for {task.query} is released at {at:.6f} ms"
-            )
-        end = at + task.duration
-        starts.append(at)
-        ends.append(end)
-        free_at[task.resource] = end
-    return starts, ends
-
-
-def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline:
-    """Execute the plan and return its timeline (phases plus makespan)."""
-    tasks = _build_tasks(seq, compile_plan(plan, seq), profile)
-    starts, ends = _run_tasks(tasks)
-
-    makespan = max(ends, default=0.0)
-    phases = [
-        Phase(t.resource, t.label, t.query, start, end)
-        for t, start, end in zip(tasks, starts, ends)
-        if end > start
-    ]
+    makespan = max(schedule.ends, default=0.0)
+    if not math.isfinite(makespan):
+        raise NonFiniteResultError(f"simulated makespan overflows: {makespan!r} ms")
+    phases = schedule.phases
     phases.sort(key=lambda p: (p.start, _RANK[p.resource], p.end, p.label, p.query))
     return Timeline(phases=tuple(phases), makespan=makespan)
 

@@ -67,6 +67,24 @@ def _string(value: Any, *where) -> str:
     return value
 
 
+def _table(entry: Any, *where) -> TableSpec:
+    """A ``{"name", "size_mb"}`` object as a :class:`TableSpec`."""
+    _require_keys(entry, _TABLE_KEYS, _TABLE_KEYS, *where)
+    return TableSpec(
+        name=_string(entry["name"], *where, "name"),
+        size_mb=_number(entry["size_mb"], *where, "size_mb"),
+    )
+
+
+def _op(op: Any, *where) -> FilterOp:
+    """An ``{"id", "selectivity"[, "commutes"]}`` object as a :class:`FilterOp`."""
+    _require_keys(op, _OP_KEYS, _OP_REQUIRED, *where)
+    commutes = op.get("commutes", True)
+    if not isinstance(commutes, bool):
+        raise WorkloadFormatError(f"{_where((*where, 'commutes'))} must be a boolean")
+    return FilterOp(_string(op["id"], *where, "id"), _number(op["selectivity"], *where, "selectivity"), commutes)
+
+
 def parse_workload(doc: Any) -> tuple[QuerySequence, DeviceProfile]:
     """Build a sequence and profile from a decoded workload document.
 
@@ -92,11 +110,10 @@ def parse_workload(doc: Any) -> tuple[QuerySequence, DeviceProfile]:
         raise WorkloadFormatError("tables must be an array")
     tables: dict[str, TableSpec] = {}
     for i, entry in enumerate(doc["tables"]):
-        _require_keys(entry, _TABLE_KEYS, _TABLE_KEYS, "tables", i)
-        name = _string(entry["name"], "tables", i, "name")
-        if name in tables:
-            raise WorkloadFormatError(f"tables[{i}]: duplicate table name {name!r}")
-        tables[name] = TableSpec(name=name, size_mb=_number(entry["size_mb"], "tables", i, "size_mb"))
+        table = _table(entry, "tables", i)
+        if table.name in tables:
+            raise WorkloadFormatError(f"tables[{i}]: duplicate table name {table.name!r}")
+        tables[table.name] = table
 
     if not isinstance(doc["queries"], list):
         raise WorkloadFormatError("queries must be an array")
@@ -111,20 +128,8 @@ def parse_workload(doc: Any) -> tuple[QuerySequence, DeviceProfile]:
             raise WorkloadFormatError(f"queries[{i}]: unknown table {table_name!r}")
         if not isinstance(entry["ops"], list):
             raise WorkloadFormatError(f"queries[{i}].ops must be an array")
-        ops = []
-        for j, op in enumerate(entry["ops"]):
-            _require_keys(op, _OP_KEYS, _OP_REQUIRED, "queries", i, "ops", j)
-            commutes = op.get("commutes", True)
-            if not isinstance(commutes, bool):
-                raise WorkloadFormatError(f"queries[{i}].ops[{j}].commutes must be a boolean")
-            ops.append(
-                FilterOp(
-                    id=_string(op["id"], "queries", i, "ops", j, "id"),
-                    selectivity=_number(op["selectivity"], "queries", i, "ops", j, "selectivity"),
-                    commutes=commutes,
-                )
-            )
-        queries[qid] = Query(id=qid, table=tables[table_name], ops=tuple(ops))
+        ops = tuple([_op(op, "queries", i, "ops", j) for j, op in enumerate(entry["ops"])])
+        queries[qid] = Query(id=qid, table=tables[table_name], ops=ops)
 
     seq_doc = _require_keys(doc["sequence"], _SEQUENCE_KEYS, _SEQUENCE_KEYS, "sequence")
     if not isinstance(seq_doc["order"], list) or not isinstance(seq_doc["gaps_ms"], list):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -15,7 +16,7 @@ from rpusim import (
     workload_dict,
 )
 from rpusim.cli import main
-from test_miner import A_ID, B_ID, C_ID, planted_log_lines
+from test_miner import A_ID, B_ID, C_ID, BAD_CATALOG_FIELDS, catalog_doc, planted_log_lines
 
 
 @pytest.fixture
@@ -236,6 +237,24 @@ class TestMineCommand:
                 "--catalog", str(catalog_path), "--workload-out", str(tmp_path / "w.json")]
         assert main(args) == 1
         assert "catalog missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change,message", [case[1:] for case in BAD_CATALOG_FIELDS], ids=[case[0] for case in BAD_CATALOG_FIELDS]
+    )
+    def test_bad_catalog_field_is_validation_error(self, tmp_path, capsys, change, message):
+        log = tmp_path / "queries.log"
+        log.write_text("\n".join(planted_log_lines()) + "\n", encoding="utf-8")
+        doc = catalog_doc()
+        change(doc[A_ID])
+        catalog_path = tmp_path / "catalog.json"
+        catalog_path.write_text(json.dumps(doc), encoding="utf-8")
+        workload_path = tmp_path / "w.json"
+        args = ["mine", "--log", str(log), "--min-support", "5", "--max-len", "2", "--max-gap", "50",
+                "--out", str(tmp_path / "report.csv"),
+                "--catalog", str(catalog_path), "--workload-out", str(workload_path)]
+        assert main(args) == 1
+        assert re.search(message, capsys.readouterr().err)
+        assert not workload_path.exists()
 
     @pytest.mark.parametrize("max_gap", ["nan", "inf", "-5"])
     def test_max_gap_out_of_range_is_validation_error(self, tmp_path, capsys, max_gap):

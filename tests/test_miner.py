@@ -15,9 +15,11 @@ from rpusim import (
     MinedSequence,
     MiningError,
     TableSpec,
+    WorkloadFormatError,
     fingerprint,
     mine_sequences,
     normalize_query,
+    parse_catalog,
     parse_log,
     report_csv,
     to_workload,
@@ -320,6 +322,79 @@ class TestToWorkload:
         mined = MinedSequence(templates=(A_ID,), support=3, avg_gaps=())
         with pytest.raises(InvalidSequenceError):
             to_workload(mined, self._catalog())
+
+
+def catalog_doc() -> dict:
+    """A valid catalog document for the planted templates (the paper's shape)."""
+    return {
+        A_ID: {
+            "table": {"name": "t0", "size_mb": 9.0},
+            "ops": [{"id": "acc0", "selectivity": 0.33}, {"id": "acc1", "selectivity": 0.43}],
+        },
+        B_ID: {
+            "table": {"name": "t1", "size_mb": 1.0},
+            "ops": [{"id": "acc0", "selectivity": 0.14}],
+        },
+        C_ID: {
+            "table": {"name": "t2", "size_mb": 2.0},
+            "ops": [{"id": "acc0", "selectivity": 0.5}],
+        },
+    }
+
+
+def _set(path: tuple, value):
+    """A change to ``catalog_doc()[A_ID]``: set the value at ``path``."""
+    def apply(entry: dict) -> None:
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+    return apply
+
+
+def _drop_size(entry: dict) -> None:
+    del entry["table"]["size_mb"]
+
+
+#: (id, change to the A_ID entry, expected message), one per bad field.
+BAD_CATALOG_FIELDS = [
+    ("commutes-string", _set(("ops", 0, "commutes"), "false"), r"ops\[0\]\.commutes must be a boolean"),
+    ("size-bool", _set(("table", "size_mb"), True), r"table\.size_mb must be a number, got True"),
+    ("size-null", _set(("table", "size_mb"), None), r"table\.size_mb must be a number, got None"),
+    ("id-int", _set(("ops", 0, "id"), 5), r"ops\[0\]\.id must be a string, got 5"),
+    ("selectivity-string", _set(("ops", 1, "selectivity"), "0.5"),
+     r"ops\[1\]\.selectivity must be a number, got '0\.5'"),
+    ("name-int", _set(("table", "name"), 7), r"table\.name must be a string, got 7"),
+    ("unknown-op-key", _set(("ops", 0, "cost"), 1.0), r"ops\[0\]: unknown key\(s\) \['cost'\]"),
+    ("missing-size", _drop_size, r"table: missing key\(s\) \['size_mb'\]"),
+    ("empty-ops", _set(("ops",), []), r"ops must be a non-empty array"),
+    ("op-not-object", _set(("ops", 0), "acc0"), r"ops\[0\] must be an object"),
+]
+
+
+class TestParseCatalog:
+    def test_valid_catalog(self):
+        doc = catalog_doc()
+        doc[A_ID]["ops"][1]["commutes"] = False
+        catalog = parse_catalog(doc)
+        assert catalog[A_ID] == CatalogEntry(
+            table=TableSpec("t0", 9.0),
+            ops=(FilterOp("acc0", 0.33), FilterOp("acc1", 0.43, commutes=False)),
+        )
+        assert list(catalog) == [A_ID, B_ID, C_ID]
+
+    @pytest.mark.parametrize(
+        "change,message", [case[1:] for case in BAD_CATALOG_FIELDS], ids=[case[0] for case in BAD_CATALOG_FIELDS]
+    )
+    def test_bad_field_rejected_with_its_location(self, change, message):
+        doc = catalog_doc()
+        change(doc[A_ID])
+        with pytest.raises(WorkloadFormatError, match=f"^catalog\\.{A_ID}\\.{message}"):
+            parse_catalog(doc)
+
+    @pytest.mark.parametrize("doc", [[], {A_ID: []}, {A_ID: {"table": {"name": "t", "size_mb": 1.0}}}])
+    def test_bad_shape_rejected(self, doc):
+        with pytest.raises(WorkloadFormatError, match="catalog"):
+            parse_catalog(doc)
 
 
 def test_report_csv_shape():

@@ -27,7 +27,7 @@ from rpusim import (
     timeline_csv,
     validate_timeline,
 )
-from rpusim.simulate import _run_tasks, _Task
+from rpusim.simulate import _Schedule
 from conftest import canonical_sequence, random_params
 from test_engine_agreement import random_plan, random_profile, random_sequence
 
@@ -144,47 +144,60 @@ class TestSchedulingErrors:
             engine(seq, plan, profile)
 
 
+def _schedule(tasks) -> _Schedule:
+    """A schedule with each ``(resource, label, query, duration, deps)`` added in order."""
+    schedule = _Schedule()
+    for position, task in enumerate(tasks):
+        assert schedule.add(*task) == position
+    return schedule
+
+
 class TestRunTasks:
+    """``_Schedule.add`` places each phase as it is added, by dependency position."""
+
     def test_forward_dependency_rejected(self):
         tasks = [
-            _Task(Resource.SCAN, "scan", "Q0", 5.0, (1,)),
-            _Task(Resource.PR, "reconfig", "Q0", 15.0, ()),
+            (Resource.SCAN, "scan", "Q0", 5.0, (1,)),
+            (Resource.PR, "reconfig", "Q0", 15.0, ()),
         ]
         with pytest.raises(SchedulingError, match="depends on task 1, which is not listed before task 0"):
-            _run_tasks(tasks)
+            _schedule(tasks)
 
     def test_self_dependency_rejected(self):
         tasks = [
-            _Task(Resource.PR, "reconfig", "Q0", 15.0, ()),
-            _Task(Resource.SCAN, "scan", "Q0", 5.0, (0, 1)),
+            (Resource.PR, "reconfig", "Q0", 15.0, ()),
+            (Resource.SCAN, "scan", "Q0", 5.0, (0, 1)),
         ]
         with pytest.raises(SchedulingError, match="depends on task 1, which is not listed before task 1"):
-            _run_tasks(tasks)
+            _schedule(tasks)
 
     def test_negative_dependency_rejected(self):
         tasks = [
-            _Task(Resource.PR, "reconfig", "Q0", 15.0, ()),
-            _Task(Resource.SCAN, "scan", "Q0", 5.0, (0, -1)),
+            (Resource.PR, "reconfig", "Q0", 15.0, ()),
+            (Resource.SCAN, "scan", "Q0", 5.0, (0, -1)),
         ]
         with pytest.raises(SchedulingError, match="depends on task -1, which is not listed before task 1"):
-            _run_tasks(tasks)
+            _schedule(tasks)
 
     def test_busy_resource_rejected(self):
         tasks = [
-            _Task(Resource.PR, "reconfig", "Q0", 15.0, ()),
-            _Task(Resource.PR, "acc-exec", "Q0", 2.0, ()),
+            (Resource.PR, "reconfig", "Q0", 15.0, ()),
+            (Resource.PR, "acc-exec", "Q0", 2.0, ()),
         ]
         with pytest.raises(SchedulingError, match="PR is busy until 15.000000 ms"):
-            _run_tasks(tasks)
+            _schedule(tasks)
 
     def test_times_follow_dependencies_by_position(self):
         tasks = [
-            _Task(Resource.PR, "reconfig", "Q0", 15.0, ()),
-            _Task(Resource.SCAN, "scan", "Q0", 5.0, ()),
-            _Task(Resource.PR, "acc-exec", "Q0", 2.0, (1, 0)),
-            _Task(Resource.NET, "transfer", "Q0", 3.0, (2,)),
+            (Resource.PR, "reconfig", "Q0", 15.0, ()),
+            (Resource.SCAN, "scan", "Q0", 5.0, ()),
+            (Resource.PR, "acc-exec", "Q0", 2.0, (1, 0)),
+            (Resource.NET, "transfer", "Q0", 3.0, (2,)),
         ]
-        assert _run_tasks(tasks) == ([0.0, 0.0, 15.0, 17.0], [15.0, 5.0, 17.0, 20.0])
+        phases = _schedule(tasks).phases
+        assert ([p.start for p in phases], [p.end for p in phases]) == (
+            [0.0, 0.0, 15.0, 17.0], [15.0, 5.0, 17.0, 20.0]
+        )
 
 
 class TestValidateTimeline:
@@ -315,3 +328,132 @@ class TestPhaseOrder:
             assert clone is resource and names[clone] == resource.value
         timeline = simulate(paper_seq, strategy_plan(paper_seq, Strategy.III), profile)
         assert pickle.loads(pickle.dumps(timeline)) == timeline
+
+
+# Every phase of a timeline as "RESOURCE label query start end", times as
+# float.hex, with the makespan: a reordered float addition or a changed
+# dependency shows up here even where a makespan pin would not move.
+PAPER_TIMELINES = {
+    Strategy.S: ("0x1.2171111111111p+6", [
+        "PR reconfig Q0 0x0.0p+0 0x1.e000000000000p+3",
+        "SCAN scan Q0 0x0.0p+0 0x1.2000000000000p+3",
+        "PR acc-exec Q0 0x1.e000000000000p+3 0x1.5000000000000p+4",
+        "PR reconfig Q0 0x1.5000000000000p+4 0x1.2000000000000p+5",
+        "PR acc-exec Q0 0x1.2000000000000p+5 0x1.2fd70a3d70a3dp+5",
+        "NET transfer Q0 0x1.2fd70a3d70a3dp+5 0x1.af8ccccccccccp+5",
+        "IDLE gap — 0x1.af8ccccccccccp+5 0x1.b78ccccccccccp+5",
+        "PR reconfig Q1 0x1.b78ccccccccccp+5 0x1.17c6666666666p+6",
+        "SCAN scan Q1 0x1.b78ccccccccccp+5 0x1.bf8ccccccccccp+5",
+        "PR acc-exec Q1 0x1.17c6666666666p+6 0x1.1a71111111111p+6",
+        "NET transfer Q1 0x1.1a71111111111p+6 0x1.2171111111111p+6",
+    ]),
+    Strategy.I: ("0x1.f50bcf64e5ec1p+5", [
+        "PR reconfig Q0 0x0.0p+0 0x1.e000000000000p+3",
+        "SCAN scan Q0 0x0.0p+0 0x1.2000000000000p+3",
+        "PR acc-exec Q0 0x1.e000000000000p+3 0x1.5000000000000p+4",
+        "NET transfer Q0 0x1.5000000000000p+4 0x1.d100000000000p+5",
+        "DBMS dbms Q0 0x1.d100000000000p+5 0x1.d1b67a0f9096cp+5",
+        "IDLE gap — 0x1.d1b67a0f9096cp+5 0x1.d9b67a0f9096cp+5",
+        "SCAN scan Q1 0x1.d9b67a0f9096cp+5 0x1.e1b67a0f9096cp+5",
+        "PR acc-exec Q1 0x1.e1b67a0f9096cp+5 0x1.e70bcf64e5ec1p+5",
+        "NET transfer Q1 0x1.e70bcf64e5ec1p+5 0x1.f50bcf64e5ec1p+5",
+    ]),
+    Strategy.II: ("0x1.27a18d95c6edep+6", [
+        "PR reconfig Q0 0x0.0p+0 0x1.e000000000000p+3",
+        "SCAN scan Q0 0x0.0p+0 0x1.2000000000000p+3",
+        "PR acc-exec Q0 0x1.e000000000000p+3 0x1.5000000000000p+4",
+        "NET transfer Q0 0x1.5000000000000p+4 0x1.1580000000000p+6",
+        "PR reconfig Q1 0x1.5000000000000p+4 0x1.2000000000000p+5",
+        "DBMS dbms Q0 0x1.1580000000000p+6 0x1.15f6e2eb1c433p+6",
+        "IDLE gap — 0x1.15f6e2eb1c433p+6 0x1.19f6e2eb1c433p+6",
+        "SCAN scan Q1 0x1.19f6e2eb1c433p+6 0x1.1df6e2eb1c433p+6",
+        "PR acc-exec Q1 0x1.1df6e2eb1c433p+6 0x1.20a18d95c6edep+6",
+        "NET transfer Q1 0x1.20a18d95c6edep+6 0x1.27a18d95c6edep+6",
+    ]),
+    Strategy.III: ("0x1.d2e2222222221p+5", [
+        "PR reconfig Q0 0x0.0p+0 0x1.e000000000000p+3",
+        "SCAN scan Q0 0x0.0p+0 0x1.2000000000000p+3",
+        "PR acc-exec Q0 0x1.e000000000000p+3 0x1.5000000000000p+4",
+        "PR reconfig Q0 0x1.5000000000000p+4 0x1.2000000000000p+5",
+        "PR acc-exec Q0 0x1.2000000000000p+5 0x1.2fd70a3d70a3dp+5",
+        "NET transfer Q0 0x1.2fd70a3d70a3dp+5 0x1.af8ccccccccccp+5",
+        "PR reconfig Q1 0x1.2fd70a3d70a3dp+5 0x1.a7d70a3d70a3dp+5",
+        "IDLE gap — 0x1.af8ccccccccccp+5 0x1.b78ccccccccccp+5",
+        "SCAN scan Q1 0x1.b78ccccccccccp+5 0x1.bf8ccccccccccp+5",
+        "PR acc-exec Q1 0x1.bf8ccccccccccp+5 0x1.c4e2222222221p+5",
+        "NET transfer Q1 0x1.c4e2222222221p+5 0x1.d2e2222222221p+5",
+    ]),
+    Strategy.IV: ("0x1.d7aeeeeeeeeefp+5", [
+        "PR reconfig Q0 0x0.0p+0 0x1.e000000000000p+3",
+        "SCAN scan Q0 0x0.0p+0 0x1.2000000000000p+3",
+        "PR acc-exec Q0 0x1.e000000000000p+3 0x1.5000000000000p+4",
+        "PR reconfig Q0 0x1.5000000000000p+4 0x1.2000000000000p+5",
+        "PR acc-exec Q0 0x1.2000000000000p+5 0x1.34a3d70a3d70ap+5",
+        "NET transfer Q0 0x1.34a3d70a3d70ap+5 0x1.b45999999999ap+5",
+        "IDLE gap — 0x1.b45999999999ap+5 0x1.bc5999999999ap+5",
+        "SCAN scan Q1 0x1.bc5999999999ap+5 0x1.c45999999999ap+5",
+        "PR acc-exec Q1 0x1.c45999999999ap+5 0x1.c9aeeeeeeeeefp+5",
+        "NET transfer Q1 0x1.c9aeeeeeeeeefp+5 0x1.d7aeeeeeeeeefp+5",
+    ]),
+}
+
+MIXED_TIMELINE = ("0x1.3dff1a9fbe76cp+7", [
+    "PR reconfig Q0 0x0.0p+0 0x1.e000000000000p+3",
+    "SCAN scan Q0 0x0.0p+0 0x1.9000000000000p+3",
+    "PR acc-exec Q0 0x1.e000000000000p+3 0x1.7555555555556p+4",
+    "PR reconfig Q0 0x1.7555555555556p+4 0x1.32aaaaaaaaaabp+5",
+    "PR acc-exec Q0 0x1.32aaaaaaaaaabp+5 0x1.46aaaaaaaaaabp+5",
+    "NET transfer Q0 0x1.46aaaaaaaaaabp+5 0x1.13d5555555556p+6",
+    "PR reconfig Q1 0x1.46aaaaaaaaaabp+5 0x1.beaaaaaaaaaabp+5",
+    "DBMS dbms Q0 0x1.13d5555555556p+6 0x1.141a740da740ep+6",
+    "IDLE gap — 0x1.141a740da740ep+6 0x1.1e1a740da740ep+6",
+    "SCAN scan Q1 0x1.1e1a740da740ep+6 0x1.2a1a740da740ep+6",
+    "PR acc-exec Q1 0x1.2a1a740da740ep+6 0x1.321a740da740ep+6",
+    "NET transfer Q1 0x1.321a740da740ep+6 0x1.579a740da740ep+6",
+    "PR reconfig Q2 0x1.321a740da740ep+6 0x1.6e1a740da740ep+6",
+    "DBMS dbms Q1 0x1.579a740da740ep+6 0x1.57b17e4b17e4bp+6",
+    "DBMS dbms Q1 0x1.57b17e4b17e4bp+6 0x1.57bd0369d036ap+6",
+    "SCAN scan Q2 0x1.57bd0369d036ap+6 0x1.73bd0369d036ap+6",
+    "PR acc-exec Q2 0x1.73bd0369d036ap+6 0x1.8667ae147ae15p+6",
+    "NET transfer Q2 0x1.8667ae147ae15p+6 0x1.3db3d70a3d70ap+7",
+    "DBMS dbms Q2 0x1.3db3d70a3d70ap+7 0x1.3dff1a9fbe76cp+7",
+])
+
+
+def _hex_phases(timeline) -> list[str]:
+    return [f"{p.resource.value} {p.label} {p.query} {p.start.hex()} {p.end.hex()}" for p in timeline.phases]
+
+
+def _mixed_sequence_and_plan() -> tuple[QuerySequence, Plan]:
+    """Three queries: Q1 is HOLD behind Q0, Q2 SPECULATIVE behind Q1 (they
+    share ``d``), and Q0 arrives at the BASELINE start.  Every query leaves
+    an op on the host, Q0 streams two, and the zero gap before Q2 is a
+    zero-length phase the timeline omits."""
+    seq = QuerySequence(
+        queries=(
+            Query("Q0", TableSpec("t0", 12.5),
+                  (FilterOp("a", 0.3), FilterOp("b", 0.6), FilterOp("c", 0.8, commutes=False))),
+            Query("Q1", TableSpec("t1", 3.0), (FilterOp("c", 0.5), FilterOp("d", 0.25), FilterOp("e", 0.9))),
+            Query("Q2", TableSpec("t2", 7.0), (FilterOp("a", 0.7), FilterOp("d", 0.1))),
+        ),
+        gaps=(2.5, 0.0),
+    )
+    plan = Plan(Strategy.S, {"Q0": ("a", "b"), "Q1": ("d",), "Q2": ("a",)}, (Mode.HOLD, Mode.SPECULATIVE))
+    return seq, plan
+
+
+class TestPinnedTimelines:
+    @pytest.mark.parametrize("strategy", list(PAPER_TIMELINES), ids=str)
+    def test_paper_scenario_phases_pinned_to_the_bit(self, strategy, paper_seq, profile):
+        makespan, phases = PAPER_TIMELINES[strategy]
+        timeline = simulate(paper_seq, strategy_plan(paper_seq, strategy), profile)
+        assert _hex_phases(timeline) == phases
+        assert timeline.makespan.hex() == makespan
+
+    def test_mixed_mode_plan_phases_pinned_to_the_bit(self, profile):
+        seq, plan = _mixed_sequence_and_plan()
+        makespan, phases = MIXED_TIMELINE
+        timeline = simulate(seq, plan, profile)
+        assert _hex_phases(timeline) == phases
+        assert timeline.makespan.hex() == makespan == plan_cost(seq, plan, profile).total.hex()
+        assert validate_timeline(timeline) == []
