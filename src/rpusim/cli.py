@@ -134,6 +134,14 @@ def _cmd_mine(args) -> int:
     mined = mine_sequences(
         log, min_support=args.min_support, max_len=args.max_len, max_gap=args.max_gap
     )
+    # the workload is built before any output, so a bad catalog prints nothing
+    if args.workload_out:
+        if not args.catalog:
+            raise ValueError("--workload-out requires --catalog")
+        catalog = parse_catalog(json.loads(Path(args.catalog).read_text(encoding="utf-8")))
+        if not mined:
+            raise ValueError("no recurring sequence found, nothing to emit")
+        seq = to_workload(mined[0], catalog)
     _write(args.out, report_csv(mined))
     if args.out:
         print(f"report: {args.out} ({len(mined)} sequences)")
@@ -145,12 +153,6 @@ def _cmd_mine(args) -> int:
     for tid, text in first.items():
         print(f"template {tid}: {normalize_query(text)}")
     if args.workload_out:
-        if not args.catalog:
-            raise ValueError("--workload-out requires --catalog")
-        catalog = parse_catalog(json.loads(Path(args.catalog).read_text(encoding="utf-8")))
-        if not mined:
-            raise ValueError("no recurring sequence found, nothing to emit")
-        seq = to_workload(mined[0], catalog)
         save_workload(args.workload_out, seq)
         print(f"workload: {args.workload_out}")
     return 0

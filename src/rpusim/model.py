@@ -172,12 +172,10 @@ class QuerySequence:
 
     queries: tuple[Query, ...]
     gaps: tuple[float, ...]
-    _query_ids: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "queries", tuple(self.queries))
         object.__setattr__(self, "gaps", tuple(float(g) for g in self.gaps))
-        object.__setattr__(self, "_query_ids", frozenset(q.id for q in self.queries))
         require_valid(self)
 
 
@@ -249,26 +247,18 @@ def require_valid(seq: QuerySequence) -> QuerySequence:
 class Plan:
     """A concrete executable choice for a whole sequence.
 
-    ``rpu_order`` maps each query id to the operators pushed down to the
+    ``rpu_order[i]`` lists the operators ``queries[i]`` pushes down to the
     RPU, in streaming order; every other operator of the query runs on the
     host, in declared order.  ``modes[i]`` is the boundary between
     ``queries[i]`` and ``queries[i + 1]``: it releases ``queries[i + 1]``'s
-    leading reconfiguration.  ``strategy`` names the builder (see
-    :class:`Strategy`).
+    leading reconfiguration.  Both are positional, so a plan binds to a
+    sequence by query position, not by query id.  ``strategy`` names the
+    builder (see :class:`Strategy`).
     """
 
     strategy: Strategy
-    rpu_order: dict[str, tuple[str, ...]]
+    rpu_order: tuple[tuple[str, ...], ...]
     modes: tuple[Mode, ...]
-
-    def rpu_ops(self, query: Query) -> tuple[FilterOp, ...]:
-        """The query's RPU-placed operators, in streaming order."""
-        return tuple(map(query._ops_by_id.__getitem__, self.rpu_order.get(query.id, ())))
-
-    def host_ops(self, query: Query) -> tuple[FilterOp, ...]:
-        """The query's host-placed operators, in declared order."""
-        pushed = self.rpu_order.get(query.id, ())
-        return tuple([op for op in query.ops if op.id not in pushed])
 
     def load_after(self, boundary: int) -> bool:
         """Whether boundary ``boundary`` reloads the PR speculatively."""

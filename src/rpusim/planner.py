@@ -76,12 +76,12 @@ def generate_hints(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> li
     require_legal(plan, seq)
     shared = shared_accelerators(seq)
     hints: list[Hint] = []
-    for i, (pred, succ) in enumerate(zip(seq.queries, seq.queries[1:])):
-        common = set(shared[(pred.id, succ.id)])
+    for i, succ in enumerate(seq.queries[1:]):
+        common = set(shared[i])
         if not common:
             continue
-        ordered = [op_id for op_id in plan.rpu_order[succ.id] if op_id in common]
-        ordered += [op_id for op_id in shared[(pred.id, succ.id)] if op_id not in ordered]
+        ordered = [op_id for op_id in plan.rpu_order[i + 1] if op_id in common]
+        ordered += [op_id for op_id in shared[i] if op_id not in ordered]
         hints.append(
             Hint(
                 next_accelerators=tuple(ordered),

@@ -1,8 +1,8 @@
 """Plan construction and structural legality checks.
 
-Everything here is cost-free structure.  A plan lists, per query, the
-operators the device streams and their order (the rest run on the host), and
-names one :class:`Mode` per query boundary.  The builders set the modes
+Everything here is cost-free structure.  A plan lists, per query position,
+the operators the device streams and their order (the rest run on the host),
+and names one :class:`Mode` per query boundary.  The builders set the modes
 directly: II holds at every boundary, III reloads speculatively at every
 boundary where that loads an accelerator, and every other boundary is
 baseline.  :func:`compile_plan` checks a plan once and lowers it into
@@ -32,18 +32,17 @@ from .model import (
 )
 
 
-def shared_accelerators(seq: QuerySequence) -> dict[tuple[str, str], list[str]]:
+def shared_accelerators(seq: QuerySequence) -> list[list[str]]:
     """Accelerators common to each adjacent query pair.
 
-    Returns one entry per adjacent pair, keyed by the two query ids; the
-    value lists the shared accelerator ids in the successor's declared
+    Returns one list per boundary: entry ``i`` lists the accelerator ids
+    ``queries[i]`` and ``queries[i + 1]`` share, in the successor's declared
     operator order (empty when the pair has nothing in common).
     """
-    out: dict[tuple[str, str], list[str]] = {}
-    for pred, succ in zip(seq.queries, seq.queries[1:]):
-        pred_ids = pred._ops_by_id
-        out[(pred.id, succ.id)] = [op_id for op_id in succ.op_ids() if op_id in pred_ids]
-    return out
+    return [
+        [op_id for op_id in succ.op_ids() if op_id in pred._ops_by_id]
+        for pred, succ in zip(seq.queries, seq.queries[1:])
+    ]
 
 
 def local_order(ops: tuple[FilterOp, ...]) -> tuple[FilterOp, ...]:
@@ -67,8 +66,7 @@ def _local_ids(seq: QuerySequence) -> _LocalIds:
 
 def _full_pushdown(seq: QuerySequence, local: _LocalIds) -> Plan:
     """Plan S: every query streams all its operators in local order."""
-    rpu_order = {q.id: order for q, order in zip(seq.queries, local)}
-    return Plan(Strategy.S, rpu_order, (Mode.BASELINE,) * len(seq.gaps))
+    return Plan(Strategy.S, local, (Mode.BASELINE,) * len(seq.gaps))
 
 
 def _split_pushdown(seq: QuerySequence, local: _LocalIds, strategy: Strategy, keep: int, mode: Mode) -> Plan:
@@ -77,31 +75,25 @@ def _split_pushdown(seq: QuerySequence, local: _LocalIds, strategy: Strategy, ke
         raise IllegalPlanError(
             f"strategy {strategy} is not applicable: no non-final query has two or more operators"
         )
-    rpu_order = {}
-    for i, (q, order) in enumerate(zip(seq.queries, local)):
-        if i < len(seq.queries) - 1 and len(order) >= 2:
-            order = (order[keep],)
-        rpu_order[q.id] = order
-    return Plan(strategy, rpu_order, (mode,) * len(seq.gaps))
+    rpu_order = tuple([(order[keep],) if len(order) >= 2 else order for order in local[:-1]])
+    return Plan(strategy, (*rpu_order, local[-1]), (mode,) * len(seq.gaps))
 
 
 def _plan_iii(seq: QuerySequence, local: _LocalIds) -> Plan:
     shared = shared_accelerators(seq)
-    if not any(shared.values()):
+    if not any(shared):
         raise IllegalPlanError(
             "strategy III requires sequence knowledge: no adjacent pair shares an accelerator"
         )
     modes = tuple(
-        Mode.SPECULATIVE
-        if shared[(pred.id, succ.id)] and pred_order[-1] != succ_order[0]
-        else Mode.BASELINE
-        for pred, succ, pred_order, succ_order in zip(seq.queries, seq.queries[1:], local, local[1:])
+        Mode.SPECULATIVE if common and pred_order[-1] != succ_order[0] else Mode.BASELINE
+        for common, pred_order, succ_order in zip(shared, local, local[1:])
     )
-    return Plan(Strategy.III, {q.id: order for q, order in zip(seq.queries, local)}, modes)
+    return Plan(Strategy.III, local, modes)
 
 
 def _plan_iv(seq: QuerySequence, local: _LocalIds) -> Plan:
-    orders: dict[str, tuple[str, ...]] = {}
+    orders = list(local)
     # Resolve right to left: a swap in one query changes which accelerator
     # its own predecessor must leave loaded.
     queries = seq.queries
@@ -116,14 +108,14 @@ def _plan_iv(seq: QuerySequence, local: _LocalIds) -> Plan:
                 swapped_any = True
             elif applicable:
                 swapped_any = True  # already in place; swap is the identity
-        orders[q.id] = order
+        orders[i] = order
         needed_first = order[0]
     if not swapped_any:
         raise IllegalPlanError(
             "strategy IV is not applicable: no commuting predecessor contains "
             "the accelerator its successor needs first"
         )
-    return Plan(Strategy.IV, orders, (Mode.BASELINE,) * len(seq.gaps))
+    return Plan(Strategy.IV, tuple(orders), (Mode.BASELINE,) * len(seq.gaps))
 
 
 def _build(seq: QuerySequence, strategy: Strategy, local: _LocalIds) -> Plan:
@@ -164,17 +156,16 @@ def enumerate_plans(seq: QuerySequence, strategies: Iterable[Strategy] = STRATEG
 def legality(plan: Plan, seq: QuerySequence) -> tuple[bool, str]:
     """Whether a plan is structurally executable for a sequence, with reason.
 
-    Checks: the RPU orders cover exactly the sequence's queries, each lists
+    Checks: there is one RPU order per query, in sequence order; each lists
     distinct operators of its own query and reorders only commuting ones,
     there is one mode per boundary, and a SPECULATIVE boundary joins a pair
     that shares an accelerator.
     """
     rpu_order = plan.rpu_order
-    if rpu_order.keys() != seq._query_ids:
-        return False, "rpu_order must cover exactly the sequence's queries"
+    if len(rpu_order) != len(seq.queries):
+        return False, f"rpu_order lists {len(rpu_order)} orders for {len(seq.queries)} queries"
 
-    for q in seq.queries:
-        order = rpu_order[q.id]
+    for q, order in zip(seq.queries, rpu_order):
         by_id = q._ops_by_id
         if not order or len(order) == 1 and order[0] in by_id:
             continue  # nothing to reorder
@@ -223,10 +214,8 @@ class Step(NamedTuple):
 def compile_plan(plan: Plan, seq: QuerySequence) -> tuple[Step, ...]:
     """Check a plan once and lower it into per-query steps."""
     require_legal(plan, seq)
-    rpu_order = plan.rpu_order
     steps = []
-    for q, mode in zip(seq.queries, (Mode.BASELINE, *plan.modes)):
-        order = rpu_order[q.id]
+    for q, order, mode in zip(seq.queries, plan.rpu_order, (Mode.BASELINE, *plan.modes)):
         # legal orders list distinct ops of the query, so equal lengths
         # mean every op is pushed down
         host = () if len(order) == len(q.ops) else tuple([op for op in q.ops if op.id not in order])

@@ -158,13 +158,7 @@ def workload_dict(seq: QuerySequence, profile: DeviceProfile | None = None) -> d
     """The JSON-ready document for a sequence (inverse of parse_workload)."""
     doc: dict[str, Any] = {}
     if profile is not None:
-        doc["profile"] = {
-            "t_reconfig_ms": profile.t_reconfig,
-            "r_scan_mb_per_ms": profile.r_scan,
-            "r_acc_mb_per_ms": profile.r_acc,
-            "r_network_mb_per_ms": profile.r_network,
-            "c_dbms_ms_per_mb": profile.c_dbms,
-        }
+        doc["profile"] = {key: getattr(profile, attr) for key, attr in _PROFILE_KEYS.items()}
     tables: dict[str, TableSpec] = {}
     for q in seq.queries:
         tables.setdefault(q.table.name, q.table)
@@ -188,20 +182,14 @@ def save_workload(path: str | Path, seq: QuerySequence, profile: DeviceProfile |
     Path(path).write_text(json.dumps(workload_dict(seq, profile), indent=2) + "\n", encoding="utf-8")
 
 
-def default_scenario(
-    scale: float = 1.0,
-    gap_ms: float = 1.0,
-    selectivities: tuple[float, float, float] = (0.33, 0.43, 0.14),
-) -> QuerySequence:
+def default_scenario() -> QuerySequence:
     """The built-in two-query reference workload.
 
     A 9 MB table filtered twice (sharing its first accelerator with the
-    follow-up query) and a 1 MB table filtered once, 1 ms apart; both table
-    sizes scale together.
+    follow-up query) and a 1 MB table filtered once, 1 ms apart.
     """
-    f0, f1, f2 = selectivities
-    t0 = TableSpec(name="t0", size_mb=9.0 * scale)
-    t1 = TableSpec(name="t1", size_mb=1.0 * scale)
-    q0 = Query(id="Q0", table=t0, ops=(FilterOp("acc0", f0), FilterOp("acc1", f1)))
-    q1 = Query(id="Q1", table=t1, ops=(FilterOp("acc0", f2),))
-    return QuerySequence(queries=(q0, q1), gaps=(gap_ms,))
+    t0 = TableSpec(name="t0", size_mb=9.0)
+    t1 = TableSpec(name="t1", size_mb=1.0)
+    q0 = Query(id="Q0", table=t0, ops=(FilterOp("acc0", 0.33), FilterOp("acc1", 0.43)))
+    q1 = Query(id="Q1", table=t1, ops=(FilterOp("acc0", 0.14),))
+    return QuerySequence(queries=(q0, q1), gaps=(1.0,))

@@ -256,6 +256,32 @@ class TestMineCommand:
         assert re.search(message, capsys.readouterr().err)
         assert not workload_path.exists()
 
+    @pytest.mark.parametrize(
+        "catalog, min_support, message",
+        [
+            ("size-null", "5", "size_mb must be a number, got None"),
+            (None, "5", "--workload-out requires --catalog"),
+            ("empty", "5", "catalog missing template"),
+            ("valid", "1000", "no recurring sequence found"),
+        ],
+        ids=["bad-catalog", "no-catalog", "missing-template", "nothing-mined"],
+    )
+    def test_workload_out_checked_before_any_output(self, tmp_path, capsys, catalog, min_support, message):
+        log = tmp_path / "queries.log"
+        log.write_text("\n".join(planted_log_lines()) + "\n", encoding="utf-8")
+        doc = {} if catalog == "empty" else catalog_doc()
+        if catalog == "size-null":
+            doc[A_ID]["table"]["size_mb"] = None
+        catalog_path = tmp_path / "catalog.json"
+        catalog_path.write_text(json.dumps(doc), encoding="utf-8")
+        report = tmp_path / "r.csv"
+        args = ["mine", "--log", str(log), "--min-support", min_support, "--max-gap", "50", "--out", str(report),
+                "--workload-out", str(tmp_path / "w.json"), *(["--catalog", str(catalog_path)] if catalog else [])]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+        assert not report.exists()
+
     @pytest.mark.parametrize("max_gap", ["nan", "inf", "-5"])
     def test_max_gap_out_of_range_is_validation_error(self, tmp_path, capsys, max_gap):
         log = tmp_path / "queries.log"

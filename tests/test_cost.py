@@ -169,7 +169,7 @@ class TestPlanCostProperties:
 
 class TestPlanCostErrors:
     def test_illegal_plan_rejected(self, paper_seq, profile):
-        plan = Plan(Strategy.S, {"Q0": ("acc0",), "Q1": ("acc0",)}, ())
+        plan = Plan(Strategy.S, (("acc0",), ("acc0",)), ())
         with pytest.raises(IllegalPlanError, match="illegal plan"):
             plan_cost(paper_seq, plan, profile)
 
@@ -190,7 +190,7 @@ class TestPlanCostErrors:
     def test_all_host_query_still_costs(self, profile):
         # nothing pushed down: scan, raw transfer, host filtering
         seq = canonical_sequence()
-        plan = Plan(Strategy.S, {"Q0": (), "Q1": ("acc0",)}, (Mode.BASELINE,))
+        plan = Plan(Strategy.S, ((), ("acc0",)), (Mode.BASELINE,))
         breakdown = plan_cost(seq, plan, profile)
         expected_q0 = 9.0 + 9.0 / 0.08 + 0.03 * (9.0 + 2.97)
         expected_q1 = max(15.0, 1.0) + 1.0 / 1.5 + 0.14 / 0.08

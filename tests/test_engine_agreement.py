@@ -80,14 +80,12 @@ def random_sequence(rng: random.Random) -> QuerySequence:
 def random_plan(rng: random.Random, seq: QuerySequence) -> Plan:
     """A legal plan: a random subsequence of each query's local order and a
     random mode per boundary, SPECULATIVE only across sharing pairs."""
-    rpu_order = {
-        q.id: tuple(op.id for op in local_order(q.ops) if rng.random() < 0.7)
-        for q in seq.queries
-    }
-    shared = shared_accelerators(seq)
+    rpu_order = tuple(
+        tuple(op.id for op in local_order(q.ops) if rng.random() < 0.7) for q in seq.queries
+    )
     modes = tuple(
-        rng.choice(list(Mode) if shared[(pred.id, succ.id)] else [Mode.BASELINE, Mode.HOLD])
-        for pred, succ in zip(seq.queries, seq.queries[1:])
+        rng.choice(list(Mode) if shared else [Mode.BASELINE, Mode.HOLD])
+        for shared in shared_accelerators(seq)
     )
     return Plan(rng.choice(STRATEGY_ORDER), rpu_order, modes)
 
@@ -153,9 +151,9 @@ def reference_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile):
     """``plan_cost`` written out from the public ``phase_times``: the same
     terms, added in the same order, so the two must agree bit for bit."""
     total, per_query, loaded, prev_tail = 0.0, [], None, 0.0
-    for i, (q, mode) in enumerate(zip(seq.queries, (Mode.BASELINE, *plan.modes))):
-        rpu = plan.rpu_ops(q)
-        pt = phase_times(q, rpu, plan.host_ops(q), profile)
+    for i, (q, order, mode) in enumerate(zip(seq.queries, plan.rpu_order, (Mode.BASELINE, *plan.modes))):
+        rpu = tuple(op for op_id in order for op in q.ops if op.id == op_id)
+        pt = phase_times(q, rpu, tuple(op for op in q.ops if op.id not in order), profile)
         lead = profile.t_reconfig if rpu and loaded != rpu[0].id else 0.0
         head = max(lead, pt.scan)
         body = 0.0
@@ -213,7 +211,7 @@ def test_rpu_policy_picks_the_cost_argmin_at_n_query_boundaries():
                 modes[i] = Mode.SPECULATIVE
                 speculative = Plan(Strategy.III, local.rpu_order, tuple(modes))
                 moved = tuple(op_id for op_id in ids if op_id != acc) + (acc,)
-                swapped = Plan(Strategy.IV, {**local.rpu_order, pred.query.id: moved}, local.modes)
+                swapped = Plan(Strategy.IV, local.rpu_order[:i] + (moved,) + local.rpu_order[i + 1 :], local.modes)
                 t_speculative = plan_cost(seq, speculative, profile).total
                 t_swap = plan_cost(seq, swapped, profile).total
 

@@ -38,6 +38,7 @@ from rpusim import (
     plan_cost,
     run_sweep,
     save_workload,
+    set_gaps,
     simulate,
     strategy_plan,
 )
@@ -105,7 +106,7 @@ class TestImprovement:
         ids=lambda args: args[0],
     )
     def test_saving_that_overflows_exits_1(self, args, tmp_path):
-        seq = default_scenario(gap_ms=0.0)
+        seq = set_gaps(default_scenario(), 0.0)
         assert plan_cost(seq, strategy_plan(seq, Strategy.I), COSTLY_HOST).total < math.inf
         workload = tmp_path / "w.json"
         save_workload(workload, seq, COSTLY_HOST)

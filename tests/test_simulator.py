@@ -438,7 +438,7 @@ def _mixed_sequence_and_plan() -> tuple[QuerySequence, Plan]:
         ),
         gaps=(2.5, 0.0),
     )
-    plan = Plan(Strategy.S, {"Q0": ("a", "b"), "Q1": ("d",), "Q2": ("a",)}, (Mode.HOLD, Mode.SPECULATIVE))
+    plan = Plan(Strategy.S, (("a", "b"), ("d",), ("a",)), (Mode.HOLD, Mode.SPECULATIVE))
     return seq, plan
 
 

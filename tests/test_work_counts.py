@@ -76,9 +76,8 @@ def test_plan_cost_constructs_no_phase_times(monkeypatch, paper_seq, profile):
         plan_cost(paper_seq, plan, profile)
     assert sum(made.values()) == 0
     # the public per-query report still builds one
-    plan = enumerate_plans(paper_seq)[0]
-    query = paper_seq.queries[0]
-    phase_times(query, plan.rpu_ops(query), plan.host_ops(query), profile)
+    step = compile_plan(enumerate_plans(paper_seq)[0], paper_seq)[0]
+    phase_times(step.query, step.rpu, step.host, profile)
     assert sum(made.values()) == 1
 
 

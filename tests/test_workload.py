@@ -13,6 +13,8 @@ from rpusim import (
     load_workload,
     parse_workload,
     save_workload,
+    scale_sequence,
+    set_gaps,
     validate_sequence,
     workload_dict,
 )
@@ -178,7 +180,7 @@ class TestRoundTrip:
         assert profile2 == profile
 
     def test_file_round_trip(self, tmp_path):
-        seq = default_scenario(scale=2.0, gap_ms=0.5)
+        seq = set_gaps(scale_sequence(default_scenario(), 2.0), 0.5)
         path = tmp_path / "workload.json"
         save_workload(path, seq, calibrated_profile())
         seq2, profile2 = load_workload(path)
@@ -202,6 +204,6 @@ class TestDefaultScenario:
         assert seq.gaps == (1.0,)
 
     def test_scale_multiplies_both_tables(self):
-        seq = default_scenario(scale=3.0)
+        seq = scale_sequence(default_scenario(), 3.0)
         assert seq.queries[0].table.size_mb == 27.0
         assert seq.queries[1].table.size_mb == 3.0
