@@ -134,14 +134,15 @@ def _cmd_mine(args) -> int:
     mined = mine_sequences(
         log, min_support=args.min_support, max_len=args.max_len, max_gap=args.max_gap
     )
-    # the workload is built before any output, so a bad catalog prints nothing
+    # the workload is built and saved before any other output, so a bad
+    # catalog or an unwritable --workload-out prints nothing and writes no report
     if args.workload_out:
         if not args.catalog:
             raise ValueError("--workload-out requires --catalog")
         catalog = parse_catalog(json.loads(Path(args.catalog).read_text(encoding="utf-8")))
         if not mined:
             raise ValueError("no recurring sequence found, nothing to emit")
-        seq = to_workload(mined[0], catalog)
+        save_workload(args.workload_out, to_workload(mined[0], catalog))
     _write(args.out, report_csv(mined))
     if args.out:
         print(f"report: {args.out} ({len(mined)} sequences)")
@@ -153,7 +154,6 @@ def _cmd_mine(args) -> int:
     for tid, text in first.items():
         print(f"template {tid}: {normalize_query(text)}")
     if args.workload_out:
-        save_workload(args.workload_out, seq)
         print(f"workload: {args.workload_out}")
     return 0
 

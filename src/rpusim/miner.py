@@ -34,22 +34,41 @@ _SQL_KEYWORDS = frozenset(
     """.split()
 )
 
-_STRING_RE = re.compile(r"'(?:[^']|'')*'|\"[^\"]*\"")
-_NUMBER_RE = re.compile(r"(?<![\w.])\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+# every keyword as written in lower, UPPER or Title case -> its lower form
+_KEYWORD_FORMS = {form: kw for kw in _SQL_KEYWORDS for form in (kw, kw.upper(), kw.title())}
+# strings first, then numbers; a number's lookbehind sits after its first
+# digit so the scan can skip ahead to digits (at a text's first character the
+# 2-character lookbehind cannot match, so it passes)
+_CONSTANT_RE = re.compile(r"'(?:[^']|'')*'|\"[^\"]*\"|\d(?<![\w.]\d)\d*(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
+def _lower_keyword(m: re.Match) -> str:
+    word = m.group(0)
+    lower = word.lower()
+    return lower if lower in _SQL_KEYWORDS else word
+
+
 def normalize_query(text: str) -> str:
-    """Canonical template of a query: constants -> ``?``, keywords lowercased."""
+    """Canonical template of a query: constants -> ``?``, keywords lowercased.
+
+    One pass replaces each string and number literal by ``?``; whitespace
+    runs become one space.  A token that is a keyword in lower, UPPER or
+    Title case becomes that keyword, a token with no capital letter stays as
+    it is, and any other token has each keyword among its words lowercased.
+    """
     if not text.strip():
         raise MiningError("empty query text")
-    t = _STRING_RE.sub("?", text)
-    t = _NUMBER_RE.sub("?", t)
-    t = " ".join(t.split())
-    return _WORD_RE.sub(
-        lambda m: m.group(0).lower() if m.group(0).lower() in _SQL_KEYWORDS else m.group(0),
-        t,
-    )
+    out = []
+    for tok in _CONSTANT_RE.sub("?", text).split():
+        keyword = _KEYWORD_FORMS.get(tok)
+        if keyword is not None:
+            out.append(keyword)
+        elif tok == tok.lower():
+            out.append(tok)
+        else:
+            out.append(_WORD_RE.sub(_lower_keyword, tok))
+    return " ".join(out)
 
 
 def fingerprint(text: str) -> str:
@@ -74,7 +93,9 @@ class LogEntry:
 def parse_log(source: str | Path | Iterable[str]) -> list[LogEntry]:
     """Read log lines and return entries sorted by timestamp."""
     if isinstance(source, (str, Path)):
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
+        # lines end only at "\n" (read_text turns "\r\n" into it), as when
+        # iterating an open file; str.splitlines would also split at U+2028 etc.
+        lines = Path(source).read_text(encoding="utf-8").split("\n")
     else:
         lines = [line.rstrip("\n") for line in source]
     entries = []

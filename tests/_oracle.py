@@ -5,12 +5,21 @@ expression per strategy, without importing anything from the package under
 test.  Used by the unit and acceptance suites as the reference the library
 must reproduce.
 
+It also keeps the original two-pass ``normalize_query`` (strings, then
+numbers, then a per-word keyword lambda), verbatim, as the reference the
+miner's one-pass normalizer must reproduce for every input; it raises the
+package's ``MiningError`` on empty text, as the original did.
+
 Shape covered: Q0 scans a table of ``s0`` MB through two filter accelerators
 (selectivities ``f0`` then ``f1``), Q1 scans ``s1`` MB through one filter
 (``f2``) whose accelerator is the same unit as Q0's first one.
 """
 
 from __future__ import annotations
+
+import re
+
+from rpusim.errors import MiningError
 
 
 def strategy_totals(
@@ -85,3 +94,29 @@ def strategy_totals(
 
 def improvement_pct(candidate: float, baseline: float) -> float:
     return 100.0 * (1.0 - candidate / baseline)
+
+
+_SQL_KEYWORDS = frozenset(
+    """
+    select from where and or not in is null like between group by order having
+    limit offset join inner left right outer on as distinct union all exists
+    insert into values update set delete case when then else end asc desc
+    """.split()
+)
+
+_STRING_RE = re.compile(r"'(?:[^']|'')*'|\"[^\"]*\"")
+_NUMBER_RE = re.compile(r"(?<![\w.])\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+def normalize_query(text: str) -> str:
+    """Canonical template of a query: constants -> ``?``, keywords lowercased."""
+    if not text.strip():
+        raise MiningError("empty query text")
+    t = _STRING_RE.sub("?", text)
+    t = _NUMBER_RE.sub("?", t)
+    t = " ".join(t.split())
+    return _WORD_RE.sub(
+        lambda m: m.group(0).lower() if m.group(0).lower() in _SQL_KEYWORDS else m.group(0),
+        t,
+    )

@@ -282,6 +282,32 @@ class TestMineCommand:
         assert out == "" and message in err
         assert not report.exists()
 
+    def test_unwritable_workload_out_is_io_error_before_any_output(self, tmp_path, capsys):
+        log = tmp_path / "queries.log"
+        log.write_text("\n".join(planted_log_lines()) + "\n", encoding="utf-8")
+        catalog_path = tmp_path / "catalog.json"
+        catalog_path.write_text(json.dumps(catalog_doc()), encoding="utf-8")
+        report = tmp_path / "r.csv"
+        args = ["mine", "--log", str(log), "--min-support", "5", "--max-len", "2", "--max-gap", "50",
+                "--out", str(report), "--catalog", str(catalog_path),
+                "--workload-out", str(tmp_path / "nodir" / "w.json")]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "I/O error" in err
+        assert not report.exists()
+
+    def test_log_line_breaks_inside_query_text_are_kept(self, tmp_path, capsys):
+        """A U+2028 inside a string literal does not end the log line."""
+        lines = planted_log_lines()
+        lines[0] = lines[0].replace("folder = 0", "folder = 'in\u2028box'")
+        log = tmp_path / "queries.log"
+        log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        report = tmp_path / "report.csv"
+        args = ["mine", "--log", str(log), "--min-support", "5", "--max-gap", "50", "--out", str(report)]
+        assert main(args) == 0
+        assert f"{A_ID}|{B_ID}|{C_ID},5," in report.read_text(encoding="utf-8")
+        assert capsys.readouterr().out.startswith(f"report: {report} (3 sequences)\n")
+
     @pytest.mark.parametrize("max_gap", ["nan", "inf", "-5"])
     def test_max_gap_out_of_range_is_validation_error(self, tmp_path, capsys, max_gap):
         log = tmp_path / "queries.log"

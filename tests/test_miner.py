@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import _oracle
 
 from rpusim import (
     CatalogEntry,
@@ -43,6 +46,27 @@ def planted_log_lines() -> list[str]:
         lines.append(f"{base + 18}\t{C_TEXT.format(200 + i)}\t1")      # 8 ms after B completes
         lines.append(f"{base + 500}\tSELECT noise_{i} FROM other_{i}\t1")
     return lines
+
+
+def _random_casing(word: str) -> st.SearchStrategy[str]:
+    flips = st.lists(st.booleans(), min_size=len(word), max_size=len(word))
+    return flips.map(lambda ups: "".join(c.upper() if up else c for c, up in zip(word, ups)))
+
+
+# Pieces of query text that exercise every branch of the normalizer: keywords
+# in any casing, mixed-case identifiers, parts of numbers and strings, Unicode
+# whitespace and digits, and letters whose case mapping leaves ASCII (the
+# Kelvin sign lowercases to "k", "ſ" uppercases to "S", "İ" lowercases to
+# two characters).
+_QUERY_PIECES = st.one_of(
+    st.sampled_from(sorted(_oracle._SQL_KEYWORDS)).flatmap(_random_casing),
+    st.from_regex(r"[A-Za-z_][A-Za-z_0-9]{0,5}", fullmatch=True),
+    st.sampled_from(
+        ["0", "7", "42", ".", "e", "E", "+", "-", "'", '"', "''", " ", "\t", "\x1c", "\u00a0",
+         "\u212a", "\u0130", "\u017f", "\u03a3", "\u0663", "(", ")", "=", ",", "*"]
+    ),
+)
+_QUERY_TEXTS = st.lists(_QUERY_PIECES, max_size=24).map("".join)
 
 
 class TestFingerprint:
@@ -85,6 +109,39 @@ class TestFingerprint:
             assert normalize_query(once) == once
 
 
+    @settings(max_examples=500, deadline=None)
+    @given(_QUERY_TEXTS)
+    def test_matches_the_two_pass_reference(self, text):
+        try:
+            expected = _oracle.normalize_query(text)
+        except MiningError:
+            with pytest.raises(MiningError, match="empty query text"):
+                normalize_query(text)
+            with pytest.raises(MiningError, match="empty query text"):
+                fingerprint(text)
+            return
+        assert normalize_query(text) == expected
+        assert fingerprint(text) == hashlib.sha1(expected.encode("utf-8")).hexdigest()[:12]
+
+    @pytest.mark.parametrize(
+        "text, template",
+        [
+            ("2select", "?select"),
+            ("(SELECT a)", "(select a)"),
+            ("x=FROM", "x=from"),
+            ("'it''s'5", "??"),
+            ("T.COL", "T.COL"),
+            ("\u0130SELECT", "\u0130select"),
+            ("\u017felect a", "\u017felect a"),
+            ("LI\u212aE", "LI\u212aE"),
+            ("a\u00a0FROM\x1ct", "a from t"),
+            ("x = 1.5e-3 AND y = \u0663", "x = ? and y = ?"),
+        ],
+    )
+    def test_golden_templates(self, text, template):
+        assert normalize_query(text) == template == _oracle.normalize_query(text)
+
+
 class TestParseLog:
     def test_sorts_by_timestamp(self):
         entries = parse_log(["10\tSELECT a FROM t", "5\tSELECT b FROM t\t2.5"])
@@ -121,6 +178,18 @@ class TestParseLog:
         path = tmp_path / "queries.log"
         path.write_text("\n".join(planted_log_lines()) + "\n", encoding="utf-8")
         assert len(parse_log(path)) == 20
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_path_and_open_file_split_lines_alike(self, tmp_path, char):
+        """Lines end only at a newline (or CRLF); other line breaks stay inside the query text."""
+        path = tmp_path / "queries.log"
+        text = f"5\tSELECT a FROM t WHERE s = 'x{char}y'\t1\r\n9\tSELECT b FROM t\n"
+        path.write_bytes(text.encode("utf-8"))
+        from_path = parse_log(path)
+        with path.open(encoding="utf-8") as fh:
+            from_file = parse_log(fh)
+        assert len(from_path) == 2
+        assert from_path == from_file
 
 
 class TestMineSequences:

@@ -144,3 +144,18 @@ def test_mine_fingerprints_each_line_once(monkeypatch, tmp_path, capsys):
     printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("template ")]
     assert sum(fingerprints.values()) == len(lines)
     assert sum(normalized.values()) == len(printed) == 3
+
+
+def test_keywords_in_lower_upper_or_title_case_skip_the_per_word_rule(monkeypatch):
+    """A token that is a keyword in lower, UPPER or Title case, or has no
+    capital letter, skips the per-word rule; only a mixed-case token goes
+    through ``_lower_keyword``."""
+    lowered = _counting(monkeypatch, rpusim.miner, "_lower_keyword")
+    log = rpusim.miner.parse_log(
+        ["1\tSELECT a FROM t WHERE k = 5 AND s = 'x'", "2\tselect b from t where k > 1.5",
+         "3\tSelect c From t Where k In (1, 2) Order By c Desc"]
+    )
+    assert len(log) == 3
+    assert sum(lowered.values()) == 0
+    assert rpusim.miner.normalize_query("SeLeCt MyCol FROM t") == "select MyCol from t"
+    assert sum(lowered.values()) >= 1
