@@ -26,7 +26,7 @@ from .model import HINT_STRATEGIES, DeviceProfile, Plan, QuerySequence, Strategy
 from .planner import choose_plan, costed_plans, generate_hints
 from .plans import strategy_plan
 from .simulate import simulate, timeline_csv
-from .sweep import SweepSpec, run_sweep, scale_sequence, set_gaps, set_selectivity, sweep_csv
+from .sweep import VARIABLES, SweepSpec, run_sweep, scale_sequence, set_gaps, set_selectivity, sweep_csv
 from .workload import default_scenario, load_workload, save_workload
 
 
@@ -100,11 +100,12 @@ def _cmd_simulate(args) -> int:
     else:
         plan = strategy_plan(seq, _parse_strategy(args.strategy, args.hints))
     timeline = simulate(seq, plan, profile)
-    print(f"strategy: {plan.strategy}")
-    print(f"makespan_ms: {timeline.makespan:.3f}")
+    lines = [f"strategy: {plan.strategy}", f"makespan_ms: {timeline.makespan:.3f}"]
     if args.timeline:
+        # written before any output, so an unwritable path prints nothing
         Path(args.timeline).write_text(timeline_csv(timeline), encoding="utf-8")
-        print(f"timeline: {args.timeline}")
+        lines.append(f"timeline: {args.timeline}")
+    print("\n".join(lines))
     return 0
 
 
@@ -196,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="cost strategies across a parameter grid")
     common(p)
-    p.add_argument("--sweep", required=True, choices=["scale", "selectivity", "gap"])
+    p.add_argument("--sweep", required=True, choices=VARIABLES)
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)

@@ -213,7 +213,11 @@ class Step(NamedTuple):
 
 def compile_plan(plan: Plan, seq: QuerySequence) -> tuple[Step, ...]:
     """Check a plan once and lower it into per-query steps."""
-    require_legal(plan, seq)
+    return _lower(require_legal(plan, seq), seq)
+
+
+def _lower(plan: Plan, seq: QuerySequence) -> tuple[Step, ...]:
+    """Lower a plan already checked against ``seq``'s query and op ids."""
     steps = []
     for q, order, mode in zip(seq.queries, plan.rpu_order, (Mode.BASELINE, *plan.modes)):
         # legal orders list distinct ops of the query, so equal lengths

@@ -7,9 +7,7 @@ from dataclasses import dataclass
 
 from .cost import _fold, improvement
 from .model import DeviceProfile, FilterOp, Query, QuerySequence, Strategy, TableSpec
-from .plans import Step, compile_plan, strategy_plan
-
-VARIABLES = ("scale", "selectivity", "gap")
+from .plans import _lower, compile_plan, strategy_plan
 
 
 def scale_sequence(seq: QuerySequence, factor: float) -> QuerySequence:
@@ -46,33 +44,7 @@ _TRANSFORMS = {
     "selectivity": set_selectivity,
     "gap": set_gaps,
 }
-
-
-def _same_steps(steps: tuple[Step, ...], variant: QuerySequence) -> tuple[Step, ...]:
-    return steps  # set_gaps keeps every query object
-
-
-def _rescaled_steps(steps: tuple[Step, ...], variant: QuerySequence) -> tuple[Step, ...]:
-    # scale_sequence keeps every operator object and replaces only the query
-    return tuple([Step(q, rpu, host, mode) for (_, rpu, host, mode), q in zip(steps, variant.queries)])
-
-
-def _reselected_steps(steps: tuple[Step, ...], variant: QuerySequence) -> tuple[Step, ...]:
-    out = []
-    for (_, rpu, host, mode), q in zip(steps, variant.queries):
-        by_id = q._ops_by_id
-        out.append(Step(q, tuple([by_id[op.id] for op in rpu]), tuple([by_id[op.id] for op in host]), mode))
-    return tuple(out)
-
-
-#: Per transform, steps compiled against one variant of a sequence rebound
-#: to another variant under the same transform.  Transforms keep every query
-#: and op id, so only the objects carrying sizes and selectivities change.
-_REBINDS = {
-    "scale": _rescaled_steps,
-    "selectivity": _reselected_steps,
-    "gap": _same_steps,
-}
+VARIABLES = tuple(_TRANSFORMS)
 
 
 @dataclass(frozen=True)
@@ -97,6 +69,8 @@ class SweepSpec:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if not self.strategies:
             raise ValueError("strategies must not be empty")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ValueError(f"strategies must not repeat, got {', '.join(map(str, self.strategies))}")
         # the grid rises monotonically, so a finite last point bounds them all
         if not math.isfinite(self._point(self.steps - 1)):
             raise ValueError(
@@ -122,10 +96,10 @@ class SweepRow:
 def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> list[SweepRow]:
     """Evaluate each strategy at every grid point, improvements vs S.
 
-    Each strategy's plan is built, checked and lowered once; every grid
-    point re-costs those steps, rebound to its own variant of ``seq``.
+    Each strategy's plan is built and checked once; a grid point lowers the
+    plans again only when its variant of ``seq`` carries new queries.
     """
-    transform, rebind = _TRANSFORMS[spec.variable], _REBINDS[spec.variable]
+    transform = _TRANSFORMS[spec.variable]
     grid = spec.grid()
     # Plans depend on op ids, commutation and selectivity order only; no
     # transform changes those (a common selectivity ties every operator).
@@ -134,7 +108,8 @@ def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> li
     # point.
     first = transform(seq, grid[0])
     plans = [strategy_plan(first, s) for s in dict.fromkeys((Strategy.S, *spec.strategies))]
-    compiled = [(compile_plan(plan, first), plan.modes) for plan in plans]
+    lowered = [compile_plan(plan, first) for plan in plans]
+    queries = first.queries
     # positions, not a dict keyed by Strategy: Enum members hash slowly
     position = {plan.strategy: k for k, plan in enumerate(plans)}
     columns = [(strategy, position[strategy]) for strategy in spec.strategies]
@@ -143,7 +118,10 @@ def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> li
         # each point still builds its variant, so a value the model rejects
         # (say, a table size that overflows) fails at that point
         variant = first if i == 0 else transform(seq, value)
-        costs = [_fold(rebind(steps, variant), variant.gaps, modes, profile) for steps, modes in compiled]
+        if variant.queries is not queries:  # set_gaps keeps the query tuple
+            queries = variant.queries
+            lowered = [_lower(plan, variant) for plan in plans]
+        costs = [_fold(steps, variant.gaps, plan.modes, profile) for steps, plan in zip(lowered, plans)]
         baseline = costs[0]  # S
         for strategy, k in columns:
             breakdown = costs[k]

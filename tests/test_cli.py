@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -103,6 +104,18 @@ class TestSimulateCommand:
         assert "strategy: III" in out
         assert "makespan_ms: 58.360" in out
 
+    def test_unwritable_timeline_is_io_error_before_any_output(self, capsys, tmp_path):
+        assert main(["simulate", "--timeline", str(tmp_path / "nodir" / "t.csv")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "I/O error" in err
+
+    def test_timeline_line_comes_last(self, capsys, tmp_path):
+        timeline_path = tmp_path / "t.csv"
+        assert main(["simulate", "--timeline", str(timeline_path)]) == 0
+        assert capsys.readouterr().out == (
+            f"strategy: III\nmakespan_ms: 58.360\ntimeline: {timeline_path}\n"
+        )
+
 
 class TestSweepCommand:
     def test_csv_matches_library(self, capsys):
@@ -121,6 +134,35 @@ class TestSweepCommand:
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    # the README's four sweeps, byte for byte
+    @pytest.mark.parametrize(
+        "args, sha256",
+        [
+            (["scale", "--from", "1", "--to", "5", "--steps", "9", "--strategies", "I,II"],
+             "a0b6b8db6562f38cf9834d032ae5232a732a55ce16f717bbefb800219ffb6fbc"),
+            (["selectivity", "--from", "0", "--to", "1", "--steps", "21", "--strategies", "III,IV"],
+             "2dcaad4d28a272836f18b0fa8a1d064d690c35355c71469d430c1d114b2d0d67"),
+            (["selectivity", "--from", "0", "--to", "1", "--steps", "21", "--fix-scale", "3",
+              "--strategies", "III,IV"],
+             "d157a4ba8171cd9a17b84f6f829b3f1dc1458f5643674f26737fbb425f2484f3"),
+            (["gap", "--from", "0.5", "--to", "30", "--steps", "60", "--fix-scale", "3",
+              "--strategies", "III,IV"],
+             "141049918d0bf9813d47696e5ba1f44e9b4017411c5243bc61bbbd953b651eb3"),
+        ],
+        ids=["scale", "sel1", "sel3", "gap"],
+    )
+    def test_readme_sweeps_golden(self, tmp_path, args, sha256):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--sweep", *args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    def test_repeated_strategy_is_validation_error(self, capsys):
+        args = ["sweep", "--sweep", "gap", "--from", "0", "--to", "1", "--steps", "2",
+                "--strategies", "S,S,III"]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "strategies must not repeat" in err
 
     def test_bad_strategy_is_validation_error(self, capsys):
         args = ["sweep", "--sweep", "gap", "--from", "0", "--to", "1", "--steps", "2",

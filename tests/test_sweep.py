@@ -70,6 +70,8 @@ class TestSweepSpec:
             dict(variable="gap", start=-1e308, stop=1e308, steps=3, strategies=(Strategy.I,)),
             # a finite range whose last point rounds up to inf
             dict(variable="scale", start=0.0, stop=sys.float_info.max, steps=7, strategies=(Strategy.I,)),
+            # a repeated strategy would print its rows twice
+            dict(variable="gap", start=0.0, stop=1.0, steps=2, strategies=(Strategy.S, Strategy.S, Strategy.III)),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):

@@ -83,15 +83,23 @@ def test_plan_cost_constructs_no_phase_times(monkeypatch, paper_seq, profile):
 
 @pytest.mark.parametrize("variable, start, stop", [("scale", 0.5, 4.0), ("gap", 0.0, 30.0), ("selectivity", 0.0, 1.0)])
 def test_sweeps_build_each_plan_once(monkeypatch, paper_seq, profile, variable, start, stop):
-    """One build, one legality check and one lowering per distinct plan, not per grid point."""
+    """One build and one legality check per distinct plan, not per grid point.
+
+    A gap sweep keeps the query tuple, so it lowers each plan once; scale and
+    selectivity sweeps build new queries and lower each plan at every point.
+    """
+    by_strategy = lambda plan, seq: plan.strategy
     built = _counting(monkeypatch, rpusim.sweep, "strategy_plan", key=lambda seq, strategy: strategy)
-    checks = _counting(monkeypatch, rpusim.plans, "legality", key=lambda plan, seq: plan.strategy)
-    lowered = _counting(monkeypatch, rpusim.sweep, "compile_plan", key=lambda plan, seq: plan.strategy)
+    checks = _counting(monkeypatch, rpusim.plans, "legality", key=by_strategy)
+    # compile_plan lowers through plans._lower, later points through sweep._lower
+    lowered = [_counting(monkeypatch, module, "_lower", key=by_strategy) for module in (rpusim.plans, rpusim.sweep)]
     costed = _counting(monkeypatch, rpusim.cost, "compile_plan")
     spec = SweepSpec(variable, start, stop, 9, (Strategy.III, Strategy.S, Strategy.IV))
     assert len(run_sweep(paper_seq, profile, spec)) == 27
     once = Counter({Strategy.S: 1, Strategy.III: 1, Strategy.IV: 1})
-    assert built == checks == lowered == once
+    assert built == checks == once
+    lowerings = 1 if variable == "gap" else len(spec.grid())
+    assert lowered[0] + lowered[1] == Counter({s: lowerings for s in once})
     assert sum(costed.values()) == 0
 
 
