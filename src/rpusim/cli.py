@@ -8,7 +8,9 @@ numbers are printed with 3 decimals.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from .planner import choose_plan, costed_plans, generate_hints
 from .plans import strategy_plan
 from .simulate import simulate, timeline_csv
 from .sweep import VARIABLES, SweepSpec, run_sweep, scale_sequence, set_gaps, set_selectivity, sweep_csv
-from .workload import default_scenario, load_workload, save_workload
+from .workload import default_scenario, load_workload, workload_json
 
 
 def _parse_strategy(value: str, hints: bool) -> Strategy:
@@ -53,6 +55,31 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _write_all(texts: dict[str, str]) -> None:
+    """Write each path's text, having opened every path first.
+
+    When a path cannot be opened, nothing is written: the files opened
+    before it are closed unchanged (append mode truncates nothing), and
+    those this call created are removed again.
+    """
+    with contextlib.ExitStack() as opened:
+        files, created = [], []
+        try:
+            for path in texts:
+                existed = os.path.lexists(path)
+                files.append(opened.enter_context(open(path, "a", encoding="utf-8")))
+                if not existed:
+                    created.append(path)
+        except OSError:
+            opened.close()
+            for path in created:
+                os.remove(path)
+            raise
+        for f, text in zip(files, texts.values()):
+            f.truncate(0)
+            f.write(text)
+
+
 def _print_cost(plan: Plan, breakdown: CostBreakdown) -> None:
     print(f"strategy: {plan.strategy}")
     print(f"total_ms: {breakdown.total:.3f}")
@@ -67,7 +94,11 @@ def _cmd_cost(args) -> int:
         _print_cost(plan, plan_cost(seq, plan, profile))
         return 0
     rows = costed_plans(seq, profile, hints_enabled=args.hints)
-    baseline = rows[0][1]  # S always applies and comes first
+    first, baseline = rows[0]
+    if first.strategy is not Strategy.S:
+        # S always applies and is the baseline, so costed_plans dropped it
+        # for overflowing; costing it again raises that error
+        plan_cost(seq, strategy_plan(seq, Strategy.S), profile)
     # all rows before any output, so a saving that overflows prints nothing
     lines = [
         f"{str(plan.strategy):<4} total_ms {breakdown.total:>10.3f}  "
@@ -135,18 +166,24 @@ def _cmd_mine(args) -> int:
     mined = mine_sequences(
         log, min_support=args.min_support, max_len=args.max_len, max_gap=args.max_gap
     )
-    # the workload is built and saved before any other output, so a bad
-    # catalog or an unwritable --workload-out prints nothing and writes no report
+    # both files are built and opened before any output, so a bad catalog or
+    # an unwritable --workload-out or --out prints nothing and writes no file
+    texts = {}
     if args.workload_out:
         if not args.catalog:
             raise ValueError("--workload-out requires --catalog")
         catalog = parse_catalog(json.loads(Path(args.catalog).read_text(encoding="utf-8")))
         if not mined:
             raise ValueError("no recurring sequence found, nothing to emit")
-        save_workload(args.workload_out, to_workload(mined[0], catalog))
-    _write(args.out, report_csv(mined))
+        texts[args.workload_out] = workload_json(to_workload(mined[0], catalog))
+    report = report_csv(mined)
+    if args.out:
+        texts[args.out] = report
+    _write_all(texts)
     if args.out:
         print(f"report: {args.out} ({len(mined)} sequences)")
+    else:
+        sys.stdout.write(report)
     used = {tid for m in mined for tid in m.templates}
     first: dict[str, str] = {}
     for entry in log:

@@ -24,6 +24,10 @@ leaves.  :func:`plan_cost` is a fold over it; the device policy
 (:func:`rpusim.planner.rpu_policy`) weighs its two options with the same
 two functions.  Per-query times are reported only when every boundary is
 BASELINE, because only then does the total decompose per query.
+
+:func:`plan_cost` keeps each breakdown in the sequence's memo by
+``(plan, profile)``, so on one sequence object a plan is costed once per
+device profile; a total that overflows is not kept.
 """
 
 from __future__ import annotations
@@ -157,8 +161,15 @@ def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBre
     The clock runs from the first query's arrival to the last query's
     completion (final transfer plus any host filtering), gaps included.
     The first query arrives at a BASELINE boundary with no tail and no gap.
+    The breakdown is kept in the sequence's memo by ``(plan, profile)``;
+    a total that overflows is not kept and raises on every call.
     """
-    return _fold(compile_plan(plan, seq), seq.gaps, plan.modes, profile)
+    memo = seq._memo
+    key = (plan, profile)
+    breakdown = memo.get(key)
+    if breakdown is None:
+        breakdown = memo[key] = _fold(compile_plan(plan, seq), seq.gaps, plan.modes, profile)
+    return breakdown
 
 
 def _fold(

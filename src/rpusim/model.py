@@ -77,6 +77,10 @@ class Mode(Enum):
     HOLD = "hold"
     SPECULATIVE = "speculative"
 
+    # Members are singletons: hash by identity, in C, not by name, so a
+    # plan's modes hash without a Python call per boundary.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class DeviceProfile:
@@ -168,15 +172,25 @@ class QuerySequence:
     A sequence is valid by construction: building one that breaks a model
     invariant raises :class:`InvalidSequenceError` listing every violation,
     so code that receives a ``QuerySequence`` need not check it again.
+
+    ``_memo`` holds the planning work done for this sequence object, so each
+    plan is built, checked, lowered and costed at most once per object (see
+    :mod:`rpusim.plans` and :mod:`rpusim.cost`).  Keys: a ``Strategy`` maps
+    to its plan, or ``None`` when it is not applicable; a ``Plan`` to its
+    compiled steps; a ``(Plan, DeviceProfile)`` pair to its cost breakdown.
+    Failures are not kept.  Equality, hashing, ``repr`` and
+    ``dataclasses.replace`` ignore the memo; every new object starts empty.
     """
 
     queries: tuple[Query, ...]
     gaps: tuple[float, ...]
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "queries", tuple(self.queries))
         object.__setattr__(self, "gaps", tuple(float(g) for g in self.gaps))
         require_valid(self)
+        object.__setattr__(self, "_memo", {})
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .cost import CostBreakdown, boundary, plan_cost, step_cost
+from .errors import NonFiniteResultError
 from .model import DeviceProfile, HINT_STRATEGIES, STRATEGY_ORDER, Mode, Plan, QuerySequence
-from .plans import Step, enumerate_plans, require_legal, shared_accelerators
+from .plans import Step, compile_plan, enumerate_plans, shared_accelerators
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,24 @@ def costed_plans(
     profile: DeviceProfile,
     hints_enabled: bool = True,
 ) -> list[tuple[Plan, CostBreakdown]]:
-    """Every applicable plan with its cost, in strategy order (S first).
+    """Every applicable plan with a finite cost, in strategy order.
 
     Disabling hints removes strategies II, III, and IV from the candidates.
+    A candidate whose total overflows is dropped, as an inapplicable one is;
+    only when no candidate is finite does the first overflow's
+    :class:`NonFiniteResultError` propagate.
     """
     strategies = [s for s in STRATEGY_ORDER if hints_enabled or s not in HINT_STRATEGIES]
-    return [(plan, plan_cost(seq, plan, profile)) for plan in enumerate_plans(seq, strategies)]
+    rows: list[tuple[Plan, CostBreakdown]] = []
+    overflow: NonFiniteResultError | None = None
+    for plan in enumerate_plans(seq, strategies):
+        try:
+            rows.append((plan, plan_cost(seq, plan, profile)))
+        except NonFiniteResultError as exc:
+            overflow = overflow or exc
+    if not rows and overflow is not None:
+        raise overflow
+    return rows
 
 
 def choose_plan(
@@ -71,9 +84,10 @@ def generate_hints(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> li
 
     Each hint names the shared accelerators in the successor's streaming
     order and carries the pair's expected gap and the successor's scan-time
-    estimate.
+    estimate.  The plan is checked through :func:`compile_plan`, so a plan
+    the sequence has already compiled is not checked again.
     """
-    require_legal(plan, seq)
+    compile_plan(plan, seq)
     shared = shared_accelerators(seq)
     hints: list[Hint] = []
     for i, succ in enumerate(seq.queries[1:]):

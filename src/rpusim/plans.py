@@ -5,9 +5,14 @@ the operators the device streams and their order (the rest run on the host),
 and names one :class:`Mode` per query boundary.  The builders set the modes
 directly: II holds at every boundary, III reloads speculatively at every
 boundary where that loads an accelerator, and every other boundary is
-baseline.  :func:`compile_plan` checks a plan once and lowers it into
-per-query :class:`Step` records; costing (:mod:`rpusim.cost`) and scheduling
+baseline.  :func:`compile_plan` checks a plan and lowers it into per-query
+:class:`Step` records; costing (:mod:`rpusim.cost`) and scheduling
 (:mod:`rpusim.simulate`) walk those steps.
+
+Both are kept in the sequence's memo (``QuerySequence._memo``), so on one
+sequence object each strategy's plan is built at most once (a strategy
+that does not apply is recorded too) and each plan is checked and lowered
+at most once, by plan value.  A plan that fails its check is not kept.
 
 Generalization beyond two queries: each strategy applies its device trick at
 every adjacent pair where it fits (I/II split every non-final query with at
@@ -18,6 +23,7 @@ first).  Boundaries where the trick does not fit behave like the baseline.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from .errors import IllegalPlanError
@@ -142,14 +148,25 @@ def strategy_plan(seq: QuerySequence, strategy: Strategy) -> Plan:
 
 
 def enumerate_plans(seq: QuerySequence, strategies: Iterable[Strategy] = STRATEGY_ORDER) -> list[Plan]:
-    """The applicable plans of ``strategies`` (default: all), in that order."""
-    local = _local_ids(seq)
+    """The applicable plans of ``strategies`` (default: all), in that order.
+
+    Each strategy is built at most once per sequence object: its plan, or
+    that it is not applicable, is kept in the sequence's memo.
+    """
+    memo = seq._memo
+    local = None
     plans = []
     for strategy in strategies:
-        try:
-            plans.append(_build(seq, strategy, local))
-        except IllegalPlanError:
-            continue
+        if strategy not in memo:
+            if local is None:
+                local = _local_ids(seq)
+            try:
+                memo[strategy] = _build(seq, strategy, local)
+            except IllegalPlanError:
+                memo[strategy] = None
+        plan = memo[strategy]
+        if plan is not None:
+            plans.append(plan)
     return plans
 
 
@@ -212,14 +229,37 @@ class Step(NamedTuple):
 
 
 def compile_plan(plan: Plan, seq: QuerySequence) -> tuple[Step, ...]:
-    """Check a plan once and lower it into per-query steps."""
-    return _lower(require_legal(plan, seq), seq)
+    """Check a plan and lower it into per-query steps.
+
+    The steps are kept in the sequence's memo by plan value, so a plan is
+    checked and lowered at most once per sequence object.  An illegal plan
+    is not kept: it raises :class:`IllegalPlanError` on every call.
+    """
+    memo = seq._memo
+    steps = memo.get(plan)
+    if steps is None:
+        steps = memo[plan] = _lower(require_legal(plan, seq), seq)
+    return steps
 
 
 def _lower(plan: Plan, seq: QuerySequence) -> tuple[Step, ...]:
-    """Lower a plan already checked against ``seq``'s query and op ids."""
+    """Lower a plan already checked against ``seq``'s query and op ids.
+
+    Once ``seq`` has lowered its S plan, a query of another plan whose RPU
+    order is the very same tuple object, at the same boundary mode, reuses
+    S's step: most of III's and IV's steps, and some of I's.
+    """
+    memo = seq._memo
+    s_plan = memo.get(Strategy.S)
+    like = memo.get(s_plan) if s_plan is not None else None
+    like_orders, like_steps = (s_plan.rpu_order, like) if like is not None else (repeat(None), repeat(None))
     steps = []
-    for q, order, mode in zip(seq.queries, plan.rpu_order, (Mode.BASELINE, *plan.modes)):
+    for q, order, mode, like_order, like_step in zip(
+        seq.queries, plan.rpu_order, (Mode.BASELINE, *plan.modes), like_orders, like_steps
+    ):
+        if order is like_order and mode is like_step.mode:
+            steps.append(like_step)
+            continue
         # legal orders list distinct ops of the query, so equal lengths
         # mean every op is pushed down
         host = () if len(order) == len(q.ops) else tuple([op for op in q.ops if op.id not in order])

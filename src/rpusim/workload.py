@@ -178,8 +178,13 @@ def workload_dict(seq: QuerySequence, profile: DeviceProfile | None = None) -> d
     return doc
 
 
+def workload_json(seq: QuerySequence, profile: DeviceProfile | None = None) -> str:
+    """The text :func:`save_workload` writes."""
+    return json.dumps(workload_dict(seq, profile), indent=2) + "\n"
+
+
 def save_workload(path: str | Path, seq: QuerySequence, profile: DeviceProfile | None = None) -> None:
-    Path(path).write_text(json.dumps(workload_dict(seq, profile), indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(workload_json(seq, profile), encoding="utf-8")
 
 
 def default_scenario() -> QuerySequence:

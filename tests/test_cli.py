@@ -338,6 +338,33 @@ class TestMineCommand:
         assert out == "" and "I/O error" in err
         assert not report.exists()
 
+    def test_unwritable_out_is_io_error_before_any_output(self, tmp_path, capsys):
+        log = tmp_path / "queries.log"
+        log.write_text("\n".join(planted_log_lines()) + "\n", encoding="utf-8")
+        catalog_path = tmp_path / "catalog.json"
+        catalog_path.write_text(json.dumps(catalog_doc()), encoding="utf-8")
+        workload = tmp_path / "w.json"
+
+        def mine(report):
+            return main(["mine", "--log", str(log), "--min-support", "5", "--max-len", "2", "--max-gap", "50",
+                         "--out", str(report), "--catalog", str(catalog_path), "--workload-out", str(workload)])
+
+        assert mine(tmp_path / "nodir" / "r.csv") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "I/O error" in err
+        assert not workload.exists()
+        # a file that was already there is left as it was
+        workload.write_text("kept", encoding="utf-8")
+        assert mine(tmp_path / "nodir" / "r.csv") == 2
+        assert workload.read_text(encoding="utf-8") == "kept"
+        # and overwritten in full once both paths can be written
+        report = tmp_path / "r.csv"
+        report.write_text("x" * 10_000, encoding="utf-8")
+        assert mine(report) == 0
+        assert report.read_text(encoding="utf-8").startswith("templates,")
+        assert "x" not in report.read_text(encoding="utf-8")
+        assert main(["plan", "--workload", str(workload)]) == 0
+
     def test_log_line_breaks_inside_query_text_are_kept(self, tmp_path, capsys):
         """A U+2028 inside a string literal does not end the log line."""
         lines = planted_log_lines()

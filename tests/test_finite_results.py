@@ -32,12 +32,14 @@ from rpusim import (
     SweepSpec,
     TableSpec,
     choose_plan,
+    costed_plans,
     default_scenario,
     enumerate_plans,
     improvement,
     plan_cost,
     run_sweep,
     save_workload,
+    scale_sequence,
     set_gaps,
     simulate,
     strategy_plan,
@@ -48,6 +50,9 @@ TINY_NETWORK = DeviceProfile(15.0, 1.0, 1.5, 1e-320, 0.03)
 # with no gap, every plan's total is finite, but S costs about 1e-299 ms
 # and I about 3e300 ms (host filtering), so I's saving over S overflows
 COSTLY_HOST = DeviceProfile(1e-300, 1e300, 1e300, 1e300, 1e300)
+# with the default scenario scaled by 1e8, S, III and IV push everything
+# down and cost about 3.6e9 ms, but I and II's host filtering overflows
+HUGE_HOST_COST = DeviceProfile(15.0, 1.0, 1.5, 0.08, 1e300)
 
 
 def _run_cli(args: list[str]) -> tuple[int, str]:
@@ -78,6 +83,49 @@ class TestOverflowReproductions:
             simulate(seq, plan, TINY_NETWORK)
         with pytest.raises(NonFiniteResultError):
             choose_plan(seq, TINY_NETWORK)
+
+    def test_overflowing_candidate_is_dropped_when_another_is_finite(self):
+        # S and III stream everything; I's host filtering overflows
+        seq = scale_sequence(default_scenario(), 1e8)
+        plan, breakdown = choose_plan(seq, HUGE_HOST_COST)
+        assert plan.strategy is Strategy.S
+        assert breakdown.total == pytest.approx(3.636e9, rel=1e-3)
+        strategies = [p.strategy for p, _ in costed_plans(seq, HUGE_HOST_COST)]
+        assert strategies == [Strategy.S, Strategy.III, Strategy.IV]
+        assert all(math.isfinite(c.total) for _, c in costed_plans(seq, HUGE_HOST_COST))
+        # hints off leaves S alone
+        assert [p.strategy for p, _ in costed_plans(seq, HUGE_HOST_COST, hints_enabled=False)] == [Strategy.S]
+
+    def test_no_finite_candidate_raises(self):
+        seq = default_scenario()
+        for hints in (True, False):
+            with pytest.raises(NonFiniteResultError, match="plan cost overflows"):
+                costed_plans(seq, TINY_NETWORK, hints_enabled=hints)
+
+    @pytest.mark.parametrize("args", [["plan"], ["simulate"], ["cost"]], ids=" ".join)
+    def test_cli_auto_skips_an_overflowing_candidate(self, args, tmp_path):
+        workload = tmp_path / "w.json"
+        save_workload(workload, scale_sequence(default_scenario(), 1e8), HUGE_HOST_COST)
+        rc, out = _run_cli([*args, "--workload", str(workload)])
+        assert rc == 0
+        _assert_no_non_finite(out)
+        assert "3636041682.667" in out
+        if args == ["cost"]:
+            assert [line.split()[0] for line in out.splitlines()] == ["S", "III", "IV", "best:"]
+
+    def test_cost_auto_exits_1_when_its_baseline_s_overflows(self, tmp_path):
+        # streaming 9 MB takes 1.4e308 ms: S streams Q0 through two
+        # accelerators and overflows, I and II stream it through one
+        seq = default_scenario()
+        profile = DeviceProfile(15.0, 1.0, 9.0 / 1.4e308, 0.08, 0.03)
+        with pytest.raises(NonFiniteResultError):
+            plan_cost(seq, strategy_plan(seq, Strategy.S), profile)
+        assert [p.strategy for p, _ in costed_plans(seq, profile)] == [Strategy.I, Strategy.II]
+        workload = tmp_path / "w.json"
+        save_workload(workload, seq, profile)
+        rc, out = _run_cli(["cost", "--workload", str(workload)])
+        assert (rc, out) == (1, "")
+        assert _run_cli(["plan", "--workload", str(workload)])[0] == 0
 
     @pytest.mark.parametrize(
         "args",

@@ -2,9 +2,13 @@
 
 Each test counts calls by wrapping a module-level name with ``monkeypatch``,
 so the guards do not depend on wall-clock time.  They pin the work the
-pipeline does once per call (one local order per query, one plan per
-strategy and sweep) and the checks it must keep doing (one legality check
-per public engine call).
+pipeline does once (one local order per query per enumeration, one plan per
+strategy and sweep) and the checks it must keep doing.  A sequence object
+memoizes its planning work, so on one sequence each strategy's plan is
+built once, each plan is checked and lowered once, and each plan is costed
+once per profile: a public engine call runs one legality check for a plan
+that sequence has not compiled yet, and the whole planning pipeline runs
+one check and one cost fold per distinct plan.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from rpusim import (
     run_sweep,
     simulate,
 )
+from conftest import canonical_sequence
 from test_engine_agreement import random_sequence
 from test_miner import A_ID, B_ID, C_ID, planted_log_lines
 
@@ -55,9 +60,14 @@ def test_choose_plan_builds_only_candidate_plans(monkeypatch, paper_seq, profile
     # every strategy applies to the paper's scenario
     assert len(enumerate_plans(paper_seq)) == len(Strategy)
     plans = _counting(monkeypatch, rpusim.plans, "Plan", key=lambda strategy, *rest: strategy)
-    choose_plan(paper_seq, profile, hints_enabled=hints_enabled)
+    # a fresh sequence: paper_seq's memo already holds every plan
+    choose_plan(canonical_sequence(), profile, hints_enabled=hints_enabled)
     assert set(plans) == built
     assert all(count == 1 for count in plans.values())
+    # the same sequence object builds nothing again
+    plans.clear()
+    choose_plan(paper_seq, profile, hints_enabled=hints_enabled)
+    assert not plans
 
 
 def test_local_order_runs_once_per_query_per_enumeration(monkeypatch):
@@ -123,15 +133,20 @@ def test_legality_runs_once_per_engine_call(monkeypatch, paper_seq, profile, cal
 
 def test_planning_pipeline_checks_every_plan_it_receives(monkeypatch, paper_seq, profile):
     """Hints on (5 plans), hints off (S and I), then hints and simulate of the
-    chosen plan: 9 legality checks and 7 costings, none skipped."""
-    checks = _counting(monkeypatch, rpusim.plans, "legality")
-    costed = _counting(monkeypatch, rpusim.planner, "plan_cost")
+    chosen plan, all on one sequence object: one legality check, one lowering
+    and one cost fold per distinct plan, none skipped."""
+    by_plan = lambda plan, seq: plan
+    checks = _counting(monkeypatch, rpusim.plans, "legality", key=by_plan)
+    lowered = _counting(monkeypatch, rpusim.plans, "_lower", key=by_plan)
+    folds = _counting(monkeypatch, rpusim.cost, "_fold")
     plan, _ = choose_plan(paper_seq, profile, hints_enabled=True)
     choose_plan(paper_seq, profile, hints_enabled=False)
     generate_hints(paper_seq, plan, profile)
     simulate(paper_seq, plan, profile)
-    assert sum(checks.values()) == 9
-    assert sum(costed.values()) == 7
+    distinct = enumerate_plans(paper_seq)
+    assert len(distinct) == 5
+    assert checks == lowered == Counter(dict.fromkeys(distinct, 1))
+    assert sum(folds.values()) == 5
 
 
 def test_mine_fingerprints_each_line_once(monkeypatch, tmp_path, capsys):
