@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -60,7 +61,9 @@ def _write_all(texts: dict[str, str]) -> None:
 
     When a path cannot be opened, nothing is written: the files opened
     before it are closed unchanged (append mode truncates nothing), and
-    those this call created are removed again.
+    those this call created are removed again.  Only a regular file is
+    truncated before its write; a device or pipe such as ``/dev/null``
+    cannot be.
     """
     with contextlib.ExitStack() as opened:
         files, created = [], []
@@ -76,7 +79,8 @@ def _write_all(texts: dict[str, str]) -> None:
                 os.remove(path)
             raise
         for f, text in zip(files, texts.values()):
-            f.truncate(0)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate(0)
             f.write(text)
 
 
@@ -96,8 +100,8 @@ def _cmd_cost(args) -> int:
     rows = costed_plans(seq, profile, hints_enabled=args.hints)
     first, baseline = rows[0]
     if first.strategy is not Strategy.S:
-        # S always applies and is the baseline, so costed_plans dropped it
-        # for overflowing; costing it again raises that error
+        # S, the baseline, always applies, so it was dropped for overflowing:
+        # costing it again raises that error
         plan_cost(seq, strategy_plan(seq, Strategy.S), profile)
     # all rows before any output, so a saving that overflows prints nothing
     lines = [

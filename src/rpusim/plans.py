@@ -23,7 +23,6 @@ first).  Boundaries where the trick does not fit behave like the baseline.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from .errors import IllegalPlanError
@@ -243,23 +242,9 @@ def compile_plan(plan: Plan, seq: QuerySequence) -> tuple[Step, ...]:
 
 
 def _lower(plan: Plan, seq: QuerySequence) -> tuple[Step, ...]:
-    """Lower a plan already checked against ``seq``'s query and op ids.
-
-    Once ``seq`` has lowered its S plan, a query of another plan whose RPU
-    order is the very same tuple object, at the same boundary mode, reuses
-    S's step: most of III's and IV's steps, and some of I's.
-    """
-    memo = seq._memo
-    s_plan = memo.get(Strategy.S)
-    like = memo.get(s_plan) if s_plan is not None else None
-    like_orders, like_steps = (s_plan.rpu_order, like) if like is not None else (repeat(None), repeat(None))
+    """Lower a plan already checked against ``seq``'s query and op ids."""
     steps = []
-    for q, order, mode, like_order, like_step in zip(
-        seq.queries, plan.rpu_order, (Mode.BASELINE, *plan.modes), like_orders, like_steps
-    ):
-        if order is like_order and mode is like_step.mode:
-            steps.append(like_step)
-            continue
+    for q, order, mode in zip(seq.queries, plan.rpu_order, (Mode.BASELINE, *plan.modes)):
         # legal orders list distinct ops of the query, so equal lengths
         # mean every op is pushed down
         host = () if len(order) == len(q.ops) else tuple([op for op in q.ops if op.id not in order])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 
 import pytest
@@ -364,6 +365,30 @@ class TestMineCommand:
         assert report.read_text(encoding="utf-8").startswith("templates,")
         assert "x" not in report.read_text(encoding="utf-8")
         assert main(["plan", "--workload", str(workload)]) == 0
+
+    def test_out_to_a_device_is_written_like_a_file(self, tmp_path, capsys):
+        """A device such as /dev/null cannot be truncated; it is written all the same."""
+        log = tmp_path / "queries.log"
+        log.write_text("\n".join(planted_log_lines()) + "\n", encoding="utf-8")
+        catalog_path = tmp_path / "catalog.json"
+        catalog_path.write_text(json.dumps(catalog_doc()), encoding="utf-8")
+        workload = tmp_path / "w.json"
+        base = ["mine", "--log", str(log), "--min-support", "5", "--max-len", "2", "--max-gap", "50"]
+        assert main(base + ["--out", str(tmp_path / "r.csv"), "--catalog", str(catalog_path),
+                            "--workload-out", str(workload)]) == 0
+        expected_out = capsys.readouterr().out
+        expected_workload = workload.read_text(encoding="utf-8")
+        workload.unlink()
+
+        assert main(base + ["--out", os.devnull, "--catalog", str(catalog_path),
+                            "--workload-out", str(workload)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == expected_out.replace(str(tmp_path / "r.csv"), os.devnull)
+        assert workload.read_text(encoding="utf-8") == expected_workload
+        assert main(base + ["--out", str(tmp_path / "r2.csv"), "--catalog", str(catalog_path),
+                            "--workload-out", os.devnull]) == 0
+        assert (tmp_path / "r2.csv").read_text(encoding="utf-8") == (tmp_path / "r.csv").read_text(encoding="utf-8")
 
     def test_log_line_breaks_inside_query_text_are_kept(self, tmp_path, capsys):
         """A U+2028 inside a string literal does not end the log line."""

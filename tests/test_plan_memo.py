@@ -135,14 +135,3 @@ def test_memoized_results_equal_a_fresh_sequence_bit_for_bit():
             checked += 1
     assert checked > 1200
 
-
-def test_plans_lowered_after_s_reuse_its_steps_where_they_match(paper_seq):
-    s, i, ii, iii, iv = enumerate_plans(paper_seq)
-    s_steps = compile_plan(s, paper_seq)
-    assert iii.rpu_order is s.rpu_order and iii.modes == (Mode.SPECULATIVE,)
-    iii_steps = compile_plan(iii, paper_seq)
-    # the first query arrives at BASELINE in both; the second's mode differs
-    assert iii_steps[0] is s_steps[0] and iii_steps[1] is not s_steps[1]
-    # the same steps as lowering III first, on a sequence that lowered no S
-    for plan in (i, ii, iii, iv):
-        assert compile_plan(plan, paper_seq) == compile_plan(plan, canonical_sequence())
