@@ -49,13 +49,6 @@ def _load(args) -> tuple[QuerySequence, DeviceProfile]:
     return default_scenario(), calibrated_profile()
 
 
-def _write(path: str | None, text: str) -> None:
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _write_all(texts: dict[str, str]) -> None:
     """Write each path's text, having opened every path first.
 
@@ -138,7 +131,7 @@ def _cmd_simulate(args) -> int:
     lines = [f"strategy: {plan.strategy}", f"makespan_ms: {timeline.makespan:.3f}"]
     if args.timeline:
         # written before any output, so an unwritable path prints nothing
-        Path(args.timeline).write_text(timeline_csv(timeline), encoding="utf-8")
+        _write_all({args.timeline: timeline_csv(timeline)})
         lines.append(f"timeline: {args.timeline}")
     print("\n".join(lines))
     return 0
@@ -160,8 +153,11 @@ def _cmd_sweep(args) -> int:
         steps=args.steps,
         strategies=strategies,
     )
-    rows = run_sweep(seq, profile, spec)
-    _write(args.out, sweep_csv(rows))
+    text = sweep_csv(run_sweep(seq, profile, spec))
+    if args.out:
+        _write_all({args.out: text})
+    else:
+        sys.stdout.write(text)
     return 0
 
 

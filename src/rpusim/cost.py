@@ -18,9 +18,11 @@ A sequence total is assembled left to right out of three kinds of segments:
   successor's arrival; the boundary's mode (:class:`rpusim.model.Mode`)
   decides what the successor's leading reconfiguration hides behind.
 
-:func:`boundary` is the one place the three modes are costed, and
-:func:`step_cost` costs one compiled step from the state its predecessor
-leaves.  :func:`plan_cost` is a fold over it; the device policy
+:func:`order_facts` gives a query's scan, body and tail under one operator
+order; they do not depend on what the PR holds.  :func:`boundary` is the
+one place the three modes are costed: it joins a query to the state its
+predecessor leaves.  :func:`plan_cost` is a fold of ``order_facts`` plus
+``boundary`` over the compiled steps; the device policy
 (:func:`rpusim.planner.rpu_policy`) weighs its two options with the same
 two functions.  Per-query times are reported only when every boundary is
 BASELINE, because only then does the total decompose per query.
@@ -126,25 +128,21 @@ def boundary(mode: Mode, lead: float, scan: float, prev_tail: float, gap: float)
     return max(lead, prev_tail + gap + scan)  # SPECULATIVE
 
 
-def step_cost(
-    step: Step, loaded: str | None, prev_tail: float, gap: float, profile: DeviceProfile
+def order_facts(
+    query: Query, rpu: Sequence[FilterOp], host: Sequence[FilterOp], profile: DeviceProfile
 ) -> tuple[float, float, float]:
-    """What one compiled step adds to a sequence total.
+    """What one query costs under one operator order, whatever the PR holds.
 
-    ``loaded`` is the accelerator the PR holds when the step's query
-    arrives.  Returns the ms the step adds before its tail (its boundary
-    with the predecessor, then its body), its tail (transfer plus host
-    work), and its own head plus body.
+    Returns its table scan, its body (every accelerator's execution, and
+    the reconfiguration of each after the first: the first one's is the
+    boundary's ``lead``) and its tail (transfer plus host work).
     """
-    q, rpu, host, mode = step
-    t_reconfig = profile.t_reconfig
-    size = q.table.size_mb
+    size = query.table.size_mb
     scan = size / profile.r_scan
-    lead = t_reconfig if rpu and loaded != rpu[0].id else 0.0
     body = 0.0
     for k, op in enumerate(rpu):
         if k > 0:
-            body += t_reconfig
+            body += profile.t_reconfig
         body += size / profile.r_acc
         size *= op.selectivity
     trans = size / profile.r_network
@@ -152,7 +150,7 @@ def step_cost(
     for op in host:
         dbms += profile.c_dbms * size
         size *= op.selectivity
-    return boundary(mode, lead, scan, prev_tail, gap) + body, trans + dbms, max(lead, scan) + body
+    return scan, body, trans + dbms
 
 
 def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBreakdown:
@@ -168,28 +166,28 @@ def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBre
     key = (plan, profile)
     breakdown = memo.get(key)
     if breakdown is None:
-        breakdown = memo[key] = _fold(compile_plan(plan, seq), seq.gaps, plan.modes, profile)
+        breakdown = memo[key] = _fold(compile_plan(plan, seq), seq.gaps, profile)
     return breakdown
 
 
-def _fold(
-    steps: Sequence[Step], gaps: Sequence[float], modes: Sequence[Mode], profile: DeviceProfile
-) -> CostBreakdown:
+def _fold(steps: Sequence[Step], gaps: Sequence[float], profile: DeviceProfile) -> CostBreakdown:
     """:func:`plan_cost` of a plan already compiled into ``steps``; ``gaps``
-    are the sequence's and ``modes`` the plan's.  Raises
-    :class:`NonFiniteResultError` when the total overflows."""
-    separable = modes.count(_BASELINE) == len(modes)
+    are the sequence's.  Raises :class:`NonFiniteResultError` when the total
+    overflows."""
+    t_reconfig = profile.t_reconfig
+    separable = all(step.mode is _BASELINE for step in steps)
     total = prev_tail = 0.0
     per_query: list[tuple[str, float]] = []
     loaded: str | None = None
-    for step, gap in zip(steps, (0.0, *gaps)):
-        added, tail, own = step_cost(step, loaded, prev_tail, gap, profile)
-        total += added
+    for (q, rpu, host, mode), gap in zip(steps, (0.0, *gaps)):
+        scan, body, tail = order_facts(q, rpu, host, profile)
+        lead = t_reconfig if rpu and loaded != rpu[0].id else 0.0
+        total += boundary(mode, lead, scan, prev_tail, gap) + body
         if separable:
-            per_query.append((step.query.id, own + tail))
+            per_query.append((q.id, max(lead, scan) + body + tail))
         prev_tail = tail
-        if step.rpu:
-            loaded = step.rpu[-1].id
+        if rpu:
+            loaded = rpu[-1].id
     total += prev_tail
     if not math.isfinite(total):
         raise NonFiniteResultError(f"plan cost overflows: total {total!r} ms")

@@ -50,6 +50,9 @@ class Strategy(Enum):
     III = "III"
     IV = "IV"
 
+    # hash by identity, in C, as Mode does
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

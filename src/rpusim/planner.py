@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .cost import CostBreakdown, boundary, plan_cost, step_cost
+from .cost import CostBreakdown, boundary, order_facts, plan_cost
 from .errors import NonFiniteResultError
 from .model import DeviceProfile, HINT_STRATEGIES, STRATEGY_ORDER, Mode, Plan, QuerySequence
 from .plans import Step, compile_plan, enumerate_plans, shared_accelerators
@@ -122,22 +122,26 @@ def rpu_policy(
     if hint is None or not hint.next_accelerators:
         return ReconfigDecision(choice=ReconfigChoice.NONE)
     acc, gap, scan = hint.next_accelerators[0], hint.expected_gap, hint.expected_scan
-    _, tail, own = step_cost(running, loaded, 0.0, 0.0, profile)
-    t_speculative = own + boundary(Mode.SPECULATIVE, profile.t_reconfig, scan, tail, gap)
+    q, rpu, host, _ = running
+    t_reconfig = profile.t_reconfig
+    own_scan, body, tail = order_facts(q, rpu, host, profile)
+    lead = t_reconfig if rpu and loaded != rpu[0].id else 0.0
+    t_speculative = max(lead, own_scan) + body + boundary(Mode.SPECULATIVE, t_reconfig, scan, tail, gap)
     rationale = {
         "t_trans": tail,
         "expected_gap": gap,
         "expected_scan": scan,
         "lhs": tail + gap + scan,
-        "t_reconfig": profile.t_reconfig,
+        "t_reconfig": t_reconfig,
         "t_speculative": t_speculative,
     }
-    q, rpu = running.query, running.rpu
     kept = [op for op in rpu if op.id != acc]
     if q._all_commute and len(kept) < len(rpu):
-        swapped = running._replace(rpu=(*kept, q._ops_by_id[acc]))
-        _, tail, own = step_cost(swapped, loaded, 0.0, 0.0, profile)
-        rationale["t_swap"] = t_swap = own + boundary(Mode.BASELINE, 0.0, scan, tail, gap)
+        swapped = (*kept, q._ops_by_id[acc])
+        own_scan, body, tail = order_facts(q, swapped, host, profile)
+        lead = t_reconfig if loaded != swapped[0].id else 0.0
+        t_swap = max(lead, own_scan) + body + boundary(Mode.BASELINE, 0.0, scan, tail, gap)
+        rationale["t_swap"] = t_swap
         if t_swap <= t_speculative:
             return ReconfigDecision(choice=ReconfigChoice.SWAP, rationale=rationale)
     return ReconfigDecision(choice=ReconfigChoice.SPECULATIVE_LOAD, rationale=rationale)

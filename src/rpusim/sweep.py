@@ -110,9 +110,6 @@ def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> li
     plans = [strategy_plan(first, s) for s in dict.fromkeys((Strategy.S, *spec.strategies))]
     lowered = [compile_plan(plan, first) for plan in plans]
     queries = first.queries
-    # positions, not a dict keyed by Strategy: Enum members hash slowly
-    position = {plan.strategy: k for k, plan in enumerate(plans)}
-    columns = [(strategy, position[strategy]) for strategy in spec.strategies]
     rows: list[SweepRow] = []
     for i, value in enumerate(grid):
         # each point still builds its variant, so a value the model rejects
@@ -121,10 +118,10 @@ def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> li
         if variant.queries is not queries:  # set_gaps keeps the query tuple
             queries = variant.queries
             lowered = [_lower(plan, variant) for plan in plans]
-        costs = [_fold(steps, variant.gaps, plan.modes, profile) for steps, plan in zip(lowered, plans)]
-        baseline = costs[0]  # S
-        for strategy, k in columns:
-            breakdown = costs[k]
+        costs = {plan.strategy: _fold(steps, variant.gaps, profile) for steps, plan in zip(lowered, plans)}
+        baseline = costs[Strategy.S]
+        for strategy in spec.strategies:
+            breakdown = costs[strategy]
             rows.append(
                 SweepRow(
                     variable=spec.variable,

@@ -14,6 +14,9 @@ from rpusim import (
     calibrated_profile,
     default_scenario,
     run_sweep,
+    scale_sequence,
+    set_gaps,
+    set_selectivity,
     sweep_csv,
     workload_dict,
 )
@@ -110,6 +113,10 @@ class TestSimulateCommand:
         out, err = capsys.readouterr()
         assert out == "" and "I/O error" in err
 
+    def test_timeline_to_a_device_is_written_like_a_file(self, capsys):
+        assert main(["simulate", "--timeline", os.devnull]) == 0
+        assert capsys.readouterr().out.endswith(f"timeline: {os.devnull}\n")
+
     def test_timeline_line_comes_last(self, capsys, tmp_path):
         timeline_path = tmp_path / "t.csv"
         assert main(["simulate", "--timeline", str(timeline_path)]) == 0
@@ -127,6 +134,30 @@ class TestSweepCommand:
         spec = SweepSpec("scale", 1.0, 5.0, 5, (Strategy.I, Strategy.II))
         expected = sweep_csv(run_sweep(default_scenario(), calibrated_profile(), spec))
         assert out == expected
+
+    @pytest.mark.parametrize(
+        "flag, fix", [("--fix-scale", scale_sequence), ("--fix-selectivity", set_selectivity), ("--fix-gap", set_gaps)]
+    )
+    def test_fix_flag_presets_the_scenario(self, capsys, flag, fix):
+        args = ["sweep", "--sweep", "scale", "--from", "1", "--to", "3", "--steps", "3",
+                "--strategies", "I,III,IV"]
+        spec = SweepSpec("scale", 1.0, 3.0, 3, (Strategy.I, Strategy.III, Strategy.IV))
+        expected = sweep_csv(run_sweep(fix(default_scenario(), 0.5), calibrated_profile(), spec))
+        assert main(args + [flag, "0.5"]) == 0
+        assert capsys.readouterr().out == expected
+        assert main(args) == 0
+        assert capsys.readouterr().out != expected  # the flag changed the scenario
+
+    GAP = ["sweep", "--sweep", "gap", "--from", "0", "--to", "1", "--steps", "2"]
+
+    def test_unwritable_out_is_io_error_before_any_output(self, capsys, tmp_path):
+        assert main(self.GAP + ["--out", str(tmp_path / "nodir" / "s.csv")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "I/O error" in err
+
+    def test_out_to_a_device_is_written_like_a_file(self, capsys):
+        assert main(self.GAP + ["--out", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_deterministic_output_file(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -9,11 +9,13 @@ engines are checked on random legal plans that push down a random subset of
 each query's operators and pick a mode per boundary, as no single strategy
 does.  ``plan_cost`` is also pinned, bit for bit, to a fold of the public
 per-query ``phase_times`` report, and the device-side ``rpu_policy`` must
-pick the ``plan_cost`` argmin at every boundary where it can swap.
+pick the ``plan_cost`` argmin at every boundary where it can swap, with a
+rationale pinned bit for bit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -34,6 +36,7 @@ from rpusim import (
     compile_plan,
     default_scenario,
     enumerate_plans,
+    generate_hints,
     local_order,
     phase_times,
     plan_cost,
@@ -193,41 +196,71 @@ def test_plan_cost_equals_phase_times_fold_bit_for_bit():
     assert checked > 2400
 
 
-def test_rpu_policy_picks_the_cost_argmin_at_n_query_boundaries():
-    # every boundary where the all-commuting predecessor streams the
-    # successor's first accelerator before its last op: the device policy,
-    # given the accelerator loaded before the predecessor, must pick the
-    # cheaper of a SPECULATIVE reload there and the swapped order
-    checked = swaps = 0
+def policy_boundaries():
+    """Every boundary where the all-commuting predecessor streams the
+    successor's first accelerator before its last op, on 560 random
+    sequences: ``(seq, profile, S plan, boundary index, predecessor step,
+    hint, accelerator loaded before the predecessor)``."""
     for _, seq, profile in random_cases(2053, 560):
         local = strategy_plan(seq, Strategy.S)
         steps = compile_plan(local, seq)
         loaded = None
         for i, (pred, succ) in enumerate(zip(steps, steps[1:])):
-            ids = tuple(op.id for op in pred.rpu)
             acc = succ.rpu[0].id
-            if all(op.commutes for op in pred.query.ops) and acc in ids[:-1]:
-                modes = list(local.modes)
-                modes[i] = Mode.SPECULATIVE
-                speculative = Plan(Strategy.III, local.rpu_order, tuple(modes))
-                moved = tuple(op_id for op_id in ids if op_id != acc) + (acc,)
-                swapped = Plan(Strategy.IV, local.rpu_order[:i] + (moved,) + local.rpu_order[i + 1 :], local.modes)
-                t_speculative = plan_cost(seq, speculative, profile).total
-                t_swap = plan_cost(seq, swapped, profile).total
-
+            if all(op.commutes for op in pred.query.ops) and acc in tuple(op.id for op in pred.rpu)[:-1]:
                 hint = Hint((acc,), seq.gaps[i], succ.query.table.size_mb / profile.r_scan)
-                decision = rpu_policy(hint, pred, profile, loaded=loaded)
-                margin = decision.rationale["t_swap"] - decision.rationale["t_speculative"]
-                assert math.isclose(margin, t_swap - t_speculative, abs_tol=1e-9), (i, seq, profile)
-                if decision.choice is ReconfigChoice.SWAP:
-                    assert t_swap <= t_speculative + 1e-9, (i, seq, profile)
-                    swaps += 1
-                else:
-                    assert t_speculative <= t_swap + 1e-9, (i, seq, profile)
-                checked += 1
+                yield seq, profile, local, i, pred, hint, loaded
             if pred.rpu:
                 loaded = pred.rpu[-1].id
+
+
+def test_rpu_policy_picks_the_cost_argmin_at_n_query_boundaries():
+    # the device policy, given the accelerator loaded before the
+    # predecessor, must pick the cheaper of a SPECULATIVE reload there and
+    # the swapped order
+    checked = swaps = 0
+    for seq, profile, local, i, pred, hint, loaded in policy_boundaries():
+        acc = hint.next_accelerators[0]
+        modes = list(local.modes)
+        modes[i] = Mode.SPECULATIVE
+        speculative = Plan(Strategy.III, local.rpu_order, tuple(modes))
+        moved = tuple(op.id for op in pred.rpu if op.id != acc) + (acc,)
+        swapped = Plan(Strategy.IV, local.rpu_order[:i] + (moved,) + local.rpu_order[i + 1 :], local.modes)
+        t_speculative = plan_cost(seq, speculative, profile).total
+        t_swap = plan_cost(seq, swapped, profile).total
+
+        decision = rpu_policy(hint, pred, profile, loaded=loaded)
+        margin = decision.rationale["t_swap"] - decision.rationale["t_speculative"]
+        assert math.isclose(margin, t_swap - t_speculative, abs_tol=1e-9), (i, seq, profile)
+        if decision.choice is ReconfigChoice.SWAP:
+            assert t_swap <= t_speculative + 1e-9, (i, seq, profile)
+            swaps += 1
+        else:
+            assert t_speculative <= t_swap + 1e-9, (i, seq, profile)
+        checked += 1
     assert checked >= 300 and 0 < swaps < checked
+
+
+#: sha256 of every ``rpu_policy`` decision's choice and rationale, each
+#: value as ``float.hex``, over :func:`policy_boundaries` and every boundary
+#: of every strategy plan on the paper's scenario.
+RATIONALE_SHA256 = "00deff6787d0c63b73d3974d07e9f4704a65b27c334f8be7097e6f1f7a5ee37f"
+
+
+def test_rpu_policy_rationale_pinned_to_the_bit():
+    decisions = [
+        rpu_policy(hint, pred, profile, loaded=loaded)
+        for _, profile, _, _, pred, hint, loaded in policy_boundaries()
+    ]
+    seq, profile = default_scenario(), calibrated_profile()
+    for plan in enumerate_plans(seq):
+        steps = compile_plan(plan, seq)
+        for hint in generate_hints(seq, plan, profile):
+            decisions.append(rpu_policy(hint, steps[0], profile))  # two queries, one boundary
+    text = "\n".join(
+        f"{d.choice.value} " + " ".join(f"{k}={v.hex()}" for k, v in d.rationale.items()) for d in decisions
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == RATIONALE_SHA256
 
 
 #: ``float.hex`` of ``plan_cost`` totals and ``simulate`` makespans on the
