@@ -4,8 +4,9 @@ The simulator turns a plan (the operators each query pushes down, in
 streaming order, and one mode per query boundary) into phases on four
 resources plus an idle lane for gaps, starts each phase the moment its last
 dependency ends, and reports the resulting timeline.  Phases are placed in
-time as they are added, in one in-order pass; a phase names its
-dependencies by the positions at which they were added.  Scheduling rules:
+time in one in-order pass: a phase starts at its release time, the latest
+end among its dependencies, and its resource must be free then.
+Scheduling rules:
 
 * the table scan may run while the PR is being reconfigured;
 * an accelerator starts only once its reconfiguration, the query's scan, and
@@ -22,7 +23,9 @@ dependencies by the positions at which they were added.  Scheduling rules:
 * a query arrives its gap after the predecessor's completion.
 
 Zero-length phases are scheduled like any other but omitted from the
-emitted timeline.  A makespan that overflows to infinity is an error.
+emitted timeline.  The makespan is the latest time any resource becomes
+free, which is the largest phase end; one that overflows to infinity is an
+error.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter, le
+from typing import NamedTuple
 
 from .errors import NonFiniteResultError, SchedulingError
 from .model import DeviceProfile, Mode, Plan, QuerySequence, Violation
@@ -59,8 +63,7 @@ _SCAN, _PR, _NET, _DBMS, _IDLE = Resource.SCAN, Resource.PR, Resource.NET, Resou
 _BASELINE, _HOLD = Mode.BASELINE, Mode.HOLD
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(NamedTuple):
     resource: Resource
     label: str
     query: str
@@ -75,85 +78,67 @@ class Timeline:
 
 
 class _Schedule:
-    """Phases placed in time as they are added, in one in-order pass.
+    """Phases placed in time in one in-order pass.
 
-    Each phase starts when its last dependency ends; dependencies are the
-    positions :meth:`add` returned for earlier phases.  A phase of zero
-    length is scheduled like any other but not kept.
+    Each phase starts at the release time its caller computed, once its
+    resource is free.  A phase of zero length is not kept, but it still
+    sets its resource's free time.
     """
 
     def __init__(self) -> None:
-        self.ends: list[float] = []
         self.free_at: dict[Resource, float] = dict.fromkeys(Resource, 0.0)
         self.phases: list[Phase] = []
 
-    def add(self, resource: Resource, label: str, query: str, duration: float, deps: tuple[int, ...]) -> int:
-        ends, index = self.ends, len(self.ends)
-        if deps and not (0 <= min(deps) and max(deps) < index):
-            bad = next(dep for dep in deps if not 0 <= dep < index)
+    def place(self, resource: Resource, label: str, query: str, at: float, duration: float) -> float:
+        """Place a phase released at ``at`` and return its end."""
+        free_at = self.free_at
+        if free_at[resource] > at:
             raise SchedulingError(
-                f"{label} for {query} depends on task {bad}, "
-                f"which is not listed before task {index}"
-            )
-        at = max(map(ends.__getitem__, deps), default=0.0)
-        if self.free_at[resource] > at:
-            raise SchedulingError(
-                f"{resource.value} is busy until {self.free_at[resource]:.6f} ms "
+                f"{resource.value} is busy until {free_at[resource]:.6f} ms "
                 f"when {label} for {query} is released at {at:.6f} ms"
             )
-        end = at + duration
-        ends.append(end)
-        self.free_at[resource] = end
+        end = free_at[resource] = at + duration
         if end > at:
             self.phases.append(Phase(resource, label, query, at, end))
-        return index
+        return end
 
 
 def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline:
     """Execute the plan and return its timeline (phases plus makespan)."""
     schedule = _Schedule()
-    add = schedule.add
+    place = schedule.place
     loaded: str | None = None
-    prev_completion = prev_pr_free = -1  # set before any boundary reads them
+    arrival = tail = pr_free = 0.0  # the first query arrives at 0
 
-    for i, step in enumerate(compile_plan(plan, seq)):
-        q, rpu = step.query, step.rpu
-
-        arrival_dep: tuple[int, ...] = ()
+    for i, (q, rpu, host, mode) in enumerate(compile_plan(plan, seq)):
+        qid, size = q.id, q.table.size_mb
         if i > 0:
-            arrival_dep = (add(_IDLE, "gap", GAP_QUERY, seq.gaps[i - 1], (prev_completion,)),)
+            arrival = place(_IDLE, "gap", GAP_QUERY, tail, seq.gaps[i - 1])
 
-        lead: int | None = None
+        lead = 0.0  # with no leading reconfiguration, it raises no max() below
         if rpu and loaded != rpu[0].id:
-            deps = arrival_dep if step.mode is _BASELINE else (prev_pr_free,)
-            lead = add(_PR, "reconfig", q.id, profile.t_reconfig, deps)
+            lead = place(_PR, "reconfig", qid, arrival if mode is _BASELINE else pr_free, profile.t_reconfig)
+        scan = place(_SCAN, "scan", qid, max(arrival, lead) if mode is _HOLD else arrival, size / profile.r_scan)
 
-        scan_deps = arrival_dep
-        if step.mode is _HOLD and lead is not None:
-            scan_deps += (lead,)
-        scan = add(_SCAN, "scan", q.id, q.table.size_mb / profile.r_scan, scan_deps)
-
-        size = q.table.size_mb
-        prev_exec: int | None = None
-        for op in rpu:
-            if prev_exec is None:
-                deps = (scan,) if lead is None else (scan, lead)
+        work = scan
+        for k, op in enumerate(rpu):
+            if k == 0:
+                at = max(scan, lead)
             else:
-                deps = (scan, add(_PR, "reconfig", q.id, profile.t_reconfig, (prev_exec,)), prev_exec)
-            prev_exec = add(_PR, "acc-exec", q.id, size / profile.r_acc, deps)
+                at = max(scan, place(_PR, "reconfig", qid, work, profile.t_reconfig), work)
+            work = place(_PR, "acc-exec", qid, at, size / profile.r_acc)
             size *= op.selectivity
             loaded = op.id
 
-        pr_free = prev_exec if prev_exec is not None else scan
-        tail = add(_NET, "transfer", q.id, size / profile.r_network, (pr_free,))
-        for op in step.host:
-            tail = add(_DBMS, "dbms", q.id, profile.c_dbms * size, (tail,))
+        pr_free = work
+        tail = place(_NET, "transfer", qid, work, size / profile.r_network)
+        for op in host:
+            tail = place(_DBMS, "dbms", qid, tail, profile.c_dbms * size)
             size *= op.selectivity
 
-        prev_completion = tail
-        prev_pr_free = pr_free
-
-    makespan = max(schedule.ends, default=0.0)
+    # a phase starts no earlier than its resource is free and lasts >= 0,
+    # so each resource's free time is the largest end of its phases
+    makespan = max(schedule.free_at.values())
     if not math.isfinite(makespan):
         raise NonFiniteResultError(f"simulated makespan overflows: {makespan!r} ms")
     phases = schedule.phases

@@ -13,13 +13,23 @@ package's ``MiningError`` on empty text, as the original did.
 Shape covered: Q0 scans a table of ``s0`` MB through two filter accelerators
 (selectivities ``f0`` then ``f1``), Q1 scans ``s1`` MB through one filter
 (``f2``) whose accelerator is the same unit as Q0's first one.
+
+Last, it keeps the position-indexed simulator, verbatim, as
+``reference_simulate``: each phase names its dependencies by the positions
+at which earlier phases were added, and the makespan is the largest end.
+The simulator that carries each dependency as an end time must reproduce
+its timelines bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
-from rpusim.errors import MiningError
+from rpusim.errors import MiningError, NonFiniteResultError, SchedulingError
+from rpusim.model import DeviceProfile, Mode, Plan, QuerySequence
+from rpusim.plans import compile_plan
+from rpusim.simulate import GAP_QUERY, Phase, Resource, Timeline
 
 
 def strategy_totals(
@@ -120,3 +130,95 @@ def normalize_query(text: str) -> str:
         lambda m: m.group(0).lower() if m.group(0).lower() in _SQL_KEYWORDS else m.group(0),
         t,
     )
+
+
+_RANK = {r: rank for rank, r in enumerate(sorted(Resource, key=lambda r: r.value))}
+_SCAN, _PR, _NET, _DBMS, _IDLE = Resource.SCAN, Resource.PR, Resource.NET, Resource.DBMS, Resource.IDLE
+_BASELINE, _HOLD = Mode.BASELINE, Mode.HOLD
+
+
+class _Schedule:
+    """Phases placed in time as they are added, in one in-order pass.
+
+    Each phase starts when its last dependency ends; dependencies are the
+    positions :meth:`add` returned for earlier phases.  A phase of zero
+    length is scheduled like any other but not kept.
+    """
+
+    def __init__(self) -> None:
+        self.ends: list[float] = []
+        self.free_at: dict[Resource, float] = dict.fromkeys(Resource, 0.0)
+        self.phases: list[Phase] = []
+
+    def add(self, resource: Resource, label: str, query: str, duration: float, deps: tuple[int, ...]) -> int:
+        ends, index = self.ends, len(self.ends)
+        if deps and not (0 <= min(deps) and max(deps) < index):
+            bad = next(dep for dep in deps if not 0 <= dep < index)
+            raise SchedulingError(
+                f"{label} for {query} depends on task {bad}, "
+                f"which is not listed before task {index}"
+            )
+        at = max(map(ends.__getitem__, deps), default=0.0)
+        if self.free_at[resource] > at:
+            raise SchedulingError(
+                f"{resource.value} is busy until {self.free_at[resource]:.6f} ms "
+                f"when {label} for {query} is released at {at:.6f} ms"
+            )
+        end = at + duration
+        ends.append(end)
+        self.free_at[resource] = end
+        if end > at:
+            self.phases.append(Phase(resource, label, query, at, end))
+        return index
+
+
+def reference_simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline:
+    """Execute the plan and return its timeline (phases plus makespan)."""
+    schedule = _Schedule()
+    add = schedule.add
+    loaded: str | None = None
+    prev_completion = prev_pr_free = -1  # set before any boundary reads them
+
+    for i, step in enumerate(compile_plan(plan, seq)):
+        q, rpu = step.query, step.rpu
+
+        arrival_dep: tuple[int, ...] = ()
+        if i > 0:
+            arrival_dep = (add(_IDLE, "gap", GAP_QUERY, seq.gaps[i - 1], (prev_completion,)),)
+
+        lead: int | None = None
+        if rpu and loaded != rpu[0].id:
+            deps = arrival_dep if step.mode is _BASELINE else (prev_pr_free,)
+            lead = add(_PR, "reconfig", q.id, profile.t_reconfig, deps)
+
+        scan_deps = arrival_dep
+        if step.mode is _HOLD and lead is not None:
+            scan_deps += (lead,)
+        scan = add(_SCAN, "scan", q.id, q.table.size_mb / profile.r_scan, scan_deps)
+
+        size = q.table.size_mb
+        prev_exec: int | None = None
+        for op in rpu:
+            if prev_exec is None:
+                deps = (scan,) if lead is None else (scan, lead)
+            else:
+                deps = (scan, add(_PR, "reconfig", q.id, profile.t_reconfig, (prev_exec,)), prev_exec)
+            prev_exec = add(_PR, "acc-exec", q.id, size / profile.r_acc, deps)
+            size *= op.selectivity
+            loaded = op.id
+
+        pr_free = prev_exec if prev_exec is not None else scan
+        tail = add(_NET, "transfer", q.id, size / profile.r_network, (pr_free,))
+        for op in step.host:
+            tail = add(_DBMS, "dbms", q.id, profile.c_dbms * size, (tail,))
+            size *= op.selectivity
+
+        prev_completion = tail
+        prev_pr_free = pr_free
+
+    makespan = max(schedule.ends, default=0.0)
+    if not math.isfinite(makespan):
+        raise NonFiniteResultError(f"simulated makespan overflows: {makespan!r} ms")
+    phases = schedule.phases
+    phases.sort(key=lambda p: (p.start, _RANK[p.resource], p.end, p.label, p.query))
+    return Timeline(phases=tuple(phases), makespan=makespan)

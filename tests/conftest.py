@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from rpusim import (
     DeviceProfile,
@@ -12,6 +13,10 @@ from rpusim import (
     TableSpec,
     calibrated_profile,
 )
+
+# CI runs the suite with ``--hypothesis-profile=ci``: every property that does
+# not pin its own budget draws 1 000 examples there.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 def canonical_sequence(

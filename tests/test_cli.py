@@ -124,6 +124,30 @@ class TestSimulateCommand:
             f"strategy: III\nmakespan_ms: 58.360\ntimeline: {timeline_path}\n"
         )
 
+    # sha256 of (stdout, timeline CSV) for each strategy on the default
+    # scenario, computed with the position-indexed simulator
+    PINNED = {
+        "S": ("394d8084c809bf3837ea163a01eba8dd6234bc2bcbcc69a5cd30b69a1ccdf0a2",
+              "eec989a845dae327fd36a433a044e79715d4ca27da4801b9a11b5330c056126a"),
+        "I": ("24839380a64b2082340ac0bdc83a1c4003b45fd52d5cd99720d11bb0133fc1d2",
+              "fcb70aeb155412bcc1195fa6205cd96eb99d31e9b84c74ac318f0afd99491bbb"),
+        "II": ("1d5d3ae1021704b89ffeab85c01379b816f469ed9bf422efaa475abe18e0213a",
+               "88eed89bce7aaf40b72170b208f7e89a112fbe53a83d50ef7ab5bb8b680a4e60"),
+        "III": ("e5c9096811b565d31767494cfd7d7ffda0ebd4d7952c9c39db810cbf61f815e9",
+                "fcddb07395a498c8c9ae1e7ca1386c99ab6186d48ec7f8deb0a94baf959c70e7"),
+        "IV": ("71cb6729dcb9ff712cae0b2180ed7da13b299e8f70c0047e57a7e30e7a780015",
+               "fb3fa35d7018cce294450dcbf434a6f57008213a242aa5e4560548ea2ce0439f"),
+    }
+
+    @pytest.mark.parametrize("strategy", list(PINNED))
+    def test_stdout_and_timeline_bytes_pinned(self, capsys, tmp_path, monkeypatch, strategy):
+        monkeypatch.chdir(tmp_path)  # a relative --timeline keeps stdout path-free
+        assert main(["simulate", "--strategy", strategy, "--timeline", "timeline.csv"]) == 0
+        out = capsys.readouterr().out.encode()
+        csv = (tmp_path / "timeline.csv").read_bytes()
+        sha = lambda data: hashlib.sha256(data).hexdigest()
+        assert (sha(out), sha(csv)) == self.PINNED[strategy]
+
 
 class TestSweepCommand:
     def test_csv_matches_library(self, capsys):

@@ -53,6 +53,15 @@ COSTLY_HOST = DeviceProfile(1e-300, 1e300, 1e300, 1e300, 1e300)
 # with the default scenario scaled by 1e8, S, III and IV push everything
 # down and cost about 3.6e9 ms, but I and II's host filtering overflows
 HUGE_HOST_COST = DeviceProfile(15.0, 1.0, 1.5, 0.08, 1e300)
+# each profile overflows one kind of phase of the default scenario under the
+# strategy given; I leaves Q0's second filter on the host
+PHASE_OVERFLOWS = {
+    "transfer": (TINY_NETWORK, Strategy.S),
+    "scan": (DeviceProfile(15.0, 1e-320, 1.5, 0.08, 0.03), Strategy.S),
+    "acc-exec": (DeviceProfile(15.0, 1.0, 1e-320, 0.08, 0.03), Strategy.S),
+    "dbms": (DeviceProfile(15.0, 1.0, 1.5, 0.08, 1e308), Strategy.I),
+    "reconfig": (DeviceProfile(1e308, 1.0, 1.5, 0.08, 0.03), Strategy.S),
+}
 
 
 def _run_cli(args: list[str]) -> tuple[int, str]:
@@ -138,6 +147,19 @@ class TestOverflowReproductions:
         rc, out = _run_cli([*args, "--workload", str(workload)])
         assert rc == 1
         _assert_no_non_finite(out)
+
+    @pytest.mark.parametrize("phase", list(PHASE_OVERFLOWS))
+    def test_overflow_in_every_phase_kind_is_rejected(self, phase, tmp_path):
+        profile, strategy = PHASE_OVERFLOWS[phase]
+        seq = default_scenario()
+        plan = strategy_plan(seq, strategy)
+        with pytest.raises(NonFiniteResultError, match="plan cost overflows"):
+            plan_cost(seq, plan, profile)
+        with pytest.raises(NonFiniteResultError, match="simulated makespan overflows"):
+            simulate(seq, plan, profile)
+        workload = tmp_path / "w.json"
+        save_workload(workload, seq, profile)
+        assert _run_cli(["simulate", "--strategy", str(strategy), "--workload", str(workload)]) == (1, "")
 
 
 class TestImprovement:

@@ -5,8 +5,11 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rpusim import (
+    STRATEGY_ORDER,
+    DeviceProfile,
     FilterOp,
     GAP_QUERY,
     IllegalPlanError,
@@ -16,18 +19,22 @@ from rpusim import (
     Query,
     QuerySequence,
     Resource,
+    RpusimError,
     SchedulingError,
     Strategy,
     TableSpec,
     Timeline,
     enumerate_plans,
+    local_order,
     plan_cost,
+    shared_accelerators,
     simulate,
     strategy_plan,
     timeline_csv,
     validate_timeline,
 )
 from rpusim.simulate import _Schedule
+from _oracle import reference_simulate
 from conftest import canonical_sequence, random_params
 from test_engine_agreement import random_plan, random_profile, random_sequence
 
@@ -117,6 +124,71 @@ class TestOracleEquivalence:
                 assert validate_timeline(timeline) == []
 
 
+def _outcome(engine, seq, plan, profile):
+    """Every phase bit for bit with the makespan, or the error raised."""
+    try:
+        timeline = engine(seq, plan, profile)
+    except RpusimError as exc:
+        return type(exc), str(exc)
+    return _pinned(timeline.phases), timeline.makespan.hex()
+
+
+def _zero_or(values):
+    return st.one_of(st.just(0.0), values)
+
+
+@st.composite
+def _mixed_mode_cases(draw):
+    """A 2-8 query sequence over a small pool, a legal plan pushing down a
+    random subset of each local order with a random mode per boundary
+    (SPECULATIVE only across sharing pairs), and a device profile.  Zero
+    table sizes, selectivities and gaps make zero-length phases."""
+    queries = []
+    for qi in range(draw(st.integers(2, 8))):
+        ids = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=3, unique=True))
+        ops = tuple(
+            FilterOp(op_id, draw(_zero_or(st.floats(0.0, 1.0))), commutes=draw(st.booleans())) for op_id in ids
+        )
+        queries.append(Query(f"Q{qi}", TableSpec(f"t{qi}", draw(_zero_or(st.floats(0.0, 100.0)))), ops))
+    seq = QuerySequence(tuple(queries), tuple(draw(_zero_or(st.floats(0.0, 50.0))) for _ in queries[1:]))
+    rpu_order = tuple(
+        tuple(op.id for op in local_order(q.ops) if draw(st.booleans())) for q in seq.queries
+    )
+    modes = tuple(
+        draw(st.sampled_from(list(Mode) if shared else [Mode.BASELINE, Mode.HOLD]))
+        for shared in shared_accelerators(seq)
+    )
+    plan = Plan(draw(st.sampled_from(STRATEGY_ORDER)), rpu_order, modes)
+    profile = DeviceProfile(*(draw(st.floats(0.01, 50.0)) for _ in range(5)))
+    return seq, plan, profile
+
+
+class TestReferenceSimulator:
+    """``simulate`` reproduces the position-indexed ``reference_simulate``
+    bit for bit: every phase's resource, label, query, start and end, and
+    the makespan."""
+
+    def test_every_applicable_plan_of_the_engine_agreement_sequences(self):
+        # the sequences and profiles of test_simulator_matches_cost_on_n_query_sequences
+        rng = random.Random(2005)
+        checked = zero_phases = 0
+        for _ in range(400):
+            seq, profile = random_sequence(rng), random_profile(rng)
+            for plan in enumerate_plans(seq):
+                expected = _outcome(reference_simulate, seq, plan, profile)
+                assert _outcome(simulate, seq, plan, profile) == expected, (plan, seq)
+                checked += 1
+            zero_phases += 0.0 in seq.gaps or any(q.table.size_mb == 0.0 for q in seq.queries)
+        assert checked > 1200
+        assert zero_phases > 50
+
+    @settings(deadline=None)
+    @given(case=_mixed_mode_cases())
+    def test_random_mixed_mode_plans(self, case):
+        seq, plan, profile = case
+        assert _outcome(simulate, seq, plan, profile) == _outcome(reference_simulate, seq, plan, profile)
+
+
 class TestSchedulingErrors:
     """Both engines reject an illegal plan with the same error."""
 
@@ -144,60 +216,37 @@ class TestSchedulingErrors:
             engine(seq, plan, profile)
 
 
-def _schedule(tasks) -> _Schedule:
-    """A schedule with each ``(resource, label, query, duration, deps)`` added in order."""
-    schedule = _Schedule()
-    for position, task in enumerate(tasks):
-        assert schedule.add(*task) == position
-    return schedule
-
-
 class TestRunTasks:
-    """``_Schedule.add`` places each phase as it is added, by dependency position."""
-
-    def test_forward_dependency_rejected(self):
-        tasks = [
-            (Resource.SCAN, "scan", "Q0", 5.0, (1,)),
-            (Resource.PR, "reconfig", "Q0", 15.0, ()),
-        ]
-        with pytest.raises(SchedulingError, match="depends on task 1, which is not listed before task 0"):
-            _schedule(tasks)
-
-    def test_self_dependency_rejected(self):
-        tasks = [
-            (Resource.PR, "reconfig", "Q0", 15.0, ()),
-            (Resource.SCAN, "scan", "Q0", 5.0, (0, 1)),
-        ]
-        with pytest.raises(SchedulingError, match="depends on task 1, which is not listed before task 1"):
-            _schedule(tasks)
-
-    def test_negative_dependency_rejected(self):
-        tasks = [
-            (Resource.PR, "reconfig", "Q0", 15.0, ()),
-            (Resource.SCAN, "scan", "Q0", 5.0, (0, -1)),
-        ]
-        with pytest.raises(SchedulingError, match="depends on task -1, which is not listed before task 1"):
-            _schedule(tasks)
+    """``_Schedule.place`` starts each phase at its release time, once its
+    resource is free."""
 
     def test_busy_resource_rejected(self):
-        tasks = [
-            (Resource.PR, "reconfig", "Q0", 15.0, ()),
-            (Resource.PR, "acc-exec", "Q0", 2.0, ()),
-        ]
+        schedule = _Schedule()
+        assert schedule.place(Resource.PR, "reconfig", "Q0", 0.0, 15.0) == 15.0
         with pytest.raises(SchedulingError, match="PR is busy until 15.000000 ms"):
-            _schedule(tasks)
+            schedule.place(Resource.PR, "acc-exec", "Q0", 0.0, 2.0)
 
-    def test_times_follow_dependencies_by_position(self):
-        tasks = [
-            (Resource.PR, "reconfig", "Q0", 15.0, ()),
-            (Resource.SCAN, "scan", "Q0", 5.0, ()),
-            (Resource.PR, "acc-exec", "Q0", 2.0, (1, 0)),
-            (Resource.NET, "transfer", "Q0", 3.0, (2,)),
-        ]
-        phases = _schedule(tasks).phases
+    def test_phase_starts_at_its_release_time(self):
+        schedule = _Schedule()
+        reconfig = schedule.place(Resource.PR, "reconfig", "Q0", 0.0, 15.0)
+        scan = schedule.place(Resource.SCAN, "scan", "Q0", 0.0, 5.0)
+        acc = schedule.place(Resource.PR, "acc-exec", "Q0", max(scan, reconfig), 2.0)
+        # NET has been free since 0, but the transfer is released at 19
+        transfer = schedule.place(Resource.NET, "transfer", "Q0", acc + 2.0, 3.0)
+        assert (reconfig, scan, acc, transfer) == (15.0, 5.0, 17.0, 22.0)
+        phases = schedule.phases
         assert ([p.start for p in phases], [p.end for p in phases]) == (
-            [0.0, 0.0, 15.0, 17.0], [15.0, 5.0, 17.0, 20.0]
+            [0.0, 0.0, 15.0, 19.0], [15.0, 5.0, 17.0, 22.0]
         )
+
+    def test_zero_length_phase_is_not_kept_but_sets_its_resource_free_time(self):
+        schedule = _Schedule()
+        assert schedule.place(Resource.IDLE, "gap", GAP_QUERY, 4.0, 0.0) == 4.0
+        assert schedule.phases == [] and schedule.free_at[Resource.IDLE] == 4.0
+        with pytest.raises(SchedulingError, match="IDLE is busy until 4.000000 ms"):
+            schedule.place(Resource.IDLE, "gap", GAP_QUERY, 3.0, 1.0)
+        assert schedule.place(Resource.IDLE, "gap", GAP_QUERY, 4.0, 1.0) == 5.0
+        assert schedule.phases == [Phase(Resource.IDLE, "gap", GAP_QUERY, 4.0, 5.0)]
 
 
 class TestValidateTimeline:

@@ -13,6 +13,7 @@ one check and one cost fold per distinct plan.
 
 from __future__ import annotations
 
+import importlib
 import json
 import random
 from collections import Counter
@@ -26,8 +27,12 @@ import rpusim.planner
 import rpusim.plans
 import rpusim.sweep
 from rpusim import (
+    FilterOp,
+    Query,
+    QuerySequence,
     Strategy,
     SweepSpec,
+    TableSpec,
     choose_plan,
     compile_plan,
     enumerate_plans,
@@ -40,6 +45,9 @@ from rpusim import (
 from conftest import canonical_sequence
 from test_engine_agreement import random_sequence
 from test_miner import A_ID, B_ID, C_ID, planted_log_lines
+
+# the package exports the ``simulate`` function under the module's name
+simulate_module = importlib.import_module("rpusim.simulate")
 
 
 def _counting(monkeypatch, module, name, key=lambda *args, **kwargs: None) -> Counter:
@@ -147,6 +155,40 @@ def test_planning_pipeline_checks_every_plan_it_receives(monkeypatch, paper_seq,
     assert len(distinct) == 5
     assert checks == lowered == Counter(dict.fromkeys(distinct, 1))
     assert sum(folds.values()) == 5
+
+
+def _long_sequence(n: int) -> QuerySequence:
+    """``n`` queries over a four-accelerator pool, so plans other than S apply."""
+    rng = random.Random(n)
+    queries = tuple(
+        Query(f"Q{i}", TableSpec(f"t{i}", rng.uniform(0.0, 60.0)),
+              tuple(FilterOp(op_id, rng.random()) for op_id in rng.sample("abcd", rng.randint(1, 3))))
+        for i in range(n)
+    )
+    return QuerySequence(queries, tuple(rng.uniform(0.0, 40.0) for _ in range(n - 1)))
+
+
+@pytest.mark.parametrize("seq", [canonical_sequence(), _long_sequence(200)], ids=["paper", "200-query"])
+def test_simulate_is_independent_of_the_cost_engine(monkeypatch, profile, seq):
+    """The simulator is the second engine the cost model is checked against:
+    it must schedule every strategy plan with no cost arithmetic at all, and
+    compile each plan once per call."""
+    plans = enumerate_plans(seq)
+    assert len(plans) >= 3
+    totals = [plan_cost(seq, plan, profile).total for plan in plans]
+
+    def raising(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"simulate called cost.{name}")
+        return fail
+
+    for name in ("boundary", "order_facts", "_fold", "plan_cost"):
+        monkeypatch.setattr(rpusim.cost, name, raising(name))
+    compiled = _counting(monkeypatch, simulate_module, "compile_plan")
+    for plan, total in zip(plans, totals):
+        compiled.clear()
+        assert simulate(seq, plan, profile).makespan == pytest.approx(total, rel=1e-9)
+        assert sum(compiled.values()) == 1
 
 
 def test_mine_fingerprints_each_line_once(monkeypatch, tmp_path, capsys):
