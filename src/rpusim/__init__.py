@@ -5,6 +5,12 @@ with one partially reconfigurable accelerator slot: five plan strategies with
 closed-form costs, a dependency-driven simulator producing phase timelines, a
 plan chooser driven by sequence knowledge ("hints"), and a query-log miner
 that recovers recurring sequences and their inter-query gaps.
+
+The package exports the :func:`~rpusim.simulate.simulate` function under
+the name of its module, so ``rpusim.simulate`` and ``from rpusim import
+simulate`` give the function, not the ``rpusim.simulate`` submodule, even
+after ``import rpusim.simulate``.  Reach the module itself through
+``importlib.import_module("rpusim.simulate")`` (or ``sys.modules``).
 """
 
 from .cost import (
@@ -64,6 +70,7 @@ from .planner import (
 )
 from .plans import (
     Step,
+    check_plan,
     compile_plan,
     enumerate_plans,
     legality,
@@ -136,6 +143,7 @@ __all__ = [
     "Violation",
     "WorkloadFormatError",
     "calibrated_profile",
+    "check_plan",
     "choose_plan",
     "compile_plan",
     "costed_plans",

@@ -21,26 +21,32 @@ A sequence total is assembled left to right out of three kinds of segments:
 :func:`order_facts` gives a query's scan, body and tail under one operator
 order; they do not depend on what the PR holds.  :func:`boundary` is the
 one place the three modes are costed: it joins a query to the state its
-predecessor leaves.  :func:`plan_cost` is a fold of ``order_facts`` plus
-``boundary`` over the compiled steps; the device policy
+predecessor leaves.  :func:`plan_cost` folds a checked plan's positional
+orders and modes: each query's ``order_facts``, read from a facts table,
+plus the ``boundary`` its mode names.  The device policy
 (:func:`rpusim.planner.rpu_policy`) weighs its two options with the same
 two functions.  Per-query times are reported only when every boundary is
 BASELINE, because only then does the total decompose per query.
 
-:func:`plan_cost` keeps each breakdown in the sequence's memo by
-``(plan, profile)``, so on one sequence object a plan is costed once per
-device profile; a total that overflows is not kept.
+The facts table maps a (query position, order of op ids) pair to that
+query's ``order_facts``.  The strategy plans of one sequence share most of
+their orders, so each fact is computed once and read by every plan that
+streams that order at that position.  :func:`plan_cost` keeps one table
+per device profile in the sequence's memo, keyed by the profile, and each
+breakdown by ``(plan, profile)``, so on one sequence object a plan is
+costed once per device profile; a total that overflows is not kept, but
+the facts it read are.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import NonFiniteResultError
 from .model import DeviceProfile, FilterOp, Mode, Plan, Query, QuerySequence
-from .plans import Step, compile_plan
+from .plans import _host_ops, check_plan
 
 
 def filtered_size(input_size: float, selectivity: float) -> float:
@@ -129,7 +135,7 @@ def boundary(mode: Mode, lead: float, scan: float, prev_tail: float, gap: float)
 
 
 def order_facts(
-    query: Query, rpu: Sequence[FilterOp], host: Sequence[FilterOp], profile: DeviceProfile
+    query: Query, rpu: Iterable[FilterOp], host: Iterable[FilterOp], profile: DeviceProfile
 ) -> tuple[float, float, float]:
     """What one query costs under one operator order, whatever the PR holds.
 
@@ -159,35 +165,60 @@ def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBre
     The clock runs from the first query's arrival to the last query's
     completion (final transfer plus any host filtering), gaps included.
     The first query arrives at a BASELINE boundary with no tail and no gap.
-    The breakdown is kept in the sequence's memo by ``(plan, profile)``;
-    a total that overflows is not kept and raises on every call.
+    The plan is checked through :func:`rpusim.plans.check_plan`, and not
+    lowered.  The breakdown is kept in the sequence's memo by
+    ``(plan, profile)``; a total that overflows is not kept and raises on
+    every call.
     """
     memo = seq._memo
     key = (plan, profile)
     breakdown = memo.get(key)
     if breakdown is None:
-        breakdown = memo[key] = _fold(compile_plan(plan, seq), seq.gaps, profile)
+        facts = memo.get(profile)
+        if facts is None:
+            facts = memo[profile] = _new_facts(seq.queries)
+        breakdown = memo[key] = _fold(check_plan(plan, seq), seq.queries, seq.gaps, profile, facts)
     return breakdown
 
 
-def _fold(steps: Sequence[Step], gaps: Sequence[float], profile: DeviceProfile) -> CostBreakdown:
-    """:func:`plan_cost` of a plan already compiled into ``steps``; ``gaps``
-    are the sequence's.  Raises :class:`NonFiniteResultError` when the total
-    overflows."""
+#: A facts table: per query position, each order of op ids streamed there
+#: mapped to that query's ``order_facts``.
+_Facts = list[dict[tuple[str, ...], tuple[float, float, float]]]
+
+
+def _new_facts(queries: Sequence[Query]) -> _Facts:
+    """An empty facts table for ``queries``."""
+    return [{} for _ in queries]
+
+
+def _fold(
+    plan: Plan, queries: Sequence[Query], gaps: Sequence[float], profile: DeviceProfile, facts: _Facts
+) -> CostBreakdown:
+    """:func:`plan_cost` of a plan already checked against ``queries``;
+    ``gaps`` are the sequence's.  ``facts`` is the facts table of these
+    queries under ``profile``: a missing fact is computed and added.
+    Raises :class:`NonFiniteResultError` when the total overflows."""
     t_reconfig = profile.t_reconfig
-    separable = all(step.mode is _BASELINE for step in steps)
+    modes = plan.modes
+    separable = all(mode is _BASELINE for mode in modes)
     total = prev_tail = 0.0
     per_query: list[tuple[str, float]] = []
     loaded: str | None = None
-    for (q, rpu, host, mode), gap in zip(steps, (0.0, *gaps)):
-        scan, body, tail = order_facts(q, rpu, host, profile)
-        lead = t_reconfig if rpu and loaded != rpu[0].id else 0.0
+    for q, order, mode, gap, known in zip(queries, plan.rpu_order, (_BASELINE, *modes), (0.0, *gaps), facts):
+        fact = known.get(order)
+        if fact is None:
+            rpu = map(q._ops_by_id.__getitem__, order)  # read once, so no tuple is built
+            fact = known[order] = order_facts(q, rpu, _host_ops(q, order), profile)
+        scan, body, tail = fact
+        if order:
+            lead = t_reconfig if loaded != order[0] else 0.0
+            loaded = order[-1]
+        else:
+            lead = 0.0
         total += boundary(mode, lead, scan, prev_tail, gap) + body
         if separable:
             per_query.append((q.id, max(lead, scan) + body + tail))
         prev_tail = tail
-        if rpu:
-            loaded = rpu[-1].id
     total += prev_tail
     if not math.isfinite(total):
         raise NonFiniteResultError(f"plan cost overflows: total {total!r} ms")

@@ -16,7 +16,7 @@ from enum import Enum
 from .cost import CostBreakdown, boundary, order_facts, plan_cost
 from .errors import NonFiniteResultError
 from .model import DeviceProfile, HINT_STRATEGIES, STRATEGY_ORDER, Mode, Plan, QuerySequence
-from .plans import Step, compile_plan, enumerate_plans, shared_accelerators
+from .plans import Step, _shared, check_plan, enumerate_plans
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,12 @@ def generate_hints(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> li
 
     Each hint names the shared accelerators in the successor's streaming
     order and carries the pair's expected gap and the successor's scan-time
-    estimate.  The plan is checked through :func:`compile_plan`, so a plan
-    the sequence has already compiled is not checked again.
+    estimate.  The plan is checked through :func:`rpusim.plans.check_plan`,
+    and not lowered, so a plan the sequence has already checked is not
+    checked again.
     """
-    compile_plan(plan, seq)
-    shared = shared_accelerators(seq)
+    check_plan(plan, seq)
+    shared = _shared(seq)
     hints: list[Hint] = []
     for i, succ in enumerate(seq.queries[1:]):
         common = set(shared[i])

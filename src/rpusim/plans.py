@@ -5,14 +5,18 @@ the operators the device streams and their order (the rest run on the host),
 and names one :class:`Mode` per query boundary.  The builders set the modes
 directly: II holds at every boundary, III reloads speculatively at every
 boundary where that loads an accelerator, and every other boundary is
-baseline.  :func:`compile_plan` checks a plan and lowers it into per-query
-:class:`Step` records; costing (:mod:`rpusim.cost`) and scheduling
-(:mod:`rpusim.simulate`) walk those steps.
+baseline.  :func:`check_plan` checks a plan against a sequence; costing
+(:mod:`rpusim.cost`) folds a checked plan's orders and modes directly.
+:func:`compile_plan` checks a plan and lowers it into per-query
+:class:`Step` records, which scheduling (:mod:`rpusim.simulate`) walks.
 
-Both are kept in the sequence's memo (``QuerySequence._memo``), so on one
-sequence object each strategy's plan is built at most once (a strategy
-that does not apply is recorded too) and each plan is checked and lowered
-at most once, by plan value.  A plan that fails its check is not kept.
+All three are kept in the sequence's memo (``QuerySequence._memo``), so on
+one sequence object each strategy's plan is built at most once (a strategy
+that does not apply is recorded too), each plan is checked at most once
+and lowered at most once, by plan value, and only a plan that is lowered
+keeps its steps.  A plan that fails its check is not kept.  The
+accelerators each adjacent pair shares are kept there too, computed once
+for the strategy III builder and :func:`rpusim.planner.generate_hints`.
 
 Generalization beyond two queries: each strategy applies its device trick at
 every adjacent pair where it fits (I/II split every non-final query with at
@@ -50,6 +54,20 @@ def shared_accelerators(seq: QuerySequence) -> list[list[str]]:
     ]
 
 
+#: The sequence memo's key for :func:`shared_accelerators`' result.
+_SHARED = "shared_accelerators"
+
+
+def _shared(seq: QuerySequence) -> list[list[str]]:
+    """:func:`shared_accelerators` of ``seq``, computed once per sequence
+    object and kept in its memo; callers must not mutate it."""
+    memo = seq._memo
+    shared = memo.get(_SHARED)
+    if shared is None:
+        shared = memo[_SHARED] = shared_accelerators(seq)
+    return shared
+
+
 def local_order(ops: tuple[FilterOp, ...]) -> tuple[FilterOp, ...]:
     """The device-local streaming order: lowest selectivity first.
 
@@ -85,7 +103,7 @@ def _split_pushdown(seq: QuerySequence, local: _LocalIds, strategy: Strategy, ke
 
 
 def _plan_iii(seq: QuerySequence, local: _LocalIds) -> Plan:
-    shared = shared_accelerators(seq)
+    shared = _shared(seq)
     if not any(shared):
         raise IllegalPlanError(
             "strategy III requires sequence knowledge: no adjacent pair shares an accelerator"
@@ -227,6 +245,20 @@ class Step(NamedTuple):
     mode: Mode                  # boundary with the predecessor (BASELINE first)
 
 
+def check_plan(plan: Plan, seq: QuerySequence) -> Plan:
+    """Check a plan against a sequence and return it.
+
+    A legal plan is recorded in the sequence's memo, so a plan is checked
+    at most once per sequence object.  An illegal plan is not kept: it
+    raises :class:`IllegalPlanError` on every call.
+    """
+    memo = seq._memo
+    if plan not in memo:
+        require_legal(plan, seq)
+        memo[plan] = None  # checked, not lowered
+    return plan
+
+
 def compile_plan(plan: Plan, seq: QuerySequence) -> tuple[Step, ...]:
     """Check a plan and lower it into per-query steps.
 
@@ -237,16 +269,26 @@ def compile_plan(plan: Plan, seq: QuerySequence) -> tuple[Step, ...]:
     memo = seq._memo
     steps = memo.get(plan)
     if steps is None:
-        steps = memo[plan] = _lower(require_legal(plan, seq), seq)
+        steps = memo[plan] = _lower(check_plan(plan, seq), seq)
     return steps
+
+
+def _host_ops(query: Query, order: tuple[str, ...]) -> tuple[FilterOp, ...]:
+    """The ops ``query`` runs on the host, in declared order, when it pushes
+    down ``order``, a legal order of its op ids."""
+    # legal orders list distinct ops of the query, so equal lengths
+    # mean every op is pushed down
+    return () if len(order) == len(query.ops) else tuple([op for op in query.ops if op.id not in order])
+
+
+# A NamedTuple's own ``__new__`` is a Python function; ``tuple.__new__``
+# builds the same Step in C, in about half the time per query.
+_tuple_new = tuple.__new__
 
 
 def _lower(plan: Plan, seq: QuerySequence) -> tuple[Step, ...]:
     """Lower a plan already checked against ``seq``'s query and op ids."""
     steps = []
     for q, order, mode in zip(seq.queries, plan.rpu_order, (Mode.BASELINE, *plan.modes)):
-        # legal orders list distinct ops of the query, so equal lengths
-        # mean every op is pushed down
-        host = () if len(order) == len(q.ops) else tuple([op for op in q.ops if op.id not in order])
-        steps.append(Step(q, tuple(map(q._ops_by_id.__getitem__, order)), host, mode))
+        steps.append(_tuple_new(Step, (q, tuple(map(q._ops_by_id.__getitem__, order)), _host_ops(q, order), mode)))
     return tuple(steps)

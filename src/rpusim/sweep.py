@@ -5,9 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cost import _fold, improvement
+from .cost import _fold, _new_facts, improvement
 from .model import DeviceProfile, FilterOp, Query, QuerySequence, Strategy, TableSpec
-from .plans import _lower, compile_plan, strategy_plan
+from .plans import check_plan, strategy_plan
 
 
 def scale_sequence(seq: QuerySequence, factor: float) -> QuerySequence:
@@ -96,8 +96,9 @@ class SweepRow:
 def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> list[SweepRow]:
     """Evaluate each strategy at every grid point, improvements vs S.
 
-    Each strategy's plan is built and checked once; a grid point lowers the
-    plans again only when its variant of ``seq`` carries new queries.
+    Each strategy's plan is built and checked once, and every point folds
+    it against one facts table per query tuple: a point whose variant of
+    ``seq`` carries new queries starts a new table.
     """
     transform = _TRANSFORMS[spec.variable]
     grid = spec.grid()
@@ -107,18 +108,17 @@ def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> li
     # count, which no transform changes either, so one check covers every
     # point.
     first = transform(seq, grid[0])
-    plans = [strategy_plan(first, s) for s in dict.fromkeys((Strategy.S, *spec.strategies))]
-    lowered = [compile_plan(plan, first) for plan in plans]
+    plans = [check_plan(strategy_plan(first, s), first) for s in dict.fromkeys((Strategy.S, *spec.strategies))]
     queries = first.queries
+    facts = _new_facts(queries)
     rows: list[SweepRow] = []
     for i, value in enumerate(grid):
         # each point still builds its variant, so a value the model rejects
         # (say, a table size that overflows) fails at that point
         variant = first if i == 0 else transform(seq, value)
         if variant.queries is not queries:  # set_gaps keeps the query tuple
-            queries = variant.queries
-            lowered = [_lower(plan, variant) for plan in plans]
-        costs = {plan.strategy: _fold(steps, variant.gaps, profile) for steps, plan in zip(lowered, plans)}
+            queries, facts = variant.queries, _new_facts(variant.queries)
+        costs = {plan.strategy: _fold(plan, queries, variant.gaps, profile, facts) for plan in plans}
         baseline = costs[Strategy.S]
         for strategy in spec.strategies:
             breakdown = costs[strategy]

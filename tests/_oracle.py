@@ -19,6 +19,12 @@ Last, it keeps the position-indexed simulator, verbatim, as
 at which earlier phases were added, and the makespan is the largest end.
 The simulator that carries each dependency as an end time must reproduce
 its timelines bit for bit.
+
+And it keeps the ``Step``-walking cost fold, verbatim, as
+``reference_fold``: it costs a plan lowered by ``compile_plan``, calling
+``order_facts`` at every step.  ``plan_cost``, which folds the plan's
+orders and modes against a per-sequence facts table, must reproduce its
+total and per-query times bit for bit.
 """
 
 from __future__ import annotations
@@ -26,9 +32,12 @@ from __future__ import annotations
 import math
 import re
 
+from typing import Sequence
+
+from rpusim.cost import CostBreakdown, boundary, order_facts
 from rpusim.errors import MiningError, NonFiniteResultError, SchedulingError
 from rpusim.model import DeviceProfile, Mode, Plan, QuerySequence
-from rpusim.plans import compile_plan
+from rpusim.plans import Step, compile_plan
 from rpusim.simulate import GAP_QUERY, Phase, Resource, Timeline
 
 
@@ -222,3 +231,27 @@ def reference_simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -
     phases = schedule.phases
     phases.sort(key=lambda p: (p.start, _RANK[p.resource], p.end, p.label, p.query))
     return Timeline(phases=tuple(phases), makespan=makespan)
+
+
+def reference_fold(steps: Sequence[Step], gaps: Sequence[float], profile: DeviceProfile) -> CostBreakdown:
+    """:func:`plan_cost` of a plan already compiled into ``steps``; ``gaps``
+    are the sequence's.  Raises :class:`NonFiniteResultError` when the total
+    overflows."""
+    t_reconfig = profile.t_reconfig
+    separable = all(step.mode is _BASELINE for step in steps)
+    total = prev_tail = 0.0
+    per_query: list[tuple[str, float]] = []
+    loaded: str | None = None
+    for (q, rpu, host, mode), gap in zip(steps, (0.0, *gaps)):
+        scan, body, tail = order_facts(q, rpu, host, profile)
+        lead = t_reconfig if rpu and loaded != rpu[0].id else 0.0
+        total += boundary(mode, lead, scan, prev_tail, gap) + body
+        if separable:
+            per_query.append((q.id, max(lead, scan) + body + tail))
+        prev_tail = tail
+        if rpu:
+            loaded = rpu[-1].id
+    total += prev_tail
+    if not math.isfinite(total):
+        raise NonFiniteResultError(f"plan cost overflows: total {total!r} ms")
+    return CostBreakdown(total=total, per_query=tuple(per_query))

@@ -4,10 +4,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rpusim import (
     CostBreakdown,
+    DeviceProfile,
     FilterOp,
     IllegalPlanError,
     Mode,
@@ -16,6 +17,8 @@ from rpusim import (
     QuerySequence,
     Strategy,
     TableSpec,
+    compile_plan,
+    enumerate_plans,
     filtered_size,
     improvement,
     phase_times,
@@ -23,7 +26,8 @@ from rpusim import (
     strategy_plan,
 )
 from conftest import canonical_sequence, random_params
-from _oracle import strategy_totals
+from _oracle import reference_fold, strategy_totals
+from test_simulator import _mixed_mode_cases
 
 # Frozen outputs of the independent oracle on the reference constants
 # (9 MB / 1 MB tables, selectivities 0.33 / 0.43 / 0.14, 1 ms gap).
@@ -216,3 +220,22 @@ class TestImprovement:
         t_s = plan_cost(paper_seq, strategy_plan(paper_seq, Strategy.S), profile)
         with pytest.raises(ValueError):
             improvement(t_s, CostBreakdown(total=0.0))
+
+
+class TestFactsTableFold:
+    """``plan_cost`` reads each query's order facts from one table per
+    sequence object and device profile; the oracle's ``reference_fold``
+    computes them afresh at every lowered step."""
+
+    @settings(deadline=None)
+    @given(case=_mixed_mode_cases(), other=st.builds(DeviceProfile, *(st.floats(0.01, 50.0) for _ in range(5))))
+    def test_random_mixed_mode_plans_under_two_profiles(self, case, other):
+        seq, plan, profile = case
+        plans = [plan, *enumerate_plans(seq)]
+        # interleaved, so each profile's table is filled between the other's reads
+        for candidate in plans:
+            for prof in (profile, other):
+                got = plan_cost(seq, candidate, prof)
+                expected = reference_fold(compile_plan(candidate, seq), seq.gaps, prof)
+                assert got.total.hex() == expected.total.hex()
+                assert [(q, t.hex()) for q, t in got.per_query] == [(q, t.hex()) for q, t in expected.per_query]

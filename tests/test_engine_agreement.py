@@ -8,7 +8,8 @@ zero table sizes, gaps and selectivities.  Besides the strategy plans, the
 engines are checked on random legal plans that push down a random subset of
 each query's operators and pick a mode per boundary, as no single strategy
 does.  ``plan_cost`` is also pinned, bit for bit, to a fold of the public
-per-query ``phase_times`` report, and the device-side ``rpu_policy`` must
+per-query ``phase_times`` report and to the oracle's ``Step``-walking
+``reference_fold``, and the device-side ``rpu_policy`` must
 pick the ``plan_cost`` argmin at every boundary where it can swap, with a
 rationale pinned bit for bit.
 """
@@ -47,6 +48,7 @@ from rpusim import (
     strategy_plan,
     validate_timeline,
 )
+from _oracle import reference_fold
 
 POOL = ("a", "b", "c", "d")
 
@@ -194,6 +196,31 @@ def test_plan_cost_equals_phase_times_fold_bit_for_bit():
             assert (breakdown.total, breakdown.per_query) == reference_cost(seq, plan, profile), (plan, seq)
             checked += 1
     assert checked > 2400
+
+
+def _hex(breakdown) -> tuple:
+    return breakdown.total.hex(), [(qid, t.hex()) for qid, t in breakdown.per_query]
+
+
+def test_plan_cost_equals_the_step_fold_bit_for_bit():
+    """Folding a plan's orders against the facts table gives the total and
+    per-query times of the fold over its lowered steps, on every applicable
+    plan and on random mixed-mode plans, all costed on one sequence object
+    so that later plans read the facts earlier ones computed."""
+    rng = random.Random(2005)
+    checked = reused = 0
+    for _ in range(400):
+        seq = random_sequence(rng)
+        profile = random_profile(rng)
+        plans = enumerate_plans(seq) + [random_plan(rng, seq) for _ in range(3)]
+        for plan in plans:
+            expected = reference_fold(compile_plan(plan, seq), seq.gaps, profile)
+            assert _hex(plan_cost(seq, plan, profile)) == _hex(expected), (plan, seq)
+            checked += 1
+        reused += sum(map(len, seq._memo[profile])) < len(plans) * len(seq.queries)
+    assert checked > 2400
+    # plans of one sequence share facts
+    assert reused == 400
 
 
 def policy_boundaries():

@@ -1,11 +1,13 @@
 """The per-sequence plan memo: work is kept per sequence object, failures are not.
 
-A ``QuerySequence`` keeps the plans ``enumerate_plans`` built, the steps
-``compile_plan`` lowered and the breakdowns ``plan_cost`` folded.  These
-tests pin that the memo never changes an answer: failures raise on every
-call, separately built sequences share nothing, value semantics ignore the
-memo, each profile gets its own total, and memoized results equal those of
-a freshly built sequence to the last bit.
+A ``QuerySequence`` keeps the plans ``enumerate_plans`` built, the plans
+``check_plan`` accepted, the steps ``compile_plan`` lowered, the facts
+table and the breakdowns ``plan_cost`` folded.  These tests pin that the
+memo never changes an answer: failures raise on every call (an overflowing
+total too, though the facts it read are kept), separately built sequences
+share nothing, value semantics ignore the memo, each profile gets its own
+total, and memoized results equal those of a freshly built sequence to the
+last bit.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import random
 
 import pytest
 
+import rpusim.cost
 from rpusim import (
     DeviceProfile,
     IllegalPlanError,
@@ -63,11 +66,18 @@ def test_illegal_plan_raises_on_every_call(paper_seq, profile, call):
         call(paper_seq, illegal, profile)
 
 
-def test_overflowing_total_raises_on_every_call(paper_seq):
+def test_overflowing_total_raises_on_every_call(monkeypatch, paper_seq):
     plan = strategy_plan(paper_seq, Strategy.S)
+    computed = []
+    order_facts = rpusim.cost.order_facts
+    monkeypatch.setattr(rpusim.cost, "order_facts", lambda *args: computed.append(args) or order_facts(*args))
     for _ in range(3):
         with pytest.raises(NonFiniteResultError, match="plan cost overflows"):
             plan_cost(paper_seq, plan, TINY_NETWORK)
+        assert (plan, TINY_NETWORK) not in paper_seq._memo
+    # the facts are kept, so only the first call computed them
+    assert [set(known) for known in paper_seq._memo[TINY_NETWORK]] == [{order} for order in plan.rpu_order]
+    assert len(computed) == len(plan.rpu_order)
 
 
 def test_equal_sequences_built_separately_share_no_memo(profile):
@@ -77,6 +87,11 @@ def test_equal_sequences_built_separately_share_no_memo(profile):
     assert a._memo and not b._memo
     assert plan_cost(b, plan, profile) == breakdown
     assert compile_plan(plan, b) is not compile_plan(plan, a)
+    # each keeps its own facts table, equal in content
+    facts_a, facts_b = a._memo[profile], b._memo[profile]
+    assert facts_a is not facts_b and facts_b
+    assert all(known_a is not known_b for known_a, known_b in zip(facts_a, facts_b))
+    assert all(known_b.items() <= known_a.items() for known_a, known_b in zip(facts_a, facts_b))
 
 
 def test_value_semantics_ignore_the_memo(paper_seq, profile):

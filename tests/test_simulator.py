@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import importlib
 import math
 import pickle
 import random
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -506,3 +509,16 @@ class TestPinnedTimelines:
         assert _hex_phases(timeline) == phases
         assert timeline.makespan.hex() == makespan == plan_cost(seq, plan, profile).total.hex()
         assert validate_timeline(timeline) == []
+
+
+def test_package_attribute_simulate_is_the_function_not_the_module():
+    """``rpusim.simulate`` names the exported function, also after the
+    submodule is imported; the module is reached through ``importlib``."""
+    import rpusim
+    import rpusim.simulate
+
+    module = importlib.import_module("rpusim.simulate")
+    assert isinstance(module, types.ModuleType) and sys.modules["rpusim.simulate"] is module
+    assert rpusim.simulate is simulate is module.simulate
+    assert not isinstance(rpusim.simulate, types.ModuleType)
+    assert not hasattr(rpusim.simulate, "compile_plan")

@@ -5,10 +5,14 @@ so the guards do not depend on wall-clock time.  They pin the work the
 pipeline does once (one local order per query per enumeration, one plan per
 strategy and sweep) and the checks it must keep doing.  A sequence object
 memoizes its planning work, so on one sequence each strategy's plan is
-built once, each plan is checked and lowered once, and each plan is costed
-once per profile: a public engine call runs one legality check for a plan
-that sequence has not compiled yet, and the whole planning pipeline runs
-one check and one cost fold per distinct plan.
+built once, the accelerators adjacent queries share are found once, each
+plan is checked once, and each plan is costed once per profile.  Costing
+folds a plan's orders against a facts table, so each distinct (query
+position, order) fact is computed once per sequence and profile, and only
+a plan that is simulated is lowered into steps: a public engine call runs
+one legality check for a plan that sequence has not checked yet, and the
+whole planning pipeline runs one check and one cost fold per distinct plan
+and lowers one plan.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from rpusim import (
     plan_cost,
     run_sweep,
     simulate,
+    strategy_plan,
 )
 from conftest import canonical_sequence
 from test_engine_agreement import random_sequence
@@ -99,26 +104,49 @@ def test_plan_cost_constructs_no_phase_times(monkeypatch, paper_seq, profile):
     assert sum(made.values()) == 1
 
 
+def _counting_facts(monkeypatch) -> Counter:
+    """Count ``cost.order_facts`` calls by (query id, order of op ids).  The
+    fold may pass its RPU ops as an iterator, so the wrapper reads them
+    into a tuple once and hands that on."""
+    calls: Counter = Counter()
+    original = rpusim.cost.order_facts
+
+    def counted(query, rpu, host, profile):
+        rpu = tuple(rpu)
+        calls[query.id, tuple(op.id for op in rpu)] += 1
+        return original(query, rpu, host, profile)
+
+    monkeypatch.setattr(rpusim.cost, "order_facts", counted)
+    return calls
+
+
+def _distinct_facts(seq, plans) -> set:
+    """The distinct (query id, order) pairs of ``plans`` on ``seq``."""
+    return {(q.id, order) for plan in plans for q, order in zip(seq.queries, plan.rpu_order)}
+
+
 @pytest.mark.parametrize("variable, start, stop", [("scale", 0.5, 4.0), ("gap", 0.0, 30.0), ("selectivity", 0.0, 1.0)])
 def test_sweeps_build_each_plan_once(monkeypatch, paper_seq, profile, variable, start, stop):
-    """One build and one legality check per distinct plan, not per grid point.
-
-    A gap sweep keeps the query tuple, so it lowers each plan once; scale and
-    selectivity sweeps build new queries and lower each plan at every point.
+    """One build and one legality check per distinct plan, not per grid
+    point, and no plan lowered.  A gap sweep keeps the query tuple, so it
+    computes each distinct fact once for the whole grid; scale and
+    selectivity sweeps build new queries and compute each at every point.
     """
     by_strategy = lambda plan, seq: plan.strategy
     built = _counting(monkeypatch, rpusim.sweep, "strategy_plan", key=lambda seq, strategy: strategy)
     checks = _counting(monkeypatch, rpusim.plans, "legality", key=by_strategy)
-    # compile_plan lowers through plans._lower, later points through sweep._lower
-    lowered = [_counting(monkeypatch, module, "_lower", key=by_strategy) for module in (rpusim.plans, rpusim.sweep)]
-    costed = _counting(monkeypatch, rpusim.cost, "compile_plan")
+    lowered = _counting(monkeypatch, rpusim.plans, "_lower")
+    facts = _counting_facts(monkeypatch)
     spec = SweepSpec(variable, start, stop, 9, (Strategy.III, Strategy.S, Strategy.IV))
     assert len(run_sweep(paper_seq, profile, spec)) == 27
     once = Counter({Strategy.S: 1, Strategy.III: 1, Strategy.IV: 1})
     assert built == checks == once
-    lowerings = 1 if variable == "gap" else len(spec.grid())
-    assert lowered[0] + lowered[1] == Counter({s: lowerings for s in once})
-    assert sum(costed.values()) == 0
+    assert not lowered
+    distinct = _distinct_facts(paper_seq, [strategy_plan(paper_seq, s) for s in once])
+    # S and III stream the same orders, and IV shares the last query's
+    assert len(distinct) == 3
+    per_fact = 1 if variable == "gap" else len(spec.grid())
+    assert facts == Counter(dict.fromkeys(distinct, per_fact))
 
 
 @pytest.mark.parametrize(
@@ -139,22 +167,48 @@ def test_legality_runs_once_per_engine_call(monkeypatch, paper_seq, profile, cal
         assert sum(checks.values()) == 1
 
 
-def test_planning_pipeline_checks_every_plan_it_receives(monkeypatch, paper_seq, profile):
-    """Hints on (5 plans), hints off (S and I), then hints and simulate of the
-    chosen plan, all on one sequence object: one legality check, one lowering
-    and one cost fold per distinct plan, none skipped."""
+def test_planning_pipeline_checks_every_plan_it_receives(monkeypatch, profile):
+    """Hints on (5 plans), hints off (S and I), then hints and simulate of
+    the chosen plan, all on one sequence object: one legality check and one
+    cost fold per distinct plan, none skipped, one order fact computed per
+    distinct (position, order) pair of those plans, and only the simulated
+    plan lowered into steps."""
     by_plan = lambda plan, seq: plan
     checks = _counting(monkeypatch, rpusim.plans, "legality", key=by_plan)
     lowered = _counting(monkeypatch, rpusim.plans, "_lower", key=by_plan)
     folds = _counting(monkeypatch, rpusim.cost, "_fold")
-    plan, _ = choose_plan(paper_seq, profile, hints_enabled=True)
-    choose_plan(paper_seq, profile, hints_enabled=False)
-    generate_hints(paper_seq, plan, profile)
-    simulate(paper_seq, plan, profile)
-    distinct = enumerate_plans(paper_seq)
-    assert len(distinct) == 5
-    assert checks == lowered == Counter(dict.fromkeys(distinct, 1))
-    assert sum(folds.values()) == 5
+    facts = _counting_facts(monkeypatch)
+    for seq in (canonical_sequence(), _long_sequence(200)):
+        for counts in (checks, lowered, folds, facts):
+            counts.clear()
+        plan, _ = choose_plan(seq, profile, hints_enabled=True)
+        choose_plan(seq, profile, hints_enabled=False)
+        generate_hints(seq, plan, profile)
+        simulate(seq, plan, profile)
+        distinct = enumerate_plans(seq)
+        assert len(distinct) == 5
+        assert checks == Counter(dict.fromkeys(distinct, 1))
+        assert lowered == Counter({plan: 1})
+        assert sum(folds.values()) == 5
+        pairs = _distinct_facts(seq, distinct)
+        assert facts == Counter(dict.fromkeys(pairs, 1))
+        # the five plans share most of their facts
+        assert len(pairs) < 5 * len(seq.queries) * 0.75
+
+
+@pytest.mark.parametrize("hints_first", [True, False], ids=["hints-on-first", "hints-off-first"])
+def test_shared_accelerators_found_once_per_sequence(monkeypatch, profile, hints_first):
+    """Strategy III and ``generate_hints`` both read which accelerators
+    each adjacent pair shares; one sequence object finds them once."""
+    found = _counting(monkeypatch, rpusim.plans, "shared_accelerators")
+    seq = canonical_sequence()
+    for hints_enabled in (hints_first, not hints_first):
+        plan, _ = choose_plan(seq, profile, hints_enabled=hints_enabled)
+        generate_hints(seq, plan, profile)
+    assert sum(found.values()) == 1
+    # a fresh sequence finds them again
+    generate_hints(canonical_sequence(), plan, profile)
+    assert sum(found.values()) == 2
 
 
 def _long_sequence(n: int) -> QuerySequence:
