@@ -187,6 +187,8 @@ def _cmd_mine(args) -> int:
     used = {tid for m in mined for tid in m.templates}
     first: dict[str, str] = {}
     for entry in log:
+        if len(first) == len(used):
+            break
         if entry.template_id in used and entry.template_id not in first:
             first[entry.template_id] = entry.text
     for tid, text in first.items():

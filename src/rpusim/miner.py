@@ -1,11 +1,16 @@
 """Recurring-sequence mining over query logs.
 
 Log lines are ``epoch_ms<TAB>query_text`` with an optional third
-``duration_ms`` field.  Each query text is reduced to a template (constants
-parameterized away) once, when its ``LogEntry`` is built, and contiguous
-template n-grams whose internal gaps stay under a session cutoff are counted.
-Counting runs per n-gram length: all windows of one length are counted at
-once, and gap sums are kept only for the n-grams that reach the minimum
+``duration_ms`` field.  A query text's template comes in two steps: one regex
+pass replaces its constants by ``?``, then a token pass lowercases keywords
+and joins tokens with single spaces; the template id hashes the template.
+``parse_log`` runs the constant pass once per line and the token pass and
+hash once per distinct constant-free text, so a shape that recurs with other
+constants is templated once per call.  Contiguous template n-grams whose
+internal gaps stay under a session cutoff are then counted.  Counting codes
+each template as a small int and runs per n-gram length: all windows of one
+length are counted at once as integer keys, each built from the window one
+shorter, and gap sums are kept only for the n-grams that reach the minimum
 support.  Gaps are completion-to-arrival: the next arrival minus the previous
 arrival minus the previous duration when the log has durations, minus nothing
 when it does not (which overestimates the gap).
@@ -49,18 +54,17 @@ def _lower_keyword(m: re.Match) -> str:
     return lower if lower in _SQL_KEYWORDS else word
 
 
-def normalize_query(text: str) -> str:
-    """Canonical template of a query: constants -> ``?``, keywords lowercased.
-
-    One pass replaces each string and number literal by ``?``; whitespace
-    runs become one space.  A token that is a keyword in lower, UPPER or
-    Title case becomes that keyword, a token with no capital letter stays as
-    it is, and any other token has each keyword among its words lowercased.
-    """
+def _without_constants(text: str) -> str:
+    """The constant pass: each string and number literal becomes ``?``."""
     if not text.strip():
         raise MiningError("empty query text")
+    return _CONSTANT_RE.sub("?", text)
+
+
+def _template(bare: str) -> str:
+    """The token pass over a constant-free text (see :func:`normalize_query`)."""
     out = []
-    for tok in _CONSTANT_RE.sub("?", text).split():
+    for tok in bare.split():
         keyword = _KEYWORD_FORMS.get(tok)
         if keyword is not None:
             out.append(keyword)
@@ -71,15 +75,34 @@ def normalize_query(text: str) -> str:
     return " ".join(out)
 
 
+def _template_id(bare: str) -> str:
+    """Template id of a constant-free text: hash of its template."""
+    return hashlib.sha1(_template(bare).encode("utf-8")).hexdigest()[:12]
+
+
+def normalize_query(text: str) -> str:
+    """Canonical template of a query: constants -> ``?``, keywords lowercased.
+
+    One pass replaces each string and number literal by ``?``; whitespace
+    runs become one space.  A token that is a keyword in lower, UPPER or
+    Title case becomes that keyword, a token with no capital letter stays as
+    it is, and any other token has each keyword among its words lowercased.
+    """
+    return _template(_without_constants(text))
+
+
 def fingerprint(text: str) -> str:
     """Stable template id: hash of the normalized query text."""
-    template = normalize_query(text)
-    return hashlib.sha1(template.encode("utf-8")).hexdigest()[:12]
+    return _template_id(_without_constants(text))
 
 
 @dataclass(frozen=True)
 class LogEntry:
-    """One log line; ``template_id`` is its text's ``fingerprint``."""
+    """One log line; ``template_id`` is its text's ``fingerprint``.
+
+    Built directly, an entry fingerprints its text.  ``parse_log`` builds
+    each entry with the id of its text's shape, templated once per call.
+    """
 
     timestamp_ms: float
     text: str
@@ -90,6 +113,19 @@ class LogEntry:
         object.__setattr__(self, "template_id", fingerprint(self.text))
 
 
+def _log_entry(timestamp_ms: float, text: str, duration_ms: float | None, template_id: str) -> LogEntry:
+    """A ``LogEntry`` whose template id is already known.  Fields are set in
+    declaration order, as the generated ``__init__`` sets them, so entries
+    keep sharing one key table for their instance dicts."""
+    entry = object.__new__(LogEntry)
+    _set = object.__setattr__
+    _set(entry, "timestamp_ms", timestamp_ms)
+    _set(entry, "text", text)
+    _set(entry, "duration_ms", duration_ms)
+    _set(entry, "template_id", template_id)
+    return entry
+
+
 def parse_log(source: str | Path | Iterable[str]) -> list[LogEntry]:
     """Read log lines and return entries sorted by timestamp."""
     if isinstance(source, (str, Path)):
@@ -98,6 +134,8 @@ def parse_log(source: str | Path | Iterable[str]) -> list[LogEntry]:
         lines = Path(source).read_text(encoding="utf-8").split("\n")
     else:
         lines = [line.rstrip("\n") for line in source]
+    # constant-free text -> template id, for this call only
+    ids: dict[str, str] = {}
     entries = []
     for n, line in enumerate(lines, start=1):
         if not line.strip():
@@ -114,9 +152,14 @@ def parse_log(source: str | Path | Iterable[str]) -> list[LogEntry]:
             raise MiningError(f"line {n}: non-finite timestamp {parts[0]!r}")
         if duration is not None and not 0.0 <= duration < math.inf:
             raise MiningError(f"line {n}: duration must be finite and >= 0, got {parts[2]!r}")
-        if not parts[1].strip():
+        text = parts[1]
+        if not text.strip():
             raise MiningError(f"line {n}: empty query text")
-        entries.append(LogEntry(timestamp_ms=ts, text=parts[1], duration_ms=duration))
+        bare = _CONSTANT_RE.sub("?", text)
+        template_id = ids.get(bare)
+        if template_id is None:
+            template_id = ids[bare] = _template_id(bare)
+        entries.append(_log_entry(ts, text, duration, template_id))
     entries.sort(key=lambda e: e.timestamp_ms)
     return entries
 
@@ -153,6 +196,10 @@ def mine_sequences(
             raise MiningError("log is not sorted by timestamp")
 
     templates = [e.template_id for e in log]
+    # each template as a small int, in order of first appearance
+    codes: dict[str, int] = {}
+    coded = [codes.setdefault(t, len(codes)) for t in templates]
+    radix = len(codes)
     gap_after = [
         max(0.0, b.timestamp_ms - (a.timestamp_ms + (a.duration_ms or 0.0)))
         for a, b in zip(log, log[1:])
@@ -163,27 +210,32 @@ def mine_sequences(
         reach[i] = 0 if gap_after[i] > max_gap else reach[i + 1] + 1
 
     mined = []
+    # keys[i]: the window of length n from entry i, as n base-radix digits
+    keys = coded
     # no window is longer than the longest run of gaps under the cutoff
     for n in range(2, min(max_len, max(reach, default=0) + 1) + 1):
+        keys = [key * radix + code for key, code in zip(keys, coded[n - 1 :])]
         valid = [r >= n - 1 for r in reach]
         starts = list(compress(range(len(log)), valid))
-        keys = list(compress(zip(*(templates[k:] for k in range(n))), valid))
-        support = Counter(keys)
+        support = Counter(compress(keys, valid))
         frequent = {key for key, count in support.items() if count >= min_support}
         # gaps are max(0.0, ...), never -0.0, so seeding with the first
         # window's gaps equals a fold from 0.0, in log order
-        sums: dict[tuple[str, ...], list[float]] = {}
-        for key, i in zip(keys, starts):
+        sums: dict[int, list[float]] = {}
+        first: dict[int, int] = {}
+        for i in starts:
+            key = keys[i]
             if key in frequent:
                 acc = sums.get(key)
                 if acc is None:
                     sums[key] = gap_after[i : i + n - 1]
+                    first[key] = i
                 else:
                     for j in range(n - 1):
                         acc[j] += gap_after[i + j]
         mined.extend(
             MinedSequence(
-                templates=key,
+                templates=tuple(templates[first[key] : first[key] + n]),
                 support=support[key],
                 avg_gaps=tuple(s / support[key] for s in acc),
             )

@@ -275,11 +275,26 @@ class Plan:
     leading reconfiguration.  Both are positional, so a plan binds to a
     sequence by query position, not by query id.  ``strategy`` names the
     builder (see :class:`Strategy`).
+
+    A plan is a memo key, so its hash is computed on first use and kept in
+    ``_hash``; equality, ``repr``, ``dataclasses.replace`` and pickling
+    ignore it.
     """
 
     strategy: Strategy
     rpu_order: tuple[tuple[str, ...], ...]
     modes: tuple[Mode, ...]
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.strategy, self.rpu_order, self.modes)))
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # hashes differ between processes (strings are salted, Mode and
+        # Strategy hash by identity), so a copy hashes itself again
+        return {**self.__dict__, "_hash": None}
 
     def load_after(self, boundary: int) -> bool:
         """Whether boundary ``boundary`` reloads the PR speculatively."""

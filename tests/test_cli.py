@@ -5,6 +5,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,8 @@ from rpusim import (
     sweep_csv,
     workload_dict,
 )
+import rpusim
+import rpusim.cli
 from rpusim.cli import main
 from test_miner import A_ID, B_ID, C_ID, BAD_CATALOG_FIELDS, catalog_doc, planted_log_lines
 
@@ -497,6 +502,28 @@ class TestMineCommand:
             "8c27a273a37e|df83ec984908,2,5.500000\n"
         )
 
+    def test_first_text_scan_stops_once_every_template_has_one(self, tmp_path, capsys, monkeypatch):
+        """The planted templates first occur in lines 1-3; the scan for each
+        template's first text reads no entry after that."""
+        log = tmp_path / "queries.log"
+        log.write_text("\n".join(planted_log_lines()) + "\n", encoding="utf-8")
+        real_mine = rpusim.cli.mine_sequences
+
+        class Unread:
+            @property
+            def template_id(self):
+                raise AssertionError("entry read after every template had its text")
+
+        def mine_then_poison(log, **kwargs):
+            mined = real_mine(log, **kwargs)
+            log.append(Unread())
+            return mined
+
+        monkeypatch.setattr(rpusim.cli, "mine_sequences", mine_then_poison)
+        assert main(["mine", "--log", str(log), "--min-support", "5", "--max-gap", "50"]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("template ")]
+        assert [line.split()[1].rstrip(":") for line in printed] == [A_ID, B_ID, C_ID]
+
 
 class TestExitCodes:
     def test_missing_file_is_io_error(self, capsys, tmp_path):
@@ -539,3 +566,14 @@ class TestExitCodes:
                         encoding="utf-8")
         assert main(["plan", "--workload", str(path)]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """``python -m rpusim`` runs the same command line as ``rpusim.cli.main``."""
+    assert main(["cost"]) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    src = str(Path(rpusim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "rpusim", "cost"], capture_output=True, env=env, check=False)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == expected

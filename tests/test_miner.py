@@ -192,6 +192,60 @@ class TestParseLog:
         assert from_path == from_file
 
 
+# a constant slot in a shape: numbers (with dots and exponents) and strings
+# (with doubled quotes)
+_CONSTANT_VALUES = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.from_regex(r"[0-9]{1,3}\.[0-9]{1,3}([eE][+-]?[0-9]{1,2})?", fullmatch=True),
+    st.text(alphabet="ab' ", max_size=4).map(lambda s: "'" + s.replace("'", "''") + "'"),
+    st.text(alphabet="ab ", max_size=3).map(lambda s: f'"{s}"'),
+)
+# pieces that sit next to a constant: digits after letters and dots, exponents,
+# unbalanced quotes
+_SHAPE_PIECES = st.one_of(
+    _QUERY_PIECES,
+    st.sampled_from(["x1", "t.7", "a.", "1e5", "2.5E-3", "7e", "'", "'a", "b''"]),
+    st.none(),
+)
+
+
+@st.composite
+def _log_lines(draw) -> list[str]:
+    """Log lines drawn from a few shapes, each line filling its shape's
+    constant slots (``None`` pieces) anew, so a shape recurs with other
+    constants; sometimes one shape differs from another only in case."""
+    shapes = draw(st.lists(st.lists(_SHAPE_PIECES, min_size=1, max_size=12), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        # keywords match in any case, other words do not
+        shapes.append([None if piece is None else piece.swapcase() for piece in shapes[0]])
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        shape = draw(st.sampled_from(shapes))
+        text = "".join(draw(_CONSTANT_VALUES) if piece is None else piece for piece in shape)
+        text = text.replace("\t", " ")
+        if not text.strip():
+            continue
+        ts = draw(st.integers(0, 20))
+        duration = draw(st.sampled_from(["", "\t0", "\t1.5"]))
+        lines.append(f"{ts}\t{text}{duration}")
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(_log_lines())
+def test_parsed_entries_equal_entries_built_alone(lines):
+    """``parse_log`` templates each shape once per call; every entry it
+    returns still equals the ``LogEntry`` built from that line alone."""
+    alone = []
+    for line in lines:
+        ts, text, *duration = line.split("\t")
+        alone.append(LogEntry(float(ts), text, float(duration[0]) if duration else None))
+    alone.sort(key=lambda e: e.timestamp_ms)
+    parsed = parse_log(lines)
+    assert parsed == alone
+    assert [e.template_id for e in parsed] == [fingerprint(e.text) for e in alone]
+
+
 class TestMineSequences:
     def test_two_query_pattern(self):
         log = parse_log(
@@ -352,6 +406,44 @@ def test_avg_gaps_match_reference_fold_bit_for_bit():
         seen["tie"] += any(a.timestamp_ms == b.timestamp_ms for a, b in zip(log, log[1:]))
         seen["mined"] += bool(mined)
     assert min(seen.values()) > 0
+
+
+def _log_of(texts, rng, cutoff):
+    """Entries for ``texts`` in order, each gap drawn under or over ``cutoff``."""
+    log, t = [], 0.0
+    for text in texts:
+        t += rng.choice([0.0, 1.0, cutoff, cutoff + 1.0])
+        log.append(LogEntry(t, text, rng.choice([None, 0.0, 0.5])))
+    return log
+
+
+def test_integer_keys_match_reference_for_any_radix_and_length():
+    """Windows are counted as base-radix integer keys: one template (radix
+    1), more than 1 000 templates, and windows longer than 4 give the
+    reference's supports and bit-for-bit gaps."""
+    rng = random.Random(7)
+    cutoff = 2.0
+    one = [f"SELECT a FROM t WHERE k = {i}" for i in range(60)]
+    # a planted 6-template block recurs among 1 200 one-off tables
+    block = [f"SELECT b FROM planted_{j} WHERE k = {j + 1}" for j in range(6)]
+    many = []
+    for i in range(1200):
+        many.append(f"SELECT c FROM t{i} WHERE k = 'v{i}'")
+        if i % 100 == 0:
+            many.extend(block)
+    cases = [(one, [2, 3, 9]), (many, [2, 6, 8]), (one[:5] + many[:300] + one[:5], [5, 7])]
+    for texts, lengths in cases:
+        log = _log_of(texts, rng, cutoff)
+        for max_len in lengths:
+            for min_support in (1, 2):
+                expected = _reference_mine(log, min_support, max_len, cutoff)
+                mined = mine_sequences(log, min_support=min_support, max_len=max_len, max_gap=cutoff)
+                got = [(m.templates, m.support, tuple(g.hex() for g in m.avg_gaps)) for m in mined]
+                assert got == expected
+                if max_len > 4 and min_support == 1:
+                    assert any(len(m.templates) > 4 for m in mined)
+    assert len({e.template_id for e in _log_of(one, rng, cutoff)}) == 1
+    assert len({e.template_id for e in _log_of(many, rng, cutoff)}) > 1000
 
 
 class TestToWorkload:

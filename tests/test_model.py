@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -8,6 +10,8 @@ from rpusim import (
     DeviceProfile,
     FilterOp,
     InvalidSequenceError,
+    Mode,
+    Plan,
     Query,
     QuerySequence,
     TableSpec,
@@ -15,6 +19,7 @@ from rpusim import (
     enumerate_plans,
     plan_cost,
     require_valid,
+    Strategy,
     simulate,
     validate_sequence,
 )
@@ -145,3 +150,43 @@ def test_valid_sequences_run_everywhere(profile):
             timeline = simulate(seq, plan, profile)
             assert breakdown.total >= 0.0
             assert timeline.makespan >= 0.0
+
+
+class _CountedId(str):
+    """An op id that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self) -> int:
+        _CountedId.hashes += 1
+        return str.__hash__(self)
+
+
+class TestPlanHash:
+    def _plan(self, strategy=Strategy.III, mode=Mode.SPECULATIVE) -> Plan:
+        return Plan(strategy, ((_CountedId("acc0"), "acc1"), ("acc0",)), (mode,))
+
+    def test_equal_plans_hash_equal(self):
+        a, b = self._plan(), self._plan()
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.strategy, a.rpu_order, a.modes))
+        assert {a: 1}[b] == 1
+        assert "_hash" not in repr(a)
+
+    def test_hash_is_computed_once_per_plan(self):
+        plan = self._plan()
+        before = _CountedId.hashes
+        for _ in range(5):
+            hash(plan)
+        assert _CountedId.hashes - before == 1
+
+    def test_replace_and_pickle_give_a_fresh_hash(self):
+        plan = self._plan()
+        hash(plan)
+        swapped = dataclasses.replace(plan, strategy=Strategy.II, modes=(Mode.BASELINE,))
+        assert swapped == self._plan(Strategy.II, Mode.BASELINE) != plan
+        assert hash(swapped) == hash(self._plan(Strategy.II, Mode.BASELINE))
+        before = _CountedId.hashes
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone == plan and hash(clone) == hash(plan)
+        assert _CountedId.hashes - before == 1

@@ -12,7 +12,8 @@ position, order) fact is computed once per sequence and profile, and only
 a plan that is simulated is lowered into steps: a public engine call runs
 one legality check for a plan that sequence has not checked yet, and the
 whole planning pipeline runs one check and one cost fold per distinct plan
-and lowers one plan.
+and lowers one plan.  Parsing a log runs the constant pass once per line
+and templates each distinct constant-free text once.
 """
 
 from __future__ import annotations
@@ -245,15 +246,35 @@ def test_simulate_is_independent_of_the_cost_engine(monkeypatch, profile, seq):
         assert sum(compiled.values()) == 1
 
 
-def test_mine_fingerprints_each_line_once(monkeypatch, tmp_path, capsys):
-    """One ``rpusim mine`` run that also emits a workload: one fingerprint per
-    log line, and one ``normalize_query`` per printed template line."""
+class _CountingPattern:
+    """Stands in for a compiled pattern and counts its ``sub`` calls."""
+
+    def __init__(self, pattern) -> None:
+        self.pattern = pattern
+        self.subs = 0
+
+    def sub(self, *args):
+        self.subs += 1
+        return self.pattern.sub(*args)
+
+
+def test_mine_templates_each_shape_once(monkeypatch, tmp_path, capsys):
+    """One ``rpusim mine`` run that also emits a workload: one constant pass
+    per log line, one token pass per distinct constant-free text, no
+    ``fingerprint`` call, and one ``normalize_query`` (a constant and a token
+    pass) per printed template line."""
     lines = planted_log_lines()
+    shapes = {rpusim.miner._CONSTANT_RE.sub("?", line.split("\t")[1]) for line in lines}
+    # the planted templates recur with other constants
+    assert len(shapes) == 8 < len(lines)
     log = tmp_path / "queries.log"
     log.write_text("\n".join(lines) + "\n", encoding="utf-8")
     catalog = tmp_path / "catalog.json"
     entry = {"table": {"name": "t", "size_mb": 1.0}, "ops": [{"id": "acc0", "selectivity": 0.5}]}
     catalog.write_text(json.dumps({tid: entry for tid in (A_ID, B_ID, C_ID)}), encoding="utf-8")
+    constants = _CountingPattern(rpusim.miner._CONSTANT_RE)
+    monkeypatch.setattr(rpusim.miner, "_CONSTANT_RE", constants)
+    token_passes = _counting(monkeypatch, rpusim.miner, "_template")
     fingerprints = _counting(monkeypatch, rpusim.miner, "fingerprint")
     normalized = _counting(monkeypatch, rpusim.cli, "normalize_query")
     args = ["mine", "--log", str(log), "--min-support", "5", "--max-gap", "50",
@@ -261,8 +282,10 @@ def test_mine_fingerprints_each_line_once(monkeypatch, tmp_path, capsys):
             "--catalog", str(catalog), "--workload-out", str(tmp_path / "workload.json")]
     assert rpusim.cli.main(args) == 0
     printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("template ")]
-    assert sum(fingerprints.values()) == len(lines)
     assert sum(normalized.values()) == len(printed) == 3
+    assert constants.subs == len(lines) + len(printed)
+    assert sum(token_passes.values()) == len(shapes) + len(printed)
+    assert sum(fingerprints.values()) == 0
 
 
 def test_keywords_in_lower_upper_or_title_case_skip_the_per_word_rule(monkeypatch):
