@@ -16,6 +16,7 @@ Unit conventions (uniform across the package):
 from __future__ import annotations
 
 import math
+from math import isfinite
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -155,10 +156,19 @@ class Query:
     _all_commute: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ops", tuple(self.ops))
-        object.__setattr__(self, "_op_ids", tuple(op.id for op in self.ops))
-        object.__setattr__(self, "_ops_by_id", {op.id: op for op in self.ops})
-        object.__setattr__(self, "_all_commute", all(op.commutes for op in self.ops))
+        ops = self.ops
+        if type(ops) is not tuple:
+            ops = tuple(ops)
+            object.__setattr__(self, "ops", ops)
+        op_ids = []
+        all_commute = True
+        for op in ops:
+            op_ids.append(op.id)
+            if not op.commutes:
+                all_commute = False
+        object.__setattr__(self, "_op_ids", tuple(op_ids))
+        object.__setattr__(self, "_ops_by_id", dict(zip(op_ids, ops)))
+        object.__setattr__(self, "_all_commute", all_commute)
 
     def op_ids(self) -> tuple[str, ...]:
         return self._op_ids
@@ -195,7 +205,7 @@ class QuerySequence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "queries", tuple(self.queries))
-        object.__setattr__(self, "gaps", tuple(float(g) for g in self.gaps))
+        object.__setattr__(self, "gaps", tuple(map(float, self.gaps)))
         require_valid(self)
         object.__setattr__(self, "_memo", {})
 
@@ -211,10 +221,37 @@ class Violation:
 def validate_sequence(seq: QuerySequence) -> list[Violation]:
     """Check every model invariant of a sequence; empty result means ok.
 
+    A clean sequence costs one walk: it only tests whether each count, gap,
+    table size and selectivity is in range and whether the query ids, and
+    each query's op ids, are distinct (a query's ``_ops_by_id`` has one
+    entry per op).  Only a sequence that fails a test is walked again to
+    list its violations.
+
     Violations are data, not exceptions, so callers can report all of them
     at once.  Use :func:`require_valid` to raise instead; constructing a
     :class:`QuerySequence` already does.
     """
+    queries, gaps = seq.queries, seq.gaps
+    n = len(queries)
+    if n < 2 or len(gaps) != n - 1 or len({q.id for q in queries}) != n:
+        return _violations(seq)
+    for g in gaps:
+        if not (isfinite(g) and g >= 0.0):
+            return _violations(seq)
+    for q in queries:
+        size = q.table.size_mb
+        ops = q.ops
+        if not (isfinite(size) and size >= 0.0 and ops and len(q._ops_by_id) == len(ops)):
+            return _violations(seq)
+        for op in ops:
+            if not 0.0 <= op.selectivity <= 1.0:
+                return _violations(seq)
+    return []
+
+
+def _violations(seq: QuerySequence) -> list[Violation]:
+    """Every broken invariant of ``seq``, in walk order (gaps, then each
+    query and its ops)."""
     out: list[Violation] = []
     n = len(seq.queries)
     if n < 2:

@@ -58,7 +58,10 @@ def _require_keys(obj: Any, allowed: frozenset, required: frozenset, *where) -> 
 def _number(value: Any, *where) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise WorkloadFormatError(f"{_where(where)} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise WorkloadFormatError(f"{_where(where)} must be a finite number") from None
 
 
 def _string(value: Any, *where) -> str:
@@ -92,6 +95,13 @@ def parse_workload(doc: Any) -> tuple[QuerySequence, DeviceProfile]:
     falls back to :func:`calibrated_profile`.  Model invariants (gap counts,
     selectivity ranges, finite sizes and gaps, ...) are checked when the
     :class:`QuerySequence` is built, which raises ``InvalidSequenceError``.
+
+    Queries, ops, order entries and gaps are read in one pass.  Each value
+    is first tested for its exact JSON type (``dict``, ``str``, ``float``,
+    ``True``/``False``); a value that fails the test goes to the shared
+    checker for its field, which accepts it (an int, a subclass) or raises
+    the field's error, so messages and their order do not depend on the
+    test.
     """
     _require_keys(doc, _WORKLOAD_KEYS, _WORKLOAD_REQUIRED, "workload")
 
@@ -119,29 +129,55 @@ def parse_workload(doc: Any) -> tuple[QuerySequence, DeviceProfile]:
         raise WorkloadFormatError("queries must be an array")
     queries: dict[str, Query] = {}
     for i, entry in enumerate(doc["queries"]):
-        _require_keys(entry, _QUERY_KEYS, _QUERY_KEYS, "queries", i)
-        qid = _string(entry["id"], "queries", i, "id")
+        if type(entry) is not dict or entry.keys() != _QUERY_KEYS:
+            _require_keys(entry, _QUERY_KEYS, _QUERY_KEYS, "queries", i)
+        qid = entry["id"]
+        if type(qid) is not str:
+            qid = _string(qid, "queries", i, "id")
         if qid in queries:
             raise WorkloadFormatError(f"queries[{i}]: duplicate query id {qid!r}")
-        table_name = _string(entry["table"], "queries", i, "table")
-        if table_name not in tables:
+        table_name = entry["table"]
+        if type(table_name) is not str:
+            table_name = _string(table_name, "queries", i, "table")
+        table = tables.get(table_name)
+        if table is None:
             raise WorkloadFormatError(f"queries[{i}]: unknown table {table_name!r}")
-        if not isinstance(entry["ops"], list):
+        raw_ops = entry["ops"]
+        if not isinstance(raw_ops, list):
             raise WorkloadFormatError(f"queries[{i}].ops must be an array")
-        ops = tuple([_op(op, "queries", i, "ops", j) for j, op in enumerate(entry["ops"])])
-        queries[qid] = Query(id=qid, table=tables[table_name], ops=ops)
+        ops = []
+        for j, op in enumerate(raw_ops):
+            if type(op) is dict:
+                op_id = op.get("id")
+                selectivity = op.get("selectivity")
+                commutes = op.get("commutes", True)
+                # an int selectivity goes to _number, which checks that it fits a float
+                if (
+                    type(op_id) is str
+                    and type(selectivity) is float
+                    and (commutes is True or commutes is False)
+                    and len(op) == (3 if "commutes" in op else 2)
+                ):
+                    ops.append(FilterOp(op_id, selectivity, commutes))
+                    continue
+            ops.append(_op(op, "queries", i, "ops", j))
+        queries[qid] = Query(qid, table, tuple(ops))
 
     seq_doc = _require_keys(doc["sequence"], _SEQUENCE_KEYS, _SEQUENCE_KEYS, "sequence")
     if not isinstance(seq_doc["order"], list) or not isinstance(seq_doc["gaps_ms"], list):
         raise WorkloadFormatError("sequence.order and sequence.gaps_ms must be arrays")
     ordered = []
     for i, qid in enumerate(seq_doc["order"]):
-        qid = _string(qid, "sequence", "order", i)
-        if qid not in queries:
+        if type(qid) is not str:
+            qid = _string(qid, "sequence", "order", i)
+        query = queries.get(qid)
+        if query is None:
             raise WorkloadFormatError(f"sequence.order[{i}]: unknown query {qid!r}")
-        ordered.append(queries[qid])
-    gaps = tuple(_number(g, "sequence", "gaps_ms", i) for i, g in enumerate(seq_doc["gaps_ms"]))
-    return QuerySequence(queries=tuple(ordered), gaps=gaps), profile
+        ordered.append(query)
+    gaps = []
+    for i, gap in enumerate(seq_doc["gaps_ms"]):
+        gaps.append(gap if type(gap) is float else _number(gap, "sequence", "gaps_ms", i))
+    return QuerySequence(queries=tuple(ordered), gaps=tuple(gaps)), profile
 
 
 def load_workload(path: str | Path) -> tuple[QuerySequence, DeviceProfile]:

@@ -25,6 +25,12 @@ And it keeps the ``Step``-walking cost fold, verbatim, as
 ``order_facts`` at every step.  ``plan_cost``, which folds the plan's
 orders and modes against a per-sequence facts table, must reproduce its
 total and per-query times bit for bit.
+
+Last, it keeps the two-set walk of ``validate_sequence``, verbatim, as
+``reference_validate_sequence``: it visits every gap, query and op and
+appends each broken invariant as it goes.  ``validate_sequence``, which
+first tests whether a sequence is clean, must return the same violations
+in the same order for every sequence, clean or not.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from typing import Sequence
 
 from rpusim.cost import CostBreakdown, boundary, order_facts
 from rpusim.errors import MiningError, NonFiniteResultError, SchedulingError
-from rpusim.model import DeviceProfile, Mode, Plan, QuerySequence
+from rpusim.model import DeviceProfile, Mode, Plan, QuerySequence, Violation
 from rpusim.plans import Step, compile_plan
 from rpusim.simulate import GAP_QUERY, Phase, Resource, Timeline
 
@@ -255,3 +261,46 @@ def reference_fold(steps: Sequence[Step], gaps: Sequence[float], profile: Device
     if not math.isfinite(total):
         raise NonFiniteResultError(f"plan cost overflows: total {total!r} ms")
     return CostBreakdown(total=total, per_query=tuple(per_query))
+
+
+def reference_validate_sequence(seq: QuerySequence) -> list[Violation]:
+    """Every broken model invariant of ``seq``, in walk order."""
+    out: list[Violation] = []
+    n = len(seq.queries)
+    if n < 2:
+        out.append(Violation("sequence.queries", f"sequence needs >= 2 queries, got {n}"))
+    if len(seq.gaps) != max(n - 1, 0):
+        out.append(
+            Violation(
+                "sequence.gaps",
+                f"gap count {len(seq.gaps)} does not match queries - 1 = {n - 1}",
+            )
+        )
+    for i, g in enumerate(seq.gaps):
+        if not math.isfinite(g):
+            out.append(Violation(f"sequence.gaps[{i}]", f"non-finite gap {g}"))
+        elif g < 0:
+            out.append(Violation(f"sequence.gaps[{i}]", f"negative gap {g}"))
+
+    seen_ids: set[str] = set()
+    for qi, q in enumerate(seq.queries):
+        if q.id in seen_ids:
+            out.append(Violation(f"queries[{qi}]", f"duplicate query id {q.id!r} in sequence"))
+        seen_ids.add(q.id)
+        if not math.isfinite(q.table.size_mb):
+            out.append(Violation(f"queries[{qi}].table", f"non-finite table size {q.table.size_mb}"))
+        elif q.table.size_mb < 0:
+            out.append(Violation(f"queries[{qi}].table", f"negative table size {q.table.size_mb}"))
+        if not q.ops:
+            out.append(Violation(f"queries[{qi}].ops", "query has no operators"))
+        op_ids: set[str] = set()
+        for oi, op in enumerate(q.ops):
+            if op.id in op_ids:
+                out.append(Violation(f"queries[{qi}].ops[{oi}]", f"duplicate op id {op.id!r} within query"))
+            op_ids.add(op.id)
+            if not 0.0 <= op.selectivity <= 1.0:
+                out.append(Violation(
+                    f"queries[{qi}].ops[{oi}].selectivity",
+                    f"selectivity range: {op.selectivity} outside [0, 1]",
+                ))
+    return out

@@ -560,6 +560,25 @@ class TestExitCodes:
         assert main(["plan", "--workload", str(path)]) == 1
         assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mutate, where",
+        [
+            (lambda d: d["tables"][0].update(size_mb=10 ** 400), "tables[0].size_mb"),
+            (lambda d: d["queries"][1]["ops"][0].update(selectivity=10 ** 400), "queries[1].ops[0].selectivity"),
+            (lambda d: d["sequence"].update(gaps_ms=[-10 ** 400]), "sequence.gaps_ms[0]"),
+            (lambda d: d["profile"].update(r_scan_mb_per_ms=10 ** 400), "profile.r_scan_mb_per_ms"),
+        ],
+        ids=["size", "selectivity", "gap", "profile"],
+    )
+    def test_integer_too_large_for_a_float_is_validation_error(self, capsys, tmp_path, mutate, where):
+        doc = workload_dict(default_scenario(), calibrated_profile())
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["plan", "--workload", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {where} must be a finite number\n")
+
     def test_unknown_key_is_validation_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"tables": [], "queries": [], "sequence": {"order": [], "gaps_ms": []}, "x": 1}',

@@ -529,6 +529,8 @@ BAD_CATALOG_FIELDS = [
     ("missing-size", _drop_size, r"table: missing key\(s\) \['size_mb'\]"),
     ("empty-ops", _set(("ops",), []), r"ops must be a non-empty array"),
     ("op-not-object", _set(("ops", 0), "acc0"), r"ops\[0\] must be an object"),
+    ("selectivity-huge-int", _set(("ops", 1, "selectivity"), 10 ** 400), r"ops\[1\]\.selectivity must be a finite number$"),
+    ("size-huge-int", _set(("table", "size_mb"), -10 ** 400), r"table\.size_mb must be a finite number$"),
 ]
 
 

@@ -3,8 +3,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import pickle
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rpusim import (
     DeviceProfile,
@@ -24,6 +26,7 @@ from rpusim import (
     validate_sequence,
 )
 from conftest import canonical_sequence
+from _oracle import reference_validate_sequence
 
 
 class TestCalibratedProfile:
@@ -127,6 +130,63 @@ class TestValidateSequence:
         with pytest.raises(InvalidSequenceError) as exc:
             canonical_sequence(f0=1.2, gap=-1.0)
         assert len(exc.value.violations) == 2
+
+
+#: Values a broken field takes; the signed zeros and bounds are in range.
+_OFF_SIZES = [math.nan, math.inf, -math.inf, -1.0, -5e-324, -0.0, 0.0, 1.7976931348623157e308]
+_OFF_SELECTIVITIES = [math.nan, math.inf, -math.inf, 1.5, -0.25, 1.0000000000000002, -5e-324, -0.0, 0.0, 1.0]
+_BREAKS = ["gap", "size", "selectivity", "duplicate-query", "duplicate-op", "no-ops", "gap-count", "few-queries"]
+
+
+@st.composite
+def _sequence_fields(draw):
+    """A clean sequence's fields with zero or more invariants broken, as a
+    plain namespace (a ``QuerySequence`` cannot hold a broken one)."""
+    n = draw(st.integers(2, 6))
+    queries = []
+    for qi in range(n):
+        op_ids = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=4, unique=True))
+        ops = [[oid, draw(st.floats(0.0, 1.0)), draw(st.booleans())] for oid in op_ids]
+        queries.append([f"Q{qi}", draw(st.floats(0.0, 1e6)), ops])
+    gaps = draw(st.lists(st.floats(0.0, 1e6), min_size=n - 1, max_size=n - 1))
+    for kind, i, pick in draw(st.lists(st.tuples(st.sampled_from(_BREAKS), st.integers(0, 9), st.integers(0, 9)), max_size=4)):
+        q = queries[i % len(queries)] if queries else None
+        if kind == "gap" and gaps:
+            gaps[i % len(gaps)] = _OFF_SIZES[pick % len(_OFF_SIZES)]
+        elif kind == "size" and q:
+            q[1] = _OFF_SIZES[pick % len(_OFF_SIZES)]
+        elif kind == "selectivity" and q and q[2]:
+            q[2][pick % len(q[2])][1] = _OFF_SELECTIVITIES[pick % len(_OFF_SELECTIVITIES)]
+        elif kind == "duplicate-query" and q:
+            q[0] = queries[pick % len(queries)][0]
+        elif kind == "duplicate-op" and q and q[2]:
+            q[2].append(list(q[2][pick % len(q[2])]))
+        elif kind == "no-ops" and q:
+            q[2] = []
+        elif kind == "gap-count":
+            gaps = gaps + [1.0] if pick % 2 else gaps[:-1]
+        elif kind == "few-queries":
+            queries = queries[: pick % 2]
+    return SimpleNamespace(
+        queries=tuple(Query(qid, TableSpec("t", size), tuple(FilterOp(*op) for op in ops)) for qid, size, ops in queries),
+        gaps=tuple(gaps),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sequence_fields())
+def test_validate_sequence_matches_the_reference_walk(fields):
+    """The clean-or-not test and the violation walk behind it report what
+    the original walk reports, in the same order; a sequence builds exactly
+    when there is nothing to report."""
+    expected = reference_validate_sequence(fields)
+    assert validate_sequence(fields) == expected
+    if expected:
+        with pytest.raises(InvalidSequenceError) as exc:
+            QuerySequence(fields.queries, fields.gaps)
+        assert exc.value.violations == expected
+    else:
+        assert QuerySequence(fields.queries, fields.gaps).queries == fields.queries
 
 
 def test_valid_sequences_run_everywhere(profile):

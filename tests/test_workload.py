@@ -2,11 +2,19 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rpusim import (
+    DeviceProfile,
+    FilterOp,
     InvalidSequenceError,
+    Query,
+    QuerySequence,
+    TableSpec,
     WorkloadFormatError,
     calibrated_profile,
     default_scenario,
@@ -18,6 +26,7 @@ from rpusim import (
     validate_sequence,
     workload_dict,
 )
+from rpusim.workload import workload_json
 
 SCHEMA_DOC = {
     "profile": {
@@ -38,6 +47,16 @@ SCHEMA_DOC = {
     ],
     "sequence": {"order": ["Q0", "Q1"], "gaps_ms": [1.0]},
 }
+
+HUGE = 10 ** 400  # a JSON integer no float holds
+
+
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    pass
 
 
 class TestParse:
@@ -139,6 +158,33 @@ class TestParse:
             (lambda d: d["sequence"]["order"].insert(1, {"id": "Q1"}), "sequence.order[1] must be a string, got {'id': 'Q1'}"),
             (lambda d: d["sequence"]["order"].append("QX"), "sequence.order[2]: unknown query 'QX'"),
             (lambda d: d["sequence"].update(gaps_ms=["1"]), "sequence.gaps_ms[0] must be a number, got '1'"),
+            # each exit from the parser's exact-type fast path, and which check wins when several fail
+            (lambda d: d["profile"].update(t_reconfig_ms=math.inf), "DeviceProfile.t_reconfig must be finite and > 0, got inf"),
+            (lambda d: d["profile"].update(r_acc_mb_per_ms=math.nan), "DeviceProfile.r_acc must be finite and > 0, got nan"),
+            (lambda d: d["profile"].update(c_dbms_ms_per_mb=-1), "DeviceProfile.c_dbms must be finite and > 0, got -1.0"),
+            (lambda d: d["tables"][0].update(size_mb=True), "tables[0].size_mb must be a number, got True"),
+            (lambda d: d["tables"].insert(0, ["t9", 1.0]), "tables[0] must be an object"),
+            (lambda d: [d["queries"][0].pop("id"), d["queries"][0].pop("table")], "queries[0]: missing key(s) ['id', 'table']"),
+            (lambda d: d["queries"][0].update(id=3, table=0), "queries[0].id must be a string, got 3"),
+            (lambda d: d["queries"][1].update(id="Q0", table=5, ops=None), "queries[1]: duplicate query id 'Q0'"),
+            (lambda d: d["queries"][1].update(table="nope", ops=None), "queries[1]: unknown table 'nope'"),
+            (lambda d: d["queries"][0].update(rank=1, ops=None), "queries[0]: unknown key(s) ['rank']"),
+            (lambda d: d["queries"][0].update(ops=[["acc0", 0.33]]), "queries[0].ops[0] must be an object"),
+            (lambda d: d["queries"][0]["ops"].insert(1, None), "queries[0].ops[1] must be an object"),
+            (lambda d: d["queries"][0]["ops"][0].pop("id"), "queries[0].ops[0]: missing key(s) ['id']"),
+            (lambda d: d["queries"][0]["ops"].append({"commutes": True}), "queries[0].ops[2]: missing key(s) ['id', 'selectivity']"),
+            (lambda d: d["queries"][0]["ops"].append({"id": "acc2", "kind": "eq"}), "queries[0].ops[2]: unknown key(s) ['kind']"),
+            (lambda d: d["queries"][1]["ops"][0].update(commutes=1), "queries[1].ops[0].commutes must be a boolean"),
+            (lambda d: d["queries"][0]["ops"][0].update(id=3, selectivity=True, commutes=0), "queries[0].ops[0].commutes must be a boolean"),
+            (lambda d: d["queries"][1]["ops"][0].update(id=3), "queries[1].ops[0].id must be a string, got 3"),
+            (lambda d: d["queries"][0]["ops"][0].update(id=None, selectivity="x"), "queries[0].ops[0].id must be a string, got None"),
+            (lambda d: d["queries"][0]["ops"][0].update(selectivity=True), "queries[0].ops[0].selectivity must be a number, got True"),
+            (lambda d: d["queries"][0]["ops"][1].update(selectivity="0.5"), "queries[0].ops[1].selectivity must be a number, got '0.5'"),
+            (lambda d: d["sequence"]["order"].insert(0, 0), "sequence.order[0] must be a string, got 0"),
+            (lambda d: d["sequence"].update(gaps_ms=[False]), "sequence.gaps_ms[0] must be a number, got False"),
+            (lambda d: d["queries"][0]["ops"].__setitem__(0, OrderedDict(id="acc0", selectivity=0.33, cost=1)),
+             "queries[0].ops[0]: unknown key(s) ['cost']"),
+            (lambda d: d["queries"].__setitem__(0, OrderedDict(id="Q0", table="date_dim")), "queries[0]: missing key(s) ['ops']"),
         ],
     )
     def test_format_error_messages_byte_for_byte(self, mutate, message):
@@ -170,6 +216,123 @@ class TestParse:
             parse_workload(json.loads(json.dumps(doc)))
 
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["tables"][1].update(size_mb=math.nan), "queries[1].table: non-finite table size nan"),
+            (lambda d: d["tables"][0].update(size_mb=-math.inf), "queries[0].table: non-finite table size -inf"),
+            (lambda d: d["tables"][0].update(size_mb=-2), "queries[0].table: negative table size -2.0"),
+            (lambda d: d["sequence"].update(gaps_ms=[math.inf]), "sequence.gaps[0]: non-finite gap inf"),
+            (lambda d: d["sequence"].update(gaps_ms=[math.nan]), "sequence.gaps[0]: non-finite gap nan"),
+            (lambda d: d["sequence"].update(gaps_ms=[-1]), "sequence.gaps[0]: negative gap -1.0"),
+            (lambda d: d["sequence"].update(gaps_ms=[1.0, 2.0]), "sequence.gaps: gap count 2 does not match queries - 1 = 1"),
+            (lambda d: d["sequence"].update(gaps_ms=[]), "sequence.gaps: gap count 0 does not match queries - 1 = 1"),
+            (lambda d: d["sequence"].update(order=["Q0"], gaps_ms=[]), "sequence.queries: sequence needs >= 2 queries, got 1"),
+            (lambda d: d["sequence"].update(order=[], gaps_ms=[]), "sequence.queries: sequence needs >= 2 queries, got 0"),
+            (lambda d: d["sequence"].update(order=["Q1", "Q1"]), "queries[1]: duplicate query id 'Q1' in sequence"),
+            (lambda d: d["queries"][1].update(ops=[]), "queries[1].ops: query has no operators"),
+            (lambda d: d["queries"][0]["ops"][1].update(id="acc0"), "queries[0].ops[1]: duplicate op id 'acc0' within query"),
+            (lambda d: d["queries"][0]["ops"][1].update(selectivity=1.5), "queries[0].ops[1].selectivity: selectivity range: 1.5 outside [0, 1]"),
+            (lambda d: d["queries"][1]["ops"][0].update(selectivity=-1), "queries[1].ops[0].selectivity: selectivity range: -1.0 outside [0, 1]"),
+            (lambda d: d["queries"][1]["ops"][0].update(selectivity=math.nan), "queries[1].ops[0].selectivity: selectivity range: nan outside [0, 1]"),
+            (
+                lambda d: [
+                    d["tables"][0].update(size_mb=math.nan),
+                    d["tables"][1].update(size_mb=-1.0),
+                    d["queries"][0].update(ops=[
+                        {"id": "acc0", "selectivity": 2.0},
+                        {"id": "acc0", "selectivity": math.nan},
+                        {"id": "acc1", "selectivity": -0.5},
+                    ]),
+                    d["queries"][1].update(ops=[]),
+                    d["sequence"].update(order=["Q0", "Q1", "Q0", "Q1"], gaps_ms=[math.inf, -1.0, math.nan, 0.0]),
+                ],
+                "sequence.gaps: gap count 4 does not match queries - 1 = 3; "
+                "sequence.gaps[0]: non-finite gap inf; "
+                "sequence.gaps[1]: negative gap -1.0; "
+                "sequence.gaps[2]: non-finite gap nan; "
+                "queries[0].table: non-finite table size nan; "
+                "queries[0].ops[0].selectivity: selectivity range: 2.0 outside [0, 1]; "
+                "queries[0].ops[1]: duplicate op id 'acc0' within query; "
+                "queries[0].ops[1].selectivity: selectivity range: nan outside [0, 1]; "
+                "queries[0].ops[2].selectivity: selectivity range: -0.5 outside [0, 1]; "
+                "queries[1].table: negative table size -1.0; "
+                "queries[1].ops: query has no operators; "
+                "queries[2]: duplicate query id 'Q0' in sequence; "
+                "queries[2].table: non-finite table size nan; "
+                "queries[2].ops[0].selectivity: selectivity range: 2.0 outside [0, 1]; "
+                "queries[2].ops[1]: duplicate op id 'acc0' within query; "
+                "queries[2].ops[1].selectivity: selectivity range: nan outside [0, 1]; "
+                "queries[2].ops[2].selectivity: selectivity range: -0.5 outside [0, 1]; "
+                "queries[3]: duplicate query id 'Q1' in sequence; "
+                "queries[3].table: negative table size -1.0; "
+                "queries[3].ops: query has no operators",
+            ),
+        ],
+        ids=[
+            "nan-size", "minus-inf-size", "negative-size", "inf-gap", "nan-gap", "negative-gap",
+            "too-many-gaps", "too-few-gaps", "one-query", "no-query", "duplicate-query", "no-ops",
+            "duplicate-op", "selectivity-above-1", "selectivity-below-0", "nan-selectivity", "all-at-once",
+        ],
+    )
+    def test_sequence_error_messages_byte_for_byte(self, mutate, message):
+        doc = json.loads(json.dumps(SCHEMA_DOC))
+        mutate(doc)
+        with pytest.raises(InvalidSequenceError) as info:
+            parse_workload(doc)
+        assert str(info.value) == f"invalid query sequence: {message}"
+
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["tables"][0].update(size_mb=HUGE), "tables[0].size_mb must be a finite number"),
+            (lambda d: d["tables"][1].update(size_mb=-HUGE), "tables[1].size_mb must be a finite number"),
+            (lambda d: d["queries"][0]["ops"][1].update(selectivity=HUGE), "queries[0].ops[1].selectivity must be a finite number"),
+            (lambda d: d["sequence"].update(gaps_ms=[HUGE]), "sequence.gaps_ms[0] must be a finite number"),
+            *[
+                (lambda d, key=key: d["profile"].update({key: HUGE}), f"profile.{key} must be a finite number")
+                for key in SCHEMA_DOC["profile"]
+            ],
+        ],
+    )
+    def test_integer_too_large_for_a_float_is_format_error(self, mutate, message):
+        doc = json.loads(json.dumps(SCHEMA_DOC))
+        mutate(doc)
+        with pytest.raises(WorkloadFormatError) as info:
+            parse_workload(json.loads(json.dumps(doc)))
+        assert str(info.value) == message
+
+    def test_largest_integer_that_fits_a_float_parses(self):
+        doc = json.loads(json.dumps(SCHEMA_DOC))
+        doc["sequence"]["gaps_ms"] = [int(sys.float_info.max)]
+        seq, _ = parse_workload(doc)
+        assert seq.gaps == (sys.float_info.max,)
+
+    def test_subclasses_and_ints_take_the_checkers_and_parse_as_before(self):
+        """Values the exact-type tests pass over reach the shared checkers,
+        which accept them as they always did."""
+        odd = {
+            "tables": [OrderedDict(name=_Str("date_dim"), size_mb=9), {"name": "detail", "size_mb": _Float(1.0)}],
+            "queries": [
+                OrderedDict(id=_Str("Q0"), table=_Str("date_dim"), ops=[
+                    OrderedDict(id=_Str("acc0"), selectivity=_Float(0.33)),
+                    {"id": "acc1", "selectivity": 0.43, "commutes": False},
+                ]),
+                {"id": "Q1", "table": "detail", "ops": [{"id": "acc0", "selectivity": 1}]},
+            ],
+            "sequence": {"order": [_Str("Q0"), "Q1"], "gaps_ms": [1]},
+        }
+        plain = json.loads(json.dumps(SCHEMA_DOC))
+        del plain["profile"]
+        plain["queries"][0]["ops"][1]["commutes"] = False
+        plain["queries"][1]["ops"][0]["selectivity"] = 1.0
+        seq, profile = parse_workload(odd)
+        assert (seq, profile) == parse_workload(plain)
+        numbers = [*seq.gaps, *(q.table.size_mb for q in seq.queries), *(op.selectivity for q in seq.queries for op in q.ops)]
+        assert {type(x) for x in numbers} == {float}
+
+
 class TestRoundTrip:
     def test_dict_round_trip(self):
         seq = default_scenario()
@@ -192,6 +355,42 @@ class TestRoundTrip:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(WorkloadFormatError, match="not valid JSON"):
             load_workload(path)
+
+
+@st.composite
+def _sequences_and_profiles(draw):
+    n = draw(st.integers(2, 6))
+    ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=n, max_size=n, unique=True))
+    tables = [TableSpec(f"t{i}", draw(st.floats(0.0, 1e6))) for i in range(draw(st.integers(1, 3)))]
+    queries = []
+    for qid in ids:
+        op_ids = draw(st.lists(st.sampled_from(["acc0", "acc1", "acc2", "acc3"]), min_size=1, max_size=4, unique=True))
+        ops = tuple(FilterOp(oid, draw(st.floats(0.0, 1.0)), draw(st.booleans())) for oid in op_ids)
+        queries.append(Query(qid, draw(st.sampled_from(tables)), ops))
+    gaps = draw(st.lists(st.floats(0.0, 1e6), min_size=n - 1, max_size=n - 1))
+    rates = st.floats(1e-6, 1e6)
+    profile = draw(st.none() | st.builds(DeviceProfile, rates, rates, rates, rates, rates))
+    return QuerySequence(tuple(queries), tuple(gaps)), profile
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sequences_and_profiles())
+def test_round_trip_is_lossless(seq_and_profile):
+    """A written document parses back to the sequence and profile it came
+    from, and each parsed query carries the caches a directly built one has."""
+    seq, profile = seq_and_profile
+    expected = (seq, calibrated_profile() if profile is None else profile)
+    assert parse_workload(workload_dict(seq, profile)) == expected
+    parsed = parse_workload(json.loads(workload_json(seq, profile)))
+    assert parsed == expected
+    for got, built in zip(parsed[0].queries, seq.queries):
+        caches = (got._op_ids, list(got._ops_by_id.items()), got._all_commute)
+        assert caches == (built._op_ids, list(built._ops_by_id.items()), built._all_commute)
+        assert caches == (
+            tuple(op.id for op in built.ops),
+            [(op.id, op) for op in built.ops],
+            all(op.commutes for op in built.ops),
+        )
 
 
 class TestDefaultScenario:
