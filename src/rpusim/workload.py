@@ -174,10 +174,11 @@ def parse_workload(doc: Any) -> tuple[QuerySequence, DeviceProfile]:
         if query is None:
             raise WorkloadFormatError(f"sequence.order[{i}]: unknown query {qid!r}")
         ordered.append(query)
-    gaps = []
-    for i, gap in enumerate(seq_doc["gaps_ms"]):
-        gaps.append(gap if type(gap) is float else _number(gap, "sequence", "gaps_ms", i))
-    return QuerySequence(queries=tuple(ordered), gaps=tuple(gaps)), profile
+    gaps = tuple([
+        gap if type(gap) is float else _number(gap, "sequence", "gaps_ms", i)
+        for i, gap in enumerate(seq_doc["gaps_ms"])
+    ])
+    return QuerySequence(queries=tuple(ordered), gaps=gaps), profile
 
 
 def load_workload(path: str | Path) -> tuple[QuerySequence, DeviceProfile]:

@@ -215,7 +215,6 @@ class TestParse:
         with pytest.raises(InvalidSequenceError, match=fragment):
             parse_workload(json.loads(json.dumps(doc)))
 
-
     @pytest.mark.parametrize(
         "mutate, message",
         [
@@ -281,7 +280,6 @@ class TestParse:
         with pytest.raises(InvalidSequenceError) as info:
             parse_workload(doc)
         assert str(info.value) == f"invalid query sequence: {message}"
-
 
     @pytest.mark.parametrize(
         "mutate, message",
