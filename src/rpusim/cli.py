@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import stat
 import sys
-from pathlib import Path
 
 from .cost import CostBreakdown, improvement, plan_cost
 from .errors import RpusimError
@@ -30,7 +28,7 @@ from .planner import choose_plan, costed_plans, generate_hints
 from .plans import strategy_plan
 from .simulate import simulate, timeline_csv
 from .sweep import VARIABLES, SweepSpec, run_sweep, scale_sequence, set_gaps, set_selectivity, sweep_csv
-from .workload import default_scenario, load_workload, workload_json
+from .workload import default_scenario, load_workload, read_json, workload_json
 
 
 def _parse_strategy(value: str, hints: bool) -> Strategy:
@@ -172,7 +170,7 @@ def _cmd_mine(args) -> int:
     if args.workload_out:
         if not args.catalog:
             raise ValueError("--workload-out requires --catalog")
-        catalog = parse_catalog(json.loads(Path(args.catalog).read_text(encoding="utf-8")))
+        catalog = parse_catalog(read_json(args.catalog))
         if not mined:
             raise ValueError("no recurring sequence found, nothing to emit")
         texts[args.workload_out] = workload_json(to_workload(mined[0], catalog))

@@ -5,10 +5,12 @@ the operators the device streams and their order (the rest run on the host),
 and names one :class:`Mode` per query boundary.  The builders set the modes
 directly: II holds at every boundary, III reloads speculatively at every
 boundary where that loads an accelerator, and every other boundary is
-baseline.  :func:`check_plan` checks a plan against a sequence; costing
-(:mod:`rpusim.cost`) folds a checked plan's orders and modes directly.
+baseline.  :func:`check_plan` checks a plan against a sequence; both
+engines, costing (:mod:`rpusim.cost`) and scheduling
+(:mod:`rpusim.simulate`), read a checked plan's orders and modes directly.
 :func:`compile_plan` checks a plan and lowers it into per-query
-:class:`Step` records, which scheduling (:mod:`rpusim.simulate`) walks.
+:class:`Step` records, for callers that want each query's operators as
+objects, such as the device policy :func:`rpusim.planner.rpu_policy`.
 
 All three are kept in the sequence's memo (``QuerySequence._memo``), so on
 one sequence object each strategy's plan is built at most once (a strategy

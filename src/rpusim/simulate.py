@@ -26,6 +26,13 @@ Zero-length phases are scheduled like any other but omitted from the
 emitted timeline.  The makespan is the latest time any resource becomes
 free, which is the largest phase end; one that overflows to infinity is an
 error.
+
+:func:`simulate` reads a checked plan the way the cost fold does, each
+query's RPU order of op ids and its boundary mode, so no plan is lowered
+into steps.  It is one flat loop that keeps each resource's free time in a
+local and each resource's kept phases in a list of their own, with no
+Python-level call per phase; the lists are sorted into one timeline at the
+end.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from typing import NamedTuple
 
 from .errors import NonFiniteResultError, SchedulingError
 from .model import DeviceProfile, Mode, Plan, QuerySequence, Violation
-from .plans import compile_plan
+from .plans import _host_ops, check_plan
 
 #: Query column placeholder for phases that belong to no query.
 GAP_QUERY = "\u2014"
@@ -54,9 +61,6 @@ class Resource(Enum):
     # Members are singletons: hash by identity, in C, not by name.
     __hash__ = object.__hash__
 
-
-#: Each resource's position in ``value`` order, for cheap sort keys.
-_RANK = {r: rank for rank, r in enumerate(sorted(Resource, key=lambda r: r.value))}
 
 # Reading an Enum member off its class is slow; simulate reads these per phase.
 _SCAN, _PR, _NET, _DBMS, _IDLE = Resource.SCAN, Resource.PR, Resource.NET, Resource.DBMS, Resource.IDLE
@@ -77,76 +81,126 @@ class Timeline:
     makespan: float
 
 
-class _Schedule:
-    """Phases placed in time in one in-order pass.
+# A NamedTuple's own ``__new__`` is a Python function; ``tuple.__new__``
+# builds the same Phase in C.
+_new = tuple.__new__
+_START = attrgetter("start")
 
-    Each phase starts at the release time its caller computed, once its
-    resource is free.  A phase of zero length is not kept, but it still
-    sets its resource's free time.
-    """
 
-    def __init__(self) -> None:
-        self.free_at: dict[Resource, float] = dict.fromkeys(Resource, 0.0)
-        self.phases: list[Phase] = []
-
-    def place(self, resource: Resource, label: str, query: str, at: float, duration: float) -> float:
-        """Place a phase released at ``at`` and return its end."""
-        free_at = self.free_at
-        if free_at[resource] > at:
-            raise SchedulingError(
-                f"{resource.value} is busy until {free_at[resource]:.6f} ms "
-                f"when {label} for {query} is released at {at:.6f} ms"
-            )
-        end = free_at[resource] = at + duration
-        if end > at:
-            self.phases.append(Phase(resource, label, query, at, end))
-        return end
+def _busy(resource: Resource, free_at: float, label: str, query: str, at: float) -> SchedulingError:
+    """The error for a phase released at ``at`` on a resource that is busy
+    until ``free_at``."""
+    return SchedulingError(
+        f"{resource.value} is busy until {free_at:.6f} ms "
+        f"when {label} for {query} is released at {at:.6f} ms"
+    )
 
 
 def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline:
-    """Execute the plan and return its timeline (phases plus makespan)."""
-    schedule = _Schedule()
-    place = schedule.place
-    loaded: str | None = None
-    arrival = tail = pr_free = 0.0  # the first query arrives at 0
+    """Execute the plan and return its timeline (phases plus makespan).
 
-    for i, (q, rpu, host, mode) in enumerate(compile_plan(plan, seq)):
+    The plan is checked through :func:`rpusim.plans.check_plan`, and not
+    lowered: the walk reads each query's RPU order and boundary mode off the
+    plan, as the cost fold does.
+    """
+    plan = check_plan(plan, seq)
+    t_reconfig, r_scan, r_acc = profile.t_reconfig, profile.r_scan, profile.r_acc
+    r_network, c_dbms = profile.r_network, profile.c_dbms
+    # Each resource's free time; a phase is placed at its release time
+    # ``at`` once its resource is free, and a phase of zero length is not
+    # kept but still sets its resource's free time.
+    free_scan = free_pr = free_net = free_dbms = free_idle = 0.0
+    scans: list[Phase] = []
+    prs: list[Phase] = []
+    nets: list[Phase] = []
+    dbms: list[Phase] = []
+    idles: list[Phase] = []
+    loaded: str | None = None
+    arrival = tail = handoff = 0.0  # the first query arrives at 0
+
+    for q, order, mode, gap in zip(seq.queries, plan.rpu_order, (_BASELINE, *plan.modes), (None, *seq.gaps)):
         qid, size = q.id, q.table.size_mb
-        if i > 0:
-            arrival = place(_IDLE, "gap", GAP_QUERY, tail, seq.gaps[i - 1])
+        if gap is not None:
+            if free_idle > tail:
+                raise _busy(_IDLE, free_idle, "gap", GAP_QUERY, tail)
+            arrival = free_idle = tail + gap
+            if arrival > tail:
+                idles.append(_new(Phase, (_IDLE, "gap", GAP_QUERY, tail, arrival)))
 
         lead = 0.0  # with no leading reconfiguration, it raises no max() below
-        if rpu and loaded != rpu[0].id:
-            lead = place(_PR, "reconfig", qid, arrival if mode is _BASELINE else pr_free, profile.t_reconfig)
-        scan = place(_SCAN, "scan", qid, max(arrival, lead) if mode is _HOLD else arrival, size / profile.r_scan)
+        if order and loaded != order[0]:
+            # BASELINE releases it at the query's arrival; HOLD and
+            # SPECULATIVE the moment the predecessor hands the PR over
+            at = arrival if mode is _BASELINE else handoff
+            if free_pr > at:
+                raise _busy(_PR, free_pr, "reconfig", qid, at)
+            lead = free_pr = at + t_reconfig
+            if lead > at:
+                prs.append(_new(Phase, (_PR, "reconfig", qid, at, lead)))
+        at = max(arrival, lead) if mode is _HOLD else arrival
+        if free_scan > at:
+            raise _busy(_SCAN, free_scan, "scan", qid, at)
+        work = scan = free_scan = at + size / r_scan
+        if scan > at:
+            scans.append(_new(Phase, (_SCAN, "scan", qid, at, scan)))
 
-        work = scan
-        for k, op in enumerate(rpu):
-            if k == 0:
-                at = max(scan, lead)
-            else:
-                at = max(scan, place(_PR, "reconfig", qid, work, profile.t_reconfig), work)
-            work = place(_PR, "acc-exec", qid, at, size / profile.r_acc)
-            size *= op.selectivity
-            loaded = op.id
+        if order:
+            by_id = q._ops_by_id
+            at = max(scan, lead)
+            for k, op_id in enumerate(order):
+                if k:
+                    # each further accelerator reconfigures after the last one
+                    if free_pr > work:
+                        raise _busy(_PR, free_pr, "reconfig", qid, work)
+                    end = free_pr = work + t_reconfig
+                    if end > work:
+                        prs.append(_new(Phase, (_PR, "reconfig", qid, work, end)))
+                    at = max(scan, end, work)
+                if free_pr > at:
+                    raise _busy(_PR, free_pr, "acc-exec", qid, at)
+                work = free_pr = at + size / r_acc
+                if work > at:
+                    prs.append(_new(Phase, (_PR, "acc-exec", qid, at, work)))
+                size *= by_id[op_id].selectivity
+            loaded = order[-1]
 
-        pr_free = work
-        tail = place(_NET, "transfer", qid, work, size / profile.r_network)
-        for op in host:
-            tail = place(_DBMS, "dbms", qid, tail, profile.c_dbms * size)
+        handoff = work
+        if free_net > work:
+            raise _busy(_NET, free_net, "transfer", qid, work)
+        tail = free_net = work + size / r_network
+        if tail > work:
+            nets.append(_new(Phase, (_NET, "transfer", qid, work, tail)))
+        for op in _host_ops(q, order):
+            at = tail
+            if free_dbms > at:
+                raise _busy(_DBMS, free_dbms, "dbms", qid, at)
+            tail = free_dbms = at + c_dbms * size
+            if tail > at:
+                dbms.append(_new(Phase, (_DBMS, "dbms", qid, at, tail)))
             size *= op.selectivity
 
     # a phase starts no earlier than its resource is free and lasts >= 0,
-    # so each resource's free time is the largest end of its phases
-    makespan = max(schedule.free_at.values())
+    # so each resource's free time is the largest end of its phases; they
+    # are read in ``Resource`` declaration order
+    makespan = max(free_scan, free_pr, free_net, free_dbms, free_idle)
     if not math.isfinite(makespan):
         raise NonFiniteResultError(f"simulated makespan overflows: {makespan!r} ms")
-    phases = schedule.phases
-    phases.sort(key=lambda p: (p.start, _RANK[p.resource], p.end, p.label, p.query))
+    # Each resource's kept phases start strictly later than the one before
+    # (a kept phase ends after it starts, and the next one on its resource
+    # starts no earlier), so phases that start together are on different
+    # resources.  One stable sort by start of the lanes laid end to end in
+    # ``value`` order (DBMS, IDLE, NET, PR, SCAN) therefore orders phases by
+    # start, then resource.
+    phases = dbms
+    phases += idles
+    phases += nets
+    phases += prs
+    phases += scans
+    phases.sort(key=_START)
     return Timeline(phases=tuple(phases), makespan=makespan)
 
 
-_START, _START_END, _END = attrgetter("start"), attrgetter("start", "end"), attrgetter("end")
+_START_END, _END = attrgetter("start", "end"), attrgetter("end")
 
 
 def _in_order(group: list[Phase], key) -> list[Phase]:

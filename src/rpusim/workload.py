@@ -181,14 +181,23 @@ def parse_workload(doc: Any) -> tuple[QuerySequence, DeviceProfile]:
     return QuerySequence(queries=tuple(ordered), gaps=gaps), profile
 
 
-def load_workload(path: str | Path) -> tuple[QuerySequence, DeviceProfile]:
-    """Read a workload JSON file; malformed JSON is a format error."""
+def read_json(path: str | Path) -> Any:
+    """Decode a JSON file; text that does not decode is a format error
+    naming the file."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise WorkloadFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_workload(doc)
+    except ValueError as exc:
+        # ``json`` reads an integer literal through ``int()``, which refuses
+        # one longer than ``sys.get_int_max_str_digits()`` digits
+        raise WorkloadFormatError(f"{path}: not valid JSON (an integer literal has too many digits)") from exc
+
+
+def load_workload(path: str | Path) -> tuple[QuerySequence, DeviceProfile]:
+    """Read a workload JSON file; malformed JSON is a format error."""
+    return parse_workload(read_json(path))
 
 
 def workload_dict(seq: QuerySequence, profile: DeviceProfile | None = None) -> dict:

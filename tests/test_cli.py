@@ -360,6 +360,29 @@ class TestMineCommand:
         assert not workload_path.exists()
 
     @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"a": ', "Expecting value: line 1 column 7 (char 6)"),
+            ('{"a": ' + "1" * 5000 + "}", "an integer literal has too many digits"),
+        ],
+        ids=["malformed", "huge-integer"],
+    )
+    def test_catalog_that_is_not_json_names_the_file(self, tmp_path, capsys, text, reason):
+        log = tmp_path / "queries.log"
+        log.write_text("\n".join(planted_log_lines()) + "\n", encoding="utf-8")
+        catalog_path = tmp_path / "catalog.json"
+        catalog_path.write_text(text, encoding="utf-8")
+        workload_path = tmp_path / "w.json"
+        args = ["mine", "--log", str(log), "--min-support", "5", "--max-gap", "50",
+                "--catalog", str(catalog_path), "--workload-out", str(workload_path)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {catalog_path}: not valid JSON ({reason})\n"
+        assert "set_int_max_str_digits" not in captured.err
+        assert not workload_path.exists()
+
+    @pytest.mark.parametrize(
         "catalog, min_support, message",
         [
             ("size-null", "5", "size_mb must be a number, got None"),
@@ -578,6 +601,21 @@ class TestExitCodes:
         assert main(["plan", "--workload", str(path)]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {where} must be a finite number\n")
+
+    @pytest.mark.parametrize("digits", [5000, 100_000])
+    def test_integer_literal_too_long_to_read_names_the_file(self, capsys, tmp_path, digits):
+        """``json`` refuses an integer literal longer than Python's int
+        string-conversion limit with a plain ``ValueError``; that is a
+        format error naming the file, with no advice about interpreter
+        settings."""
+        doc = workload_dict(default_scenario(), calibrated_profile())
+        doc["tables"][0]["size_mb"] = "SIZE"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"SIZE"', "9" * digits), encoding="utf-8")
+        assert main(["plan", "--workload", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not valid JSON (an integer literal has too many digits)\n"
 
     def test_unknown_key_is_validation_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

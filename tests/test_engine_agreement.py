@@ -67,8 +67,10 @@ def random_profile(rng: random.Random) -> DeviceProfile:
     )
 
 
-def random_sequence(rng: random.Random) -> QuerySequence:
-    n = rng.randint(2, 8)
+def random_sequence(rng: random.Random, n: int | None = None) -> QuerySequence:
+    """``n`` queries (default: 2-8, drawn from ``rng``)."""
+    if n is None:
+        n = rng.randint(2, 8)
     queries = []
     for qi in range(n):
         ids = rng.sample(POOL, rng.randint(1, 3))
@@ -113,6 +115,26 @@ def test_simulator_matches_cost_on_mixed_plans():
             mixed += any(mode is not Mode.BASELINE for mode in plan.modes)
     # most random plans have at least one HOLD or SPECULATIVE boundary
     assert mixed > 1200
+
+
+def test_each_resource_runs_its_phases_one_after_another():
+    """Every kept phase lasts a positive time, and no two phases of one
+    resource start together: ``simulate`` lays each resource's phases end
+    to end and sorts them stably by start alone, which matches ordering by
+    (start, resource, end, label, query) only because of this."""
+    lanes_checked = 0
+    for rng, seq, profile in random_cases(2017, 300):
+        for plan in enumerate_plans(seq) + [random_plan(rng, seq) for _ in range(6)]:
+            starts: dict = {}
+            phases = simulate(seq, plan, profile).phases
+            for p in phases:
+                assert p.end > p.start, (p, plan, seq)
+                starts.setdefault(p.resource, []).append(p.start)
+            assert [p.start for p in phases] == sorted(p.start for p in phases)
+            for lane in starts.values():
+                assert all(a < b for a, b in zip(lane, lane[1:])), (lane, plan, seq)
+                lanes_checked += len(lane) > 1
+    assert lanes_checked > 5000
 
 
 def test_cost_monotone_in_table_size():

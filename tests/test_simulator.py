@@ -4,6 +4,7 @@ import importlib
 import math
 import pickle
 import random
+import re
 import sys
 import types
 
@@ -36,10 +37,10 @@ from rpusim import (
     timeline_csv,
     validate_timeline,
 )
-from rpusim.simulate import _Schedule
 from _oracle import reference_simulate
 from conftest import canonical_sequence, random_params
 from test_engine_agreement import random_plan, random_profile, random_sequence
+from test_work_counts import _long_sequence
 
 
 def _phase(timeline, label, query):
@@ -191,6 +192,26 @@ class TestReferenceSimulator:
         seq, plan, profile = case
         assert _outcome(simulate, seq, plan, profile) == _outcome(reference_simulate, seq, plan, profile)
 
+    def test_every_strategy_plan_of_a_200_query_sequence(self, profile):
+        seq = _long_sequence(200)
+        plans = enumerate_plans(seq)
+        assert [plan.strategy for plan in plans] == list(STRATEGY_ORDER)
+        for plan in plans:
+            expected = _outcome(reference_simulate, seq, plan, profile)
+            assert _outcome(simulate, seq, plan, profile) == expected, plan.strategy
+            assert len(expected[0]) > 1000
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32), n=st.integers(20, 300))
+    def test_random_long_mixed_mode_plans(self, seed, n):
+        """20-300 queries over a four-accelerator pool, so each resource
+        carries tens to hundreds of phases, with zero sizes, gaps and
+        selectivities among them."""
+        rng = random.Random(seed)
+        seq, profile = random_sequence(rng, n), random_profile(rng)
+        plan = random_plan(rng, seq)
+        assert _outcome(simulate, seq, plan, profile) == _outcome(reference_simulate, seq, plan, profile)
+
 
 class TestSchedulingErrors:
     """Both engines reject an illegal plan with the same error."""
@@ -220,36 +241,70 @@ class TestSchedulingErrors:
 
 
 class TestRunTasks:
-    """``_Schedule.place`` starts each phase at its release time, once its
+    """``simulate`` starts each phase at its release time, once its
     resource is free."""
 
-    def test_busy_resource_rejected(self):
-        schedule = _Schedule()
-        assert schedule.place(Resource.PR, "reconfig", "Q0", 0.0, 15.0) == 15.0
-        with pytest.raises(SchedulingError, match="PR is busy until 15.000000 ms"):
-            schedule.place(Resource.PR, "acc-exec", "Q0", 0.0, 2.0)
-
-    def test_phase_starts_at_its_release_time(self):
-        schedule = _Schedule()
-        reconfig = schedule.place(Resource.PR, "reconfig", "Q0", 0.0, 15.0)
-        scan = schedule.place(Resource.SCAN, "scan", "Q0", 0.0, 5.0)
-        acc = schedule.place(Resource.PR, "acc-exec", "Q0", max(scan, reconfig), 2.0)
-        # NET has been free since 0, but the transfer is released at 19
-        transfer = schedule.place(Resource.NET, "transfer", "Q0", acc + 2.0, 3.0)
-        assert (reconfig, scan, acc, transfer) == (15.0, 5.0, 17.0, 22.0)
-        phases = schedule.phases
-        assert ([p.start for p in phases], [p.end for p in phases]) == (
-            [0.0, 0.0, 15.0, 19.0], [15.0, 5.0, 17.0, 22.0]
+    def test_busy_resource_rejected(self, profile):
+        seq = canonical_sequence()
+        plan = strategy_plan(seq, Strategy.S)
+        timeline = simulate(seq, plan, profile)
+        q0_acc = _phase(timeline, "acc-exec", "Q0")[-1]
+        q0_tail = _phase(timeline, "transfer", "Q0")[0].end
+        # a gap validation rejects: Q1 arrives, and its BASELINE reconfig is
+        # released, while Q0's last accelerator still holds the PR
+        object.__setattr__(seq, "gaps", (-20.0,))
+        assert q0_tail - 20.0 < q0_acc.end
+        message = (
+            f"PR is busy until {q0_acc.end:.6f} ms "
+            f"when reconfig for Q1 is released at {q0_tail - 20.0:.6f} ms"
         )
+        with pytest.raises(SchedulingError, match=f"^{re.escape(message)}$"):
+            simulate(seq, plan, profile)
 
-    def test_zero_length_phase_is_not_kept_but_sets_its_resource_free_time(self):
-        schedule = _Schedule()
-        assert schedule.place(Resource.IDLE, "gap", GAP_QUERY, 4.0, 0.0) == 4.0
-        assert schedule.phases == [] and schedule.free_at[Resource.IDLE] == 4.0
-        with pytest.raises(SchedulingError, match="IDLE is busy until 4.000000 ms"):
-            schedule.place(Resource.IDLE, "gap", GAP_QUERY, 3.0, 1.0)
-        assert schedule.place(Resource.IDLE, "gap", GAP_QUERY, 4.0, 1.0) == 5.0
-        assert schedule.phases == [Phase(Resource.IDLE, "gap", GAP_QUERY, 4.0, 5.0)]
+    def test_phase_starts_at_its_release_time(self, profile):
+        seq = canonical_sequence(gap=0.0)
+        timeline = simulate(seq, strategy_plan(seq, Strategy.S), profile)
+        rec0, rec1 = _phase(timeline, "reconfig", "Q0")
+        scan0 = _phase(timeline, "scan", "Q0")[0]
+        acc0, acc1 = _phase(timeline, "acc-exec", "Q0")
+        transfer0 = _phase(timeline, "transfer", "Q0")[0]
+        # the first accelerator waits for its reconfiguration, not the scan
+        assert scan0.end < rec0.end == acc0.start
+        assert (rec1.start, acc1.start) == (acc0.end, rec1.end)
+        # NET has been free since 0, but the transfer is released at acc1's end
+        assert transfer0.start == acc1.end > 0.0
+        # the zero gap is not kept, and Q1's reconfig is released at its
+        # arrival, although the PR has been free since acc1's end
+        assert not [p for p in timeline.phases if p.resource is Resource.IDLE]
+        assert _phase(timeline, "reconfig", "Q1")[0].start == transfer0.end > acc1.end
+
+    def test_zero_length_phase_is_not_kept_but_sets_its_resource_free_time(self, profile):
+        # Q1 reads an empty table with acc0 already loaded: all its phases,
+        # and both zero gaps, have zero length
+        seq = QuerySequence(
+            queries=(
+                Query("Q0", TableSpec("t0", 9.0), (FilterOp("acc0", 0.5),)),
+                Query("Q1", TableSpec("t1", 0.0), (FilterOp("acc0", 0.5),)),
+                Query("Q2", TableSpec("t2", 1.0), (FilterOp("acc0", 0.5),)),
+            ),
+            gaps=(0.0, 0.0),
+        )
+        plan = strategy_plan(seq, Strategy.S)
+        timeline = simulate(seq, plan, profile)
+        assert {p.query for p in timeline.phases} == {"Q0", "Q2"}
+        q0_tail = _phase(timeline, "transfer", "Q0")[0].end
+        assert _phase(timeline, "scan", "Q2")[0].start == q0_tail
+        # Q1's zero-length scan at Q0's completion leaves SCAN busy until
+        # then: Q2's scan, released one ms earlier, is rejected although the
+        # last kept scan (Q0's) ended long before
+        assert _phase(timeline, "scan", "Q0")[0].end < q0_tail - 1.0
+        object.__setattr__(seq, "gaps", (0.0, -1.0))
+        message = (
+            f"SCAN is busy until {q0_tail:.6f} ms "
+            f"when scan for Q2 is released at {q0_tail - 1.0:.6f} ms"
+        )
+        with pytest.raises(SchedulingError, match=f"^{re.escape(message)}$"):
+            simulate(seq, plan, profile)
 
 
 class TestValidateTimeline:

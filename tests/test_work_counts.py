@@ -8,17 +8,17 @@ memoizes its planning work, so on one sequence each strategy's plan is
 built once, the accelerators adjacent queries share are found once, each
 plan is checked once, and each plan is costed once per profile.  Costing
 folds a plan's orders against a facts table, so each distinct (query
-position, order) fact is computed once per sequence and profile, and only
-a plan that is simulated is lowered into steps: a public engine call runs
-one legality check for a plan that sequence has not checked yet, and the
-whole planning pipeline runs one check and one cost fold per distinct plan
-and lowers one plan.  Parsing a log runs the constant pass once per line
-and templates each distinct constant-free text once.
+position, order) fact is computed once per sequence and profile.  Both
+engines read a checked plan's orders and modes directly, so no plan is
+lowered into steps: a public engine call runs one legality check for a
+plan that sequence has not checked yet, and the whole planning pipeline,
+simulation included, runs one check and one cost fold per distinct plan
+and lowers none.  Parsing a log runs the constant pass once per line and
+templates each distinct constant-free text once.
 """
 
 from __future__ import annotations
 
-import importlib
 import json
 import random
 from collections import Counter
@@ -51,9 +51,6 @@ from rpusim import (
 from conftest import canonical_sequence
 from test_engine_agreement import random_sequence
 from test_miner import A_ID, B_ID, C_ID, planted_log_lines
-
-# the package exports the ``simulate`` function under the module's name
-simulate_module = importlib.import_module("rpusim.simulate")
 
 
 def _counting(monkeypatch, module, name, key=lambda *args, **kwargs: None) -> Counter:
@@ -172,8 +169,8 @@ def test_planning_pipeline_checks_every_plan_it_receives(monkeypatch, profile):
     """Hints on (5 plans), hints off (S and I), then hints and simulate of
     the chosen plan, all on one sequence object: one legality check and one
     cost fold per distinct plan, none skipped, one order fact computed per
-    distinct (position, order) pair of those plans, and only the simulated
-    plan lowered into steps."""
+    distinct (position, order) pair of those plans, and no plan lowered
+    into steps, the simulated one included."""
     by_plan = lambda plan, seq: plan
     checks = _counting(monkeypatch, rpusim.plans, "legality", key=by_plan)
     lowered = _counting(monkeypatch, rpusim.plans, "_lower", key=by_plan)
@@ -189,7 +186,7 @@ def test_planning_pipeline_checks_every_plan_it_receives(monkeypatch, profile):
         distinct = enumerate_plans(seq)
         assert len(distinct) == 5
         assert checks == Counter(dict.fromkeys(distinct, 1))
-        assert lowered == Counter({plan: 1})
+        assert not lowered
         assert sum(folds.values()) == 5
         pairs = _distinct_facts(seq, distinct)
         assert facts == Counter(dict.fromkeys(pairs, 1))
@@ -226,8 +223,8 @@ def _long_sequence(n: int) -> QuerySequence:
 @pytest.mark.parametrize("seq", [canonical_sequence(), _long_sequence(200)], ids=["paper", "200-query"])
 def test_simulate_is_independent_of_the_cost_engine(monkeypatch, profile, seq):
     """The simulator is the second engine the cost model is checked against:
-    it must schedule every strategy plan with no cost arithmetic at all, and
-    compile each plan once per call."""
+    it must schedule every strategy plan with no cost arithmetic at all,
+    with one legality check per plan and without lowering it into steps."""
     plans = enumerate_plans(seq)
     assert len(plans) >= 3
     totals = [plan_cost(seq, plan, profile).total for plan in plans]
@@ -239,11 +236,15 @@ def test_simulate_is_independent_of_the_cost_engine(monkeypatch, profile, seq):
 
     for name in ("boundary", "order_facts", "_fold", "plan_cost"):
         monkeypatch.setattr(rpusim.cost, name, raising(name))
-    compiled = _counting(monkeypatch, simulate_module, "compile_plan")
+    checks = _counting(monkeypatch, rpusim.plans, "legality")
+    lowered = _counting(monkeypatch, rpusim.plans, "_lower")
     for plan, total in zip(plans, totals):
-        compiled.clear()
-        assert simulate(seq, plan, profile).makespan == pytest.approx(total, rel=1e-9)
-        assert sum(compiled.values()) == 1
+        # a fresh sequence object has checked no plan yet
+        fresh = QuerySequence(seq.queries, seq.gaps)
+        checks.clear()
+        assert simulate(fresh, plan, profile).makespan == pytest.approx(total, rel=1e-9)
+        assert sum(checks.values()) == 1
+        assert not lowered
 
 
 class _CountingPattern:

@@ -351,7 +351,23 @@ class TestRoundTrip:
     def test_invalid_json_is_format_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(WorkloadFormatError, match="not valid JSON"):
+        with pytest.raises(WorkloadFormatError, match="not valid JSON") as info:
+            load_workload(path)
+        assert str(info.value) == f"{path}: not valid JSON (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+    def test_integer_literal_too_long_to_read_is_format_error(self, tmp_path):
+        limit = sys.get_int_max_str_digits()  # 4300 unless the interpreter is told otherwise
+        if not limit:
+            pytest.skip("this interpreter converts integers of any length")
+        path = tmp_path / "huge.json"
+        path.write_text('{"size_mb": ' + "7" * (limit + 1) + "}", encoding="utf-8")
+        with pytest.raises(WorkloadFormatError) as info:
+            load_workload(path)
+        assert str(info.value) == f"{path}: not valid JSON (an integer literal has too many digits)"
+        # one digit fewer is read, and rejected by the schema instead
+        path.write_text('{"size_mb": ' + "7" * limit + "}", encoding="utf-8")
+        with pytest.raises(WorkloadFormatError, match="unknown key"):
             load_workload(path)
 
 
