@@ -25,8 +25,11 @@ predecessor leaves.  :func:`plan_cost` folds a checked plan's positional
 orders and modes: each query's ``order_facts``, read from a facts table,
 plus the ``boundary`` its mode names.  The device policy
 (:func:`rpusim.planner.rpu_policy`) weighs its two options with the same
-two functions.  Per-query times are reported only when every boundary is
-BASELINE, because only then does the total decompose per query.
+two functions.  :func:`_fold` returns a bare total, and fills a per-query
+list only when its caller passes one: :func:`plan_cost` passes one, and
+builds the :class:`CostBreakdown`, only when every boundary is BASELINE,
+because only then does the total decompose per query.  A sweep
+(:func:`rpusim.sweep.run_sweep`) folds each plan to its total alone.
 
 The facts table maps a (query position, order of op ids) pair to that
 query's ``order_facts``.  The strategy plans of one sequence share most of
@@ -117,7 +120,7 @@ class CostBreakdown:
 
 
 # Reading an Enum member off its class is slow; the fold reads these per step.
-_BASELINE, _HOLD = Mode.BASELINE, Mode.HOLD
+_BASELINE, _HOLD, _SPECULATIVE = Mode.BASELINE, Mode.HOLD, Mode.SPECULATIVE
 
 
 def boundary(mode: Mode, lead: float, scan: float, prev_tail: float, gap: float) -> float:
@@ -166,9 +169,10 @@ def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBre
     completion (final transfer plus any host filtering), gaps included.
     The first query arrives at a BASELINE boundary with no tail and no gap.
     The plan is checked through :func:`rpusim.plans.check_plan`, and not
-    lowered.  The breakdown is kept in the sequence's memo by
-    ``(plan, profile)``; a total that overflows is not kept and raises on
-    every call.
+    lowered.  This function builds the breakdown from :func:`_fold`'s total,
+    with per-query times only when every boundary is BASELINE.  The
+    breakdown is kept in the sequence's memo by ``(plan, profile)``; a total
+    that overflows is not kept and raises on every call.
     """
     memo = seq._memo
     key = (plan, profile)
@@ -177,7 +181,11 @@ def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBre
         facts = memo.get(profile)
         if facts is None:
             facts = memo[profile] = _new_facts(seq.queries)
-        breakdown = memo[key] = _fold(check_plan(plan, seq), seq.queries, seq.gaps, profile, facts)
+        checked = check_plan(plan, seq)
+        modes = checked.modes
+        per_query = None if _HOLD in modes or _SPECULATIVE in modes else []
+        total = _fold(checked, seq.queries, seq.gaps, profile, facts, per_query)
+        breakdown = memo[key] = CostBreakdown(total, () if per_query is None else tuple(per_query))
     return breakdown
 
 
@@ -192,19 +200,24 @@ def _new_facts(queries: Sequence[Query]) -> _Facts:
 
 
 def _fold(
-    plan: Plan, queries: Sequence[Query], gaps: Sequence[float], profile: DeviceProfile, facts: _Facts
-) -> CostBreakdown:
-    """:func:`plan_cost` of a plan already checked against ``queries``;
-    ``gaps`` are the sequence's.  ``facts`` is the facts table of these
-    queries under ``profile``: a missing fact is computed and added.
-    Raises :class:`NonFiniteResultError` when the total overflows."""
+    plan: Plan,
+    queries: Sequence[Query],
+    gaps: Sequence[float],
+    profile: DeviceProfile,
+    facts: _Facts,
+    per_query: list[tuple[str, float]] | None = None,
+) -> float:
+    """Total ms of a plan already checked against ``queries``; ``gaps`` are
+    the sequence's.  ``facts`` is the facts table of these queries under
+    ``profile``: a missing fact is computed and added.  When ``per_query``
+    is given, each query's id and time is appended to it; it only sums to
+    the total when every boundary is BASELINE.  The caller builds any
+    breakdown (:func:`plan_cost` does).  Raises
+    :class:`NonFiniteResultError` when the total overflows."""
     t_reconfig = profile.t_reconfig
-    modes = plan.modes
-    separable = all(mode is _BASELINE for mode in modes)
     total = prev_tail = 0.0
-    per_query: list[tuple[str, float]] = []
     loaded: str | None = None
-    for q, order, mode, gap, known in zip(queries, plan.rpu_order, (_BASELINE, *modes), (0.0, *gaps), facts):
+    for q, order, mode, gap, known in zip(queries, plan.rpu_order, (_BASELINE, *plan.modes), (0.0, *gaps), facts):
         fact = known.get(order)
         if fact is None:
             rpu = map(q._ops_by_id.__getitem__, order)  # read once, so no tuple is built
@@ -216,13 +229,13 @@ def _fold(
         else:
             lead = 0.0
         total += boundary(mode, lead, scan, prev_tail, gap) + body
-        if separable:
+        if per_query is not None:
             per_query.append((q.id, max(lead, scan) + body + tail))
         prev_tail = tail
     total += prev_tail
     if not math.isfinite(total):
         raise NonFiniteResultError(f"plan cost overflows: total {total!r} ms")
-    return CostBreakdown(total=total, per_query=tuple(per_query))
+    return total
 
 
 def improvement(candidate: CostBreakdown, baseline: CostBreakdown) -> float:
@@ -231,11 +244,17 @@ def improvement(candidate: CostBreakdown, baseline: CostBreakdown) -> float:
     Negative when the candidate is slower.  A non-finite total or saving
     raises :class:`NonFiniteResultError`.
     """
-    if not baseline.total > 0.0:
-        raise ValueError(f"baseline total must be > 0, got {baseline.total!r}")
-    pct = 100.0 * (1.0 - candidate.total / baseline.total)  # not finite if candidate.total is not
-    if not (math.isfinite(pct) and math.isfinite(baseline.total)):
+    return _improvement(candidate.total, baseline.total)
+
+
+def _improvement(candidate_total: float, baseline_total: float) -> float:
+    """:func:`improvement` of two bare totals, with the same checks and
+    messages."""
+    if not baseline_total > 0.0:
+        raise ValueError(f"baseline total must be > 0, got {baseline_total!r}")
+    pct = 100.0 * (1.0 - candidate_total / baseline_total)  # not finite if candidate_total is not
+    if not (math.isfinite(pct) and math.isfinite(baseline_total)):
         raise NonFiniteResultError(
-            f"improvement of {candidate.total!r} over {baseline.total!r} ms is not finite"
+            f"improvement of {candidate_total!r} over {baseline_total!r} ms is not finite"
         )
     return pct

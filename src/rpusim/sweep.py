@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .cost import _fold, _new_facts, improvement
+from .cost import _fold, _improvement, _new_facts
 from .model import DeviceProfile, FilterOp, Query, QuerySequence, Strategy, TableSpec
 from .plans import check_plan, strategy_plan
 
@@ -65,8 +66,13 @@ class SweepSpec:
                 raise ValueError(f"sweep {name} must be finite, got {getattr(self, name)}")
         if not self.start <= self.stop:
             raise ValueError(f"invalid range: from {self.start} > to {self.stop}")
+        if type(self.steps) is not int:  # a bool is an int too, but not a count
+            raise ValueError(f"steps must be an int, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
+        # no list holds more items, and a larger count does not convert to a float
+        if self.steps > sys.maxsize:
+            raise ValueError(f"steps must be <= {sys.maxsize}, got {self.steps}")
         if not self.strategies:
             raise ValueError("strategies must not be empty")
         if len(set(self.strategies)) != len(self.strategies):
@@ -93,14 +99,30 @@ class SweepRow:
     improvement_pct: float
 
 
+def _sweep_row(variable: str, value: float, strategy: Strategy, total_ms: float, improvement_pct: float) -> SweepRow:
+    """A ``SweepRow``, set field by field in declaration order, as the
+    generated ``__init__`` sets them, so rows keep sharing one key table for
+    their instance dicts."""
+    row = object.__new__(SweepRow)
+    _set = object.__setattr__
+    _set(row, "variable", variable)
+    _set(row, "value", value)
+    _set(row, "strategy", strategy)
+    _set(row, "total_ms", total_ms)
+    _set(row, "improvement_pct", improvement_pct)
+    return row
+
+
 def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> list[SweepRow]:
     """Evaluate each strategy at every grid point, improvements vs S.
 
     Each strategy's plan is built and checked once, and every point folds
-    it against one facts table per query tuple: a point whose variant of
-    ``seq`` carries new queries starts a new table.
+    it to its bare total against one facts table per query tuple: a point
+    whose variant of ``seq`` carries new queries starts a new table.  No
+    point builds a :class:`rpusim.cost.CostBreakdown`.
     """
-    transform = _TRANSFORMS[spec.variable]
+    variable = spec.variable
+    transform = _TRANSFORMS[variable]
     grid = spec.grid()
     # Plans depend on op ids, commutation and selectivity order only; no
     # transform changes those (a common selectivity ties every operator).
@@ -118,19 +140,12 @@ def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> li
         variant = first if i == 0 else transform(seq, value)
         if variant.queries is not queries:  # set_gaps keeps the query tuple
             queries, facts = variant.queries, _new_facts(variant.queries)
-        costs = {plan.strategy: _fold(plan, queries, variant.gaps, profile, facts) for plan in plans}
-        baseline = costs[Strategy.S]
+        gaps = variant.gaps
+        totals = {plan.strategy: _fold(plan, queries, gaps, profile, facts) for plan in plans}
+        baseline = totals[Strategy.S]
         for strategy in spec.strategies:
-            breakdown = costs[strategy]
-            rows.append(
-                SweepRow(
-                    variable=spec.variable,
-                    value=value,
-                    strategy=strategy,
-                    total_ms=breakdown.total,
-                    improvement_pct=improvement(breakdown, baseline),
-                )
-            )
+            total = totals[strategy]
+            rows.append(_sweep_row(variable, value, strategy, total, _improvement(total, baseline)))
     return rows
 
 

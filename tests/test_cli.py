@@ -246,6 +246,14 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert named in err and "non-finite gap" not in err
 
+    def test_huge_step_count_is_validation_error(self, capsys):
+        steps = "1" + "0" * 400
+        args = ["sweep", "--sweep", "gap", "--from", "0", "--to", "1", "--steps", steps, "--strategies", "III"]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: steps must be <= {sys.maxsize}, got {steps}\n"
+
 
 class TestNoHints:
     """``--no-hints`` rules out II, III and IV wherever a strategy is named."""

@@ -12,6 +12,7 @@ from rpusim import (
     FilterOp,
     IllegalPlanError,
     Mode,
+    NonFiniteResultError,
     Plan,
     Query,
     QuerySequence,
@@ -25,6 +26,7 @@ from rpusim import (
     plan_cost,
     strategy_plan,
 )
+from rpusim.cost import _improvement
 from conftest import canonical_sequence, random_params
 from _oracle import reference_fold, strategy_totals
 from test_simulator import _mixed_mode_cases
@@ -220,6 +222,32 @@ class TestImprovement:
         t_s = plan_cost(paper_seq, strategy_plan(paper_seq, Strategy.S), profile)
         with pytest.raises(ValueError):
             improvement(t_s, CostBreakdown(total=0.0))
+
+    # the breakdown form and the bare-total form a sweep calls, byte for byte
+    @pytest.mark.parametrize(
+        "call",
+        [lambda c, b: improvement(CostBreakdown(c), CostBreakdown(b)), _improvement],
+        ids=["breakdowns", "totals"],
+    )
+    @pytest.mark.parametrize(
+        "candidate, baseline, error, message",
+        [
+            (2.0, 0.0, ValueError, "baseline total must be > 0, got 0.0"),
+            (2.0, -1.5, ValueError, "baseline total must be > 0, got -1.5"),
+            (2.0, math.nan, ValueError, "baseline total must be > 0, got nan"),
+            (math.inf, 2.0, NonFiniteResultError, "improvement of inf over 2.0 ms is not finite"),
+            (-math.inf, 2.0, NonFiniteResultError, "improvement of -inf over 2.0 ms is not finite"),
+            (math.nan, 2.0, NonFiniteResultError, "improvement of nan over 2.0 ms is not finite"),
+            (2.0, math.inf, NonFiniteResultError, "improvement of 2.0 over inf ms is not finite"),
+            (math.nan, math.inf, NonFiniteResultError, "improvement of nan over inf ms is not finite"),
+            (1e300, 1e-10, NonFiniteResultError, "improvement of 1e+300 over 1e-10 ms is not finite"),
+        ],
+    )
+    def test_rejection_messages(self, call, candidate, baseline, error, message):
+        with pytest.raises(error) as raised:
+            call(candidate, baseline)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
 
 
 class TestFactsTableFold:

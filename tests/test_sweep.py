@@ -13,6 +13,7 @@ from rpusim import (
     InvalidSequenceError,
     Strategy,
     SweepSpec,
+    enumerate_plans,
     improvement,
     plan_cost,
     run_sweep,
@@ -77,6 +78,22 @@ class TestSweepSpec:
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SweepSpec(**kwargs)
+
+    # never call grid() on these: it would allocate one float per step
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            (2.5, "steps must be an int, got 2.5"),
+            (3.0, "steps must be an int, got 3.0"),
+            (True, "steps must be an int, got True"),
+            ("3", "steps must be an int, got '3'"),
+            (sys.maxsize + 1, f"steps must be <= {sys.maxsize}, got {sys.maxsize + 1}"),
+            (10**400, f"steps must be <= {sys.maxsize}, got {10**400}"),
+        ],
+    )
+    def test_steps_must_be_an_int_that_spaces_a_grid(self, steps, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec("gap", 0.0, 1.0, steps, (Strategy.III,))
 
     def test_widest_finite_grid_is_accepted(self):
         spec = SweepSpec("scale", 0.0, sys.float_info.max, 3, (Strategy.I,))
@@ -179,3 +196,26 @@ def test_rows_equal_a_per_point_rebuild(variable, start, stop):
         assert raised[InvalidSequenceError] > 0 and sum(raised.values()) == 150
     else:
         assert raised[InvalidSequenceError] == 0 and raised[IllegalPlanError] < 150
+
+
+def _hexed(row):
+    return row.variable, row.value.hex(), row.strategy, row.total_ms.hex(), row.improvement_pct.hex()
+
+
+@pytest.mark.parametrize("variable, start, stop", [("scale", 0.0, 4.0), ("gap", 0.0, 40.0), ("selectivity", 0.0, 1.0)])
+def test_long_sweeps_equal_a_per_point_rebuild_bit_for_bit(variable, start, stop):
+    """Sequences of 20-120 queries, every applicable strategy: each row's
+    total and improvement carry the very bits of a per-point rebuild."""
+    rng = random.Random(523)
+    applicable: Counter = Counter()
+    for _ in range(8):
+        seq, profile = random_sequence(rng, rng.randint(20, 120)), random_profile(rng)
+        strategies = tuple(plan.strategy for plan in enumerate_plans(seq))
+        applicable.update(strategies)
+        spec = SweepSpec(variable, start, stop, 5, strategies)
+        rows = run_sweep(seq, profile, spec)
+        expected = per_point_sweep(seq, profile, spec)
+        assert list(map(_hexed, rows)) == list(map(_hexed, expected)), (spec, seq)
+        assert rows == expected
+    # the sequences cover plans with HOLD and SPECULATIVE boundaries
+    assert applicable[Strategy.II] > 0 and applicable[Strategy.III] > 0

@@ -13,7 +13,8 @@ engines read a checked plan's orders and modes directly, so no plan is
 lowered into steps: a public engine call runs one legality check for a
 plan that sequence has not checked yet, and the whole planning pipeline,
 simulation included, runs one check and one cost fold per distinct plan
-and lowers none.  Parsing a log runs the constant pass once per line and
+and lowers none.  ``plan_cost`` builds one breakdown per plan and profile;
+a sweep folds each plan to a bare total at each point and builds none.  Parsing a log runs the constant pass once per line and
 templates each distinct constant-free text once.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -33,6 +35,7 @@ import rpusim.plans
 import rpusim.sweep
 from rpusim import (
     FilterOp,
+    Mode,
     Query,
     QuerySequence,
     Strategy,
@@ -126,20 +129,26 @@ def _distinct_facts(seq, plans) -> set:
 @pytest.mark.parametrize("variable, start, stop", [("scale", 0.5, 4.0), ("gap", 0.0, 30.0), ("selectivity", 0.0, 1.0)])
 def test_sweeps_build_each_plan_once(monkeypatch, paper_seq, profile, variable, start, stop):
     """One build and one legality check per distinct plan, not per grid
-    point, and no plan lowered.  A gap sweep keeps the query tuple, so it
-    computes each distinct fact once for the whole grid; scale and
-    selectivity sweeps build new queries and compute each at every point.
+    point, and no plan lowered.  Each point folds every distinct plan, S
+    included, to a bare total once, and builds no ``CostBreakdown``.  A gap
+    sweep keeps the query tuple, so it computes each distinct fact once for
+    the whole grid; scale and selectivity sweeps build new queries and
+    compute each at every point.
     """
     by_strategy = lambda plan, seq: plan.strategy
     built = _counting(monkeypatch, rpusim.sweep, "strategy_plan", key=lambda seq, strategy: strategy)
     checks = _counting(monkeypatch, rpusim.plans, "legality", key=by_strategy)
     lowered = _counting(monkeypatch, rpusim.plans, "_lower")
+    folds = _counting(monkeypatch, rpusim.sweep, "_fold", key=lambda plan, *rest: plan.strategy)
+    breakdowns = _counting(monkeypatch, rpusim.cost, "CostBreakdown")
     facts = _counting_facts(monkeypatch)
     spec = SweepSpec(variable, start, stop, 9, (Strategy.III, Strategy.S, Strategy.IV))
     assert len(run_sweep(paper_seq, profile, spec)) == 27
     once = Counter({Strategy.S: 1, Strategy.III: 1, Strategy.IV: 1})
     assert built == checks == once
     assert not lowered
+    assert folds == Counter(dict.fromkeys(once, len(spec.grid())))
+    assert not breakdowns
     distinct = _distinct_facts(paper_seq, [strategy_plan(paper_seq, s) for s in once])
     # S and III stream the same orders, and IV shares the last query's
     assert len(distinct) == 3
@@ -218,6 +227,27 @@ def _long_sequence(n: int) -> QuerySequence:
         for i in range(n)
     )
     return QuerySequence(queries, tuple(rng.uniform(0.0, 40.0) for _ in range(n - 1)))
+
+
+@pytest.mark.parametrize("seq", [canonical_sequence(), _long_sequence(200)], ids=["paper", "200-query"])
+def test_plan_cost_builds_one_breakdown_per_plan_and_profile(monkeypatch, profile, seq):
+    """Twice over, under two profiles: one ``CostBreakdown`` per (plan,
+    profile), with per-query times exactly when every boundary is BASELINE."""
+    breakdowns = _counting(monkeypatch, rpusim.cost, "CostBreakdown")
+    seq = QuerySequence(seq.queries, seq.gaps)  # a fresh, empty memo
+    plans = enumerate_plans(seq)
+    profiles = (profile, replace(profile, t_reconfig=profile.t_reconfig / 2))
+    for _ in range(2):
+        for prof in profiles:
+            for plan in plans:
+                breakdown = plan_cost(seq, plan, prof)
+                separable = all(mode is Mode.BASELINE for mode in plan.modes)
+                assert bool(breakdown.per_query) == separable
+                if separable:
+                    assert len(breakdown.per_query) == len(seq.queries)
+    assert sum(breakdowns.values()) == len(plans) * len(profiles)
+    # the plans mix BASELINE-only and other modes
+    assert len({all(mode is Mode.BASELINE for mode in plan.modes) for plan in plans}) == 2
 
 
 @pytest.mark.parametrize("seq", [canonical_sequence(), _long_sequence(200)], ids=["paper", "200-query"])
