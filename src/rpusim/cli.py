@@ -1,6 +1,7 @@
 """Command-line harness: cost tables, plan choice, simulation, sweeps, mining.
 
-Exit codes: 0 on success, 1 when inputs fail validation, 2 on I/O errors.
+Exit codes: 0 on success, 1 when inputs fail validation or need more memory
+than there is (a sweep's ``--steps``, say), 2 on I/O errors.
 CSV outputs are deterministic byte-for-byte for fixed inputs; human-readable
 numbers are printed with 3 decimals.
 """
@@ -263,6 +264,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (RpusimError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory: the inputs need more memory than is available", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -20,12 +20,15 @@ A sequence total is assembled left to right out of three kinds of segments:
 
 :func:`order_facts` gives a query's scan, body and tail under one operator
 order; they do not depend on what the PR holds.  :func:`boundary` is the
-one place the three modes are costed: it joins a query to the state its
-predecessor leaves.  :func:`plan_cost` folds a checked plan's positional
-orders and modes: each query's ``order_facts``, read from a facts table,
-plus the ``boundary`` its mode names.  The device policy
-(:func:`rpusim.planner.rpu_policy`) weighs its two options with the same
-two functions.  :func:`_fold` returns a bare total, and fills a per-query
+one formula of the three modes: it joins a query to the state its
+predecessor leaves.  The two are the single-step definitions: the device
+policy (:func:`rpusim.planner.rpu_policy`) weighs its two options with
+them.  :func:`plan_cost` folds a checked plan's positional orders and
+modes in :func:`_fold`, one flat loop that spells both out inline, with
+the same float operations in the same order: each query's facts, read
+from a facts table, plus the boundary its mode names.  The tests pin the
+fold bit for bit to a fold that calls the two functions at every step.
+:func:`_fold` returns a bare total, and fills a per-query
 list only when its caller passes one: :func:`plan_cost` passes one, and
 builds the :class:`CostBreakdown`, only when every boundary is BASELINE,
 because only then does the total decompose per query.  A sweep
@@ -49,7 +52,7 @@ from typing import Iterable, Sequence
 
 from .errors import NonFiniteResultError
 from .model import DeviceProfile, FilterOp, Mode, Plan, Query, QuerySequence
-from .plans import _host_ops, check_plan
+from .plans import check_plan
 
 
 def filtered_size(input_size: float, selectivity: float) -> float:
@@ -213,24 +216,58 @@ def _fold(
     is given, each query's id and time is appended to it; it only sums to
     the total when every boundary is BASELINE.  The caller builds any
     breakdown (:func:`plan_cost` does).  Raises
-    :class:`NonFiniteResultError` when the total overflows."""
-    t_reconfig = profile.t_reconfig
+    :class:`NonFiniteResultError` when the total overflows.
+
+    The loop makes no call per query: a missing fact is
+    :func:`order_facts` and each boundary is :func:`boundary`, both
+    spelled out with the same float operations in the same order (each
+    ``max(a, b)`` as ``b if b > a else a``, so ``a`` wins ties as it does
+    in ``max``)."""
+    t_reconfig, r_scan, r_acc = profile.t_reconfig, profile.r_scan, profile.r_acc
+    r_network, c_dbms = profile.r_network, profile.c_dbms
     total = prev_tail = 0.0
     loaded: str | None = None
     for q, order, mode, gap, known in zip(queries, plan.rpu_order, (_BASELINE, *plan.modes), (0.0, *gaps), facts):
         fact = known.get(order)
         if fact is None:
-            rpu = map(q._ops_by_id.__getitem__, order)  # read once, so no tuple is built
-            fact = known[order] = order_facts(q, rpu, _host_ops(q, order), profile)
+            size = q.table.size_mb
+            scan = size / r_scan
+            # the first op adds a reconfiguration of 0.0 to a body of 0.0,
+            # which leaves it 0.0: order_facts skips that addition
+            body = reconfig = 0.0
+            by_id = q._ops_by_id
+            for op_id in order:
+                body += reconfig
+                body += size / r_acc
+                size *= by_id[op_id].selectivity
+                reconfig = t_reconfig
+            trans = size / r_network
+            dbms = 0.0
+            ops = q.ops
+            # legal orders list distinct ops of the query, so equal lengths
+            # mean every op is pushed down
+            if len(order) != len(ops):
+                for op in ops:
+                    if op.id not in order:
+                        dbms += c_dbms * size
+                        size *= op.selectivity
+            fact = known[order] = (scan, body, trans + dbms)
         scan, body, tail = fact
         if order:
             lead = t_reconfig if loaded != order[0] else 0.0
             loaded = order[-1]
         else:
             lead = 0.0
-        total += boundary(mode, lead, scan, prev_tail, gap) + body
+        if mode is _BASELINE:
+            total += prev_tail + gap + (scan if scan > lead else lead) + body
+        elif mode is _HOLD:
+            ready = prev_tail + gap
+            total += (ready if ready > lead else lead) + scan + body
+        else:  # SPECULATIVE
+            ready = prev_tail + gap + scan
+            total += (ready if ready > lead else lead) + body
         if per_query is not None:
-            per_query.append((q.id, max(lead, scan) + body + tail))
+            per_query.append((q.id, (scan if scan > lead else lead) + body + tail))
         prev_tail = tail
     total += prev_tail
     if not math.isfinite(total):

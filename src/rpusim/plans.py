@@ -29,6 +29,7 @@ first).  Boundaries where the trick does not fit behave like the baseline.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .errors import IllegalPlanError
@@ -70,6 +71,11 @@ def _shared(seq: QuerySequence) -> list[list[str]]:
     return shared
 
 
+#: The local order's sort key: selectivity, then op id.
+_BY_SELECTIVITY = attrgetter("selectivity", "id")
+_ID = attrgetter("id")
+
+
 def local_order(ops: tuple[FilterOp, ...]) -> tuple[FilterOp, ...]:
     """The device-local streaming order: lowest selectivity first.
 
@@ -77,7 +83,7 @@ def local_order(ops: tuple[FilterOp, ...]) -> tuple[FilterOp, ...]:
     commutes; otherwise the declared order is kept.  Ties break on op id.
     """
     if all(op.commutes for op in ops):
-        return tuple(sorted(ops, key=lambda op: (op.selectivity, op.id)))
+        return tuple(sorted(ops, key=_BY_SELECTIVITY))
     return tuple(ops)
 
 
@@ -85,8 +91,15 @@ _LocalIds = tuple[tuple[str, ...], ...]
 
 
 def _local_ids(seq: QuerySequence) -> _LocalIds:
-    """Each query's local order as op ids; one sort serves every builder."""
-    return tuple(tuple(op.id for op in local_order(q.ops)) for q in seq.queries)
+    """Each query's :func:`local_order` as op ids; one sort serves every
+    builder.  A query of one op, or with an op that does not commute,
+    keeps its cached declared ids; any other is sorted in C, on the key
+    ``local_order`` uses."""
+    return tuple([
+        q._op_ids if len(q.ops) < 2 or not q._all_commute
+        else tuple(map(_ID, sorted(q.ops, key=_BY_SELECTIVITY)))
+        for q in seq.queries
+    ])
 
 
 def _full_pushdown(seq: QuerySequence, local: _LocalIds) -> Plan:
@@ -195,13 +208,17 @@ def legality(plan: Plan, seq: QuerySequence) -> tuple[bool, str]:
     Checks: there is one RPU order per query, in sequence order; each lists
     distinct operators of its own query and reorders only commuting ones,
     there is one mode per boundary, and a SPECULATIVE boundary joins a pair
-    that shares an accelerator.
+    that shares an accelerator.  An order equal to its query's declared op
+    ids passes at once: a valid sequence's queries list distinct op ids,
+    and that order reorders nothing.
     """
     rpu_order = plan.rpu_order
     if len(rpu_order) != len(seq.queries):
         return False, f"rpu_order lists {len(rpu_order)} orders for {len(seq.queries)} queries"
 
     for q, order in zip(seq.queries, rpu_order):
+        if order == q._op_ids:
+            continue  # the declared order
         by_id = q._ops_by_id
         if not order or len(order) == 1 and order[0] in by_id:
             continue  # nothing to reorder

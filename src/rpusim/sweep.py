@@ -87,7 +87,10 @@ class SweepSpec:
         return self.start + i * ((self.stop - self.start) / (self.steps - 1))
 
     def grid(self) -> list[float]:
-        return [self._point(i) for i in range(self.steps)]
+        # rounding can carry a point just past ``stop``, out of a range
+        # such as a selectivity's [0, 1]; no point leaves the swept range
+        stop = self.stop
+        return [min(self._point(i), stop) for i in range(self.steps)]
 
 
 @dataclass(frozen=True)

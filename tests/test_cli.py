@@ -254,6 +254,20 @@ class TestSweepCommand:
         assert out == ""
         assert err == f"error: steps must be <= {sys.maxsize}, got {steps}\n"
 
+    def test_out_of_memory_is_validation_error(self, capsys, monkeypatch):
+        # a grid too large for memory raises MemoryError from run_sweep;
+        # stand in for it, so no test allocates one or limits its memory
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(rpusim.cli, "run_sweep", exhausted)
+        args = ["sweep", "--sweep", "gap", "--from", "0", "--to", "1", "--steps", "100000000000",
+                "--strategies", "III"]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: out of memory: the inputs need more memory than is available\n"
+
 
 class TestNoHints:
     """``--no-hints`` rules out II, III and IV wherever a strategy is named."""

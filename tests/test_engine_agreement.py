@@ -9,7 +9,8 @@ engines are checked on random legal plans that push down a random subset of
 each query's operators and pick a mode per boundary, as no single strategy
 does.  ``plan_cost`` is also pinned, bit for bit, to a fold of the public
 per-query ``phase_times`` report and to the oracle's ``Step``-walking
-``reference_fold``, and the device-side ``rpu_policy`` must
+``reference_fold``, each fact the fold computes inline is pinned to the
+public ``order_facts``, and the device-side ``rpu_policy`` must
 pick the ``plan_cost`` argmin at every boundary where it can swap, with a
 rationale pinned bit for bit.
 """
@@ -48,6 +49,7 @@ from rpusim import (
     strategy_plan,
     validate_timeline,
 )
+from rpusim.cost import order_facts
 from _oracle import reference_fold
 
 POOL = ("a", "b", "c", "d")
@@ -243,6 +245,27 @@ def test_plan_cost_equals_the_step_fold_bit_for_bit():
     assert checked > 2400
     # plans of one sequence share facts
     assert reused == 400
+
+
+def test_every_fact_plan_cost_stores_equals_order_facts_bit_for_bit():
+    """The fold computes a missing fact inline; every entry it stores, on
+    strategy plans and random mixed-mode plans, is the public
+    ``order_facts`` of that query under that order, to the last bit."""
+    rng = random.Random(2005)
+    checked = 0
+    for _ in range(400):
+        seq = random_sequence(rng)
+        profile = random_profile(rng)
+        for plan in enumerate_plans(seq) + [random_plan(rng, seq) for _ in range(3)]:
+            plan_cost(seq, plan, profile)
+        for q, known in zip(seq.queries, seq._memo[profile]):
+            for order, fact in known.items():
+                rpu = tuple(q._ops_by_id[op_id] for op_id in order)
+                host = tuple(op for op in q.ops if op.id not in order)
+                expected = order_facts(q, rpu, host, profile)
+                assert [x.hex() for x in fact] == [x.hex() for x in expected], (q, order, profile)
+                checked += 1
+    assert checked > 3000
 
 
 def policy_boundaries():

@@ -17,7 +17,6 @@ import random
 
 import pytest
 
-import rpusim.cost
 from rpusim import (
     DeviceProfile,
     IllegalPlanError,
@@ -37,6 +36,7 @@ from rpusim import (
 )
 from conftest import canonical_sequence
 from test_engine_agreement import random_plan, random_profile, random_sequence
+from test_work_counts import counting_facts
 
 TINY_NETWORK = DeviceProfile(15.0, 1.0, 1.5, 1e-320, 0.03)
 
@@ -68,16 +68,14 @@ def test_illegal_plan_raises_on_every_call(paper_seq, profile, call):
 
 def test_overflowing_total_raises_on_every_call(monkeypatch, paper_seq):
     plan = strategy_plan(paper_seq, Strategy.S)
-    computed = []
-    order_facts = rpusim.cost.order_facts
-    monkeypatch.setattr(rpusim.cost, "order_facts", lambda *args: computed.append(args) or order_facts(*args))
+    computed = counting_facts(monkeypatch)
     for _ in range(3):
         with pytest.raises(NonFiniteResultError, match="plan cost overflows"):
             plan_cost(paper_seq, plan, TINY_NETWORK)
         assert (plan, TINY_NETWORK) not in paper_seq._memo
     # the facts are kept, so only the first call computed them
     assert [set(known) for known in paper_seq._memo[TINY_NETWORK]] == [{order} for order in plan.rpu_order]
-    assert len(computed) == len(plan.rpu_order)
+    assert sum(computed.values()) == len(plan.rpu_order)
 
 
 def test_equal_sequences_built_separately_share_no_memo(profile):

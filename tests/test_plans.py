@@ -22,6 +22,7 @@ from rpusim import (
     shared_accelerators,
     strategy_plan,
 )
+from rpusim.plans import _local_ids
 from test_engine_agreement import POOL, random_plan, random_profile, random_sequence
 
 
@@ -62,6 +63,38 @@ class TestLocalOrder:
     def test_non_commuting_keeps_declared_order(self):
         ops = (FilterOp("b", 0.9, commutes=False), FilterOp("a", 0.1))
         assert [op.id for op in local_order(ops)] == ["b", "a"]
+
+
+class TestLocalIds:
+    """``_local_ids`` keeps cached ids or sorts in C; it must name the ops
+    of ``local_order`` in the same order."""
+
+    def test_matches_local_order_on_engine_agreement_sequences(self):
+        rng = random.Random(2005)
+        sorted_queries = 0
+        for _ in range(400):
+            seq = random_sequence(rng)
+            random_profile(rng)  # keep the stream of the engine-agreement sequences
+            expected = tuple(tuple(op.id for op in local_order(q.ops)) for q in seq.queries)
+            assert _local_ids(seq) == expected, seq
+            sorted_queries += sum(list(order) != list(q.op_ids()) for q, order in zip(seq.queries, expected))
+        # many queries are reordered, not only kept
+        assert sorted_queries > 300
+
+    def test_selectivity_tie_breaks_on_id(self):
+        seq = _seq(_q("A", 1.0, ("c", 0.5), ("b", 0.5), ("a", 0.9)), _q("B", 1.0, ("x", 0.5)))
+        assert _local_ids(seq) == (("b", "c", "a"), ("x",))
+
+    def test_non_commuting_query_keeps_declared_order(self):
+        seq = _seq(
+            Query("A", TableSpec("t", 1.0), (FilterOp("b", 0.9), FilterOp("a", 0.1, commutes=False))),
+            _q("B", 1.0, ("y", 0.9), ("x", 0.1)),
+        )
+        assert _local_ids(seq) == (("b", "a"), ("x", "y"))
+
+    def test_one_op_query_keeps_its_id(self):
+        seq = _seq(_q("A", 1.0, ("z", 0.2)), _q("B", 1.0, ("y", 0.9)), _q("C", 1.0, ("x", 0.0), commutes=False))
+        assert _local_ids(seq) == (("z",), ("y",), ("x",))
 
 
 class TestEnumerate:
@@ -313,6 +346,45 @@ def test_legality_matches_reference_on_engine_agreement_sequences():
                 rules[_rule(expected[1])] += 1
     # every rule passes and fails many times
     assert min(rules.values()) > 1000 and len(rules) == 6, rules
+
+
+def _random_order(rng: random.Random, q: Query) -> tuple[str, ...]:
+    """A random order for one query: its declared ids, a permutation of a
+    random subset of them, or, more rarely, one with a duplicated or a
+    foreign id, so that most plans reach the later rules."""
+    declared = q.op_ids()
+    kind = rng.choices(range(4), weights=(6, 10, 1, 1))[0]
+    if kind == 0:
+        return declared
+    order = rng.sample(declared, rng.randint(0, len(declared)))
+    if kind == 2 and order:
+        order.insert(rng.randint(0, len(order)), rng.choice(order))
+    elif kind == 3:
+        order.insert(rng.randint(0, len(order)), rng.choice([*POOL, "zz"]))
+    return tuple(order)
+
+
+def test_legality_matches_reference_on_random_orders():
+    """Random orders over the engine-agreement sequences, declared orders
+    among them: ``legality``, with its declared-order shortcut, gives the
+    pairwise reference's verdict and reason."""
+    rng = random.Random(2005)
+    order_rng = random.Random(2007)
+    rules: Counter = Counter()
+    declared = 0
+    for _ in range(400):
+        seq = random_sequence(rng)
+        random_profile(rng)  # keep the stream of the engine-agreement sequences
+        for _ in range(20):
+            rpu_order = tuple(_random_order(order_rng, q) for q in seq.queries)
+            modes = tuple(order_rng.choice(list(Mode)) for _ in seq.gaps)
+            plan = Plan(Strategy.S, rpu_order, modes)
+            expected = reference_legality(plan, seq)
+            assert legality(plan, seq) == expected, (plan, seq)
+            rules[_rule(expected[1])] += 1
+            declared += sum(order == q.op_ids() for q, order in zip(seq.queries, rpu_order))
+    assert declared > 10000
+    assert min(rules[rule] for rule in ("ok", "distinct ops", "non-commuting", "speculative")) > 1000, rules
 
 
 def test_plans_are_hashable_values():

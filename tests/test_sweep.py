@@ -95,6 +95,19 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SweepSpec("gap", 0.0, 1.0, steps, (Strategy.III,))
 
+    def test_no_point_rounds_past_the_stop(self, paper_seq, profile):
+        # unclamped, the last point of this grid is 1.0000000000000002, a
+        # selectivity the transform rejects
+        spec = SweepSpec("selectivity", 1.03125e-10, 1.0, 4, (Strategy.S,))
+        grid = spec.grid()
+        assert grid[-1] == 1.0 and grid == sorted(grid)
+        assert [row.value for row in run_sweep(paper_seq, profile, spec)] == grid
+        rng = random.Random(11)
+        for _ in range(2000):
+            start, stop = sorted((rng.random(), rng.random()))
+            spec = SweepSpec("selectivity", start, stop, rng.randint(2, 9), (Strategy.S,))
+            assert all(start <= value <= stop for value in spec.grid()), spec
+
     def test_widest_finite_grid_is_accepted(self):
         spec = SweepSpec("scale", 0.0, sys.float_info.max, 3, (Strategy.I,))
         assert spec.grid() == [0.0, sys.float_info.max / 2, sys.float_info.max]

@@ -8,7 +8,8 @@ memoizes its planning work, so on one sequence each strategy's plan is
 built once, the accelerators adjacent queries share are found once, each
 plan is checked once, and each plan is costed once per profile.  Costing
 folds a plan's orders against a facts table, so each distinct (query
-position, order) fact is computed once per sequence and profile.  Both
+position, order) fact is computed once per sequence and profile, in one
+flat loop that calls no per-step helper.  Both
 engines read a checked plan's orders and modes directly, so no plan is
 lowered into steps: a public engine call runs one legality check for a
 plan that sequence has not checked yet, and the whole planning pipeline,
@@ -85,13 +86,18 @@ def test_choose_plan_builds_only_candidate_plans(monkeypatch, paper_seq, profile
 
 
 def test_local_order_runs_once_per_query_per_enumeration(monkeypatch):
+    """One ``_local_ids`` call per fresh enumeration: it sorts each query
+    into its local order once, for every builder."""
     rng = random.Random(5)
-    calls = _counting(monkeypatch, rpusim.plans, "local_order")
+    calls = _counting(monkeypatch, rpusim.plans, "_local_ids")
     for _ in range(20):
         seq = random_sequence(rng)
         calls.clear()
         enumerate_plans(seq)
-        assert sum(calls.values()) == len(seq.queries)
+        assert sum(calls.values()) == 1
+        # the same sequence object sorts nothing again
+        enumerate_plans(seq)
+        assert sum(calls.values()) == 1
 
 
 def test_plan_cost_constructs_no_phase_times(monkeypatch, paper_seq, profile):
@@ -105,20 +111,28 @@ def test_plan_cost_constructs_no_phase_times(monkeypatch, paper_seq, profile):
     assert sum(made.values()) == 1
 
 
-def _counting_facts(monkeypatch) -> Counter:
-    """Count ``cost.order_facts`` calls by (query id, order of op ids).  The
-    fold may pass its RPU ops as an iterator, so the wrapper reads them
-    into a tuple once and hands that on."""
-    calls: Counter = Counter()
-    original = rpusim.cost.order_facts
+def counting_facts(monkeypatch) -> Counter:
+    """Count facts-table writes by (query id, order of op ids).  Every table
+    ``plan_cost`` or ``run_sweep`` starts holds, per query position, a dict
+    that counts each fact stored in it; the fold computes a fact exactly
+    when it stores one."""
+    writes: Counter = Counter()
 
-    def counted(query, rpu, host, profile):
-        rpu = tuple(rpu)
-        calls[query.id, tuple(op.id for op in rpu)] += 1
-        return original(query, rpu, host, profile)
+    class Known(dict):
+        def __init__(self, query_id: str) -> None:
+            super().__init__()
+            self.query_id = query_id
 
-    monkeypatch.setattr(rpusim.cost, "order_facts", counted)
-    return calls
+        def __setitem__(self, order, fact) -> None:
+            writes[self.query_id, order] += 1
+            super().__setitem__(order, fact)
+
+    def new_facts(queries):
+        return [Known(q.id) for q in queries]
+
+    monkeypatch.setattr(rpusim.cost, "_new_facts", new_facts)
+    monkeypatch.setattr(rpusim.sweep, "_new_facts", new_facts)
+    return writes
 
 
 def _distinct_facts(seq, plans) -> set:
@@ -141,7 +155,7 @@ def test_sweeps_build_each_plan_once(monkeypatch, paper_seq, profile, variable, 
     lowered = _counting(monkeypatch, rpusim.plans, "_lower")
     folds = _counting(monkeypatch, rpusim.sweep, "_fold", key=lambda plan, *rest: plan.strategy)
     breakdowns = _counting(monkeypatch, rpusim.cost, "CostBreakdown")
-    facts = _counting_facts(monkeypatch)
+    facts = counting_facts(monkeypatch)
     spec = SweepSpec(variable, start, stop, 9, (Strategy.III, Strategy.S, Strategy.IV))
     assert len(run_sweep(paper_seq, profile, spec)) == 27
     once = Counter({Strategy.S: 1, Strategy.III: 1, Strategy.IV: 1})
@@ -184,7 +198,7 @@ def test_planning_pipeline_checks_every_plan_it_receives(monkeypatch, profile):
     checks = _counting(monkeypatch, rpusim.plans, "legality", key=by_plan)
     lowered = _counting(monkeypatch, rpusim.plans, "_lower", key=by_plan)
     folds = _counting(monkeypatch, rpusim.cost, "_fold")
-    facts = _counting_facts(monkeypatch)
+    facts = counting_facts(monkeypatch)
     for seq in (canonical_sequence(), _long_sequence(200)):
         for counts in (checks, lowered, folds, facts):
             counts.clear()
@@ -275,6 +289,28 @@ def test_simulate_is_independent_of_the_cost_engine(monkeypatch, profile, seq):
         assert simulate(fresh, plan, profile).makespan == pytest.approx(total, rel=1e-9)
         assert sum(checks.values()) == 1
         assert not lowered
+
+
+@pytest.mark.parametrize("seq", [canonical_sequence(), _long_sequence(200)], ids=["paper", "200-query"])
+def test_costing_calls_no_per_step_helper(monkeypatch, profile, seq):
+    """``plan_cost`` and ``run_sweep`` fold each plan in one flat loop:
+    no call of the single-step definitions ``order_facts`` and
+    ``boundary``, nor of ``plans._host_ops``, per query step."""
+    plans = enumerate_plans(seq)
+    expected = [plan_cost(seq, plan, profile).total for plan in plans]
+
+    def raising(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"costing called {name}")
+        return fail
+
+    for module, name in ((rpusim.cost, "order_facts"), (rpusim.cost, "boundary"), (rpusim.plans, "_host_ops")):
+        monkeypatch.setattr(module, name, raising(name))
+    fresh = QuerySequence(seq.queries, seq.gaps)
+    assert [plan_cost(fresh, plan, profile).total for plan in plans] == expected
+    for variable, start, stop in (("scale", 0.5, 4.0), ("gap", 0.0, 30.0), ("selectivity", 0.0, 1.0)):
+        spec = SweepSpec(variable, start, stop, 5, tuple(plan.strategy for plan in plans))
+        assert len(run_sweep(seq, profile, spec)) == 5 * len(plans)
 
 
 class _CountingPattern:
