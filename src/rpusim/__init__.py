@@ -69,13 +69,10 @@ from .planner import (
     rpu_policy,
 )
 from .plans import (
-    Step,
     check_plan,
-    compile_plan,
     enumerate_plans,
     legality,
     local_order,
-    require_legal,
     shared_accelerators,
     strategy_plan,
 )
@@ -134,7 +131,6 @@ __all__ = [
     "RpusimError",
     "STRATEGY_ORDER",
     "SchedulingError",
-    "Step",
     "Strategy",
     "SweepRow",
     "SweepSpec",
@@ -145,7 +141,6 @@ __all__ = [
     "calibrated_profile",
     "check_plan",
     "choose_plan",
-    "compile_plan",
     "costed_plans",
     "default_scenario",
     "enumerate_plans",
@@ -164,7 +159,6 @@ __all__ = [
     "phase_times",
     "plan_cost",
     "report_csv",
-    "require_legal",
     "require_valid",
     "rpu_policy",
     "run_sweep",

@@ -48,19 +48,29 @@ def _load(args) -> tuple[QuerySequence, DeviceProfile]:
     return default_scenario(), calibrated_profile()
 
 
-def _write_all(texts: dict[str, str]) -> None:
-    """Write each path's text, having opened every path first.
+def _write_all(texts: list[tuple[str, str]]) -> None:
+    """Write each (path, text) pair, having opened every path first.
 
-    When a path cannot be opened, nothing is written: the files opened
-    before it are closed unchanged (append mode truncates nothing), and
-    those this call created are removed again.  Only a regular file is
-    truncated before its write; a device or pipe such as ``/dev/null``
-    cannot be.
+    Two paths naming one regular file, or one path not there yet, raise
+    :class:`ValueError` before any is opened.  When a path cannot be
+    opened, nothing is written: the files opened before it are closed
+    unchanged (append mode truncates nothing), and those this call created
+    are removed again.  Only a regular file is truncated before its write;
+    a device or pipe such as ``/dev/null`` cannot be, and may be named twice.
     """
+    paths = [path for path, _ in texts]
+    for i, a in enumerate(paths):
+        for b in paths[:i]:
+            try:
+                one = os.path.samefile(a, b) and stat.S_ISREG(os.stat(a).st_mode)
+            except FileNotFoundError:  # a path is missing: compare where each resolves
+                one = os.path.realpath(a) == os.path.realpath(b)
+            if one:
+                raise ValueError(f"{b} and {a} name one file; give each output its own path")
     with contextlib.ExitStack() as opened:
         files, created = [], []
         try:
-            for path in texts:
+            for path in paths:
                 existed = os.path.lexists(path)
                 files.append(opened.enter_context(open(path, "a", encoding="utf-8")))
                 if not existed:
@@ -70,7 +80,7 @@ def _write_all(texts: dict[str, str]) -> None:
             for path in created:
                 os.remove(path)
             raise
-        for f, text in zip(files, texts.values()):
+        for f, (_, text) in zip(files, texts):
             if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
                 f.truncate(0)
             f.write(text)
@@ -130,7 +140,7 @@ def _cmd_simulate(args) -> int:
     lines = [f"strategy: {plan.strategy}", f"makespan_ms: {timeline.makespan:.3f}"]
     if args.timeline:
         # written before any output, so an unwritable path prints nothing
-        _write_all({args.timeline: timeline_csv(timeline)})
+        _write_all([(args.timeline, timeline_csv(timeline))])
         lines.append(f"timeline: {args.timeline}")
     print("\n".join(lines))
     return 0
@@ -154,7 +164,7 @@ def _cmd_sweep(args) -> int:
     )
     text = sweep_csv(run_sweep(seq, profile, spec))
     if args.out:
-        _write_all({args.out: text})
+        _write_all([(args.out, text)])
     else:
         sys.stdout.write(text)
     return 0
@@ -167,17 +177,17 @@ def _cmd_mine(args) -> int:
     )
     # both files are built and opened before any output, so a bad catalog or
     # an unwritable --workload-out or --out prints nothing and writes no file
-    texts = {}
+    texts = []
     if args.workload_out:
         if not args.catalog:
             raise ValueError("--workload-out requires --catalog")
         catalog = parse_catalog(read_json(args.catalog))
         if not mined:
             raise ValueError("no recurring sequence found, nothing to emit")
-        texts[args.workload_out] = workload_json(to_workload(mined[0], catalog))
+        texts.append((args.workload_out, workload_json(to_workload(mined[0], catalog))))
     report = report_csv(mined)
     if args.out:
-        texts[args.out] = report
+        texts.append((args.out, report))
     _write_all(texts)
     if args.out:
         print(f"report: {args.out} ({len(mined)} sequences)")

@@ -171,9 +171,9 @@ def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBre
     The clock runs from the first query's arrival to the last query's
     completion (final transfer plus any host filtering), gaps included.
     The first query arrives at a BASELINE boundary with no tail and no gap.
-    The plan is checked through :func:`rpusim.plans.check_plan`, and not
-    lowered.  This function builds the breakdown from :func:`_fold`'s total,
-    with per-query times only when every boundary is BASELINE.  The
+    The plan is checked through :func:`rpusim.plans.check_plan`.  This
+    function builds the breakdown from :func:`_fold`'s total, with
+    per-query times only when every boundary is BASELINE.  The
     breakdown is kept in the sequence's memo by ``(plan, profile)``; a total
     that overflows is not kept and raises on every call.
     """

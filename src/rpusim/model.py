@@ -187,15 +187,14 @@ class QuerySequence:
     so code that receives a ``QuerySequence`` need not check it again.
 
     ``_memo`` holds the planning work done for this sequence object, so each
-    plan is built, checked, lowered and costed at most once per object (see
+    plan is built, checked and costed at most once per object (see
     :mod:`rpusim.plans` and :mod:`rpusim.cost`).  Keys: a ``Strategy`` maps
     to its plan, or ``None`` when it is not applicable; a ``Plan`` that
-    passed its check to its compiled steps, or ``None`` until it is
-    lowered; the string ``"shared_accelerators"`` to the accelerators each
-    adjacent pair shares; a ``DeviceProfile`` to the facts table under that
-    profile (per query position, each order of op ids mapped to the query's
-    ``order_facts``); a ``(Plan, DeviceProfile)`` pair to its cost
-    breakdown.  Failures are not kept.  Equality, hashing, ``repr`` and
+    passed its check to ``None``; the string ``"shared_accelerators"`` to
+    the accelerators each adjacent pair shares; a ``DeviceProfile`` to the
+    facts table under that profile (per query position, each order of op
+    ids mapped to the query's ``order_facts``); a ``(Plan, DeviceProfile)``
+    pair to its cost breakdown.  Failures are not kept.  Equality, hashing, ``repr`` and
     ``dataclasses.replace`` ignore the memo; every new object starts empty.
     """
 

@@ -16,7 +16,7 @@ from enum import Enum
 from .cost import CostBreakdown, boundary, order_facts, plan_cost
 from .errors import NonFiniteResultError
 from .model import DeviceProfile, HINT_STRATEGIES, STRATEGY_ORDER, Mode, Plan, QuerySequence
-from .plans import Step, _shared, check_plan, enumerate_plans
+from .plans import _host_ops, _shared, check_plan, enumerate_plans
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,7 @@ def generate_hints(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> li
     Each hint names the shared accelerators in the successor's streaming
     order and carries the pair's expected gap and the successor's scan-time
     estimate.  The plan is checked through :func:`rpusim.plans.check_plan`,
-    and not lowered, so a plan the sequence has already checked is not
-    checked again.
+    so a plan the sequence has already checked is not checked again.
     """
     check_plan(plan, seq)
     shared = _shared(seq)
@@ -108,22 +107,29 @@ def generate_hints(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> li
 
 
 def rpu_policy(
-    hint: Hint | None, running: Step, profile: DeviceProfile, *, loaded: str | None = None
+    hint: Hint | None, seq: QuerySequence, plan: Plan, index: int, profile: DeviceProfile
 ) -> ReconfigDecision:
     """Swap or speculatively reload, whichever ends the next query's head first.
 
-    Both options are costed from the running query's arrival, with the PR
-    holding ``loaded``: the running order, then a SPECULATIVE reload of the
-    hinted accelerator; or that accelerator moved last (legal only if the
-    running query streams it and all its operators commute), then a
-    BASELINE boundary.  The rationale keeps the paper's inequality terms
-    (``t_trans`` is the running query's transfer plus host work) and adds
-    both totals.
+    Query ``index`` runs its order in ``plan``, checked through
+    :func:`rpusim.plans.check_plan`, with the PR holding the last op of the
+    nearest non-empty order before it.  From its arrival, the running order
+    then a SPECULATIVE reload of the hinted accelerator is costed against
+    that accelerator moved last (legal only if the query streams it and all
+    its operators commute) then a BASELINE boundary.  The rationale keeps
+    the paper's inequality terms (``t_trans`` is the running query's
+    transfer plus host work) and adds both totals.  An ``index`` that
+    names no query raises :class:`ValueError`.
     """
+    check_plan(plan, seq)
+    if not 0 <= index < len(seq.queries):
+        raise ValueError(f"query index {index} is outside [0, {len(seq.queries)})")
     if hint is None or not hint.next_accelerators:
         return ReconfigDecision(choice=ReconfigChoice.NONE)
     acc, gap, scan = hint.next_accelerators[0], hint.expected_gap, hint.expected_scan
-    q, rpu, host, _ = running
+    q, order = seq.queries[index], plan.rpu_order[index]
+    rpu, host = tuple(map(q._ops_by_id.__getitem__, order)), _host_ops(q, order)
+    loaded = next((prev[-1] for prev in reversed(plan.rpu_order[:index]) if prev), None)
     t_reconfig = profile.t_reconfig
     own_scan, body, tail = order_facts(q, rpu, host, profile)
     lead = t_reconfig if rpu and loaded != rpu[0].id else 0.0

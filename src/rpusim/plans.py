@@ -6,19 +6,17 @@ and names one :class:`Mode` per query boundary.  The builders set the modes
 directly: II holds at every boundary, III reloads speculatively at every
 boundary where that loads an accelerator, and every other boundary is
 baseline.  :func:`check_plan` checks a plan against a sequence; both
-engines, costing (:mod:`rpusim.cost`) and scheduling
-(:mod:`rpusim.simulate`), read a checked plan's orders and modes directly.
-:func:`compile_plan` checks a plan and lowers it into per-query
-:class:`Step` records, for callers that want each query's operators as
-objects, such as the device policy :func:`rpusim.planner.rpu_policy`.
+engines (:mod:`rpusim.cost`, :mod:`rpusim.simulate`) and the device policy
+(:func:`rpusim.planner.rpu_policy`) read a checked plan's orders and modes
+directly.
 
-All three are kept in the sequence's memo (``QuerySequence._memo``), so on
-one sequence object each strategy's plan is built at most once (a strategy
-that does not apply is recorded too), each plan is checked at most once
-and lowered at most once, by plan value, and only a plan that is lowered
-keeps its steps.  A plan that fails its check is not kept.  The
-accelerators each adjacent pair shares are kept there too, computed once
-for the strategy III builder and :func:`rpusim.planner.generate_hints`.
+Plans built and plans checked are kept in the sequence's memo
+(``QuerySequence._memo``) by value, so on one sequence object each
+strategy's plan is built at most once (one that does not apply is
+recorded too) and each plan is checked at most once; a plan that fails
+its check is not kept.  The accelerators each adjacent pair shares are
+kept there too, for the strategy III builder and
+:func:`rpusim.planner.generate_hints`.
 
 Generalization beyond two queries: each strategy applies its device trick at
 every adjacent pair where it fits (I/II split every non-final query with at
@@ -30,7 +28,7 @@ first).  Boundaries where the trick does not fit behave like the baseline.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import IllegalPlanError
 from .model import (
@@ -202,15 +200,18 @@ def enumerate_plans(seq: QuerySequence, strategies: Iterable[Strategy] = STRATEG
     return plans
 
 
+_MODES = frozenset(Mode)
+
+
 def legality(plan: Plan, seq: QuerySequence) -> tuple[bool, str]:
     """Whether a plan is structurally executable for a sequence, with reason.
 
     Checks: there is one RPU order per query, in sequence order; each lists
     distinct operators of its own query and reorders only commuting ones,
-    there is one mode per boundary, and a SPECULATIVE boundary joins a pair
-    that shares an accelerator.  An order equal to its query's declared op
-    ids passes at once: a valid sequence's queries list distinct op ids,
-    and that order reorders nothing.
+    there is one :class:`Mode` per boundary, and a SPECULATIVE boundary
+    joins a pair that shares an accelerator.  An order equal to its query's
+    declared op ids passes at once: a valid sequence's queries list
+    distinct op ids, and that order reorders nothing.
     """
     rpu_order = plan.rpu_order
     if len(rpu_order) != len(seq.queries):
@@ -235,33 +236,21 @@ def legality(plan: Plan, seq: QuerySequence) -> tuple[bool, str]:
                 ):
                     return False, f"non-commuting reorder of {a!r} and {b!r} in query {q.id!r}"
 
-    if len(plan.modes) != len(seq.gaps):
-        return False, f"{len(plan.modes)} boundary modes for {len(seq.gaps)} query boundaries"
-    if Mode.SPECULATIVE not in plan.modes:
+    modes = plan.modes
+    if len(modes) != len(seq.gaps):
+        return False, f"{len(modes)} boundary modes for {len(seq.gaps)} query boundaries"
+    if not _MODES.issuperset(modes):
+        i, mode = next((i, mode) for i, mode in enumerate(modes) if mode not in _MODES)
+        return False, f"boundary {i} has mode {mode!r}, which is not a Mode"
+    if Mode.SPECULATIVE not in modes:
         return True, "ok"
-    for mode, pred, succ in zip(plan.modes, seq.queries, seq.queries[1:]):
+    for mode, pred, succ in zip(modes, seq.queries, seq.queries[1:]):
         if mode is Mode.SPECULATIVE and pred._ops_by_id.keys().isdisjoint(succ.op_ids()):
             return False, (
                 f"speculative boundary between {pred.id!r} and {succ.id!r}, "
                 "which share no accelerator"
             )
     return True, "ok"
-
-
-def require_legal(plan: Plan, seq: QuerySequence) -> Plan:
-    ok, reason = legality(plan, seq)
-    if not ok:
-        raise IllegalPlanError(f"illegal plan: {reason}")
-    return plan
-
-
-class Step(NamedTuple):
-    """One query of a compiled plan, in sequence order."""
-
-    query: Query
-    rpu: tuple[FilterOp, ...]   # RPU-placed operators, in streaming order
-    host: tuple[FilterOp, ...]  # host-placed operators, in declared order
-    mode: Mode                  # boundary with the predecessor (BASELINE first)
 
 
 def check_plan(plan: Plan, seq: QuerySequence) -> Plan:
@@ -273,23 +262,11 @@ def check_plan(plan: Plan, seq: QuerySequence) -> Plan:
     """
     memo = seq._memo
     if plan not in memo:
-        require_legal(plan, seq)
-        memo[plan] = None  # checked, not lowered
+        ok, reason = legality(plan, seq)
+        if not ok:
+            raise IllegalPlanError(f"illegal plan: {reason}")
+        memo[plan] = None  # checked
     return plan
-
-
-def compile_plan(plan: Plan, seq: QuerySequence) -> tuple[Step, ...]:
-    """Check a plan and lower it into per-query steps.
-
-    The steps are kept in the sequence's memo by plan value, so a plan is
-    checked and lowered at most once per sequence object.  An illegal plan
-    is not kept: it raises :class:`IllegalPlanError` on every call.
-    """
-    memo = seq._memo
-    steps = memo.get(plan)
-    if steps is None:
-        steps = memo[plan] = _lower(check_plan(plan, seq), seq)
-    return steps
 
 
 def _host_ops(query: Query, order: tuple[str, ...]) -> tuple[FilterOp, ...]:
@@ -299,15 +276,3 @@ def _host_ops(query: Query, order: tuple[str, ...]) -> tuple[FilterOp, ...]:
     # mean every op is pushed down
     return () if len(order) == len(query.ops) else tuple([op for op in query.ops if op.id not in order])
 
-
-# A NamedTuple's own ``__new__`` is a Python function; ``tuple.__new__``
-# builds the same Step in C, in about half the time per query.
-_tuple_new = tuple.__new__
-
-
-def _lower(plan: Plan, seq: QuerySequence) -> tuple[Step, ...]:
-    """Lower a plan already checked against ``seq``'s query and op ids."""
-    steps = []
-    for q, order, mode in zip(seq.queries, plan.rpu_order, (Mode.BASELINE, *plan.modes)):
-        steps.append(_tuple_new(Step, (q, tuple(map(q._ops_by_id.__getitem__, order)), _host_ops(q, order), mode)))
-    return tuple(steps)

@@ -28,11 +28,10 @@ free, which is the largest phase end; one that overflows to infinity is an
 error.
 
 :func:`simulate` reads a checked plan the way the cost fold does, each
-query's RPU order of op ids and its boundary mode, so no plan is lowered
-into steps.  It is one flat loop that keeps each resource's free time in a
-local and each resource's kept phases in a list of their own, with no
-Python-level call per phase; the lists are sorted into one timeline at the
-end.
+query's RPU order of op ids and its boundary mode.  It is one flat loop
+that keeps each resource's free time in a local and each resource's kept
+phases in a list of their own, with no Python-level call per phase; the
+lists are sorted into one timeline at the end.
 """
 
 from __future__ import annotations
@@ -99,9 +98,9 @@ def _busy(resource: Resource, free_at: float, label: str, query: str, at: float)
 def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline:
     """Execute the plan and return its timeline (phases plus makespan).
 
-    The plan is checked through :func:`rpusim.plans.check_plan`, and not
-    lowered: the walk reads each query's RPU order and boundary mode off the
-    plan, as the cost fold does.
+    The plan is checked through :func:`rpusim.plans.check_plan`; the walk
+    reads each query's RPU order and boundary mode off the plan, as the
+    cost fold does.
     """
     plan = check_plan(plan, seq)
     t_reconfig, r_scan, r_acc = profile.t_reconfig, profile.r_scan, profile.r_acc

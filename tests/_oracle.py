@@ -21,10 +21,14 @@ The simulator that carries each dependency as an end time must reproduce
 its timelines bit for bit.
 
 And it keeps the ``Step``-walking cost fold, verbatim, as
-``reference_fold``: it costs a plan lowered by ``compile_plan``, calling
+``reference_fold``: it costs a plan lowered into per-query steps, calling
 ``order_facts`` at every step.  ``plan_cost``, which folds the plan's
 orders and modes against a per-sequence facts table, must reproduce its
-total and per-query times bit for bit.
+total and per-query times bit for bit.  The oracle lowers plans itself,
+in ``lower_plan``, for both references: it checks the plan through
+``check_plan`` first, so an illegal plan raises, then resolves each
+query's order into its streamed ops and, by its own comprehension, its
+host ops.
 
 Last, it keeps the two-set walk of ``validate_sequence``, verbatim, as
 ``reference_validate_sequence``: it visits every gap, query and op and
@@ -38,12 +42,12 @@ from __future__ import annotations
 import math
 import re
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from rpusim.cost import CostBreakdown, boundary, order_facts
 from rpusim.errors import MiningError, NonFiniteResultError, SchedulingError
-from rpusim.model import DeviceProfile, Mode, Plan, QuerySequence, Violation
-from rpusim.plans import Step, compile_plan
+from rpusim.model import DeviceProfile, FilterOp, Mode, Plan, Query, QuerySequence, Violation
+from rpusim.plans import check_plan
 from rpusim.simulate import GAP_QUERY, Phase, Resource, Timeline
 
 
@@ -187,6 +191,26 @@ class _Schedule:
         return index
 
 
+class Step(NamedTuple):
+    """One query of a lowered plan, in sequence order."""
+
+    query: Query
+    rpu: tuple[FilterOp, ...]   # RPU-placed operators, in streaming order
+    host: tuple[FilterOp, ...]  # host-placed operators, in declared order
+    mode: Mode                  # boundary with the predecessor (BASELINE first)
+
+
+def lower_plan(plan: Plan, seq: QuerySequence) -> tuple[Step, ...]:
+    """Check a plan against ``seq`` and lower it into per-query steps."""
+    check_plan(plan, seq)
+    steps = []
+    for q, order, mode in zip(seq.queries, plan.rpu_order, (Mode.BASELINE, *plan.modes)):
+        rpu = tuple(q._ops_by_id[op_id] for op_id in order)
+        host = tuple(op for op in q.ops if op.id not in order)
+        steps.append(Step(q, rpu, host, mode))
+    return tuple(steps)
+
+
 def reference_simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline:
     """Execute the plan and return its timeline (phases plus makespan)."""
     schedule = _Schedule()
@@ -194,7 +218,7 @@ def reference_simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -
     loaded: str | None = None
     prev_completion = prev_pr_free = -1  # set before any boundary reads them
 
-    for i, step in enumerate(compile_plan(plan, seq)):
+    for i, step in enumerate(lower_plan(plan, seq)):
         q, rpu = step.query, step.rpu
 
         arrival_dep: tuple[int, ...] = ()
@@ -240,7 +264,7 @@ def reference_simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -
 
 
 def reference_fold(steps: Sequence[Step], gaps: Sequence[float], profile: DeviceProfile) -> CostBreakdown:
-    """:func:`plan_cost` of a plan already compiled into ``steps``; ``gaps``
+    """:func:`plan_cost` of a plan already lowered into ``steps``; ``gaps``
     are the sequence's.  Raises :class:`NonFiniteResultError` when the total
     overflows."""
     t_reconfig = profile.t_reconfig

@@ -15,8 +15,11 @@ from rpusim import (
 )
 
 # CI runs the suite with ``--hypothesis-profile=ci``: every property that does
-# not pin its own budget draws 1 000 examples there.
-settings.register_profile("ci", max_examples=1000, deadline=None)
+# not pin its own budget draws 1 000 examples there.  The profile extends
+# Hypothesis's own ``ci`` profile, which derandomizes the draws, keeps no
+# example database and prints a reproduction blob, so a CI failure repeats
+# on a re-run.  Outside CI the default profile draws at random.
+settings.register_profile("ci", parent=settings.get_profile("ci"), max_examples=1000, deadline=None)
 
 
 def canonical_sequence(

@@ -495,6 +495,49 @@ class TestMineCommand:
                             "--workload-out", os.devnull]) == 0
         assert (tmp_path / "r2.csv").read_text(encoding="utf-8") == (tmp_path / "r.csv").read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "other, existed",
+        [("x", False), ("x", True), ("./x", False), ("./x", True), ("y", True)],
+        ids=["same-new", "same-existing", "dot-slash-new", "dot-slash-existing", "hard-link"],
+    )
+    def test_out_and_workload_out_naming_one_file_is_validation_error(
+        self, tmp_path, capsys, monkeypatch, other, existed
+    ):
+        """Two outputs that resolve to one regular file are refused before
+        anything is opened: exit 1, one ``error:`` line, no file written,
+        created or truncated."""
+        log = tmp_path / "queries.log"
+        log.write_text("\n".join(planted_log_lines()) + "\n", encoding="utf-8")
+        catalog_path = tmp_path / "catalog.json"
+        catalog_path.write_text(json.dumps(catalog_doc()), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        if existed:
+            Path("x").write_text("kept", encoding="utf-8")
+        if other == "y":
+            os.link("x", "y")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        args = ["mine", "--log", str(log), "--min-support", "5", "--max-len", "2", "--max-gap", "50",
+                "--out", other, "--catalog", str(catalog_path), "--workload-out", "x"]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: x and {other} name one file; give each output its own path\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        if existed:
+            assert Path("x").read_text(encoding="utf-8") == "kept"
+
+    def test_out_and_workload_out_may_both_name_a_device(self, tmp_path, capsys):
+        log = tmp_path / "queries.log"
+        log.write_text("\n".join(planted_log_lines()) + "\n", encoding="utf-8")
+        catalog_path = tmp_path / "catalog.json"
+        catalog_path.write_text(json.dumps(catalog_doc()), encoding="utf-8")
+        args = ["mine", "--log", str(log), "--min-support", "5", "--max-len", "2", "--max-gap", "50",
+                "--out", os.devnull, "--catalog", str(catalog_path), "--workload-out", os.devnull]
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith(f"report: {os.devnull} ") and out.endswith(f"workload: {os.devnull}\n")
+
     def test_log_line_breaks_inside_query_text_are_kept(self, tmp_path, capsys):
         """A U+2028 inside a string literal does not end the log line."""
         lines = planted_log_lines()

@@ -35,7 +35,6 @@ from rpusim import (
     TableSpec,
     calibrated_profile,
     choose_plan,
-    compile_plan,
     default_scenario,
     enumerate_plans,
     generate_hints,
@@ -50,7 +49,7 @@ from rpusim import (
     validate_timeline,
 )
 from rpusim.cost import order_facts
-from _oracle import reference_fold
+from _oracle import lower_plan, reference_fold
 
 POOL = ("a", "b", "c", "d")
 
@@ -238,7 +237,7 @@ def test_plan_cost_equals_the_step_fold_bit_for_bit():
         profile = random_profile(rng)
         plans = enumerate_plans(seq) + [random_plan(rng, seq) for _ in range(3)]
         for plan in plans:
-            expected = reference_fold(compile_plan(plan, seq), seq.gaps, profile)
+            expected = reference_fold(lower_plan(plan, seq), seq.gaps, profile)
             assert _hex(plan_cost(seq, plan, profile)) == _hex(expected), (plan, seq)
             checked += 1
         reused += sum(map(len, seq._memo[profile])) < len(plans) * len(seq.queries)
@@ -272,26 +271,23 @@ def policy_boundaries():
     """Every boundary where the all-commuting predecessor streams the
     successor's first accelerator before its last op, on 560 random
     sequences: ``(seq, profile, S plan, boundary index, predecessor step,
-    hint, accelerator loaded before the predecessor)``."""
+    hint)``."""
     for _, seq, profile in random_cases(2053, 560):
         local = strategy_plan(seq, Strategy.S)
-        steps = compile_plan(local, seq)
-        loaded = None
+        steps = lower_plan(local, seq)
         for i, (pred, succ) in enumerate(zip(steps, steps[1:])):
             acc = succ.rpu[0].id
             if all(op.commutes for op in pred.query.ops) and acc in tuple(op.id for op in pred.rpu)[:-1]:
                 hint = Hint((acc,), seq.gaps[i], succ.query.table.size_mb / profile.r_scan)
-                yield seq, profile, local, i, pred, hint, loaded
-            if pred.rpu:
-                loaded = pred.rpu[-1].id
+                yield seq, profile, local, i, pred, hint
 
 
 def test_rpu_policy_picks_the_cost_argmin_at_n_query_boundaries():
-    # the device policy, given the accelerator loaded before the
-    # predecessor, must pick the cheaper of a SPECULATIVE reload there and
+    # the device policy, reading what the PR holds off the plan, must pick
+    # the cheaper of a SPECULATIVE reload at the predecessor's boundary and
     # the swapped order
     checked = swaps = 0
-    for seq, profile, local, i, pred, hint, loaded in policy_boundaries():
+    for seq, profile, local, i, pred, hint in policy_boundaries():
         acc = hint.next_accelerators[0]
         modes = list(local.modes)
         modes[i] = Mode.SPECULATIVE
@@ -301,7 +297,7 @@ def test_rpu_policy_picks_the_cost_argmin_at_n_query_boundaries():
         t_speculative = plan_cost(seq, speculative, profile).total
         t_swap = plan_cost(seq, swapped, profile).total
 
-        decision = rpu_policy(hint, pred, profile, loaded=loaded)
+        decision = rpu_policy(hint, seq, local, i, profile)
         margin = decision.rationale["t_swap"] - decision.rationale["t_speculative"]
         assert math.isclose(margin, t_swap - t_speculative, abs_tol=1e-9), (i, seq, profile)
         if decision.choice is ReconfigChoice.SWAP:
@@ -320,15 +316,11 @@ RATIONALE_SHA256 = "00deff6787d0c63b73d3974d07e9f4704a65b27c334f8be7097e6f1f7a5e
 
 
 def test_rpu_policy_rationale_pinned_to_the_bit():
-    decisions = [
-        rpu_policy(hint, pred, profile, loaded=loaded)
-        for _, profile, _, _, pred, hint, loaded in policy_boundaries()
-    ]
+    decisions = [rpu_policy(hint, seq, local, i, profile) for seq, profile, local, i, _, hint in policy_boundaries()]
     seq, profile = default_scenario(), calibrated_profile()
     for plan in enumerate_plans(seq):
-        steps = compile_plan(plan, seq)
         for hint in generate_hints(seq, plan, profile):
-            decisions.append(rpu_policy(hint, steps[0], profile))  # two queries, one boundary
+            decisions.append(rpu_policy(hint, seq, plan, 0, profile))  # two queries, one boundary
     text = "\n".join(
         f"{d.choice.value} " + " ".join(f"{k}={v.hex()}" for k, v in d.rationale.items()) for d in decisions
     )

@@ -68,3 +68,22 @@ def test_unused_imports_finds_what_a_module_never_reads():
         "    return math.inf if check_plan(plan, None) else os.path.sep\n"
     )
     assert unused_imports(source) == ["_host_ops (line 5)", "lower (line 5)"]
+
+
+def test_every_name_in_all_resolves_on_the_package():
+    assert [name for name in rpusim.__all__ if not hasattr(rpusim, name)] == []
+    namespace: dict = {}
+    exec("from rpusim import *", namespace)
+    assert set(rpusim.__all__) <= namespace.keys()
+
+
+def test_all_lists_exactly_the_public_names_the_package_imports():
+    tree = ast.parse(Path(rpusim.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    assert len(set(rpusim.__all__)) == len(rpusim.__all__)
+    assert sorted(rpusim.__all__) == sorted(name for name in imported if not name.startswith("_"))

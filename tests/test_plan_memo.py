@@ -1,13 +1,12 @@
 """The per-sequence plan memo: work is kept per sequence object, failures are not.
 
 A ``QuerySequence`` keeps the plans ``enumerate_plans`` built, the plans
-``check_plan`` accepted, the steps ``compile_plan`` lowered, the facts
-table and the breakdowns ``plan_cost`` folded.  These tests pin that the
-memo never changes an answer: failures raise on every call (an overflowing
-total too, though the facts it read are kept), separately built sequences
-share nothing, value semantics ignore the memo, each profile gets its own
-total, and memoized results equal those of a freshly built sequence to the
-last bit.
+``check_plan`` accepted, the facts table and the breakdowns ``plan_cost``
+folded.  These tests pin that the memo never changes an answer: failures
+raise on every call (an overflowing total too, though the facts it read
+are kept), separately built sequences share nothing, value semantics
+ignore the memo, each profile gets its own total, and memoized results
+equal those of a freshly built sequence to the last bit.
 """
 
 from __future__ import annotations
@@ -26,11 +25,12 @@ from rpusim import (
     QuerySequence,
     Strategy,
     calibrated_profile,
+    check_plan,
     choose_plan,
-    compile_plan,
     enumerate_plans,
     generate_hints,
     plan_cost,
+    rpu_policy,
     simulate,
     strategy_plan,
 )
@@ -48,12 +48,13 @@ def _fresh(seq: QuerySequence) -> QuerySequence:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda seq, plan, profile: compile_plan(plan, seq),
+        lambda seq, plan, profile: check_plan(plan, seq),
         lambda seq, plan, profile: plan_cost(seq, plan, profile),
         lambda seq, plan, profile: simulate(seq, plan, profile),
         lambda seq, plan, profile: generate_hints(seq, plan, profile),
+        lambda seq, plan, profile: rpu_policy(None, seq, plan, 0, profile),
     ],
-    ids=["compile_plan", "plan_cost", "simulate", "generate_hints"],
+    ids=["check_plan", "plan_cost", "simulate", "generate_hints", "rpu_policy"],
 )
 def test_illegal_plan_raises_on_every_call(paper_seq, profile, call):
     illegal = Plan(Strategy.S, (("acc0", "acc0"), ("acc0",)), (Mode.BASELINE,))
@@ -84,7 +85,6 @@ def test_equal_sequences_built_separately_share_no_memo(profile):
     plan, breakdown = choose_plan(a, profile)
     assert a._memo and not b._memo
     assert plan_cost(b, plan, profile) == breakdown
-    assert compile_plan(plan, b) is not compile_plan(plan, a)
     # each keeps its own facts table, equal in content
     facts_a, facts_b = a._memo[profile], b._memo[profile]
     assert facts_a is not facts_b and facts_b

@@ -8,12 +8,14 @@ import pytest
 from rpusim import (
     FilterOp,
     Hint,
+    Mode,
+    Plan,
     Query,
     QuerySequence,
     ReconfigChoice,
     Strategy,
+    TableSpec,
     choose_plan,
-    compile_plan,
     enumerate_plans,
     generate_hints,
     plan_cost,
@@ -109,28 +111,27 @@ class TestGenerateHints:
 
 class TestRpuPolicy:
     @staticmethod
-    def _running(seq, strategy=Strategy.S):
-        """The first query's compiled step under the strategy's plan."""
-        return compile_plan(strategy_plan(seq, strategy), seq)[0]
+    def _first(hint, seq, profile, strategy=Strategy.S):
+        """The policy while the first query runs under the strategy's plan."""
+        return rpu_policy(hint, seq, strategy_plan(seq, strategy), 0, profile)
 
     def test_reference_scenario_prefers_speculative_load(self, paper_seq, profile):
         hint = Hint(next_accelerators=("acc0",), expected_gap=1.0, expected_scan=1.0)
-        decision = rpu_policy(hint, self._running(paper_seq), profile)
+        decision = self._first(hint, paper_seq, profile)
         assert decision.choice is ReconfigChoice.SPECULATIVE_LOAD
         assert decision.rationale["lhs"] == pytest.approx(17.96375, rel=1e-9)
 
     def test_small_scenario_prefers_swap(self, profile):
         seq = canonical_sequence(s0=4.5, s1=0.5, gap=0.5)
         hint = Hint(next_accelerators=("acc0",), expected_gap=0.5, expected_scan=0.5)
-        decision = rpu_policy(hint, self._running(seq), profile)
+        decision = self._first(hint, seq, profile)
         assert decision.choice is ReconfigChoice.SWAP
         assert decision.rationale["lhs"] == pytest.approx(8.981875, rel=1e-9)
 
     def test_no_hint_means_none(self, paper_seq, profile):
-        running = self._running(paper_seq)
-        assert rpu_policy(None, running, profile).choice is ReconfigChoice.NONE
+        assert self._first(None, paper_seq, profile).choice is ReconfigChoice.NONE
         empty = Hint(next_accelerators=(), expected_gap=1.0, expected_scan=1.0)
-        assert rpu_policy(empty, running, profile).choice is ReconfigChoice.NONE
+        assert self._first(empty, paper_seq, profile).choice is ReconfigChoice.NONE
 
     def test_non_commuting_running_query_falls_back_to_load(self, profile):
         # the small scenario swaps when it may; a non-commuting op forbids it
@@ -139,7 +140,7 @@ class TestRpuPolicy:
         pinned = Query(q0.id, q0.table, (q0.ops[0], FilterOp("acc1", 0.43, commutes=False)))
         seq = QuerySequence((pinned, q1), small.gaps)
         hint = Hint(next_accelerators=("acc0",), expected_gap=0.5, expected_scan=0.5)
-        decision = rpu_policy(hint, self._running(seq), profile)
+        decision = self._first(hint, seq, profile)
         assert decision.choice is ReconfigChoice.SPECULATIVE_LOAD
         assert "t_swap" not in decision.rationale
 
@@ -147,7 +148,7 @@ class TestRpuPolicy:
         # plan II streams only acc1 in Q0 and filters acc0 on the host
         seq = canonical_sequence(s0=4.5, s1=0.5, gap=0.5)
         hint = Hint(next_accelerators=("acc0",), expected_gap=0.5, expected_scan=0.5)
-        decision = rpu_policy(hint, self._running(seq, Strategy.II), profile)
+        decision = self._first(hint, seq, profile, Strategy.II)
         assert decision.choice is ReconfigChoice.SPECULATIVE_LOAD
         assert "t_swap" not in decision.rationale
 
@@ -160,7 +161,7 @@ class TestRpuPolicy:
             seq = canonical_sequence(s0, f0, f1, s1, f2, gap)
             iii, iv = strategy_plan(seq, Strategy.III), strategy_plan(seq, Strategy.IV)
             hint = Hint(("acc0",), gap, s1 / profile.r_scan)
-            decision = rpu_policy(hint, compile_plan(iii, seq)[0], profile)
+            decision = rpu_policy(hint, seq, iii, 0, profile)
             t_iii = plan_cost(seq, iii, profile).total
             t_iv = plan_cost(seq, iv, profile).total
             margin = decision.rationale["t_swap"] - decision.rationale["t_speculative"]
@@ -171,3 +172,33 @@ class TestRpuPolicy:
             else:
                 assert t_iii <= t_iv + 1e-9, seq
         assert 0 < swaps < 3000
+
+    @staticmethod
+    def _three_queries() -> QuerySequence:
+        """Q1 filters only on the host under the plans below, so what Q2
+        finds loaded is what Q0 left."""
+        def q(qid, *ops):
+            return Query(qid, TableSpec(f"t_{qid}", 1.0), tuple(FilterOp(op_id, 0.5) for op_id in ops))
+        return QuerySequence((q("Q0", "a", "b"), q("Q1", "c"), q("Q2", "a", "d")), (1.0, 1.0))
+
+    def test_loaded_accelerator_is_read_off_the_nearest_non_empty_order(self, profile):
+        seq = self._three_queries()
+        hint = Hint(next_accelerators=("d",), expected_gap=1.0, expected_scan=1.0)
+        modes = (Mode.BASELINE, Mode.BASELINE)
+        leaves_a = Plan(Strategy.S, (("b", "a"), (), ("a", "d")), modes)
+        leaves_b = Plan(Strategy.S, (("a", "b"), (), ("a", "d")), modes)
+        kept = rpu_policy(hint, seq, leaves_a, 2, profile).rationale["t_speculative"]
+        reloaded = rpu_policy(hint, seq, leaves_b, 2, profile).rationale["t_speculative"]
+        scan = seq.queries[2].table.size_mb / profile.r_scan
+        assert scan < profile.t_reconfig
+        assert reloaded - kept == pytest.approx(profile.t_reconfig - scan, rel=1e-12)
+        # with nothing streamed before Q2, the PR holds nothing: a reload too
+        none_before = Plan(Strategy.S, ((), (), ("a", "d")), modes)
+        assert rpu_policy(hint, seq, none_before, 2, profile).rationale["t_speculative"] == reloaded
+
+    def test_index_outside_the_sequence_is_a_value_error(self, paper_seq, profile):
+        plan = strategy_plan(paper_seq, Strategy.S)
+        hint = Hint(next_accelerators=("acc0",), expected_gap=1.0, expected_scan=1.0)
+        for index in (-1, len(paper_seq.queries)):
+            with pytest.raises(ValueError, match=rf"query index {index} is outside \[0, 2\)"):
+                rpu_policy(hint, paper_seq, plan, index, profile)

@@ -14,15 +14,19 @@ from rpusim import (
     QuerySequence,
     Strategy,
     TableSpec,
-    compile_plan,
+    calibrated_profile,
+    check_plan,
+    default_scenario,
     enumerate_plans,
+    generate_hints,
     legality,
     local_order,
-    require_legal,
+    plan_cost,
     shared_accelerators,
+    simulate,
     strategy_plan,
 )
-from rpusim.plans import _local_ids
+from rpusim.plans import _host_ops, _local_ids
 from test_engine_agreement import POOL, random_plan, random_profile, random_sequence
 
 
@@ -136,12 +140,12 @@ class TestStrategyPlans:
     def test_i_pushes_lowest_selectivity(self, paper_seq):
         plan = strategy_plan(paper_seq, Strategy.I)
         assert plan.rpu_order == (("acc0",), ("acc0",))
-        assert [op.id for op in compile_plan(plan, paper_seq)[0].host] == ["acc1"]
+        assert [op.id for op in _host_ops(paper_seq.queries[0], plan.rpu_order[0])] == ["acc1"]
 
     def test_ii_pushes_second(self, paper_seq):
         plan = strategy_plan(paper_seq, Strategy.II)
         assert plan.rpu_order[0] == ("acc1",)
-        assert [op.id for op in compile_plan(plan, paper_seq)[0].host] == ["acc0"]
+        assert [op.id for op in _host_ops(paper_seq.queries[0], plan.rpu_order[0])] == ["acc0"]
         assert plan.modes == (Mode.HOLD,)
 
     def test_iii_speculative_load(self, paper_seq):
@@ -180,8 +184,8 @@ class TestLegality:
         ok, reason = legality(plan, seq)
         assert not ok
         assert "non-commuting" in reason
-        with pytest.raises(IllegalPlanError, match="non-commuting"):
-            require_legal(plan, seq)
+        with pytest.raises(IllegalPlanError, match="^illegal plan: non-commuting"):
+            check_plan(plan, seq)
 
     def test_missing_placement_is_illegal(self, paper_seq):
         plan = Plan(Strategy.S, (("acc0", "acc1"),), (Mode.BASELINE,))
@@ -224,6 +228,25 @@ class TestLegality:
         with pytest.raises(IllegalPlanError, match="requires sequence knowledge"):
             strategy_plan(seq, Strategy.III)
 
+    @pytest.mark.parametrize("bad", ["baseline", None], ids=["mode-name", "none"])
+    def test_boundary_mode_must_be_a_mode(self, bad):
+        seq = default_scenario()
+        plan = Plan(Strategy.S, strategy_plan(seq, Strategy.S).rpu_order, (bad,))
+        ok, reason = legality(plan, seq)
+        assert not ok
+        assert reason == f"boundary 0 has mode {bad!r}, which is not a Mode"
+        profile = calibrated_profile()
+        for call in (plan_cost, simulate, generate_hints):
+            with pytest.raises(IllegalPlanError, match="^illegal plan: boundary 0 has mode"):
+                call(seq, plan, profile)
+        with pytest.raises(IllegalPlanError, match="^illegal plan: boundary 0 has mode"):
+            check_plan(plan, seq)
+
+    def test_bad_mode_is_named_by_its_boundary(self):
+        seq = _seq(_q("A", 1.0, ("x", 0.5)), _q("B", 1.0, ("x", 0.5)), _q("C", 1.0, ("x", 0.5)))
+        plan = Plan(Strategy.S, (("x",),) * 3, (Mode.SPECULATIVE, "hold"))
+        assert legality(plan, seq) == (False, "boundary 1 has mode 'hold', which is not a Mode")
+
     def test_strategy_is_only_a_label(self, paper_seq):
         # legality reads the orders and modes; any builder name may carry them
         iii = strategy_plan(paper_seq, Strategy.III)
@@ -232,7 +255,7 @@ class TestLegality:
             assert ok, reason
 
 
-class TestCompilePlan:
+class TestThreeQueryPlans:
     SEQ = _seq(
         _q("A", 3.0, ("y", 0.3), ("x", 0.4)),
         _q("B", 2.0, ("y", 0.5), ("w", 0.6)),
@@ -251,18 +274,17 @@ class TestCompilePlan:
         plans = enumerate_plans(self.SEQ)
         assert [p.strategy for p in plans] == list(expected)
         for plan in plans:
-            assert strategy_plan(self.SEQ, plan.strategy).modes == expected[plan.strategy]
-            steps = compile_plan(plan, self.SEQ)
-            assert [s.mode for s in steps] == [Mode.BASELINE, *expected[plan.strategy]]
+            assert plan.modes == expected[plan.strategy]
+            assert strategy_plan(self.SEQ, plan.strategy) == plan
 
-    def test_steps_carry_placed_ops_in_order(self):
+    def test_host_ops_are_the_unstreamed_ops_in_declared_order(self):
         plan = strategy_plan(self.SEQ, Strategy.I)
-        steps = compile_plan(plan, self.SEQ)
-        assert [s.query.id for s in steps] == ["A", "B", "C"]
-        assert [op.id for op in steps[0].rpu] == ["y"]
-        assert [op.id for op in steps[0].host] == ["x"]
-        assert [op.id for op in steps[2].rpu] == ["z"]
-        assert steps[2].host == ()
+        assert plan.rpu_order == (("y",), ("y",), ("z",))
+        host = [[op.id for op in _host_ops(q, order)] for q, order in zip(self.SEQ.queries, plan.rpu_order)]
+        assert host == [["x"], ["w"], []]
+        a = self.SEQ.queries[0]
+        assert [op.id for op in _host_ops(a, ())] == ["y", "x"]
+        assert _host_ops(a, ("x", "y")) == ()
 
 
 def reference_legality(plan: Plan, seq: QuerySequence) -> tuple[bool, str]:

@@ -576,4 +576,3 @@ def test_package_attribute_simulate_is_the_function_not_the_module():
     assert isinstance(module, types.ModuleType) and sys.modules["rpusim.simulate"] is module
     assert rpusim.simulate is simulate is module.simulate
     assert not isinstance(rpusim.simulate, types.ModuleType)
-    assert not hasattr(rpusim.simulate, "compile_plan")

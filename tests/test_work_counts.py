@@ -9,14 +9,14 @@ built once, the accelerators adjacent queries share are found once, each
 plan is checked once, and each plan is costed once per profile.  Costing
 folds a plan's orders against a facts table, so each distinct (query
 position, order) fact is computed once per sequence and profile, in one
-flat loop that calls no per-step helper.  Both
-engines read a checked plan's orders and modes directly, so no plan is
-lowered into steps: a public engine call runs one legality check for a
-plan that sequence has not checked yet, and the whole planning pipeline,
-simulation included, runs one check and one cost fold per distinct plan
-and lowers none.  ``plan_cost`` builds one breakdown per plan and profile;
-a sweep folds each plan to a bare total at each point and builds none.  Parsing a log runs the constant pass once per line and
-templates each distinct constant-free text once.
+flat loop that calls no per-step helper.  Both engines and the device
+policy read a checked plan's orders and modes directly: a public call runs
+one legality check for a plan that sequence has not checked yet, and the
+whole planning pipeline, simulation included, runs one check and one cost
+fold per distinct plan.  ``plan_cost`` builds one breakdown per plan and
+profile; a sweep folds each plan to a bare total at each point and builds
+none.  Parsing a log runs the constant pass once per line and templates
+each distinct constant-free text once.
 """
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ from rpusim import (
     SweepSpec,
     TableSpec,
     choose_plan,
-    compile_plan,
     enumerate_plans,
     generate_hints,
     phase_times,
     plan_cost,
+    rpu_policy,
     run_sweep,
     simulate,
     strategy_plan,
@@ -106,8 +106,8 @@ def test_plan_cost_constructs_no_phase_times(monkeypatch, paper_seq, profile):
         plan_cost(paper_seq, plan, profile)
     assert sum(made.values()) == 0
     # the public per-query report still builds one
-    step = compile_plan(enumerate_plans(paper_seq)[0], paper_seq)[0]
-    phase_times(step.query, step.rpu, step.host, profile)
+    q = paper_seq.queries[0]
+    phase_times(q, q.ops, (), profile)
     assert sum(made.values()) == 1
 
 
@@ -143,16 +143,15 @@ def _distinct_facts(seq, plans) -> set:
 @pytest.mark.parametrize("variable, start, stop", [("scale", 0.5, 4.0), ("gap", 0.0, 30.0), ("selectivity", 0.0, 1.0)])
 def test_sweeps_build_each_plan_once(monkeypatch, paper_seq, profile, variable, start, stop):
     """One build and one legality check per distinct plan, not per grid
-    point, and no plan lowered.  Each point folds every distinct plan, S
-    included, to a bare total once, and builds no ``CostBreakdown``.  A gap
-    sweep keeps the query tuple, so it computes each distinct fact once for
-    the whole grid; scale and selectivity sweeps build new queries and
-    compute each at every point.
+    point.  Each point folds every distinct plan, S included, to a bare
+    total once, and builds no ``CostBreakdown``.  A gap sweep keeps the
+    query tuple, so it computes each distinct fact once for the whole grid;
+    scale and selectivity sweeps build new queries and compute each at
+    every point.
     """
     by_strategy = lambda plan, seq: plan.strategy
     built = _counting(monkeypatch, rpusim.sweep, "strategy_plan", key=lambda seq, strategy: strategy)
     checks = _counting(monkeypatch, rpusim.plans, "legality", key=by_strategy)
-    lowered = _counting(monkeypatch, rpusim.plans, "_lower")
     folds = _counting(monkeypatch, rpusim.sweep, "_fold", key=lambda plan, *rest: plan.strategy)
     breakdowns = _counting(monkeypatch, rpusim.cost, "CostBreakdown")
     facts = counting_facts(monkeypatch)
@@ -160,7 +159,6 @@ def test_sweeps_build_each_plan_once(monkeypatch, paper_seq, profile, variable, 
     assert len(run_sweep(paper_seq, profile, spec)) == 27
     once = Counter({Strategy.S: 1, Strategy.III: 1, Strategy.IV: 1})
     assert built == checks == once
-    assert not lowered
     assert folds == Counter(dict.fromkeys(once, len(spec.grid())))
     assert not breakdowns
     distinct = _distinct_facts(paper_seq, [strategy_plan(paper_seq, s) for s in once])
@@ -176,9 +174,9 @@ def test_sweeps_build_each_plan_once(monkeypatch, paper_seq, profile, variable, 
         lambda seq, plan, profile: plan_cost(seq, plan, profile),
         lambda seq, plan, profile: simulate(seq, plan, profile),
         lambda seq, plan, profile: generate_hints(seq, plan, profile),
-        lambda seq, plan, profile: compile_plan(plan, seq),
+        lambda seq, plan, profile: rpu_policy(None, seq, plan, 0, profile),
     ],
-    ids=["plan_cost", "simulate", "generate_hints", "compile_plan"],
+    ids=["plan_cost", "simulate", "generate_hints", "rpu_policy"],
 )
 def test_legality_runs_once_per_engine_call(monkeypatch, paper_seq, profile, call):
     checks = _counting(monkeypatch, rpusim.plans, "legality")
@@ -191,16 +189,14 @@ def test_legality_runs_once_per_engine_call(monkeypatch, paper_seq, profile, cal
 def test_planning_pipeline_checks_every_plan_it_receives(monkeypatch, profile):
     """Hints on (5 plans), hints off (S and I), then hints and simulate of
     the chosen plan, all on one sequence object: one legality check and one
-    cost fold per distinct plan, none skipped, one order fact computed per
-    distinct (position, order) pair of those plans, and no plan lowered
-    into steps, the simulated one included."""
+    cost fold per distinct plan, none skipped, and one order fact computed
+    per distinct (position, order) pair of those plans."""
     by_plan = lambda plan, seq: plan
     checks = _counting(monkeypatch, rpusim.plans, "legality", key=by_plan)
-    lowered = _counting(monkeypatch, rpusim.plans, "_lower", key=by_plan)
     folds = _counting(monkeypatch, rpusim.cost, "_fold")
     facts = counting_facts(monkeypatch)
     for seq in (canonical_sequence(), _long_sequence(200)):
-        for counts in (checks, lowered, folds, facts):
+        for counts in (checks, folds, facts):
             counts.clear()
         plan, _ = choose_plan(seq, profile, hints_enabled=True)
         choose_plan(seq, profile, hints_enabled=False)
@@ -209,7 +205,6 @@ def test_planning_pipeline_checks_every_plan_it_receives(monkeypatch, profile):
         distinct = enumerate_plans(seq)
         assert len(distinct) == 5
         assert checks == Counter(dict.fromkeys(distinct, 1))
-        assert not lowered
         assert sum(folds.values()) == 5
         pairs = _distinct_facts(seq, distinct)
         assert facts == Counter(dict.fromkeys(pairs, 1))
@@ -268,7 +263,7 @@ def test_plan_cost_builds_one_breakdown_per_plan_and_profile(monkeypatch, profil
 def test_simulate_is_independent_of_the_cost_engine(monkeypatch, profile, seq):
     """The simulator is the second engine the cost model is checked against:
     it must schedule every strategy plan with no cost arithmetic at all,
-    with one legality check per plan and without lowering it into steps."""
+    with one legality check per plan."""
     plans = enumerate_plans(seq)
     assert len(plans) >= 3
     totals = [plan_cost(seq, plan, profile).total for plan in plans]
@@ -281,14 +276,12 @@ def test_simulate_is_independent_of_the_cost_engine(monkeypatch, profile, seq):
     for name in ("boundary", "order_facts", "_fold", "plan_cost"):
         monkeypatch.setattr(rpusim.cost, name, raising(name))
     checks = _counting(monkeypatch, rpusim.plans, "legality")
-    lowered = _counting(monkeypatch, rpusim.plans, "_lower")
     for plan, total in zip(plans, totals):
         # a fresh sequence object has checked no plan yet
         fresh = QuerySequence(seq.queries, seq.gaps)
         checks.clear()
         assert simulate(fresh, plan, profile).makespan == pytest.approx(total, rel=1e-9)
         assert sum(checks.values()) == 1
-        assert not lowered
 
 
 @pytest.mark.parametrize("seq", [canonical_sequence(), _long_sequence(200)], ids=["paper", "200-query"])
