@@ -121,7 +121,8 @@ def _cmd_plan(args) -> int:
     seq, profile = _load(args)
     plan, breakdown = choose_plan(seq, profile, hints_enabled=args.hints)
     _print_cost(plan, breakdown)
-    for hint in generate_hints(seq, plan, profile):
+    # a plan chosen without knowledge of upcoming queries carries no hints
+    for hint in generate_hints(seq, plan, profile) if args.hints else ():
         accs = ",".join(hint.next_accelerators)
         print(
             f"hint: next_accelerators={accs} expected_gap_ms={hint.expected_gap:.3f} "

@@ -24,24 +24,17 @@ one formula of the three modes: it joins a query to the state its
 predecessor leaves.  The two are the single-step definitions: the device
 policy (:func:`rpusim.planner.rpu_policy`) weighs its two options with
 them.  :func:`plan_cost` folds a checked plan's positional orders and
-modes in :func:`_fold`, one flat loop that spells both out inline, with
-the same float operations in the same order: each query's facts, read
-from a facts table, plus the boundary its mode names.  The tests pin the
-fold bit for bit to a fold that calls the two functions at every step.
-:func:`_fold` returns a bare total, and fills a per-query
+modes in :func:`_fold`, one flat loop that spells both out inline for
+every query, with the same float operations in the same order.  The
+tests pin the fold bit for bit to a fold that calls the two functions at
+every step.  :func:`_fold` returns a bare total, and fills a per-query
 list only when its caller passes one: :func:`plan_cost` passes one, and
 builds the :class:`CostBreakdown`, only when every boundary is BASELINE,
 because only then does the total decompose per query.  A sweep
 (:func:`rpusim.sweep.run_sweep`) folds each plan to its total alone.
-
-The facts table maps a (query position, order of op ids) pair to that
-query's ``order_facts``.  The strategy plans of one sequence share most of
-their orders, so each fact is computed once and read by every plan that
-streams that order at that position.  :func:`plan_cost` keeps one table
-per device profile in the sequence's memo, keyed by the profile, and each
-breakdown by ``(plan, profile)``, so on one sequence object a plan is
-costed once per device profile; a total that overflows is not kept, but
-the facts it read are.
+:func:`plan_cost` keeps each breakdown in the sequence's memo by
+``(plan, profile)``, so on one sequence object a plan is costed once per
+device profile; a total that overflows is not kept.
 """
 
 from __future__ import annotations
@@ -181,25 +174,12 @@ def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBre
     key = (plan, profile)
     breakdown = memo.get(key)
     if breakdown is None:
-        facts = memo.get(profile)
-        if facts is None:
-            facts = memo[profile] = _new_facts(seq.queries)
         checked = check_plan(plan, seq)
         modes = checked.modes
         per_query = None if _HOLD in modes or _SPECULATIVE in modes else []
-        total = _fold(checked, seq.queries, seq.gaps, profile, facts, per_query)
+        total = _fold(checked, seq.queries, seq.gaps, profile, per_query)
         breakdown = memo[key] = CostBreakdown(total, () if per_query is None else tuple(per_query))
     return breakdown
-
-
-#: A facts table: per query position, each order of op ids streamed there
-#: mapped to that query's ``order_facts``.
-_Facts = list[dict[tuple[str, ...], tuple[float, float, float]]]
-
-
-def _new_facts(queries: Sequence[Query]) -> _Facts:
-    """An empty facts table for ``queries``."""
-    return [{} for _ in queries]
 
 
 def _fold(
@@ -207,19 +187,16 @@ def _fold(
     queries: Sequence[Query],
     gaps: Sequence[float],
     profile: DeviceProfile,
-    facts: _Facts,
     per_query: list[tuple[str, float]] | None = None,
 ) -> float:
     """Total ms of a plan already checked against ``queries``; ``gaps`` are
-    the sequence's.  ``facts`` is the facts table of these queries under
-    ``profile``: a missing fact is computed and added.  When ``per_query``
-    is given, each query's id and time is appended to it; it only sums to
-    the total when every boundary is BASELINE.  The caller builds any
-    breakdown (:func:`plan_cost` does).  Raises
-    :class:`NonFiniteResultError` when the total overflows.
+    the sequence's.  When ``per_query`` is given, each query's id and time
+    is appended to it; it only sums to the total when every boundary is
+    BASELINE.  The caller builds any breakdown (:func:`plan_cost` does).
+    Raises :class:`NonFiniteResultError` when the total overflows.
 
-    The loop makes no call per query: a missing fact is
-    :func:`order_facts` and each boundary is :func:`boundary`, both
+    The loop makes no call per query: each query's scan, body and tail
+    are :func:`order_facts` and each boundary is :func:`boundary`, both
     spelled out with the same float operations in the same order (each
     ``max(a, b)`` as ``b if b > a else a``, so ``a`` wins ties as it does
     in ``max``)."""
@@ -227,32 +204,29 @@ def _fold(
     r_network, c_dbms = profile.r_network, profile.c_dbms
     total = prev_tail = 0.0
     loaded: str | None = None
-    for q, order, mode, gap, known in zip(queries, plan.rpu_order, (_BASELINE, *plan.modes), (0.0, *gaps), facts):
-        fact = known.get(order)
-        if fact is None:
-            size = q.table.size_mb
-            scan = size / r_scan
-            # the first op adds a reconfiguration of 0.0 to a body of 0.0,
-            # which leaves it 0.0: order_facts skips that addition
-            body = reconfig = 0.0
-            by_id = q._ops_by_id
-            for op_id in order:
-                body += reconfig
-                body += size / r_acc
-                size *= by_id[op_id].selectivity
-                reconfig = t_reconfig
-            trans = size / r_network
-            dbms = 0.0
-            ops = q.ops
-            # legal orders list distinct ops of the query, so equal lengths
-            # mean every op is pushed down
-            if len(order) != len(ops):
-                for op in ops:
-                    if op.id not in order:
-                        dbms += c_dbms * size
-                        size *= op.selectivity
-            fact = known[order] = (scan, body, trans + dbms)
-        scan, body, tail = fact
+    for q, order, mode, gap in zip(queries, plan.rpu_order, (_BASELINE, *plan.modes), (0.0, *gaps)):
+        size = q.table.size_mb
+        scan = size / r_scan
+        # the first op adds a reconfiguration of 0.0 to a body of 0.0,
+        # which leaves it 0.0: order_facts skips that addition
+        body = reconfig = 0.0
+        by_id = q._ops_by_id
+        for op_id in order:
+            body += reconfig
+            body += size / r_acc
+            size *= by_id[op_id].selectivity
+            reconfig = t_reconfig
+        trans = size / r_network
+        dbms = 0.0
+        ops = q.ops
+        # legal orders list distinct ops of the query, so equal lengths
+        # mean every op is pushed down
+        if len(order) != len(ops):
+            for op in ops:
+                if op.id not in order:
+                    dbms += c_dbms * size
+                    size *= op.selectivity
+        tail = trans + dbms
         if order:
             lead = t_reconfig if loaded != order[0] else 0.0
             loaded = order[-1]

@@ -191,11 +191,10 @@ class QuerySequence:
     :mod:`rpusim.plans` and :mod:`rpusim.cost`).  Keys: a ``Strategy`` maps
     to its plan, or ``None`` when it is not applicable; a ``Plan`` that
     passed its check to ``None``; the string ``"shared_accelerators"`` to
-    the accelerators each adjacent pair shares; a ``DeviceProfile`` to the
-    facts table under that profile (per query position, each order of op
-    ids mapped to the query's ``order_facts``); a ``(Plan, DeviceProfile)``
-    pair to its cost breakdown.  Failures are not kept.  Equality, hashing, ``repr`` and
-    ``dataclasses.replace`` ignore the memo; every new object starts empty.
+    the accelerators each adjacent pair shares; a ``(Plan, DeviceProfile)``
+    pair to its cost breakdown.  Failures are not kept.  Equality, hashing,
+    ``repr`` and ``dataclasses.replace`` ignore the memo; every new object
+    starts empty.
     """
 
     queries: tuple[Query, ...]

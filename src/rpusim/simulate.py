@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter, le
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import NonFiniteResultError, SchedulingError
@@ -202,17 +202,6 @@ def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline
 _START_END, _END = attrgetter("start", "end"), attrgetter("end")
 
 
-def _in_order(group: list[Phase], key) -> list[Phase]:
-    """``group`` stably sorted by ``key``.  ``simulate`` emits phases by
-    start, so the group is sorted only when one pass finds it out of order.
-    A NaN key fails that pass, so such a group is always sorted."""
-    if len(group) > 1:
-        keys = list(map(key, group))
-        if not all(map(le, keys, keys[1:])):
-            return sorted(group, key=key)
-    return group
-
-
 def validate_timeline(timeline: Timeline) -> list[Violation]:
     """Check a timeline's structural rules; empty result means ok."""
     out: list[Violation] = []
@@ -228,7 +217,7 @@ def validate_timeline(timeline: Timeline) -> list[Violation]:
         if p.query != GAP_QUERY:
             by_query.setdefault(p.query, []).append(p)
     for resource, group in by_resource.items():
-        group = _in_order(group, _START_END)
+        group = sorted(group, key=_START_END)
         for a, b in zip(group, group[1:]):
             if b.start < a.end:
                 out.append(
@@ -255,8 +244,8 @@ def validate_timeline(timeline: Timeline) -> list[Violation]:
                 trans.append(p)
             elif label == "dbms":
                 dbms.append(p)
-        accs = _in_order(accs, _START)
-        dbms = _in_order(dbms, _START)
+        accs = sorted(accs, key=_START)
+        dbms = sorted(dbms, key=_START)
         if scan_end is not None and accs and accs[0].start < scan_end:
             out.append(Violation(f"query {qid}", "acc-exec started before scan finished"))
         for a, b in zip(accs, accs[1:]):

@@ -6,7 +6,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .cost import _fold, _improvement, _new_facts
+from .cost import _fold, _improvement
 from .model import DeviceProfile, FilterOp, Query, QuerySequence, Strategy, TableSpec
 from .plans import check_plan, strategy_plan
 
@@ -120,8 +120,7 @@ def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> li
     """Evaluate each strategy at every grid point, improvements vs S.
 
     Each strategy's plan is built and checked once, and every point folds
-    it to its bare total against one facts table per query tuple: a point
-    whose variant of ``seq`` carries new queries starts a new table.  No
+    it against that point's variant of ``seq`` to its bare total.  No
     point builds a :class:`rpusim.cost.CostBreakdown`.
     """
     variable = spec.variable
@@ -134,17 +133,12 @@ def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> li
     # point.
     first = transform(seq, grid[0])
     plans = [check_plan(strategy_plan(first, s), first) for s in dict.fromkeys((Strategy.S, *spec.strategies))]
-    queries = first.queries
-    facts = _new_facts(queries)
     rows: list[SweepRow] = []
     for i, value in enumerate(grid):
         # each point still builds its variant, so a value the model rejects
         # (say, a table size that overflows) fails at that point
         variant = first if i == 0 else transform(seq, value)
-        if variant.queries is not queries:  # set_gaps keeps the query tuple
-            queries, facts = variant.queries, _new_facts(variant.queries)
-        gaps = variant.gaps
-        totals = {plan.strategy: _fold(plan, queries, gaps, profile, facts) for plan in plans}
+        totals = {plan.strategy: _fold(plan, variant.queries, variant.gaps, profile) for plan in plans}
         baseline = totals[Strategy.S]
         for strategy in spec.strategies:
             total = totals[strategy]

@@ -23,8 +23,8 @@ its timelines bit for bit.
 And it keeps the ``Step``-walking cost fold, verbatim, as
 ``reference_fold``: it costs a plan lowered into per-query steps, calling
 ``order_facts`` at every step.  ``plan_cost``, which folds the plan's
-orders and modes against a per-sequence facts table, must reproduce its
-total and per-query times bit for bit.  The oracle lowers plans itself,
+orders and modes in one flat loop, must reproduce its total and
+per-query times bit for bit.  The oracle lowers plans itself,
 in ``lower_plan``, for both references: it checks the plan through
 ``check_plan`` first, so an illegal plan raises, then resolves each
 query's order into its streamed ops and, by its own comprehension, its

@@ -51,6 +51,16 @@ class TestPlanCommand:
         out = capsys.readouterr().out
         assert "strategy: I" in out  # partial pushdown wins without lookahead
 
+    def test_hints_are_printed_only_with_hints(self, capsys):
+        # a plan chosen with no knowledge of upcoming queries gets no hints
+        assert main(["plan", "--no-hints"]) == 0
+        out = capsys.readouterr().out
+        assert out == "strategy: I\ntotal_ms: 62.631\n  Q0: 58.214\n  Q1: 3.417\n"
+        assert main(["plan", "--hints"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert b"\nhint: " in out
+        assert hashlib.sha256(out).hexdigest() == "7821b4469f0490ac8231318a77dd2ce4c3a786d9353ecbeb9118ca9b9546c549"
+
     def test_reads_workload_file(self, capsys, workload_file):
         assert main(["plan", "--workload", workload_file]) == 0
         assert "strategy: III" in capsys.readouterr().out

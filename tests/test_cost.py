@@ -28,7 +28,7 @@ from rpusim import (
 from rpusim.cost import _improvement
 from conftest import canonical_sequence, random_params
 from _oracle import lower_plan, reference_fold, strategy_totals
-from test_simulator import _mixed_mode_cases
+from test_engine_agreement import _mixed_mode_cases
 
 # Frozen outputs of the independent oracle on the reference constants
 # (9 MB / 1 MB tables, selectivities 0.33 / 0.43 / 0.14, 1 ms gap).
@@ -249,17 +249,17 @@ class TestImprovement:
         assert str(raised.value) == message
 
 
-class TestFactsTableFold:
-    """``plan_cost`` reads each query's order facts from one table per
-    sequence object and device profile; the oracle's ``reference_fold``
-    computes them afresh at every lowered step."""
+class TestInlineFold:
+    """``plan_cost`` computes each query's scan, body and tail inline for
+    every plan; the oracle's ``reference_fold`` calls ``order_facts`` at
+    every lowered step.  One sequence object costs under two profiles."""
 
     @settings(deadline=None)
     @given(case=_mixed_mode_cases(), other=st.builds(DeviceProfile, *(st.floats(0.01, 50.0) for _ in range(5))))
     def test_random_mixed_mode_plans_under_two_profiles(self, case, other):
         seq, plan, profile = case
         plans = [plan, *enumerate_plans(seq)]
-        # interleaved, so each profile's table is filled between the other's reads
+        # interleaved, so each profile's breakdowns are kept between the other's
         for candidate in plans:
             for prof in (profile, other):
                 got = plan_cost(seq, candidate, prof)

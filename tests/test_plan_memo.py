@@ -1,12 +1,13 @@
 """The per-sequence plan memo: work is kept per sequence object, failures are not.
 
 A ``QuerySequence`` keeps the plans ``enumerate_plans`` built, the plans
-``check_plan`` accepted, the facts table and the breakdowns ``plan_cost``
-folded.  These tests pin that the memo never changes an answer: failures
-raise on every call (an overflowing total too, though the facts it read
-are kept), separately built sequences share nothing, value semantics
-ignore the memo, each profile gets its own total, and memoized results
-equal those of a freshly built sequence to the last bit.
+``check_plan`` accepted, the accelerators adjacent queries share and the
+breakdowns ``plan_cost`` folded, and nothing else.  These tests pin that
+the memo never changes an answer: failures raise on every call (an
+overflowing total too, which is folded again each time), separately built
+sequences share nothing, value semantics ignore the memo, each profile
+gets its own total, and memoized results equal those of a freshly built
+sequence to the last bit.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import random
 
 import pytest
 
+import rpusim.cost
 from rpusim import (
     DeviceProfile,
     IllegalPlanError,
@@ -36,7 +38,7 @@ from rpusim import (
 )
 from conftest import canonical_sequence
 from test_engine_agreement import random_plan, random_profile, random_sequence
-from test_work_counts import counting_facts
+from test_work_counts import _counting
 
 TINY_NETWORK = DeviceProfile(15.0, 1.0, 1.5, 1e-320, 0.03)
 
@@ -69,14 +71,13 @@ def test_illegal_plan_raises_on_every_call(paper_seq, profile, call):
 
 def test_overflowing_total_raises_on_every_call(monkeypatch, paper_seq):
     plan = strategy_plan(paper_seq, Strategy.S)
-    computed = counting_facts(monkeypatch)
+    folds = _counting(monkeypatch, rpusim.cost, "_fold")
     for _ in range(3):
         with pytest.raises(NonFiniteResultError, match="plan cost overflows"):
             plan_cost(paper_seq, plan, TINY_NETWORK)
         assert (plan, TINY_NETWORK) not in paper_seq._memo
-    # the facts are kept, so only the first call computed them
-    assert [set(known) for known in paper_seq._memo[TINY_NETWORK]] == [{order} for order in plan.rpu_order]
-    assert sum(computed.values()) == len(plan.rpu_order)
+    # nothing of the failed fold is kept, so each call folds again
+    assert sum(folds.values()) == 3
 
 
 def test_equal_sequences_built_separately_share_no_memo(profile):
@@ -85,11 +86,30 @@ def test_equal_sequences_built_separately_share_no_memo(profile):
     plan, breakdown = choose_plan(a, profile)
     assert a._memo and not b._memo
     assert plan_cost(b, plan, profile) == breakdown
-    # each keeps its own facts table, equal in content
-    facts_a, facts_b = a._memo[profile], b._memo[profile]
-    assert facts_a is not facts_b and facts_b
-    assert all(known_a is not known_b for known_a, known_b in zip(facts_a, facts_b))
-    assert all(known_b.items() <= known_a.items() for known_a, known_b in zip(facts_a, facts_b))
+    # each keeps its own breakdown, equal in content
+    kept_a, kept_b = a._memo[plan, profile], b._memo[plan, profile]
+    assert kept_a is not kept_b and kept_a == kept_b == breakdown
+
+
+def _key_kind(key) -> str:
+    if isinstance(key, tuple):
+        return "/".join(type(part).__name__ for part in key)
+    return key if isinstance(key, str) else type(key).__name__
+
+
+def test_memo_holds_only_the_key_kinds_query_sequence_documents(profile):
+    """The whole planning pipeline, on the paper's scenario and on random
+    sequences with random mixed-mode plans, leaves only strategies, checked
+    plans, the shared accelerators and ``(plan, profile)`` breakdowns."""
+    rng = random.Random(26)
+    for seq in (canonical_sequence(), *(random_sequence(rng) for _ in range(20))):
+        chosen, _ = choose_plan(seq, profile, hints_enabled=True)
+        choose_plan(seq, profile, hints_enabled=False)
+        generate_hints(seq, chosen, profile)
+        simulate(seq, chosen, profile)
+        plan_cost(seq, random_plan(rng, seq), profile)
+        kinds = set(map(_key_kind, seq._memo))
+        assert kinds == {"Strategy", "Plan", "shared_accelerators", "Plan/DeviceProfile"}, seq
 
 
 def test_value_semantics_ignore_the_memo(paper_seq, profile):

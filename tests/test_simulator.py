@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from rpusim import (
     STRATEGY_ORDER,
-    DeviceProfile,
     FilterOp,
     GAP_QUERY,
     IllegalPlanError,
@@ -29,9 +28,7 @@ from rpusim import (
     TableSpec,
     Timeline,
     enumerate_plans,
-    local_order,
     plan_cost,
-    shared_accelerators,
     simulate,
     strategy_plan,
     timeline_csv,
@@ -39,7 +36,7 @@ from rpusim import (
 )
 from _oracle import reference_simulate
 from conftest import canonical_sequence, random_params
-from test_engine_agreement import random_plan, random_profile, random_sequence
+from test_engine_agreement import _mixed_mode_cases, random_plan, random_profile, random_sequence
 from test_work_counts import _long_sequence
 
 
@@ -135,36 +132,6 @@ def _outcome(engine, seq, plan, profile):
     except RpusimError as exc:
         return type(exc), str(exc)
     return _pinned(timeline.phases), timeline.makespan.hex()
-
-
-def _zero_or(values):
-    return st.one_of(st.just(0.0), values)
-
-
-@st.composite
-def _mixed_mode_cases(draw):
-    """A 2-8 query sequence over a small pool, a legal plan pushing down a
-    random subset of each local order with a random mode per boundary
-    (SPECULATIVE only across sharing pairs), and a device profile.  Zero
-    table sizes, selectivities and gaps make zero-length phases."""
-    queries = []
-    for qi in range(draw(st.integers(2, 8))):
-        ids = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=3, unique=True))
-        ops = tuple(
-            FilterOp(op_id, draw(_zero_or(st.floats(0.0, 1.0))), commutes=draw(st.booleans())) for op_id in ids
-        )
-        queries.append(Query(f"Q{qi}", TableSpec(f"t{qi}", draw(_zero_or(st.floats(0.0, 100.0)))), ops))
-    seq = QuerySequence(tuple(queries), tuple(draw(_zero_or(st.floats(0.0, 50.0))) for _ in queries[1:]))
-    rpu_order = tuple(
-        tuple(op.id for op in local_order(q.ops) if draw(st.booleans())) for q in seq.queries
-    )
-    modes = tuple(
-        draw(st.sampled_from(list(Mode) if shared else [Mode.BASELINE, Mode.HOLD]))
-        for shared in shared_accelerators(seq)
-    )
-    plan = Plan(draw(st.sampled_from(STRATEGY_ORDER)), rpu_order, modes)
-    profile = DeviceProfile(*(draw(st.floats(0.01, 50.0)) for _ in range(5)))
-    return seq, plan, profile
 
 
 class TestReferenceSimulator:

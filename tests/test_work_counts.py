@@ -6,9 +6,7 @@ pipeline does once (one local order per query per enumeration, one plan per
 strategy and sweep) and the checks it must keep doing.  A sequence object
 memoizes its planning work, so on one sequence each strategy's plan is
 built once, the accelerators adjacent queries share are found once, each
-plan is checked once, and each plan is costed once per profile.  Costing
-folds a plan's orders against a facts table, so each distinct (query
-position, order) fact is computed once per sequence and profile, in one
+plan is checked once, and each plan is costed once per profile, in one
 flat loop that calls no per-step helper.  Both engines and the device
 policy read a checked plan's orders and modes directly: a public call runs
 one legality check for a plan that sequence has not checked yet, and the
@@ -50,7 +48,6 @@ from rpusim import (
     rpu_policy,
     run_sweep,
     simulate,
-    strategy_plan,
 )
 from conftest import canonical_sequence
 from test_engine_agreement import random_sequence
@@ -111,61 +108,23 @@ def test_plan_cost_constructs_no_phase_times(monkeypatch, paper_seq, profile):
     assert sum(made.values()) == 1
 
 
-def counting_facts(monkeypatch) -> Counter:
-    """Count facts-table writes by (query id, order of op ids).  Every table
-    ``plan_cost`` or ``run_sweep`` starts holds, per query position, a dict
-    that counts each fact stored in it; the fold computes a fact exactly
-    when it stores one."""
-    writes: Counter = Counter()
-
-    class Known(dict):
-        def __init__(self, query_id: str) -> None:
-            super().__init__()
-            self.query_id = query_id
-
-        def __setitem__(self, order, fact) -> None:
-            writes[self.query_id, order] += 1
-            super().__setitem__(order, fact)
-
-    def new_facts(queries):
-        return [Known(q.id) for q in queries]
-
-    monkeypatch.setattr(rpusim.cost, "_new_facts", new_facts)
-    monkeypatch.setattr(rpusim.sweep, "_new_facts", new_facts)
-    return writes
-
-
-def _distinct_facts(seq, plans) -> set:
-    """The distinct (query id, order) pairs of ``plans`` on ``seq``."""
-    return {(q.id, order) for plan in plans for q, order in zip(seq.queries, plan.rpu_order)}
-
-
 @pytest.mark.parametrize("variable, start, stop", [("scale", 0.5, 4.0), ("gap", 0.0, 30.0), ("selectivity", 0.0, 1.0)])
 def test_sweeps_build_each_plan_once(monkeypatch, paper_seq, profile, variable, start, stop):
     """One build and one legality check per distinct plan, not per grid
     point.  Each point folds every distinct plan, S included, to a bare
-    total once, and builds no ``CostBreakdown``.  A gap sweep keeps the
-    query tuple, so it computes each distinct fact once for the whole grid;
-    scale and selectivity sweeps build new queries and compute each at
-    every point.
+    total once, and builds no ``CostBreakdown``.
     """
     by_strategy = lambda plan, seq: plan.strategy
     built = _counting(monkeypatch, rpusim.sweep, "strategy_plan", key=lambda seq, strategy: strategy)
     checks = _counting(monkeypatch, rpusim.plans, "legality", key=by_strategy)
     folds = _counting(monkeypatch, rpusim.sweep, "_fold", key=lambda plan, *rest: plan.strategy)
     breakdowns = _counting(monkeypatch, rpusim.cost, "CostBreakdown")
-    facts = counting_facts(monkeypatch)
     spec = SweepSpec(variable, start, stop, 9, (Strategy.III, Strategy.S, Strategy.IV))
     assert len(run_sweep(paper_seq, profile, spec)) == 27
     once = Counter({Strategy.S: 1, Strategy.III: 1, Strategy.IV: 1})
     assert built == checks == once
     assert folds == Counter(dict.fromkeys(once, len(spec.grid())))
     assert not breakdowns
-    distinct = _distinct_facts(paper_seq, [strategy_plan(paper_seq, s) for s in once])
-    # S and III stream the same orders, and IV shares the last query's
-    assert len(distinct) == 3
-    per_fact = 1 if variable == "gap" else len(spec.grid())
-    assert facts == Counter(dict.fromkeys(distinct, per_fact))
 
 
 @pytest.mark.parametrize(
@@ -189,14 +148,12 @@ def test_legality_runs_once_per_engine_call(monkeypatch, paper_seq, profile, cal
 def test_planning_pipeline_checks_every_plan_it_receives(monkeypatch, profile):
     """Hints on (5 plans), hints off (S and I), then hints and simulate of
     the chosen plan, all on one sequence object: one legality check and one
-    cost fold per distinct plan, none skipped, and one order fact computed
-    per distinct (position, order) pair of those plans."""
+    cost fold per distinct plan, none skipped."""
     by_plan = lambda plan, seq: plan
     checks = _counting(monkeypatch, rpusim.plans, "legality", key=by_plan)
-    folds = _counting(monkeypatch, rpusim.cost, "_fold")
-    facts = counting_facts(monkeypatch)
+    folds = _counting(monkeypatch, rpusim.cost, "_fold", key=lambda plan, *rest: plan)
     for seq in (canonical_sequence(), _long_sequence(200)):
-        for counts in (checks, folds, facts):
+        for counts in (checks, folds):
             counts.clear()
         plan, _ = choose_plan(seq, profile, hints_enabled=True)
         choose_plan(seq, profile, hints_enabled=False)
@@ -204,12 +161,7 @@ def test_planning_pipeline_checks_every_plan_it_receives(monkeypatch, profile):
         simulate(seq, plan, profile)
         distinct = enumerate_plans(seq)
         assert len(distinct) == 5
-        assert checks == Counter(dict.fromkeys(distinct, 1))
-        assert sum(folds.values()) == 5
-        pairs = _distinct_facts(seq, distinct)
-        assert facts == Counter(dict.fromkeys(pairs, 1))
-        # the five plans share most of their facts
-        assert len(pairs) < 5 * len(seq.queries) * 0.75
+        assert checks == folds == Counter(dict.fromkeys(distinct, 1))
 
 
 @pytest.mark.parametrize("hints_first", [True, False], ids=["hints-on-first", "hints-off-first"])
