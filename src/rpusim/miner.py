@@ -131,7 +131,10 @@ def parse_log(source: str | Path | Iterable[str]) -> list[LogEntry]:
     if isinstance(source, (str, Path)):
         # lines end only at "\n" (read_text turns "\r\n" into it), as when
         # iterating an open file; str.splitlines would also split at U+2028 etc.
-        lines = Path(source).read_text(encoding="utf-8").split("\n")
+        try:
+            lines = Path(source).read_text(encoding="utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            raise MiningError(f"{source}: not UTF-8 text ({exc})") from exc
     else:
         lines = [line.rstrip("\n") for line in source]
     # constant-free text -> template id, for this call only

@@ -28,7 +28,7 @@ class Strategy(Enum):
 
     A plan's strategy is only a label naming the builder that made it: the
     legality check and both engines read the plan's RPU orders and boundary
-    modes, never this value.
+    modes, never this value, and plan equality and hashing ignore it.
 
     S    full pushdown of every operator, no lookahead: the device
          reconfigures on demand for each operator and again when the next
@@ -190,11 +190,11 @@ class QuerySequence:
     plan is built, checked and costed at most once per object (see
     :mod:`rpusim.plans` and :mod:`rpusim.cost`).  Keys: a ``Strategy`` maps
     to its plan, or ``None`` when it is not applicable; a ``Plan`` that
-    passed its check to ``None``; the string ``"shared_accelerators"`` to
-    the accelerators each adjacent pair shares; a ``(Plan, DeviceProfile)``
-    pair to its cost breakdown.  Failures are not kept.  Equality, hashing,
-    ``repr`` and ``dataclasses.replace`` ignore the memo; every new object
-    starts empty.
+    passed its check to ``None``; a ``(Plan, DeviceProfile)`` pair to its
+    cost breakdown.  Plans key by orders and modes, so two strategies that
+    build one plan share its check and its breakdowns.  Failures are not
+    kept.  Equality, hashing, ``repr`` and ``dataclasses.replace`` ignore
+    the memo; every new object starts empty.
     """
 
     queries: tuple[Query, ...]
@@ -309,26 +309,27 @@ class Plan:
     ``queries[i]`` and ``queries[i + 1]``: it releases ``queries[i + 1]``'s
     leading reconfiguration.  Both are positional, so a plan binds to a
     sequence by query position, not by query id.  ``strategy`` names the
-    builder (see :class:`Strategy`).
+    builder (see :class:`Strategy`); it is a label, not part of the plan's
+    identity: equality and hashing read only ``rpu_order`` and ``modes``.
 
     A plan is a memo key, so its hash is computed on first use and kept in
     ``_hash``; equality, ``repr``, ``dataclasses.replace`` and pickling
     ignore it.
     """
 
-    strategy: Strategy
+    strategy: Strategy = field(compare=False)
     rpu_order: tuple[tuple[str, ...], ...]
     modes: tuple[Mode, ...]
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.strategy, self.rpu_order, self.modes)))
+            object.__setattr__(self, "_hash", hash((self.rpu_order, self.modes)))
         return self._hash
 
     def __getstate__(self) -> dict:
-        # hashes differ between processes (strings are salted, Mode and
-        # Strategy hash by identity), so a copy hashes itself again
+        # hashes differ between processes (strings are salted, Mode
+        # hashes by identity), so a copy hashes itself again
         return {**self.__dict__, "_hash": None}
 
     def load_after(self, boundary: int) -> bool:

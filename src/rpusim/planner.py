@@ -16,7 +16,7 @@ from enum import Enum
 from .cost import CostBreakdown, boundary, order_facts, plan_cost
 from .errors import NonFiniteResultError
 from .model import DeviceProfile, HINT_STRATEGIES, STRATEGY_ORDER, Mode, Plan, QuerySequence
-from .plans import _host_ops, _shared, check_plan, enumerate_plans
+from .plans import _host_ops, check_plan, enumerate_plans, shared_accelerators
 
 
 @dataclass(frozen=True)
@@ -88,21 +88,15 @@ def generate_hints(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> li
     so a plan the sequence has already checked is not checked again.
     """
     check_plan(plan, seq)
-    shared = _shared(seq)
     hints: list[Hint] = []
-    for i, succ in enumerate(seq.queries[1:]):
-        common = set(shared[i])
-        if not common:
+    pairs = zip(seq.queries[1:], plan.rpu_order[1:], shared_accelerators(seq), seq.gaps)
+    for succ, order, shared, gap in pairs:
+        if not shared:
             continue
-        ordered = [op_id for op_id in plan.rpu_order[i + 1] if op_id in common]
-        ordered += [op_id for op_id in shared[i] if op_id not in ordered]
-        hints.append(
-            Hint(
-                next_accelerators=tuple(ordered),
-                expected_gap=seq.gaps[i],
-                expected_scan=succ.table.size_mb / profile.r_scan,
-            )
-        )
+        ordered = [op_id for op_id in order if op_id in shared]
+        ordered += [op_id for op_id in shared if op_id not in ordered]
+        scan = succ.table.size_mb / profile.r_scan
+        hints.append(Hint(next_accelerators=tuple(ordered), expected_gap=gap, expected_scan=scan))
     return hints
 
 

@@ -13,10 +13,8 @@ directly.
 Plans built and plans checked are kept in the sequence's memo
 (``QuerySequence._memo``) by value, so on one sequence object each
 strategy's plan is built at most once (one that does not apply is
-recorded too) and each plan is checked at most once; a plan that fails
-its check is not kept.  The accelerators each adjacent pair shares are
-kept there too, for the strategy III builder and
-:func:`rpusim.planner.generate_hints`.
+recorded too) and each plan is checked at most once, however many
+strategies build it; a plan that fails its check is not kept.
 
 Generalization beyond two queries: each strategy applies its device trick at
 every adjacent pair where it fits (I/II split every non-final query with at
@@ -53,20 +51,6 @@ def shared_accelerators(seq: QuerySequence) -> list[list[str]]:
         [op_id for op_id in succ.op_ids() if op_id in pred._ops_by_id]
         for pred, succ in zip(seq.queries, seq.queries[1:])
     ]
-
-
-#: The sequence memo's key for :func:`shared_accelerators`' result.
-_SHARED = "shared_accelerators"
-
-
-def _shared(seq: QuerySequence) -> list[list[str]]:
-    """:func:`shared_accelerators` of ``seq``, computed once per sequence
-    object and kept in its memo; callers must not mutate it."""
-    memo = seq._memo
-    shared = memo.get(_SHARED)
-    if shared is None:
-        shared = memo[_SHARED] = shared_accelerators(seq)
-    return shared
 
 
 #: The local order's sort key: selectivity, then op id.
@@ -116,14 +100,17 @@ def _split_pushdown(seq: QuerySequence, local: _LocalIds, strategy: Strategy, ke
 
 
 def _plan_iii(seq: QuerySequence, local: _LocalIds) -> Plan:
-    shared = _shared(seq)
-    if not any(shared):
+    # the pairs that share an accelerator, by the test legality applies
+    # to a SPECULATIVE boundary
+    queries = seq.queries
+    shares = [not pred._ops_by_id.keys().isdisjoint(succ.op_ids()) for pred, succ in zip(queries, queries[1:])]
+    if not any(shares):
         raise IllegalPlanError(
             "strategy III requires sequence knowledge: no adjacent pair shares an accelerator"
         )
     modes = tuple(
-        Mode.SPECULATIVE if common and pred_order[-1] != succ_order[0] else Mode.BASELINE
-        for common, pred_order, succ_order in zip(shared, local, local[1:])
+        Mode.SPECULATIVE if share and pred_order[-1] != succ_order[0] else Mode.BASELINE
+        for share, pred_order, succ_order in zip(shares, local, local[1:])
     )
     return Plan(Strategy.III, local, modes)
 
@@ -137,13 +124,10 @@ def _plan_iv(seq: QuerySequence, local: _LocalIds) -> Plan:
     needed_first = None
     for i in range(len(queries) - 1, -1, -1):
         q, order = queries[i], local[i]
-        if i < len(queries) - 1:
-            applicable = len(order) >= 2 and q._all_commute and needed_first in order
-            if applicable and order[-1] != needed_first:
+        if i < len(queries) - 1 and len(order) >= 2 and q._all_commute and needed_first in order:
+            swapped_any = True  # also when already in place: the swap is the identity
+            if order[-1] != needed_first:
                 order = tuple(op_id for op_id in order if op_id != needed_first) + (needed_first,)
-                swapped_any = True
-            elif applicable:
-                swapped_any = True  # already in place; swap is the identity
         orders[i] = order
         needed_first = order[0]
     if not swapped_any:

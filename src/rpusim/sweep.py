@@ -102,26 +102,13 @@ class SweepRow:
     improvement_pct: float
 
 
-def _sweep_row(variable: str, value: float, strategy: Strategy, total_ms: float, improvement_pct: float) -> SweepRow:
-    """A ``SweepRow``, set field by field in declaration order, as the
-    generated ``__init__`` sets them, so rows keep sharing one key table for
-    their instance dicts."""
-    row = object.__new__(SweepRow)
-    _set = object.__setattr__
-    _set(row, "variable", variable)
-    _set(row, "value", value)
-    _set(row, "strategy", strategy)
-    _set(row, "total_ms", total_ms)
-    _set(row, "improvement_pct", improvement_pct)
-    return row
-
-
 def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> list[SweepRow]:
     """Evaluate each strategy at every grid point, improvements vs S.
 
     Each strategy's plan is built and checked once, and every point folds
-    it against that point's variant of ``seq`` to its bare total.  No
-    point builds a :class:`rpusim.cost.CostBreakdown`.
+    each distinct plan (strategies that build one plan share it) against
+    that point's variant of ``seq`` to its bare total.  No point builds a
+    :class:`rpusim.cost.CostBreakdown`.
     """
     variable = spec.variable
     transform = _TRANSFORMS[variable]
@@ -132,17 +119,21 @@ def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> li
     # count, which no transform changes either, so one check covers every
     # point.
     first = transform(seq, grid[0])
-    plans = [check_plan(strategy_plan(first, s), first) for s in dict.fromkeys((Strategy.S, *spec.strategies))]
+    built = {s: check_plan(strategy_plan(first, s), first) for s in dict.fromkeys((Strategy.S, *spec.strategies))}
+    # strategies that build one plan share its fold; S's plan comes first.
+    # Each strategy's slot is found once, so no point hashes a plan.
+    plans = list(dict.fromkeys(built.values()))
+    slots = [(s, plans.index(built[s])) for s in spec.strategies]
     rows: list[SweepRow] = []
     for i, value in enumerate(grid):
         # each point still builds its variant, so a value the model rejects
         # (say, a table size that overflows) fails at that point
         variant = first if i == 0 else transform(seq, value)
-        totals = {plan.strategy: _fold(plan, variant.queries, variant.gaps, profile) for plan in plans}
-        baseline = totals[Strategy.S]
-        for strategy in spec.strategies:
-            total = totals[strategy]
-            rows.append(_sweep_row(variable, value, strategy, total, _improvement(total, baseline)))
+        totals = [_fold(plan, variant.queries, variant.gaps, profile) for plan in plans]
+        baseline = totals[0]
+        for strategy, slot in slots:
+            total = totals[slot]
+            rows.append(SweepRow(variable, value, strategy, total, _improvement(total, baseline)))
     return rows
 
 

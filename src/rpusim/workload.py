@@ -182,11 +182,12 @@ def parse_workload(doc: Any) -> tuple[QuerySequence, DeviceProfile]:
 
 
 def read_json(path: str | Path) -> Any:
-    """Decode a JSON file; text that does not decode is a format error
-    naming the file."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Decode a JSON file; bytes that are not UTF-8, or text that does not
+    decode, are a format error naming the file."""
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise WorkloadFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise WorkloadFormatError(f"{path}: not valid JSON ({exc})") from exc
     except ValueError as exc:
@@ -201,13 +202,19 @@ def load_workload(path: str | Path) -> tuple[QuerySequence, DeviceProfile]:
 
 
 def workload_dict(seq: QuerySequence, profile: DeviceProfile | None = None) -> dict:
-    """The JSON-ready document for a sequence (inverse of parse_workload)."""
+    """The JSON-ready document for a sequence (inverse of parse_workload).
+
+    A document lists each table once, so two queries that give one table
+    name two sizes raise :class:`ValueError` naming the table and both.
+    """
     doc: dict[str, Any] = {}
     if profile is not None:
         doc["profile"] = {key: getattr(profile, attr) for key, attr in _PROFILE_KEYS.items()}
     tables: dict[str, TableSpec] = {}
     for q in seq.queries:
-        tables.setdefault(q.table.name, q.table)
+        table = tables.setdefault(q.table.name, q.table)
+        if table.size_mb != q.table.size_mb:
+            raise ValueError(f"table {table.name!r} has two sizes, {table.size_mb!r} and {q.table.size_mb!r} MB")
     doc["tables"] = [{"name": t.name, "size_mb": t.size_mb} for t in tables.values()]
     doc["queries"] = [
         {

@@ -391,6 +391,44 @@ class TestMineCommand:
         assert re.search(message, capsys.readouterr().err)
         assert not workload_path.exists()
 
+    def test_one_table_name_with_two_sizes_writes_no_workload(self, tmp_path, capsys):
+        """The top sequence's two templates name table ``t`` with two sizes,
+        which one workload document cannot hold."""
+        log = tmp_path / "queries.log"
+        log.write_text("\n".join(planted_log_lines()) + "\n", encoding="utf-8")
+        doc = catalog_doc()
+        for tid, size in ((A_ID, 9.0), (B_ID, 5.0), (C_ID, 9.0)):
+            doc[tid]["table"] = {"name": "t", "size_mb": size}
+        catalog_path = tmp_path / "catalog.json"
+        catalog_path.write_text(json.dumps(doc), encoding="utf-8")
+        report, workload_path = tmp_path / "report.csv", tmp_path / "w.json"
+        args = ["mine", "--log", str(log), "--min-support", "5", "--max-len", "2", "--max-gap", "50",
+                "--out", str(report), "--catalog", str(catalog_path), "--workload-out", str(workload_path)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: table 't' has two sizes, 5.0 and 9.0 MB\n"
+        assert not report.exists() and not workload_path.exists()
+
+    @pytest.mark.parametrize("flag", ["--log", "--catalog"])
+    def test_input_that_is_not_utf8_names_the_file(self, tmp_path, capsys, flag):
+        log = tmp_path / "queries.log"
+        log.write_text("\n".join(planted_log_lines()) + "\n", encoding="utf-8")
+        catalog_path = tmp_path / "catalog.json"
+        catalog_path.write_text(json.dumps(catalog_doc()), encoding="utf-8")
+        bad = log if flag == "--log" else catalog_path
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        workload_path = tmp_path / "w.json"
+        args = ["mine", "--log", str(log), "--min-support", "5", "--max-gap", "50",
+                "--catalog", str(catalog_path), "--workload-out", str(workload_path)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {bad}: not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)\n"
+        )
+        assert not workload_path.exists()
+
     @pytest.mark.parametrize(
         "text, reason",
         [
@@ -691,6 +729,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: not valid JSON (an integer literal has too many digits)\n"
+
+    def test_workload_that_is_not_utf8_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff" + json.dumps(workload_dict(default_scenario())).encode("utf-8"))
+        assert main(["cost", "--workload", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)\n"
+        )
 
     def test_unknown_key_is_validation_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -152,6 +152,14 @@ class TestParseLog:
     def test_skips_blank_lines(self):
         assert len(parse_log(["", "5\tSELECT a FROM t", "   "])) == 1
 
+    def test_a_log_file_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "latin1.log"
+        path.write_bytes(b"5\tSELECT a FROM t WHERE s = '\xe9'\n")
+        with pytest.raises(MiningError) as info:
+            parse_log(path)
+        assert str(info.value).startswith(f"{path}: not UTF-8 text ('utf-8' codec can't decode byte 0xe9")
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
     def test_malformed_lines_rejected(self):
         with pytest.raises(MiningError, match="line 1"):
             parse_log(["just one field"])

@@ -229,9 +229,20 @@ class TestPlanHash:
     def test_equal_plans_hash_equal(self):
         a, b = self._plan(), self._plan()
         assert a == b and hash(a) == hash(b)
-        assert hash(a) == hash((a.strategy, a.rpu_order, a.modes))
+        assert hash(a) == hash((a.rpu_order, a.modes))
         assert {a: 1}[b] == 1
         assert "_hash" not in repr(a)
+
+    def test_the_strategy_label_is_outside_identity(self):
+        """Two builders' plans with the same orders and modes are one plan
+        and one memo key; each keeps its own label."""
+        orders, modes = (("acc0", "acc1"), ("acc0",)), (Mode.BASELINE,)
+        s, iv = Plan(Strategy.S, orders, modes), Plan(Strategy.IV, orders, modes)
+        assert s == iv and hash(s) == hash(iv) == hash((orders, modes))
+        assert {s: 1}[iv] == 1
+        assert (s.strategy, iv.strategy) == (Strategy.S, Strategy.IV)
+        assert "strategy=<Strategy.IV" in repr(iv)
+        assert Plan(Strategy.S, orders, (Mode.HOLD,)) != s
 
     def test_hash_is_computed_once_per_plan(self):
         plan = self._plan()

@@ -1,8 +1,8 @@
 """The per-sequence plan memo: work is kept per sequence object, failures are not.
 
 A ``QuerySequence`` keeps the plans ``enumerate_plans`` built, the plans
-``check_plan`` accepted, the accelerators adjacent queries share and the
-breakdowns ``plan_cost`` folded, and nothing else.  These tests pin that
+``check_plan`` accepted and the breakdowns ``plan_cost`` folded, and
+nothing else.  These tests pin that
 the memo never changes an answer: failures raise on every call (an
 overflowing total too, which is folded again each time), separately built
 sequences share nothing, value semantics ignore the memo, each profile
@@ -94,13 +94,13 @@ def test_equal_sequences_built_separately_share_no_memo(profile):
 def _key_kind(key) -> str:
     if isinstance(key, tuple):
         return "/".join(type(part).__name__ for part in key)
-    return key if isinstance(key, str) else type(key).__name__
+    return type(key).__name__
 
 
 def test_memo_holds_only_the_key_kinds_query_sequence_documents(profile):
     """The whole planning pipeline, on the paper's scenario and on random
     sequences with random mixed-mode plans, leaves only strategies, checked
-    plans, the shared accelerators and ``(plan, profile)`` breakdowns."""
+    plans and ``(plan, profile)`` breakdowns."""
     rng = random.Random(26)
     for seq in (canonical_sequence(), *(random_sequence(rng) for _ in range(20))):
         chosen, _ = choose_plan(seq, profile, hints_enabled=True)
@@ -109,7 +109,7 @@ def test_memo_holds_only_the_key_kinds_query_sequence_documents(profile):
         simulate(seq, chosen, profile)
         plan_cost(seq, random_plan(rng, seq), profile)
         kinds = set(map(_key_kind, seq._memo))
-        assert kinds == {"Strategy", "Plan", "shared_accelerators", "Plan/DeviceProfile"}, seq
+        assert kinds == {"Strategy", "Plan", "Plan/DeviceProfile"}, seq
 
 
 def test_value_semantics_ignore_the_memo(paper_seq, profile):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -202,3 +203,13 @@ class TestRpuPolicy:
         for index in (-1, len(paper_seq.queries)):
             with pytest.raises(ValueError, match=rf"query index {index} is outside \[0, 2\)"):
                 rpu_policy(hint, paper_seq, plan, index, profile)
+
+
+def test_readme_library_quickstart_runs(capsys):
+    """The README's "Library quickstart" block runs as written and prints
+    the chosen strategy and its total."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "III 58.36041666666667\n"

@@ -5,20 +5,22 @@ so the guards do not depend on wall-clock time.  They pin the work the
 pipeline does once (one local order per query per enumeration, one plan per
 strategy and sweep) and the checks it must keep doing.  A sequence object
 memoizes its planning work, so on one sequence each strategy's plan is
-built once, the accelerators adjacent queries share are found once, each
-plan is checked once, and each plan is costed once per profile, in one
-flat loop that calls no per-step helper.  Both engines and the device
-policy read a checked plan's orders and modes directly: a public call runs
-one legality check for a plan that sequence has not checked yet, and the
-whole planning pipeline, simulation included, runs one check and one cost
-fold per distinct plan.  ``plan_cost`` builds one breakdown per plan and
-profile; a sweep folds each plan to a bare total at each point and builds
-none.  Parsing a log runs the constant pass once per line and templates
-each distinct constant-free text once.
+built once, each plan is checked once, and each plan is costed once per
+profile, in one flat loop that calls no per-step helper.  A plan is its
+orders and modes: strategies that build the same ones share one check and
+one fold.  Both engines and the device policy read a checked plan's orders
+and modes directly: a public call runs one legality check for a plan that
+sequence has not checked yet, and the whole planning pipeline, simulation
+included, runs one check and one cost fold per distinct plan.
+``plan_cost`` builds one breakdown per plan and profile; a sweep folds
+each distinct plan to a bare total at each point and builds none.
+Parsing a log runs the constant pass once per line and templates each
+distinct constant-free text once.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -50,7 +52,7 @@ from rpusim import (
     simulate,
 )
 from conftest import canonical_sequence
-from test_engine_agreement import random_sequence
+from test_engine_agreement import random_profile, random_sequence
 from test_miner import A_ID, B_ID, C_ID, planted_log_lines
 
 
@@ -164,19 +166,88 @@ def test_planning_pipeline_checks_every_plan_it_receives(monkeypatch, profile):
         assert checks == folds == Counter(dict.fromkeys(distinct, 1))
 
 
+def _plan_key(plan, *rest):
+    """What makes a plan itself: its orders and modes, not its label."""
+    return plan.rpu_order, plan.modes
+
+
+def test_each_distinct_plan_is_checked_and_folded_once(monkeypatch):
+    """On the engine-agreement sequences, the planning pipeline (hints on
+    and off, hints and simulation of every plan, the cost of every plan)
+    runs one legality check and one cost fold per distinct orders and
+    modes, however many strategies build them."""
+    checks = _counting(monkeypatch, rpusim.plans, "legality", key=_plan_key)
+    folds = _counting(monkeypatch, rpusim.cost, "_fold", key=_plan_key)
+    rng = random.Random(2005)
+    twins = 0
+    for _ in range(400):
+        seq = random_sequence(rng)
+        profile = random_profile(rng)
+        for counts in (checks, folds):
+            counts.clear()
+        chosen, _ = choose_plan(seq, profile, hints_enabled=True)
+        choose_plan(seq, profile, hints_enabled=False)
+        generate_hints(seq, chosen, profile)
+        plans = enumerate_plans(seq)
+        for plan in plans:
+            simulate(seq, plan, profile)
+            plan_cost(seq, plan, profile)
+        distinct = set(map(_plan_key, plans))
+        twins += len(plans) - len(distinct)
+        assert checks == folds == Counter(dict.fromkeys(distinct, 1)), seq
+    # the corpus has many sequences where two or three strategies build one plan
+    assert twins > 100
+
+
+def _identity_swap_sequence() -> QuerySequence:
+    """Q0's local order already ends with the accelerator Q1 needs first:
+    IV's swap is the identity and III reloads nothing, so S, III and IV
+    build one plan."""
+    q0 = Query("Q0", TableSpec("t0", 40.0), (FilterOp("a", 0.1), FilterOp("b", 0.5)))
+    q1 = Query("Q1", TableSpec("t1", 25.0), (FilterOp("b", 0.2), FilterOp("c", 0.6)))
+    return QuerySequence((q0, q1), (3.0,))
+
+
+@pytest.mark.parametrize(
+    "variable, start, stop, sha256",
+    [
+        ("scale", 0.5, 4.0, "3b3d388d72e365d5369f82857bc0a95ceb07b692cc0044bd18a551bdef0f83dd"),
+        ("gap", 0.0, 30.0, "be69d313d4904c155c568993f0d53c4b5653d092fb7531749ab26d82360131b4"),
+        ("selectivity", 0.0, 1.0, "faa9e586f05c039aedfd63e6028e903c934b325f81bf81171dc844f38ee6a64d"),
+    ],
+    ids=["scale", "gap", "selectivity"],
+)
+def test_sweep_folds_a_plan_two_strategies_build_once_per_point(monkeypatch, profile, variable, start, stop, sha256):
+    """The plan S, III and IV share is folded once per point, and every
+    requested strategy still gets its own row, pinned bit for bit."""
+    seq = _identity_swap_sequence()
+    plans = {plan.strategy: plan for plan in enumerate_plans(seq)}
+    assert plans[Strategy.S] == plans[Strategy.III] == plans[Strategy.IV] != plans[Strategy.I]
+    folds = _counting(monkeypatch, rpusim.sweep, "_fold", key=_plan_key)
+    spec = SweepSpec(variable, start, stop, 7, (Strategy.IV, Strategy.III, Strategy.S, Strategy.I))
+    rows = run_sweep(seq, profile, spec)
+    assert folds == Counter(dict.fromkeys(map(_plan_key, (plans[Strategy.S], plans[Strategy.I])), 7))
+    assert [row.strategy for row in rows[:4]] == list(spec.strategies)
+    text = "".join(
+        f"{r.variable},{r.value.hex()},{r.strategy},{r.total_ms.hex()},{r.improvement_pct.hex()}\n" for r in rows
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
 @pytest.mark.parametrize("hints_first", [True, False], ids=["hints-on-first", "hints-off-first"])
-def test_shared_accelerators_found_once_per_sequence(monkeypatch, profile, hints_first):
-    """Strategy III and ``generate_hints`` both read which accelerators
-    each adjacent pair shares; one sequence object finds them once."""
-    found = _counting(monkeypatch, rpusim.plans, "shared_accelerators")
+def test_shared_accelerators_found_once_per_hints_call(monkeypatch, profile, hints_first):
+    """Strategy III tests each adjacent pair for a shared accelerator as
+    ``legality`` does, and lists none; ``generate_hints`` lists them once
+    per call."""
+    listed_by_plans = _counting(monkeypatch, rpusim.plans, "shared_accelerators")
+    listed_by_hints = _counting(monkeypatch, rpusim.planner, "shared_accelerators")
     seq = canonical_sequence()
     for hints_enabled in (hints_first, not hints_first):
         plan, _ = choose_plan(seq, profile, hints_enabled=hints_enabled)
         generate_hints(seq, plan, profile)
-    assert sum(found.values()) == 1
-    # a fresh sequence finds them again
-    generate_hints(canonical_sequence(), plan, profile)
-    assert sum(found.values()) == 2
+    assert seq._memo[Strategy.III] is not None  # III was built
+    assert sum(listed_by_plans.values()) == 0
+    assert sum(listed_by_hints.values()) == 2
 
 
 def _long_sequence(n: int) -> QuerySequence:

@@ -356,6 +356,31 @@ class TestRoundTrip:
         assert str(info.value) == f"{path}: not valid JSON (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"
         assert isinstance(info.value.__cause__, json.JSONDecodeError)
 
+    def test_bytes_that_are_not_utf8_are_a_format_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff{}")
+        with pytest.raises(WorkloadFormatError) as info:
+            load_workload(path)
+        assert str(info.value) == (
+            f"{path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)"
+        )
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+    def test_one_table_name_with_two_sizes_is_refused(self):
+        """A document lists each table once, so it cannot hold two sizes
+        for one name: writing one would give both queries the first."""
+        queries = (
+            Query("Q0", TableSpec("t", 5.0), (FilterOp("a", 0.5),)),
+            Query("Q1", TableSpec("t", 9.0), (FilterOp("a", 0.5),)),
+        )
+        seq = QuerySequence(queries, (1.0,))
+        with pytest.raises(ValueError) as info:
+            workload_dict(seq)
+        assert str(info.value) == "table 't' has two sizes, 5.0 and 9.0 MB"
+        # one size under one name is listed once
+        same = QuerySequence((queries[0], Query("Q1", TableSpec("t", 5.0), queries[1].ops)), (1.0,))
+        assert workload_dict(same)["tables"] == [{"name": "t", "size_mb": 5.0}]
+
     def test_integer_literal_too_long_to_read_is_format_error(self, tmp_path):
         limit = sys.get_int_max_str_digits()  # 4300 unless the interpreter is told otherwise
         if not limit:
