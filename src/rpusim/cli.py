@@ -28,7 +28,7 @@ from .model import HINT_STRATEGIES, DeviceProfile, Plan, QuerySequence, Strategy
 from .planner import choose_plan, costed_plans, generate_hints
 from .plans import strategy_plan
 from .simulate import simulate, timeline_csv
-from .sweep import VARIABLES, SweepSpec, run_sweep, scale_sequence, set_gaps, set_selectivity, sweep_csv
+from .sweep import _TRANSFORMS, VARIABLES, SweepSpec, run_sweep, sweep_csv
 from .workload import default_scenario, load_workload, read_json, workload_json
 
 
@@ -36,7 +36,7 @@ def _parse_strategy(value: str, hints: bool) -> Strategy:
     try:
         strategy = Strategy(value)
     except ValueError:
-        raise ValueError(f"unknown strategy {value!r}; expected S, I, II, III, IV") from None
+        raise ValueError(f"unknown strategy {value!r}; expected {', '.join(s.value for s in Strategy)}") from None
     if not hints and strategy in HINT_STRATEGIES:
         raise ValueError(f"strategy {strategy} needs hints about upcoming queries; --no-hints allows S and I")
     return strategy
@@ -148,13 +148,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    fixed = {variable: getattr(args, f"fix_{variable}") for variable in VARIABLES}
+    if fixed[args.sweep] is not None:
+        raise ValueError(f"--fix-{args.sweep} and --sweep {args.sweep} both set the {args.sweep}; give one")
     seq, profile = _load(args)
-    if args.fix_scale is not None:
-        seq = scale_sequence(seq, args.fix_scale)
-    if args.fix_selectivity is not None:
-        seq = set_selectivity(seq, args.fix_selectivity)
-    if args.fix_gap is not None:
-        seq = set_gaps(seq, args.fix_gap)
+    for variable, value in fixed.items():
+        if value is not None:
+            seq = _TRANSFORMS[variable](seq, value)
     strategies = tuple(_parse_strategy(s.strip(), args.hints) for s in args.strategies.split(","))
     spec = SweepSpec(
         variable=args.sweep,
@@ -227,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--strategy",
                 default="auto",
-                choices=["S", "I", "II", "III", "IV", "auto"],
+                choices=[*(s.value for s in Strategy), "auto"],
                 help="plan strategy, or auto to pick the cheapest",
             )
 

@@ -177,22 +177,21 @@ def plan_cost(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> CostBre
         checked = check_plan(plan, seq)
         modes = checked.modes
         per_query = None if _HOLD in modes or _SPECULATIVE in modes else []
-        total = _fold(checked, seq.queries, seq.gaps, profile, per_query)
+        total = _fold(checked, seq, profile, per_query)
         breakdown = memo[key] = CostBreakdown(total, () if per_query is None else tuple(per_query))
     return breakdown
 
 
 def _fold(
     plan: Plan,
-    queries: Sequence[Query],
-    gaps: Sequence[float],
+    seq: QuerySequence,
     profile: DeviceProfile,
     per_query: list[tuple[str, float]] | None = None,
 ) -> float:
-    """Total ms of a plan already checked against ``queries``; ``gaps`` are
-    the sequence's.  When ``per_query`` is given, each query's id and time
-    is appended to it; it only sums to the total when every boundary is
-    BASELINE.  The caller builds any breakdown (:func:`plan_cost` does).
+    """Total ms of a plan already checked against ``seq``.  When
+    ``per_query`` is given, each query's id and time is appended to it; it
+    only sums to the total when every boundary is BASELINE.  The caller
+    builds any breakdown (:func:`plan_cost` does).
     Raises :class:`NonFiniteResultError` when the total overflows.
 
     The loop makes no call per query: each query's scan, body and tail
@@ -204,7 +203,7 @@ def _fold(
     r_network, c_dbms = profile.r_network, profile.c_dbms
     total = prev_tail = 0.0
     loaded: str | None = None
-    for q, order, mode, gap in zip(queries, plan.rpu_order, (_BASELINE, *plan.modes), (0.0, *gaps)):
+    for q, order, mode, gap in zip(seq.queries, plan.rpu_order, (_BASELINE, *plan.modes), (0.0, *seq.gaps)):
         size = q.table.size_mb
         scan = size / r_scan
         # the first op adds a reconfiguration of 0.0 to a body of 0.0,

@@ -189,12 +189,12 @@ class QuerySequence:
     ``_memo`` holds the planning work done for this sequence object, so each
     plan is built, checked and costed at most once per object (see
     :mod:`rpusim.plans` and :mod:`rpusim.cost`).  Keys: a ``Strategy`` maps
-    to its plan, or ``None`` when it is not applicable; a ``Plan`` that
-    passed its check to ``None``; a ``(Plan, DeviceProfile)`` pair to its
-    cost breakdown.  Plans key by orders and modes, so two strategies that
-    build one plan share its check and its breakdowns.  Failures are not
-    kept.  Equality, hashing, ``repr`` and ``dataclasses.replace`` ignore
-    the memo; every new object starts empty.
+    to its plan, or ``None`` when it is not applicable (``enumerate_plans``
+    fills these, for ``strategy_plan`` too); a checked ``Plan`` to ``None``;
+    a ``(Plan, DeviceProfile)`` pair to its cost breakdown.  Plans key by
+    orders and modes, so two strategies that build one plan share its check
+    and its breakdowns.  Failures are not kept.  Equality, hashing, ``repr``
+    and ``dataclasses.replace`` ignore the memo; every new object starts empty.
     """
 
     queries: tuple[Query, ...]

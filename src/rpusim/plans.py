@@ -2,31 +2,31 @@
 
 Everything here is cost-free structure.  A plan lists, per query position,
 the operators the device streams and their order (the rest run on the host),
-and names one :class:`Mode` per query boundary.  The builders set the modes
-directly: II holds at every boundary, III reloads speculatively at every
-boundary where that loads an accelerator, and every other boundary is
-baseline.  :func:`check_plan` checks a plan against a sequence; both
-engines (:mod:`rpusim.cost`, :mod:`rpusim.simulate`) and the device policy
+and names one :class:`Mode` per query boundary.  :func:`check_plan` checks
+a plan against a sequence; both engines (:mod:`rpusim.cost`,
+:mod:`rpusim.simulate`) and the device policy
 (:func:`rpusim.planner.rpu_policy`) read a checked plan's orders and modes
 directly.
 
-Plans built and plans checked are kept in the sequence's memo
-(``QuerySequence._memo``) by value, so on one sequence object each
-strategy's plan is built at most once (one that does not apply is
-recorded too) and each plan is checked at most once, however many
-strategies build it; a plan that fails its check is not kept.
-
-Generalization beyond two queries: each strategy applies its device trick at
-every adjacent pair where it fits (I/II split every non-final query with at
-least two operators; III reloads ahead at every sharing pair; IV re-orders
-every commuting predecessor that contains the accelerator its successor needs
-first).  Boundaries where the trick does not fit behave like the baseline.
+Each strategy's builder applies its device trick at every adjacent pair
+where it fits: I/II split every non-final query with at least two
+operators (II holds at every boundary), III reloads speculatively at every
+sharing pair where that loads an accelerator, and IV re-orders every
+commuting predecessor that contains the accelerator its successor needs
+first.  Every other boundary is baseline.  A builder returns only orders
+and modes, or ``None`` when its strategy has nothing to work with;
+:func:`enumerate_plans`, their one caller, labels each plan.  Plans built
+and checked are kept in the sequence's memo (``QuerySequence._memo``) by
+value: on one sequence object each strategy is built at most once,
+whichever entry point asks first (one that does not apply is recorded
+too), and each plan is checked at most once, however many strategies build
+it; a plan that fails its check is not kept.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import IllegalPlanError
 from .model import (
@@ -70,6 +70,8 @@ def local_order(ops: tuple[FilterOp, ...]) -> tuple[FilterOp, ...]:
 
 
 _LocalIds = tuple[tuple[str, ...], ...]
+#: What a builder returns: each query's RPU order, and each boundary's mode.
+_Built = tuple[_LocalIds, tuple[Mode, ...]]
 
 
 def _local_ids(seq: QuerySequence) -> _LocalIds:
@@ -84,38 +86,35 @@ def _local_ids(seq: QuerySequence) -> _LocalIds:
     ])
 
 
-def _full_pushdown(seq: QuerySequence, local: _LocalIds) -> Plan:
-    """Plan S: every query streams all its operators in local order."""
-    return Plan(Strategy.S, local, (Mode.BASELINE,) * len(seq.gaps))
+def _full_pushdown(seq: QuerySequence, local: _LocalIds) -> _Built:
+    """S: every query streams all its operators in local order."""
+    return local, (Mode.BASELINE,) * len(seq.gaps)
 
 
-def _split_pushdown(seq: QuerySequence, local: _LocalIds, strategy: Strategy, keep: int, mode: Mode) -> Plan:
-    """Plans I and II: non-final queries push exactly one operator down."""
+def _split_pushdown(seq: QuerySequence, local: _LocalIds, keep: int, mode: Mode) -> _Built | None:
+    """I and II: each non-final query pushes down its local order's op ``keep``."""
     if not any(len(q.ops) >= 2 for q in seq.queries[:-1]):
-        raise IllegalPlanError(
-            f"strategy {strategy} is not applicable: no non-final query has two or more operators"
-        )
+        return None
     rpu_order = tuple([(order[keep],) if len(order) >= 2 else order for order in local[:-1]])
-    return Plan(strategy, (*rpu_order, local[-1]), (mode,) * len(seq.gaps))
+    return (*rpu_order, local[-1]), (mode,) * len(seq.gaps)
 
 
-def _plan_iii(seq: QuerySequence, local: _LocalIds) -> Plan:
+def _plan_iii(seq: QuerySequence, local: _LocalIds) -> _Built | None:
+    """III: local orders, reloading ahead at each sharing pair that needs it."""
     # the pairs that share an accelerator, by the test legality applies
     # to a SPECULATIVE boundary
     queries = seq.queries
     shares = [not pred._ops_by_id.keys().isdisjoint(succ.op_ids()) for pred, succ in zip(queries, queries[1:])]
     if not any(shares):
-        raise IllegalPlanError(
-            "strategy III requires sequence knowledge: no adjacent pair shares an accelerator"
-        )
-    modes = tuple(
+        return None
+    return local, tuple(
         Mode.SPECULATIVE if share and pred_order[-1] != succ_order[0] else Mode.BASELINE
         for share, pred_order, succ_order in zip(shares, local, local[1:])
     )
-    return Plan(Strategy.III, local, modes)
 
 
-def _plan_iv(seq: QuerySequence, local: _LocalIds) -> Plan:
+def _plan_iv(seq: QuerySequence, local: _LocalIds) -> _Built | None:
+    """IV: each commuting predecessor streams its successor's first op last."""
     orders = list(local)
     # Resolve right to left: a swap in one query changes which accelerator
     # its own predecessor must leave loaded.
@@ -130,54 +129,52 @@ def _plan_iv(seq: QuerySequence, local: _LocalIds) -> Plan:
                 order = tuple(op_id for op_id in order if op_id != needed_first) + (needed_first,)
         orders[i] = order
         needed_first = order[0]
-    if not swapped_any:
-        raise IllegalPlanError(
-            "strategy IV is not applicable: no commuting predecessor contains "
-            "the accelerator its successor needs first"
-        )
-    return Plan(Strategy.IV, tuple(orders), (Mode.BASELINE,) * len(seq.gaps))
+    return (tuple(orders), (Mode.BASELINE,) * len(seq.gaps)) if swapped_any else None
 
 
-def _build(seq: QuerySequence, strategy: Strategy, local: _LocalIds) -> Plan:
-    if strategy is Strategy.S:
-        return _full_pushdown(seq, local)
-    if strategy is Strategy.I:
-        return _split_pushdown(seq, local, Strategy.I, keep=0, mode=Mode.BASELINE)
-    if strategy is Strategy.II:
-        return _split_pushdown(seq, local, Strategy.II, keep=1, mode=Mode.HOLD)
-    if strategy is Strategy.III:
-        return _plan_iii(seq, local)
-    if strategy is Strategy.IV:
-        return _plan_iv(seq, local)
-    raise ValueError(f"unknown strategy {strategy!r}")
+_SPLIT = "strategy {} is not applicable: no non-final query has two or more operators"
+
+#: Each strategy's builder, and the IllegalPlanError message when it builds nothing.
+_BUILDERS: dict[Strategy, tuple[Callable[[QuerySequence, _LocalIds], _Built | None], str | None]] = {
+    Strategy.S: (_full_pushdown, None),
+    Strategy.I: (lambda seq, local: _split_pushdown(seq, local, 0, Mode.BASELINE), _SPLIT),
+    Strategy.II: (lambda seq, local: _split_pushdown(seq, local, 1, Mode.HOLD), _SPLIT),
+    Strategy.III: (_plan_iii, "strategy {} requires sequence knowledge: no adjacent pair shares an accelerator"),
+    Strategy.IV: (_plan_iv, "strategy {} is not applicable: no commuting predecessor contains "
+                            "the accelerator its successor needs first"),
+}
 
 
 def strategy_plan(seq: QuerySequence, strategy: Strategy) -> Plan:
-    """Build the canonical plan of one strategy for a sequence.
+    """The canonical plan of one strategy for a sequence, read through
+    :func:`enumerate_plans` and so through the sequence's memo.
 
-    Raises :class:`IllegalPlanError` when the strategy has nothing to work
-    with (nothing to split, share, or swap).
+    Raises :class:`IllegalPlanError` on every call when the strategy has
+    nothing to work with (nothing to split, share, or swap).
     """
-    return _build(seq, strategy, _local_ids(seq))
+    for plan in enumerate_plans(seq, (strategy,)):
+        return plan
+    raise IllegalPlanError(_BUILDERS[strategy][1].format(strategy))
 
 
 def enumerate_plans(seq: QuerySequence, strategies: Iterable[Strategy] = STRATEGY_ORDER) -> list[Plan]:
     """The applicable plans of ``strategies`` (default: all), in that order.
 
-    Each strategy is built at most once per sequence object: its plan, or
-    that it is not applicable, is kept in the sequence's memo.
+    The one caller of the builders, and the one place a plan gets its
+    label.  Each strategy is built at most once per sequence object: its
+    plan, or that it is not applicable, is kept in the sequence's memo.
     """
     memo = seq._memo
     local = None
     plans = []
     for strategy in strategies:
+        if strategy not in _BUILDERS:
+            raise ValueError(f"unknown strategy {strategy!r}")
         if strategy not in memo:
             if local is None:
                 local = _local_ids(seq)
-            try:
-                memo[strategy] = _build(seq, strategy, local)
-            except IllegalPlanError:
-                memo[strategy] = None
+            built = _BUILDERS[strategy][0](seq, local)
+            memo[strategy] = None if built is None else Plan(strategy, *built)
         plan = memo[strategy]
         if plan is not None:
             plans.append(plan)

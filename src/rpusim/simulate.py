@@ -36,6 +36,8 @@ lists are sorted into one timeline at the end.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -214,7 +216,7 @@ def validate_timeline(timeline: Timeline) -> list[Violation]:
         if p.end < p.start:
             out.append(Violation(f"phases[{i}]", f"end {p.end} before start {p.start}"))
         by_resource.setdefault(p.resource, []).append(p)
-        if p.query != GAP_QUERY:
+        if p.resource is not _IDLE:  # a gap belongs to no query, whatever a query's id
             by_query.setdefault(p.query, []).append(p)
     for resource, group in by_resource.items():
         group = sorted(group, key=_START_END)
@@ -269,7 +271,8 @@ def validate_timeline(timeline: Timeline) -> list[Violation]:
 def timeline_csv(timeline: Timeline) -> str:
     """Render the timeline as CSV, sorted by start time then resource."""
     rows = sorted(timeline.phases, key=lambda p: (p.start, p.resource.value))
-    lines = ["resource,label,query,start_ms,end_ms"]
-    for p in rows:
-        lines.append(f"{p.resource.value},{p.label},{p.query},{p.start:.6f},{p.end:.6f}")
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")  # quotes an id with a comma, quote or line break
+    writer.writerow(("resource", "label", "query", "start_ms", "end_ms"))
+    writer.writerows((p.resource.value, p.label, p.query, f"{p.start:.6f}", f"{p.end:.6f}") for p in rows)
+    return out.getvalue()

@@ -129,7 +129,7 @@ def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> li
         # each point still builds its variant, so a value the model rejects
         # (say, a table size that overflows) fails at that point
         variant = first if i == 0 else transform(seq, value)
-        totals = [_fold(plan, variant.queries, variant.gaps, profile) for plan in plans]
+        totals = [_fold(plan, variant, profile) for plan in plans]
         baseline = totals[0]
         for strategy, slot in slots:
             total = totals[slot]

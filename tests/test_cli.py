@@ -178,14 +178,25 @@ class TestSweepCommand:
         "flag, fix", [("--fix-scale", scale_sequence), ("--fix-selectivity", set_selectivity), ("--fix-gap", set_gaps)]
     )
     def test_fix_flag_presets_the_scenario(self, capsys, flag, fix):
-        args = ["sweep", "--sweep", "scale", "--from", "1", "--to", "3", "--steps", "3",
+        # sweep a variable the flag does not fix: fixing the swept one is an error
+        swept = "gap" if flag == "--fix-scale" else "scale"
+        args = ["sweep", "--sweep", swept, "--from", "1", "--to", "3", "--steps", "3",
                 "--strategies", "I,III,IV"]
-        spec = SweepSpec("scale", 1.0, 3.0, 3, (Strategy.I, Strategy.III, Strategy.IV))
+        spec = SweepSpec(swept, 1.0, 3.0, 3, (Strategy.I, Strategy.III, Strategy.IV))
         expected = sweep_csv(run_sweep(fix(default_scenario(), 0.5), calibrated_profile(), spec))
         assert main(args + [flag, "0.5"]) == 0
         assert capsys.readouterr().out == expected
         assert main(args) == 0
         assert capsys.readouterr().out != expected  # the flag changed the scenario
+
+    @pytest.mark.parametrize("variable", ["scale", "selectivity", "gap"])
+    def test_fixing_the_swept_variable_is_validation_error(self, capsys, variable):
+        args = ["sweep", "--sweep", variable, "--from", "1", "--to", "1", "--steps", "2",
+                f"--fix-{variable}", "0.5"]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --fix-{variable} and --sweep {variable} both set the {variable}; give one\n"
 
     GAP = ["sweep", "--sweep", "gap", "--from", "0", "--to", "1", "--steps", "2"]
 

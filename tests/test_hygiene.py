@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import rpusim
+from rpusim import STRATEGY_ORDER, Strategy
+from rpusim.plans import _BUILDERS
 
 MODULES = sorted(Path(rpusim.__file__).parent.glob("*.py"))
 
@@ -68,6 +70,16 @@ def test_unused_imports_finds_what_a_module_never_reads():
         "    return math.inf if check_plan(plan, None) else os.path.sep\n"
     )
     assert unused_imports(source) == ["_host_ops (line 5)", "lower (line 5)"]
+
+
+def test_every_strategy_has_exactly_one_builder_table_entry():
+    """A strategy is one ``Strategy`` member plus one entry of the table
+    that ``enumerate_plans`` builds from and ``strategy_plan`` takes its
+    not-applicable message from."""
+    assert list(_BUILDERS) == list(Strategy) == list(STRATEGY_ORDER)
+    for strategy, (build, message) in _BUILDERS.items():
+        assert callable(build), strategy
+        assert message is None or message.startswith("strategy {} "), strategy
 
 
 def test_every_name_in_all_resolves_on_the_package():

@@ -69,6 +69,30 @@ def test_illegal_plan_raises_on_every_call(paper_seq, profile, call):
         call(paper_seq, illegal, profile)
 
 
+def _applicable_one_by_one(seq: QuerySequence) -> dict:
+    plans = {}
+    for strategy in Strategy:
+        try:
+            plans[strategy] = strategy_plan(seq, strategy)
+        except IllegalPlanError:
+            pass
+    return plans
+
+
+@pytest.mark.parametrize("strategy_plan_first", [True, False], ids=["strategy_plan-first", "enumerate_plans-first"])
+def test_strategy_plan_returns_the_plan_enumerate_plans_holds(strategy_plan_first):
+    rng = random.Random(28)
+    for seq in (canonical_sequence(), *(random_sequence(rng) for _ in range(50))):
+        if strategy_plan_first:
+            one_by_one = _applicable_one_by_one(seq)
+            held = {plan.strategy: plan for plan in enumerate_plans(seq)}
+        else:
+            held = {plan.strategy: plan for plan in enumerate_plans(seq)}
+            one_by_one = _applicable_one_by_one(seq)
+        assert one_by_one.keys() == held.keys(), seq
+        assert all(one_by_one[s] is held[s] for s in held), seq
+
+
 def test_overflowing_total_raises_on_every_call(monkeypatch, paper_seq):
     plan = strategy_plan(paper_seq, Strategy.S)
     folds = _counting(monkeypatch, rpusim.cost, "_fold")

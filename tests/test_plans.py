@@ -159,6 +159,12 @@ class TestStrategyPlans:
         assert plan.rpu_order[0] == ("acc1", "acc0")
         assert plan.modes == (Mode.BASELINE,)
 
+    def test_unknown_strategy_is_a_value_error(self, paper_seq):
+        for call in (lambda: strategy_plan(paper_seq, "V"), lambda: enumerate_plans(paper_seq, ["V"])):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == "unknown strategy 'V'"
+
     def test_inapplicable_raises(self):
         seq = _seq(_q("Q0", 2.0, ("a", 0.5)), _q("Q1", 1.0, ("b", 0.4)))
         with pytest.raises(IllegalPlanError):

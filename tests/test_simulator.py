@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import csv
+import dataclasses
 import importlib
+import io
 import math
 import pickle
 import random
@@ -27,6 +30,7 @@ from rpusim import (
     Strategy,
     TableSpec,
     Timeline,
+    Violation,
     enumerate_plans,
     plan_cost,
     simulate,
@@ -324,6 +328,18 @@ class TestValidateTimeline:
         )
         assert validate_timeline(timeline)
 
+    @pytest.mark.parametrize("qid", ["Q1", GAP_QUERY])
+    def test_a_query_whose_id_is_the_gap_placeholder_is_still_checked(self, qid):
+        # gaps are told apart by their resource, not by the placeholder id
+        timeline = Timeline(
+            phases=(
+                Phase(Resource.SCAN, "scan", qid, 0.0, 9.0),
+                Phase(Resource.PR, "acc-exec", qid, 5.0, 8.0),
+            ),
+            makespan=9.0,
+        )
+        assert validate_timeline(timeline) == [Violation(f"query {qid}", "acc-exec started before scan finished")]
+
     def test_empty_timeline_ok(self):
         assert validate_timeline(Timeline(phases=(), makespan=0.0)) == []
 
@@ -366,6 +382,16 @@ class TestTimelineCsv:
         timeline = simulate(paper_seq, strategy_plan(paper_seq, Strategy.S), profile)
         text = timeline_csv(timeline)
         assert f"IDLE,gap,{GAP_QUERY}," in text
+
+    def test_ids_with_commas_quotes_and_line_breaks_read_back(self, paper_seq, profile):
+        ids = ("Q,0", 'Q"1\n')
+        queries = tuple(dataclasses.replace(q, id=qid) for q, qid in zip(paper_seq.queries, ids))
+        seq = QuerySequence(queries, paper_seq.gaps)
+        text = timeline_csv(simulate(seq, strategy_plan(seq, Strategy.S), profile))
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert rows[0] == ["resource", "label", "query", "start_ms", "end_ms"]
+        assert all(len(row) == 5 for row in rows)
+        assert {row[2] for row in rows[1:]} == {*ids, GAP_QUERY}
 
     def test_byte_deterministic(self, paper_seq, profile):
         plan = strategy_plan(paper_seq, Strategy.IV)

@@ -36,6 +36,7 @@ import rpusim.plans
 import rpusim.sweep
 from rpusim import (
     FilterOp,
+    IllegalPlanError,
     Mode,
     Query,
     QuerySequence,
@@ -50,6 +51,7 @@ from rpusim import (
     rpu_policy,
     run_sweep,
     simulate,
+    strategy_plan,
 )
 from conftest import canonical_sequence
 from test_engine_agreement import random_profile, random_sequence
@@ -82,6 +84,55 @@ def test_choose_plan_builds_only_candidate_plans(monkeypatch, paper_seq, profile
     plans.clear()
     choose_plan(paper_seq, profile, hints_enabled=hints_enabled)
     assert not plans
+
+
+def _counting_builders(monkeypatch) -> Counter:
+    """Wrap every builder in ``plans._BUILDERS``, counting its runs by strategy."""
+    runs: Counter = Counter()
+    for strategy, (build, message) in list(rpusim.plans._BUILDERS.items()):
+        def counted(seq, local, strategy=strategy, build=build):
+            runs[strategy] += 1
+            return build(seq, local)
+
+        monkeypatch.setitem(rpusim.plans._BUILDERS, strategy, (counted, message))
+    return runs
+
+
+@pytest.mark.parametrize("first", ["strategy_plan", "enumerate_plans", "choose_plan"])
+def test_each_builder_runs_once_per_sequence_whichever_entry_point_asks_first(monkeypatch, profile, first):
+    runs = _counting_builders(monkeypatch)
+    calls = {
+        "strategy_plan": lambda seq: [strategy_plan(seq, s) for s in Strategy],
+        "enumerate_plans": enumerate_plans,
+        "choose_plan": lambda seq: [choose_plan(seq, profile, hints_enabled=h) for h in (False, True)],
+    }
+    seq = canonical_sequence()  # every strategy applies
+    for name in [first, *(name for name in calls if name != first)] * 2:
+        calls[name](seq)
+    assert runs == Counter(dict.fromkeys(Strategy, 1))
+
+
+def test_an_inapplicable_strategy_raises_one_message_and_is_built_once(monkeypatch):
+    seq = QuerySequence(
+        (Query("Q0", TableSpec("t0", 2.0), (FilterOp("a", 0.5),)),
+         Query("Q1", TableSpec("t1", 1.0), (FilterOp("b", 0.4),))),
+        (1.0,),
+    )
+    messages = {
+        Strategy.I: "strategy I is not applicable: no non-final query has two or more operators",
+        Strategy.II: "strategy II is not applicable: no non-final query has two or more operators",
+        Strategy.III: "strategy III requires sequence knowledge: no adjacent pair shares an accelerator",
+        Strategy.IV: "strategy IV is not applicable: no commuting predecessor contains "
+                     "the accelerator its successor needs first",
+    }
+    runs = _counting_builders(monkeypatch)
+    for _ in range(3):
+        for strategy, message in messages.items():
+            with pytest.raises(IllegalPlanError) as raised:
+                strategy_plan(seq, strategy)
+            assert str(raised.value) == message
+        assert enumerate_plans(seq) == [strategy_plan(seq, Strategy.S)]
+    assert runs == Counter(dict.fromkeys(Strategy, 1))
 
 
 def test_local_order_runs_once_per_query_per_enumeration(monkeypatch):
