@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
 import stat
 import sys
@@ -86,11 +87,23 @@ def _write_all(texts: list[tuple[str, str]]) -> None:
             f.write(text)
 
 
+def _id_text(name: str) -> str:
+    """An id as printed: as is when it is plain, else its JSON string literal.
+
+    A plain id is non-empty and holds only printable, non-space characters
+    other than the separators ``:`` ``,`` ``=`` and ``"``, so every printed
+    line splits back into its fields.
+    """
+    if name and name.isprintable() and not any(c.isspace() or c in ':,="' for c in name):
+        return name
+    return json.dumps(name)
+
+
 def _print_cost(plan: Plan, breakdown: CostBreakdown) -> None:
     print(f"strategy: {plan.strategy}")
     print(f"total_ms: {breakdown.total:.3f}")
     for qid, t in breakdown.per_query:
-        print(f"  {qid}: {t:.3f}")
+        print(f"  {_id_text(qid)}: {t:.3f}")
 
 
 def _cmd_cost(args) -> int:
@@ -99,16 +112,14 @@ def _cmd_cost(args) -> int:
         plan = strategy_plan(seq, _parse_strategy(args.strategy, args.hints))
         _print_cost(plan, plan_cost(seq, plan, profile))
         return 0
+    # S, the baseline, always applies: an S that overflows raises here,
+    # before any output, and costed_plans finds its breakdown in the memo
+    baseline = plan_cost(seq, strategy_plan(seq, Strategy.S), profile).total
     rows = costed_plans(seq, profile, hints_enabled=args.hints)
-    first, baseline = rows[0]
-    if first.strategy is not Strategy.S:
-        # S, the baseline, always applies, so it was dropped for overflowing:
-        # costing it again raises that error
-        plan_cost(seq, strategy_plan(seq, Strategy.S), profile)
     # all rows before any output, so a saving that overflows prints nothing
     lines = [
         f"{str(plan.strategy):<4} total_ms {breakdown.total:>10.3f}  "
-        f"improvement_pct {improvement(breakdown, baseline):>8.3f}"
+        f"improvement_pct {improvement(breakdown.total, baseline):>8.3f}"
         for plan, breakdown in rows
     ]
     print("\n".join(lines))
@@ -123,7 +134,7 @@ def _cmd_plan(args) -> int:
     _print_cost(plan, breakdown)
     # a plan chosen without knowledge of upcoming queries carries no hints
     for hint in generate_hints(seq, plan, profile) if args.hints else ():
-        accs = ",".join(hint.next_accelerators)
+        accs = ",".join(map(_id_text, hint.next_accelerators))
         print(
             f"hint: next_accelerators={accs} expected_gap_ms={hint.expected_gap:.3f} "
             f"expected_scan_ms={hint.expected_scan:.3f}"

@@ -248,18 +248,12 @@ def _fold(
     return total
 
 
-def improvement(candidate: CostBreakdown, baseline: CostBreakdown) -> float:
-    """Relative time saving of ``candidate`` over ``baseline``, in percent.
+def improvement(candidate_total: float, baseline_total: float) -> float:
+    """Relative time saving of ``candidate_total`` over ``baseline_total``, in percent.
 
     Negative when the candidate is slower.  A non-finite total or saving
     raises :class:`NonFiniteResultError`.
     """
-    return _improvement(candidate.total, baseline.total)
-
-
-def _improvement(candidate_total: float, baseline_total: float) -> float:
-    """:func:`improvement` of two bare totals, with the same checks and
-    messages."""
     if not baseline_total > 0.0:
         raise ValueError(f"baseline total must be > 0, got {baseline_total!r}")
     pct = 100.0 * (1.0 - candidate_total / baseline_total)  # not finite if candidate_total is not

@@ -219,75 +219,58 @@ class Violation:
 def validate_sequence(seq: QuerySequence) -> list[Violation]:
     """Check every model invariant of a sequence; empty result means ok.
 
-    A clean sequence costs one walk: it only tests whether each count, gap,
-    table size and selectivity is in range and whether the query ids, and
-    each query's op ids, are distinct (a query's ``_ops_by_id`` has one
-    entry per op).  Only a sequence that fails a test is walked again to
-    list its violations.
+    One walk appends each broken invariant where its test fails: the
+    counts, then each gap, then each query and its ops.  Repeated ids are
+    looked for one by one only where there are some: among the queries
+    when their ids make a smaller set than the sequence, and among a
+    query's ops when its ``_ops_by_id`` has fewer entries than ops.  So a
+    clean sequence builds no set of ids seen so far.
 
     Violations are data, not exceptions, so callers can report all of them
     at once.  Use :func:`require_valid` to raise instead; constructing a
     :class:`QuerySequence` already does.
     """
+    out: list[Violation] = []
     queries, gaps = seq.queries, seq.gaps
     n = len(queries)
-    if n < 2 or len(gaps) != n - 1 or len({q.id for q in queries}) != n:
-        return _violations(seq)
-    for g in gaps:
-        if not (isfinite(g) and g >= 0.0):
-            return _violations(seq)
-    for q in queries:
-        size = q.table.size_mb
-        ops = q.ops
-        if not (isfinite(size) and size >= 0.0 and ops and len(q._ops_by_id) == len(ops)):
-            return _violations(seq)
-        for op in ops:
-            if not 0.0 <= op.selectivity <= 1.0:
-                return _violations(seq)
-    return []
-
-
-def _violations(seq: QuerySequence) -> list[Violation]:
-    """Every broken invariant of ``seq``, in walk order (gaps, then each
-    query and its ops)."""
-    out: list[Violation] = []
-    n = len(seq.queries)
     if n < 2:
         out.append(Violation("sequence.queries", f"sequence needs >= 2 queries, got {n}"))
-    if len(seq.gaps) != max(n - 1, 0):
-        out.append(
-            Violation(
-                "sequence.gaps",
-                f"gap count {len(seq.gaps)} does not match queries - 1 = {n - 1}",
-            )
-        )
-    for i, g in enumerate(seq.gaps):
-        if not math.isfinite(g):
-            out.append(Violation(f"sequence.gaps[{i}]", f"non-finite gap {g}"))
-        elif g < 0:
-            out.append(Violation(f"sequence.gaps[{i}]", f"negative gap {g}"))
-
-    seen_ids: set[str] = set()
-    for qi, q in enumerate(seq.queries):
-        if q.id in seen_ids:
-            out.append(Violation(f"queries[{qi}]", f"duplicate query id {q.id!r} in sequence"))
-        seen_ids.add(q.id)
-        if not math.isfinite(q.table.size_mb):
-            out.append(Violation(f"queries[{qi}].table", f"non-finite table size {q.table.size_mb}"))
-        elif q.table.size_mb < 0:
-            out.append(Violation(f"queries[{qi}].table", f"negative table size {q.table.size_mb}"))
-        if not q.ops:
+    if len(gaps) != (n - 1 if n else 0):  # not max(n - 1, 0): a call costs more here
+        out.append(Violation("sequence.gaps", f"gap count {len(gaps)} does not match queries - 1 = {n - 1}"))
+    i = 0  # running indexes: a clean walk makes no enumerate tuples
+    for g in gaps:
+        if not (isfinite(g) and g >= 0.0):
+            what = "negative" if isfinite(g) else "non-finite"
+            out.append(Violation(f"sequence.gaps[{i}]", f"{what} gap {g}"))
+        i += 1
+    seen_ids = set() if len({q.id for q in queries}) < n else None
+    qi = 0
+    for q in queries:
+        if seen_ids is not None:
+            if q.id in seen_ids:
+                out.append(Violation(f"queries[{qi}]", f"duplicate query id {q.id!r} in sequence"))
+            seen_ids.add(q.id)
+        size = q.table.size_mb
+        if not (isfinite(size) and size >= 0.0):
+            what = "negative" if isfinite(size) else "non-finite"
+            out.append(Violation(f"queries[{qi}].table", f"{what} table size {size}"))
+        ops = q.ops
+        if not ops:
             out.append(Violation(f"queries[{qi}].ops", "query has no operators"))
-        op_ids: set[str] = set()
-        for oi, op in enumerate(q.ops):
-            if op.id in op_ids:
-                out.append(Violation(f"queries[{qi}].ops[{oi}]", f"duplicate op id {op.id!r} within query"))
-            op_ids.add(op.id)
+        op_ids = set() if len(q._ops_by_id) < len(ops) else None
+        oi = 0
+        for op in ops:
+            if op_ids is not None:
+                if op.id in op_ids:
+                    out.append(Violation(f"queries[{qi}].ops[{oi}]", f"duplicate op id {op.id!r} within query"))
+                op_ids.add(op.id)
             if not 0.0 <= op.selectivity <= 1.0:
                 out.append(Violation(
                     f"queries[{qi}].ops[{oi}].selectivity",
                     f"selectivity range: {op.selectivity} outside [0, 1]",
                 ))
+            oi += 1
+        qi += 1
     return out
 
 

@@ -6,7 +6,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .cost import _fold, _improvement
+from .cost import _fold, improvement
 from .model import DeviceProfile, FilterOp, Query, QuerySequence, Strategy, TableSpec
 from .plans import check_plan, strategy_plan
 
@@ -133,7 +133,7 @@ def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> li
         baseline = totals[0]
         for strategy, slot in slots:
             total = totals[slot]
-            rows.append(SweepRow(variable, value, strategy, total, _improvement(total, baseline)))
+            rows.append(SweepRow(variable, value, strategy, total, improvement(total, baseline)))
     return rows
 
 

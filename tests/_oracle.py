@@ -33,8 +33,9 @@ host ops.
 Last, it keeps the two-set walk of ``validate_sequence``, verbatim, as
 ``reference_validate_sequence``: it visits every gap, query and op and
 appends each broken invariant as it goes.  ``validate_sequence``, which
-first tests whether a sequence is clean, must return the same violations
-in the same order for every sequence, clean or not.
+walks once too but builds those sets only when some id repeats, must
+return the same violations in the same order for every sequence, clean or
+not.
 """
 
 from __future__ import annotations

@@ -89,21 +89,20 @@ class TestCostCommand:
         assert best[0].split()[1] in ("S", "I")
 
     def test_auto_costs_each_plan_once(self, capsys, monkeypatch):
-        import rpusim.cli
-        import rpusim.planner
+        # the baseline S is costed first; costed_plans finds it in the memo
+        import rpusim.cost
 
-        costed = []
-        original = rpusim.planner.plan_cost
+        folded = []
+        original = rpusim.cost._fold
 
-        def counted(seq, plan, profile):
-            costed.append(plan.strategy)
-            return original(seq, plan, profile)
+        def counted(plan, *args):
+            folded.append(plan.strategy)
+            return original(plan, *args)
 
-        for module in (rpusim.cli, rpusim.planner):
-            monkeypatch.setattr(module, "plan_cost", counted)
+        monkeypatch.setattr(rpusim.cost, "_fold", counted)
         assert main(["cost"]) == 0
         assert "best: III" in capsys.readouterr().out
-        assert costed == list(Strategy)
+        assert folded == list(Strategy)
 
 
 class TestSimulateCommand:
@@ -768,3 +767,71 @@ def test_python_dash_m_runs_the_cli(capsys):
     proc = subprocess.run([sys.executable, "-m", "rpusim", "cost"], capture_output=True, env=env, check=False)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == expected
+
+
+class TestIdsPrintParseably:
+    """An id that could split a printed line prints as its JSON string
+    literal; a plain id prints as it is."""
+
+    @pytest.mark.parametrize("name", ["Q\n0", "Q: 1", "acc,0", "", "acc 0", 'Q"0', "Q=0", "Q\x000"])
+    def test_an_id_that_is_not_plain_reads_back_through_json(self, name):
+        text = rpusim.cli._id_text(name)
+        assert text == json.dumps(name)
+        assert json.loads(text) == name
+
+    @pytest.mark.parametrize("name", ["Q0", "acc3", "t-1.b_2", "Ω0"])
+    def test_a_plain_id_prints_as_it_is(self, name):
+        assert rpusim.cli._id_text(name) == name
+
+    def test_cost_and_plan_lines_split_back_into_their_ids(self, tmp_path, capsys):
+        from rpusim import FilterOp, Query, QuerySequence, save_workload
+
+        def renamed(op):
+            return FilterOp("acc,0", op.selectivity, op.commutes) if op.id == "acc0" else op
+
+        seq = default_scenario()
+        queries = tuple(
+            Query(qid, q.table, tuple(map(renamed, q.ops))) for qid, q in zip(("Q\n0", "Q: 1"), seq.queries)
+        )
+        workload = tmp_path / "w.json"
+        save_workload(workload, QuerySequence(queries, seq.gaps), calibrated_profile())
+        assert main(["cost", "--strategy", "S", "--workload", str(workload)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.strip().rpartition(": ") for line in lines[2:]]
+        assert [(json.loads(qid), ms) for qid, _, ms in rows] == [("Q\n0", "53.944"), ("Q: 1", "17.417")]
+        assert main(["plan", "--workload", str(workload)]) == 0
+        hints = [line for line in capsys.readouterr().out.splitlines() if line.startswith("hint: ")]
+        fields = dict(field.split("=", 1) for field in hints[0].split()[1:])
+        assert json.loads(fields["next_accelerators"]) == "acc,0"
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    """Each ``rpusim`` command of the README's CLI block, split into its
+    arguments: ``#`` comments stripped, ``\\`` continuations joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    text = "\n".join(line.split("#", 1)[0].rstrip() for line in block.splitlines())
+    commands = [line.split() for line in text.replace("\\\n", " ").splitlines()]
+    return [words[1:] for words in commands if words and words[0] == "rpusim"]
+
+
+@pytest.mark.parametrize("args", _readme_cli_lines(), ids=" ".join)
+def test_readme_cli_examples_run(args, tmp_path, monkeypatch, capsys):
+    """Every command of the README's CLI block exits 0 in an empty
+    directory; the ``mine`` commands read a small log and a catalog of its
+    templates written there."""
+    from rpusim import fingerprint
+
+    monkeypatch.chdir(tmp_path)
+    texts = ["SELECT * FROM t0 WHERE a < {}", "SELECT * FROM t1 WHERE b = {}"]
+    lines = [f"{100.0 * i + 10.0 * j}\t{text.format(i)}\t1" for i in range(3) for j, text in enumerate(texts)]
+    (tmp_path / "queries.log").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    entry = {"table": {"name": "t0", "size_mb": 9.0}, "ops": [{"id": "acc0", "selectivity": 0.33}]}
+    catalog = {fingerprint(text.format(0)): entry for text in texts}
+    (tmp_path / "catalog.json").write_text(json.dumps(catalog), encoding="utf-8")
+    assert main(args) == 0, capsys.readouterr().err
+
+
+def test_the_readme_cli_block_holds_every_command():
+    commands = [args[0] for args in _readme_cli_lines()]
+    assert commands == ["cost"] * 3 + ["plan"] * 2 + ["simulate"] + ["sweep"] * 4 + ["mine"] * 2

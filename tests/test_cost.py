@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rpusim import (
-    CostBreakdown,
     DeviceProfile,
     FilterOp,
     IllegalPlanError,
@@ -25,7 +24,6 @@ from rpusim import (
     plan_cost,
     strategy_plan,
 )
-from rpusim.cost import _improvement
 from conftest import canonical_sequence, random_params
 from _oracle import lower_plan, reference_fold, strategy_totals
 from test_engine_agreement import _mixed_mode_cases
@@ -206,28 +204,22 @@ class TestImprovement:
     def test_reference_iv_vs_s(self, paper_seq, profile):
         t_iv = plan_cost(paper_seq, strategy_plan(paper_seq, Strategy.IV), profile)
         t_s = plan_cost(paper_seq, strategy_plan(paper_seq, Strategy.S), profile)
-        assert improvement(t_iv, t_s) == pytest.approx(18.52, abs=0.005)
+        assert improvement(t_iv.total, t_s.total) == pytest.approx(18.52, abs=0.005)
 
     def test_identical_is_zero(self, paper_seq, profile):
         t_s = plan_cost(paper_seq, strategy_plan(paper_seq, Strategy.S), profile)
-        assert improvement(t_s, t_s) == 0.0
+        assert improvement(t_s.total, t_s.total) == 0.0
 
     def test_reference_ii_vs_s_is_negative(self, paper_seq, profile):
         t_ii = plan_cost(paper_seq, strategy_plan(paper_seq, Strategy.II), profile)
         t_s = plan_cost(paper_seq, strategy_plan(paper_seq, Strategy.S), profile)
-        assert improvement(t_ii, t_s) == pytest.approx(-2.14, abs=0.005)
+        assert improvement(t_ii.total, t_s.total) == pytest.approx(-2.14, abs=0.005)
 
     def test_zero_baseline_rejected(self, paper_seq, profile):
         t_s = plan_cost(paper_seq, strategy_plan(paper_seq, Strategy.S), profile)
         with pytest.raises(ValueError):
-            improvement(t_s, CostBreakdown(total=0.0))
+            improvement(t_s.total, 0.0)
 
-    # the breakdown form and the bare-total form a sweep calls, byte for byte
-    @pytest.mark.parametrize(
-        "call",
-        [lambda c, b: improvement(CostBreakdown(c), CostBreakdown(b)), _improvement],
-        ids=["breakdowns", "totals"],
-    )
     @pytest.mark.parametrize(
         "candidate, baseline, error, message",
         [
@@ -242,9 +234,9 @@ class TestImprovement:
             (1e300, 1e-10, NonFiniteResultError, "improvement of 1e+300 over 1e-10 ms is not finite"),
         ],
     )
-    def test_rejection_messages(self, call, candidate, baseline, error, message):
+    def test_rejection_messages(self, candidate, baseline, error, message):
         with pytest.raises(error) as raised:
-            call(candidate, baseline)
+            improvement(candidate, baseline)
         assert type(raised.value) is error
         assert str(raised.value) == message
 

@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 
 from rpusim import (
     STRATEGY_ORDER,
-    CostBreakdown,
     DeviceProfile,
     FilterOp,
     NonFiniteResultError,
@@ -168,7 +167,7 @@ class TestImprovement:
     )
     def test_non_finite_total_or_saving_rejected(self, candidate, baseline):
         with pytest.raises(NonFiniteResultError, match="is not finite"):
-            improvement(CostBreakdown(candidate), CostBreakdown(baseline))
+            improvement(candidate, baseline)
 
     @pytest.mark.parametrize(
         "args",

@@ -123,7 +123,7 @@ class TestRunSweep:
             breakdown = plan_cost(variant, strategy_plan(variant, row.strategy), profile)
             baseline = plan_cost(variant, strategy_plan(variant, Strategy.S), profile)
             assert row.total_ms == breakdown.total
-            assert row.improvement_pct == improvement(breakdown, baseline)
+            assert row.improvement_pct == improvement(breakdown.total, baseline.total)
 
     def test_s_rows_have_zero_improvement(self, paper_seq, profile):
         spec = SweepSpec("gap", 0.0, 10.0, 3, (Strategy.S,))
@@ -174,7 +174,7 @@ def per_point_sweep(seq, profile, spec):
         baseline = plan_cost(variant, strategy_plan(variant, Strategy.S), profile)
         for strategy in spec.strategies:
             breakdown = plan_cost(variant, strategy_plan(variant, strategy), profile)
-            rows.append(SweepRow(spec.variable, value, strategy, breakdown.total, improvement(breakdown, baseline)))
+            rows.append(SweepRow(spec.variable, value, strategy, breakdown.total, improvement(breakdown.total, baseline.total)))
     return rows
 
 

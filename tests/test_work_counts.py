@@ -15,16 +15,19 @@ included, runs one check and one cost fold per distinct plan.
 ``plan_cost`` builds one breakdown per plan and profile; a sweep folds
 each distinct plan to a bare total at each point and builds none.
 Parsing a log runs the constant pass once per line and templates each
-distinct constant-free text once.
+distinct constant-free text once.  Validating a sequence walks its
+queries, and each query's ops, once, whether or not it finds a violation.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -52,8 +55,10 @@ from rpusim import (
     run_sweep,
     simulate,
     strategy_plan,
+    validate_sequence,
 )
 from conftest import canonical_sequence
+from _oracle import reference_validate_sequence
 from test_engine_agreement import random_profile, random_sequence
 from test_miner import A_ID, B_ID, C_ID, planted_log_lines
 
@@ -310,6 +315,65 @@ def _long_sequence(n: int) -> QuerySequence:
         for i in range(n)
     )
     return QuerySequence(queries, tuple(rng.uniform(0.0, 40.0) for _ in range(n - 1)))
+
+
+class _CountedTuple(tuple):
+    """A tuple that counts the walks (``iter`` calls) over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_a_sequence_that_fails_only_at_its_last_op_is_walked_once():
+    """A violation costs no second walk: the queries are walked as often as
+    a clean sequence's, and the failing query's ops once."""
+    seq = _long_sequence(50)
+    last = seq.queries[-1]
+    broken = Query(last.id, last.table, (*last.ops[:-1], replace(last.ops[-1], selectivity=1.5)))
+    expected = reference_validate_sequence(SimpleNamespace(queries=(*seq.queries[:-1], broken), gaps=seq.gaps))
+    assert [v.location for v in expected] == [f"queries[49].ops[{len(last.ops) - 1}].selectivity"]
+    object.__setattr__(broken, "ops", _CountedTuple(broken.ops))
+    clean = SimpleNamespace(queries=_CountedTuple(seq.queries), gaps=seq.gaps)
+    failing = SimpleNamespace(queries=_CountedTuple((*seq.queries[:-1], broken)), gaps=seq.gaps)
+    assert validate_sequence(clean) == []
+    assert validate_sequence(failing) == expected
+    assert failing.queries.walks == clean.queries.walks
+    assert broken.ops.walks == 1
+
+
+@pytest.fixture(scope="module")
+def long_2000() -> QuerySequence:
+    return _long_sequence(2000)
+
+
+def _break(seq: QuerySequence, kind: str, i: int) -> SimpleNamespace:
+    """``seq``'s fields with one field of query ``i`` (or gap ``i``) broken."""
+    queries, gaps = list(seq.queries), list(seq.gaps)
+    q = queries[i]
+    if kind == "gap":
+        gaps[i] = -1.0
+    elif kind == "size":
+        queries[i] = Query(q.id, TableSpec(q.table.name, math.nan), q.ops)
+    elif kind == "selectivity":
+        queries[i] = Query(q.id, q.table, (replace(q.ops[0], selectivity=1.5), *q.ops[1:]))
+    elif kind == "query-id":
+        queries[i] = Query(queries[i - 1 if i else 1].id, q.table, q.ops)
+    else:  # op-id
+        queries[i] = Query(q.id, q.table, (*q.ops, q.ops[0]))
+    return SimpleNamespace(queries=tuple(queries), gaps=tuple(gaps))
+
+
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+@pytest.mark.parametrize("kind", ["gap", "size", "selectivity", "query-id", "op-id"])
+def test_one_broken_field_of_a_long_sequence_matches_the_reference_walk(long_2000, kind, where):
+    last = len(long_2000.gaps if kind == "gap" else long_2000.queries) - 1
+    fields = _break(long_2000, kind, {"start": 0, "middle": last // 2, "end": last}[where])
+    expected = reference_validate_sequence(fields)
+    assert len(expected) == 1
+    assert validate_sequence(fields) == expected
 
 
 @pytest.mark.parametrize("seq", [canonical_sequence(), _long_sequence(200)], ids=["paper", "200-query"])
