@@ -28,7 +28,6 @@ from .errors import (
     MiningError,
     NonFiniteResultError,
     RpusimError,
-    SchedulingError,
     WorkloadFormatError,
 )
 from .miner import (
@@ -130,7 +129,6 @@ __all__ = [
     "Resource",
     "RpusimError",
     "STRATEGY_ORDER",
-    "SchedulingError",
     "Strategy",
     "SweepRow",
     "SweepSpec",

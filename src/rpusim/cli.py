@@ -112,10 +112,10 @@ def _cmd_cost(args) -> int:
         plan = strategy_plan(seq, _parse_strategy(args.strategy, args.hints))
         _print_cost(plan, plan_cost(seq, plan, profile))
         return 0
-    # S, the baseline, always applies: an S that overflows raises here,
-    # before any output, and costed_plans finds its breakdown in the memo
-    baseline = plan_cost(seq, strategy_plan(seq, Strategy.S), profile).total
     rows = costed_plans(seq, profile, hints_enabled=args.hints)
+    # S, the baseline, always applies and is a memo hit here: an S that
+    # overflows, which costed_plans dropped, raises before any output
+    baseline = plan_cost(seq, strategy_plan(seq, Strategy.S), profile).total
     # all rows before any output, so a saving that overflows prints nothing
     lines = [
         f"{str(plan.strategy):<4} total_ms {breakdown.total:>10.3f}  "

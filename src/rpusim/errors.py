@@ -20,10 +20,6 @@ class IllegalPlanError(RpusimError):
     """A plan's structure is not executable for the given sequence."""
 
 
-class SchedulingError(RpusimError):
-    """A plan asked the simulator to violate a device scheduling rule."""
-
-
 class WorkloadFormatError(RpusimError):
     """A workload document does not match the expected schema."""
 

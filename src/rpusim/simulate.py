@@ -5,8 +5,8 @@ streaming order, and one mode per query boundary) into phases on four
 resources plus an idle lane for gaps, starts each phase the moment its last
 dependency ends, and reports the resulting timeline.  Phases are placed in
 time in one in-order pass: a phase starts at its release time, the latest
-end among its dependencies, and its resource must be free then.
-Scheduling rules:
+end among its dependencies.  No resource is ever busy then (see below), so
+the pass keeps no per-resource free time.  Scheduling rules:
 
 * the table scan may run while the PR is being reconfigured;
 * an accelerator starts only once its reconfiguration, the query's scan, and
@@ -22,16 +22,19 @@ Scheduling rules:
   accelerator;
 * a query arrives its gap after the predecessor's completion.
 
+Every duration is >= 0 and every gap is >= 0, so a query arrives once
+every earlier phase has ended, and within a query each phase on a resource
+is released at or after the end of the one before it.  A phase therefore
+never waits for its resource, and the makespan, the largest phase end, is
+the last query's completion; one that overflows to infinity is an error.
 Zero-length phases are scheduled like any other but omitted from the
-emitted timeline.  The makespan is the latest time any resource becomes
-free, which is the largest phase end; one that overflows to infinity is an
-error.
+emitted timeline.  :func:`validate_timeline` checks resource exclusivity.
 
 :func:`simulate` reads a checked plan the way the cost fold does, each
 query's RPU order of op ids and its boundary mode.  It is one flat loop
-that keeps each resource's free time in a local and each resource's kept
-phases in a list of their own, with no Python-level call per phase; the
-lists are sorted into one timeline at the end.
+that keeps each resource's kept phases in a list of their own, with no
+Python-level call per phase; the lists are sorted into one timeline at the
+end.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import NonFiniteResultError, SchedulingError
+from .errors import NonFiniteResultError
 from .model import DeviceProfile, Mode, Plan, QuerySequence, Violation
 from .plans import _host_ops, check_plan
 
@@ -88,15 +91,6 @@ _new = tuple.__new__
 _START = attrgetter("start")
 
 
-def _busy(resource: Resource, free_at: float, label: str, query: str, at: float) -> SchedulingError:
-    """The error for a phase released at ``at`` on a resource that is busy
-    until ``free_at``."""
-    return SchedulingError(
-        f"{resource.value} is busy until {free_at:.6f} ms "
-        f"when {label} for {query} is released at {at:.6f} ms"
-    )
-
-
 def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline:
     """Execute the plan and return its timeline (phases plus makespan).
 
@@ -107,10 +101,8 @@ def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline
     plan = check_plan(plan, seq)
     t_reconfig, r_scan, r_acc = profile.t_reconfig, profile.r_scan, profile.r_acc
     r_network, c_dbms = profile.r_network, profile.c_dbms
-    # Each resource's free time; a phase is placed at its release time
-    # ``at`` once its resource is free, and a phase of zero length is not
-    # kept but still sets its resource's free time.
-    free_scan = free_pr = free_net = free_dbms = free_idle = 0.0
+    # Each phase starts at its release time ``at``: its resource is free by
+    # then (see the module docstring), and a phase of zero length is not kept.
     scans: list[Phase] = []
     prs: list[Phase] = []
     nets: list[Phase] = []
@@ -122,9 +114,7 @@ def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline
     for q, order, mode, gap in zip(seq.queries, plan.rpu_order, (_BASELINE, *plan.modes), (None, *seq.gaps)):
         qid, size = q.id, q.table.size_mb
         if gap is not None:
-            if free_idle > tail:
-                raise _busy(_IDLE, free_idle, "gap", GAP_QUERY, tail)
-            arrival = free_idle = tail + gap
+            arrival = tail + gap
             if arrival > tail:
                 idles.append(_new(Phase, (_IDLE, "gap", GAP_QUERY, tail, arrival)))
 
@@ -133,15 +123,11 @@ def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline
             # BASELINE releases it at the query's arrival; HOLD and
             # SPECULATIVE the moment the predecessor hands the PR over
             at = arrival if mode is _BASELINE else handoff
-            if free_pr > at:
-                raise _busy(_PR, free_pr, "reconfig", qid, at)
-            lead = free_pr = at + t_reconfig
+            lead = at + t_reconfig
             if lead > at:
                 prs.append(_new(Phase, (_PR, "reconfig", qid, at, lead)))
         at = max(arrival, lead) if mode is _HOLD else arrival
-        if free_scan > at:
-            raise _busy(_SCAN, free_scan, "scan", qid, at)
-        work = scan = free_scan = at + size / r_scan
+        work = scan = at + size / r_scan
         if scan > at:
             scans.append(_new(Phase, (_SCAN, "scan", qid, at, scan)))
 
@@ -151,39 +137,28 @@ def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline
             for k, op_id in enumerate(order):
                 if k:
                     # each further accelerator reconfigures after the last one
-                    if free_pr > work:
-                        raise _busy(_PR, free_pr, "reconfig", qid, work)
-                    end = free_pr = work + t_reconfig
+                    end = work + t_reconfig
                     if end > work:
                         prs.append(_new(Phase, (_PR, "reconfig", qid, work, end)))
                     at = max(scan, end, work)
-                if free_pr > at:
-                    raise _busy(_PR, free_pr, "acc-exec", qid, at)
-                work = free_pr = at + size / r_acc
+                work = at + size / r_acc
                 if work > at:
                     prs.append(_new(Phase, (_PR, "acc-exec", qid, at, work)))
                 size *= by_id[op_id].selectivity
             loaded = order[-1]
 
         handoff = work
-        if free_net > work:
-            raise _busy(_NET, free_net, "transfer", qid, work)
-        tail = free_net = work + size / r_network
+        tail = work + size / r_network
         if tail > work:
             nets.append(_new(Phase, (_NET, "transfer", qid, work, tail)))
         for op in _host_ops(q, order):
             at = tail
-            if free_dbms > at:
-                raise _busy(_DBMS, free_dbms, "dbms", qid, at)
-            tail = free_dbms = at + c_dbms * size
+            tail = at + c_dbms * size
             if tail > at:
                 dbms.append(_new(Phase, (_DBMS, "dbms", qid, at, tail)))
             size *= op.selectivity
 
-    # a phase starts no earlier than its resource is free and lasts >= 0,
-    # so each resource's free time is the largest end of its phases; they
-    # are read in ``Resource`` declaration order
-    makespan = max(free_scan, free_pr, free_net, free_dbms, free_idle)
+    makespan = tail  # no phase ends after the last query's completion
     if not math.isfinite(makespan):
         raise NonFiniteResultError(f"simulated makespan overflows: {makespan!r} ms")
     # Each resource's kept phases start strictly later than the one before
@@ -209,7 +184,7 @@ def validate_timeline(timeline: Timeline) -> list[Violation]:
     out: list[Violation] = []
     phases = timeline.phases
     # reconfig and acc-exec share Resource.PR, so the per-resource check
-    # also reports every PR exclusivity breach.
+    # reports every PR exclusivity breach, overlapping accelerators included.
     by_resource: dict[Resource, list[Phase]] = {}
     by_query: dict[str, list[Phase]] = {}
     for i, p in enumerate(phases):
@@ -250,9 +225,6 @@ def validate_timeline(timeline: Timeline) -> list[Violation]:
         dbms = sorted(dbms, key=_START)
         if scan_end is not None and accs and accs[0].start < scan_end:
             out.append(Violation(f"query {qid}", "acc-exec started before scan finished"))
-        for a, b in zip(accs, accs[1:]):
-            if b.start < a.end:
-                out.append(Violation(f"query {qid}", "acc-exec phases overlap"))
         if trans:
             work_end = accs[-1].end if accs else scan_end
             if work_end is not None and trans[0].start < work_end:

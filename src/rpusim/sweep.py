@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .cost import _fold, improvement
 from .model import DeviceProfile, FilterOp, Query, QuerySequence, Strategy, TableSpec
-from .plans import check_plan, strategy_plan
+from .plans import check_plan, enumerate_plans, strategy_plan
 
 
 def scale_sequence(seq: QuerySequence, factor: float) -> QuerySequence:
@@ -119,7 +119,9 @@ def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> li
     # count, which no transform changes either, so one check covers every
     # point.
     first = transform(seq, grid[0])
-    built = {s: check_plan(strategy_plan(first, s), first) for s in dict.fromkeys((Strategy.S, *spec.strategies))}
+    strategies = dict.fromkeys((Strategy.S, *spec.strategies))
+    enumerate_plans(first, strategies)  # one sort of local orders; the lookups hit the memo
+    built = {s: check_plan(strategy_plan(first, s), first) for s in strategies}
     # strategies that build one plan share its fold; S's plan comes first.
     # Each strategy's slot is found once, so no point hashes a plan.
     plans = list(dict.fromkeys(built.values()))

@@ -18,7 +18,10 @@ Last, it keeps the position-indexed simulator, verbatim, as
 ``reference_simulate``: each phase names its dependencies by the positions
 at which earlier phases were added, and the makespan is the largest end.
 The simulator that carries each dependency as an end time must reproduce
-its timelines bit for bit.
+its timelines bit for bit.  The reference still checks that each
+dependency is listed before its phase and that each phase's resource is
+free at its release, raising its own ``SchedulingError``; the simulator
+keeps neither check, since no checked plan of a valid sequence fails one.
 
 And it keeps the ``Step``-walking cost fold, verbatim, as
 ``reference_fold``: it costs a plan lowered into per-query steps, calling
@@ -46,7 +49,7 @@ import re
 from typing import NamedTuple, Sequence
 
 from rpusim.cost import CostBreakdown, boundary, order_facts
-from rpusim.errors import MiningError, NonFiniteResultError, SchedulingError
+from rpusim.errors import MiningError, NonFiniteResultError, RpusimError
 from rpusim.model import DeviceProfile, FilterOp, Mode, Plan, Query, QuerySequence, Violation
 from rpusim.plans import check_plan
 from rpusim.simulate import GAP_QUERY, Phase, Resource, Timeline
@@ -155,6 +158,12 @@ def normalize_query(text: str) -> str:
 _RANK = {r: rank for rank, r in enumerate(sorted(Resource, key=lambda r: r.value))}
 _SCAN, _PR, _NET, _DBMS, _IDLE = Resource.SCAN, Resource.PR, Resource.NET, Resource.DBMS, Resource.IDLE
 _BASELINE, _HOLD = Mode.BASELINE, Mode.HOLD
+
+
+class SchedulingError(RpusimError):
+    """A phase depends on a task not listed before it, or is released while
+    its resource is busy.  The package's simulator has no such error: no
+    checked plan of a valid sequence can bring either about."""
 
 
 class _Schedule:

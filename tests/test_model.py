@@ -176,9 +176,8 @@ def _sequence_fields(draw):
 @settings(max_examples=400, deadline=None)
 @given(_sequence_fields())
 def test_validate_sequence_matches_the_reference_walk(fields):
-    """The clean-or-not test and the violation walk behind it report what
-    the original walk reports, in the same order; a sequence builds exactly
-    when there is nothing to report."""
+    """The one walk reports what the reference walk reports, in the same
+    order; a sequence builds exactly when there is nothing to report."""
     expected = reference_validate_sequence(fields)
     assert validate_sequence(fields) == expected
     if expected:
@@ -210,6 +209,15 @@ def test_valid_sequences_run_everywhere(profile):
             timeline = simulate(seq, plan, profile)
             assert breakdown.total >= 0.0
             assert timeline.makespan >= 0.0
+
+
+def test_query_given_a_list_of_ops_stores_a_tuple():
+    ops = [FilterOp("x", 0.5, commutes=False), FilterOp("y", 0.3)]
+    from_list, from_tuple = Query("Q", TableSpec("t", 1.0), ops), Query("Q", TableSpec("t", 1.0), tuple(ops))
+    assert type(from_list.ops) is tuple and from_list == from_tuple
+    caches = ("_op_ids", "_ops_by_id", "_all_commute")
+    assert [getattr(from_list, name) for name in caches] == [getattr(from_tuple, name) for name in caches]
+    assert from_list._all_commute is False
 
 
 class _CountedId(str):

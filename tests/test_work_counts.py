@@ -47,6 +47,7 @@ from rpusim import (
     SweepSpec,
     TableSpec,
     choose_plan,
+    default_scenario,
     enumerate_plans,
     generate_hints,
     phase_times,
@@ -153,6 +154,19 @@ def test_local_order_runs_once_per_query_per_enumeration(monkeypatch):
         # the same sequence object sorts nothing again
         enumerate_plans(seq)
         assert sum(calls.values()) == 1
+
+
+def test_cost_command_and_a_sweep_sort_local_orders_once(monkeypatch, profile, capsys):
+    """``rpusim cost`` costs S after the other candidates, as a memo hit,
+    and a sweep enumerates its strategies in one call before it looks each
+    one up, so either sorts each query's local order once."""
+    calls = _counting(monkeypatch, rpusim.plans, "_local_ids")
+    assert rpusim.cli.main(["cost"]) == 0
+    assert sum(calls.values()) == 1
+    calls.clear()
+    spec = SweepSpec("gap", 0.0, 30.0, 5, (Strategy.I, Strategy.II, Strategy.III, Strategy.IV))
+    run_sweep(default_scenario(), profile, spec)
+    assert sum(calls.values()) == 1
 
 
 def test_plan_cost_constructs_no_phase_times(monkeypatch, paper_seq, profile):
