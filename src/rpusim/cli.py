@@ -294,6 +294,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -140,7 +140,7 @@ def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline
                     end = work + t_reconfig
                     if end > work:
                         prs.append(_new(Phase, (_PR, "reconfig", qid, work, end)))
-                    at = max(scan, end, work)
+                    at = end  # no max(): end >= work, and work >= scan
                 work = at + size / r_acc
                 if work > at:
                     prs.append(_new(Phase, (_PR, "acc-exec", qid, at, work)))
@@ -176,25 +176,55 @@ def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline
     return Timeline(phases=tuple(phases), makespan=makespan)
 
 
-_START_END, _END = attrgetter("start", "end"), attrgetter("end")
+# Phases that tie on start and end sort by label, so a conflict between
+# them names its labels in the same order whatever the input order.
+_ORDER, _END = attrgetter("start", "end", "label"), attrgetter("end")
 
 
 def validate_timeline(timeline: Timeline) -> list[Violation]:
-    """Check a timeline's structural rules; empty result means ok."""
-    out: list[Violation] = []
+    """Check a timeline's structural rules; empty result means ok.
+
+    Each phase whose start or end is not finite, or that ends before it
+    starts, is reported under its input index ``phases[i]``.  Every other
+    rule reads one copy of the phases with finite times, sorted by start,
+    end and label, so the order of the input does not change the result:
+
+    * phases on one resource do not overlap (resources are reported in
+      order of first appearance in the sorted copy);
+    * a query's first accelerator starts once its scan has ended;
+    * its first transfer starts once its last accelerator (or, with none,
+      its scan) has ended;
+    * its first host filter starts once its last transfer has ended;
+    * the makespan equals the largest phase end (0 for no phases).
+    """
     phases = timeline.phases
+    # ``not start <= end`` also holds for a NaN time, which would make the
+    # sort depend on input order; an infinite time shows as the first start
+    # or the max end.  Only then is each phase's time classified.
+    reversed_or_nan = [i for i, p in enumerate(phases) if not p.start <= p.end]
+    ordered = [] if reversed_or_nan else sorted(phases, key=_ORDER)
+    max_end = max(map(_END, ordered), default=0.0)
+    out: list[Violation] = []
+    if reversed_or_nan or (ordered and (ordered[0].start == -math.inf or max_end == math.inf)):
+        ordered = []
+        for i, p in enumerate(phases):
+            if not (math.isfinite(p.start) and math.isfinite(p.end)):
+                out.append(Violation(f"phases[{i}]", f"non-finite time [{p.start}, {p.end})"))
+                continue
+            if not p.start <= p.end:
+                out.append(Violation(f"phases[{i}]", f"end {p.end} before start {p.start}"))
+            ordered.append(p)
+        ordered.sort(key=_ORDER)
+        max_end = max(map(_END, ordered), default=0.0)
     # reconfig and acc-exec share Resource.PR, so the per-resource check
     # reports every PR exclusivity breach, overlapping accelerators included.
     by_resource: dict[Resource, list[Phase]] = {}
     by_query: dict[str, list[Phase]] = {}
-    for i, p in enumerate(phases):
-        if p.end < p.start:
-            out.append(Violation(f"phases[{i}]", f"end {p.end} before start {p.start}"))
+    for p in ordered:
         by_resource.setdefault(p.resource, []).append(p)
         if p.resource is not _IDLE:  # a gap belongs to no query, whatever a query's id
             by_query.setdefault(p.query, []).append(p)
     for resource, group in by_resource.items():
-        group = sorted(group, key=_START_END)
         for a, b in zip(group, group[1:]):
             if b.start < a.end:
                 out.append(
@@ -221,8 +251,6 @@ def validate_timeline(timeline: Timeline) -> list[Violation]:
                 trans.append(p)
             elif label == "dbms":
                 dbms.append(p)
-        accs = sorted(accs, key=_START)
-        dbms = sorted(dbms, key=_START)
         if scan_end is not None and accs and accs[0].start < scan_end:
             out.append(Violation(f"query {qid}", "acc-exec started before scan finished"))
         if trans:
@@ -232,7 +260,6 @@ def validate_timeline(timeline: Timeline) -> list[Violation]:
             if dbms and dbms[0].start < trans[-1].end:
                 out.append(Violation(f"query {qid}", "dbms started before transfer finished"))
 
-    max_end = max(map(_END, phases), default=0.0)
     if timeline.makespan != max_end:
         out.append(
             Violation("makespan", f"makespan {timeline.makespan} != max phase end {max_end}")

@@ -9,6 +9,7 @@ import pickle
 import random
 import sys
 import types
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -371,19 +372,133 @@ class TestValidateTimeline:
         faults = (
             Phase(Resource.PR, "reconfig", "Q1", 20.0, 25.0),  # overlaps Q0's acc-exec
             Phase(Resource.PR, "acc-exec", "Q1", 40.0, 40.5),  # before Q1's scan ends
+            # Q9's later transfer is listed first: its earlier one starts
+            # before the accelerator ends, and its dbms before the later ends
+            Phase(Resource.SCAN, "scan", "Q9", 1000.0, 1001.0),
+            Phase(Resource.PR, "acc-exec", "Q9", 1001.0, 1003.0),
+            Phase(Resource.NET, "transfer", "Q9", 1005.0, 1006.0),
+            Phase(Resource.DBMS, "dbms", "Q9", 1005.5, 1007.0),
+            Phase(Resource.NET, "transfer", "Q9", 1002.0, 1004.0),
         )
         phases = list(timeline.phases + faults)
         ordered = sorted(phases, key=lambda p: (p.start, p.end))
         expected = validate_timeline(Timeline(tuple(ordered), timeline.makespan))
         messages = " | ".join(v.message for v in expected)
         assert "PR conflict: acc-exec" in messages and "acc-exec started before scan finished" in messages
+        assert Violation("query Q9", "transfer started before the last RPU phase") in expected
+        assert Violation("query Q9", "dbms started before transfer finished") in expected
         rng = random.Random(3)
-        for variant in [phases[::-1]] + [rng.sample(phases, len(phases)) for _ in range(20)]:
+        for variant in [phases, phases[::-1]] + [rng.sample(phases, len(phases)) for _ in range(20)]:
             got = validate_timeline(Timeline(tuple(variant), timeline.makespan))
-            # resources are reported in order of first appearance
+            # resources are reported in order of first appearance in the sorted copy
             assert sorted(got, key=lambda v: (v.location, v.message)) == sorted(
                 expected, key=lambda v: (v.location, v.message)
             )
+
+    @pytest.mark.parametrize("later_first", [True, False])
+    def test_earliest_transfer_is_checked_against_the_last_accelerator(self, later_first):
+        transfers = [Phase(Resource.NET, "transfer", "Q0", 5.0, 6.0), Phase(Resource.NET, "transfer", "Q0", 2.0, 4.0)]
+        timeline = Timeline(
+            phases=(
+                Phase(Resource.SCAN, "scan", "Q0", 0.0, 1.0),
+                Phase(Resource.PR, "acc-exec", "Q0", 1.0, 3.0),
+                *(transfers if later_first else transfers[::-1]),
+            ),
+            makespan=6.0,
+        )
+        assert validate_timeline(timeline) == [Violation("query Q0", "transfer started before the last RPU phase")]
+
+    @pytest.mark.parametrize("later_first", [True, False])
+    def test_first_dbms_is_checked_against_the_last_transfer(self, later_first):
+        transfers = [Phase(Resource.NET, "transfer", "Q0", 3.0, 5.0), Phase(Resource.NET, "transfer", "Q0", 1.0, 2.0)]
+        timeline = Timeline(
+            phases=(
+                Phase(Resource.SCAN, "scan", "Q0", 0.0, 1.0),
+                *(transfers if later_first else transfers[::-1]),
+                Phase(Resource.DBMS, "dbms", "Q0", 4.0, 6.0),
+            ),
+            makespan=6.0,
+        )
+        assert validate_timeline(timeline) == [Violation("query Q0", "dbms started before transfer finished")]
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [
+            (math.nan, math.nan),
+            (math.nan, 6.0),
+            (5.0, math.nan),
+            (5.0, math.inf),
+            (math.inf, math.inf),
+            (math.inf, 6.0),
+            (-math.inf, 6.0),
+            (-math.inf, -math.inf),
+        ],
+    )
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_phase_with_a_non_finite_time_is_reported_and_left_out(self, start, end, bad_first):
+        good = (Phase(Resource.SCAN, "scan", "Q0", 0.0, 5.0), Phase(Resource.NET, "transfer", "Q0", 5.0, 6.0))
+        bad = Phase(Resource.SCAN, "scan", "Q1", start, end)
+        timeline = Timeline(phases=(bad, *good) if bad_first else (*good, bad), makespan=6.0)
+        where = 0 if bad_first else 2
+        assert validate_timeline(timeline) == [Violation(f"phases[{where}]", f"non-finite time [{start}, {end})")]
+
+    def test_infinite_makespan_of_an_infinite_phase_is_reported(self):
+        timeline = Timeline(phases=(Phase(Resource.SCAN, "scan", "Q0", 0.0, math.inf),), makespan=math.inf)
+        assert validate_timeline(timeline) == [
+            Violation("phases[0]", "non-finite time [0.0, inf)"),
+            Violation("makespan", "makespan inf != max phase end 0.0"),
+        ]
+
+    def test_non_finite_and_reversed_phases_are_reported_in_input_order(self):
+        # the reversed phase, unlike the non-finite one, still takes part in the other rules
+        timeline = Timeline(
+            phases=(
+                Phase(Resource.SCAN, "scan", "Q0", 0.0, 6.0),
+                Phase(Resource.SCAN, "scan", "Q1", 5.0, 1.0),
+                Phase(Resource.DBMS, "dbms", "Q1", math.nan, 7.0),
+                Phase(Resource.NET, "transfer", "Q1", 5.0, 7.0),
+            ),
+            makespan=7.0,
+        )
+        assert validate_timeline(timeline) == [
+            Violation("phases[1]", "end 1.0 before start 5.0"),
+            Violation("phases[2]", "non-finite time [nan, 7.0)"),
+            Violation("resource SCAN", "SCAN conflict: scan [0.0, 6.0) overlaps scan [5.0, 1.0)"),
+        ]
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=_mixed_mode_cases(), data=st.data())
+    def test_shuffled_phases_get_the_same_violations(self, case, data):
+        """A simulated timeline, damaged (times shifted, copied from another
+        phase, made non-finite, phases repeated, a wrong makespan), then
+        shuffled: each phase keeps its own ``phases[i]`` violations under its
+        new index, and the other violations are the same.  Times stay off
+        -0.0, which compares equal to 0.0 but prints differently."""
+        timeline = simulate(*case)
+        phases = list(timeline.phases)
+        non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+        for i in range(len(phases)):
+            p = phases[i]
+            how = data.draw(st.sampled_from(["keep", "keep", "shift", "copy", "non-finite", "repeat"]))
+            if how == "shift":
+                shift = st.one_of(st.just(0.0), st.floats(-20.0, 20.0))
+                phases[i] = p._replace(start=p.start + data.draw(shift), end=p.end + data.draw(shift))
+            elif how == "copy":
+                other = phases[data.draw(st.integers(0, len(phases) - 1))]
+                phases[i] = p._replace(start=other.start, end=other.end)
+            elif how == "non-finite":
+                phases[i] = p._replace(**{data.draw(st.sampled_from(["start", "end"])): data.draw(non_finite)})
+            elif how == "repeat":
+                phases.append(p._replace(start=p.start + data.draw(st.floats(-5.0, 5.0))))
+        makespan = data.draw(st.one_of(st.just(timeline.makespan), non_finite, st.floats(0.0, 500.0)))
+        order = data.draw(st.permutations(range(len(phases))))
+
+        def split(violations, index):
+            located = Counter((index(int(v.location[7:-1])), v.message) for v in violations if v.location.startswith("phases["))
+            return located, Counter(v for v in violations if not v.location.startswith("phases["))
+
+        got = validate_timeline(Timeline(tuple(phases[i] for i in order), makespan))
+        assert split(got, order.__getitem__) == split(validate_timeline(Timeline(tuple(phases), makespan)), int)
 
 
 class TestTimelineCsv:
