@@ -197,6 +197,8 @@ def _cmd_mine(args) -> int:
         if not mined:
             raise ValueError("no recurring sequence found, nothing to emit")
         texts.append((args.workload_out, workload_json(to_workload(mined[0], catalog))))
+    elif args.catalog:
+        raise ValueError("--catalog is read only with --workload-out")
     report = report_csv(mined)
     if args.out:
         texts.append((args.out, report))

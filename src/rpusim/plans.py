@@ -120,10 +120,10 @@ def _plan_iv(seq: QuerySequence, local: _LocalIds) -> _Built | None:
     # its own predecessor must leave loaded.
     queries = seq.queries
     swapped_any = False
-    needed_first = None
+    needed_first = None  # the last query has no successor, and no order holds None
     for i in range(len(queries) - 1, -1, -1):
         q, order = queries[i], local[i]
-        if i < len(queries) - 1 and len(order) >= 2 and q._all_commute and needed_first in order:
+        if len(order) >= 2 and q._all_commute and needed_first in order:
             swapped_any = True  # also when already in place: the swap is the identity
             if order[-1] != needed_first:
                 order = tuple(op_id for op_id in order if op_id != needed_first) + (needed_first,)

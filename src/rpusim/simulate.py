@@ -31,10 +31,16 @@ Zero-length phases are scheduled like any other but omitted from the
 emitted timeline.  :func:`validate_timeline` checks resource exclusivity.
 
 :func:`simulate` reads a checked plan the way the cost fold does, each
-query's RPU order of op ids and its boundary mode.  It is one flat loop
-that keeps each resource's kept phases in a list of their own, with no
-Python-level call per phase; the lists are sorted into one timeline at the
-end.
+query's RPU order of op ids and its boundary mode.  It is one flat loop,
+with no Python-level call per phase, that appends each kept phase to one
+list as it releases it and sorts that list once by start.  The stable sort
+keeps the documented order (start, then resource name) because phases that
+start together are always released in name order.  Only these can tie: a
+gap and the next query's leading reconfiguration (IDLE, PR); a leading
+reconfiguration and its scan (PR, SCAN); a transfer or host filter and the
+successor's HOLD or SPECULATIVE reconfiguration (NET or DBMS, PR).  Every
+other phase of a query starts at or after its scan ends, and every phase of
+a later query at or after its predecessor hands the PR over.
 """
 
 from __future__ import annotations
@@ -103,20 +109,15 @@ def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline
     r_network, c_dbms = profile.r_network, profile.c_dbms
     # Each phase starts at its release time ``at``: its resource is free by
     # then (see the module docstring), and a phase of zero length is not kept.
-    scans: list[Phase] = []
-    prs: list[Phase] = []
-    nets: list[Phase] = []
-    dbms: list[Phase] = []
-    idles: list[Phase] = []
+    phases: list[Phase] = []
     loaded: str | None = None
-    arrival = tail = handoff = 0.0  # the first query arrives at 0
+    tail = handoff = 0.0  # the first query's gap is 0, so it arrives at 0
 
-    for q, order, mode, gap in zip(seq.queries, plan.rpu_order, (_BASELINE, *plan.modes), (None, *seq.gaps)):
+    for q, order, mode, gap in zip(seq.queries, plan.rpu_order, (_BASELINE, *plan.modes), (0.0, *seq.gaps)):
         qid, size = q.id, q.table.size_mb
-        if gap is not None:
-            arrival = tail + gap
-            if arrival > tail:
-                idles.append(_new(Phase, (_IDLE, "gap", GAP_QUERY, tail, arrival)))
+        arrival = tail + gap
+        if arrival > tail:
+            phases.append(_new(Phase, (_IDLE, "gap", GAP_QUERY, tail, arrival)))
 
         lead = 0.0  # with no leading reconfiguration, it raises no max() below
         if order and loaded != order[0]:
@@ -125,11 +126,11 @@ def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline
             at = arrival if mode is _BASELINE else handoff
             lead = at + t_reconfig
             if lead > at:
-                prs.append(_new(Phase, (_PR, "reconfig", qid, at, lead)))
+                phases.append(_new(Phase, (_PR, "reconfig", qid, at, lead)))
         at = max(arrival, lead) if mode is _HOLD else arrival
         work = scan = at + size / r_scan
         if scan > at:
-            scans.append(_new(Phase, (_SCAN, "scan", qid, at, scan)))
+            phases.append(_new(Phase, (_SCAN, "scan", qid, at, scan)))
 
         if order:
             by_id = q._ops_by_id
@@ -139,45 +140,35 @@ def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline
                     # each further accelerator reconfigures after the last one
                     end = work + t_reconfig
                     if end > work:
-                        prs.append(_new(Phase, (_PR, "reconfig", qid, work, end)))
+                        phases.append(_new(Phase, (_PR, "reconfig", qid, work, end)))
                     at = end  # no max(): end >= work, and work >= scan
                 work = at + size / r_acc
                 if work > at:
-                    prs.append(_new(Phase, (_PR, "acc-exec", qid, at, work)))
+                    phases.append(_new(Phase, (_PR, "acc-exec", qid, at, work)))
                 size *= by_id[op_id].selectivity
             loaded = order[-1]
 
         handoff = work
         tail = work + size / r_network
         if tail > work:
-            nets.append(_new(Phase, (_NET, "transfer", qid, work, tail)))
+            phases.append(_new(Phase, (_NET, "transfer", qid, work, tail)))
         for op in _host_ops(q, order):
             at = tail
             tail = at + c_dbms * size
             if tail > at:
-                dbms.append(_new(Phase, (_DBMS, "dbms", qid, at, tail)))
+                phases.append(_new(Phase, (_DBMS, "dbms", qid, at, tail)))
             size *= op.selectivity
 
     makespan = tail  # no phase ends after the last query's completion
     if not math.isfinite(makespan):
         raise NonFiniteResultError(f"simulated makespan overflows: {makespan!r} ms")
-    # Each resource's kept phases start strictly later than the one before
-    # (a kept phase ends after it starts, and the next one on its resource
-    # starts no earlier), so phases that start together are on different
-    # resources.  One stable sort by start of the lanes laid end to end in
-    # ``value`` order (DBMS, IDLE, NET, PR, SCAN) therefore orders phases by
-    # start, then resource.
-    phases = dbms
-    phases += idles
-    phases += nets
-    phases += prs
-    phases += scans
-    phases.sort(key=_START)
+    phases.sort(key=_START)  # stable: ties keep release order, which is name order
     return Timeline(phases=tuple(phases), makespan=makespan)
 
 
 # Phases that tie on start and end sort by label, so a conflict between
-# them names its labels in the same order whatever the input order.
+# them names its labels in the same order whatever the input order.  -0.0
+# ties with 0.0, so messages print each time as ``t + 0.0``, which is 0.0.
 _ORDER, _END = attrgetter("start", "end", "label"), attrgetter("end")
 
 
@@ -230,8 +221,8 @@ def validate_timeline(timeline: Timeline) -> list[Violation]:
                 out.append(
                     Violation(
                         f"resource {resource.value}",
-                        f"{resource.value} conflict: {a.label} [{a.start}, {a.end}) "
-                        f"overlaps {b.label} [{b.start}, {b.end})",
+                        f"{resource.value} conflict: {a.label} [{a.start + 0.0}, {a.end + 0.0}) "
+                        f"overlaps {b.label} [{b.start + 0.0}, {b.end + 0.0})",
                     )
                 )
 
@@ -262,7 +253,7 @@ def validate_timeline(timeline: Timeline) -> list[Violation]:
 
     if timeline.makespan != max_end:
         out.append(
-            Violation("makespan", f"makespan {timeline.makespan} != max phase end {max_end}")
+            Violation("makespan", f"makespan {timeline.makespan + 0.0} != max phase end {max_end + 0.0}")
         )
     return out
 

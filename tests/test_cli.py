@@ -488,6 +488,20 @@ class TestMineCommand:
         assert out == "" and message in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("exists", [True, False], ids=["valid-catalog", "missing-catalog"])
+    def test_catalog_without_workload_out_is_an_error(self, tmp_path, capsys, exists):
+        log = tmp_path / "queries.log"
+        log.write_text("\n".join(planted_log_lines()) + "\n", encoding="utf-8")
+        catalog_path = tmp_path / "catalog.json"
+        if exists:
+            catalog_path.write_text(json.dumps(catalog_doc()), encoding="utf-8")
+        report = tmp_path / "r.csv"
+        args = ["mine", "--log", str(log), "--min-support", "5", "--max-gap", "50", "--out", str(report),
+                "--catalog", str(catalog_path)]
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", "error: --catalog is read only with --workload-out\n")
+        assert not report.exists()
+
     def test_unwritable_workload_out_is_io_error_before_any_output(self, tmp_path, capsys):
         log = tmp_path / "queries.log"
         log.write_text("\n".join(planted_log_lines()) + "\n", encoding="utf-8")

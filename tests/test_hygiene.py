@@ -2,7 +2,9 @@
 
 Every module of the package must use each name it imports: an import that
 outlives the code that needed it is dead weight and hides which modules
-really depend on which.
+really depend on which.  Likewise every private module-level name must be
+read by some module of the package: a helper, table or constant that
+outlives its last caller is dead code.
 """
 
 from __future__ import annotations
@@ -48,6 +50,43 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private names (``_x``, not ``__x__``) bound at module level in
+    ``sources`` (module name to source) that no module reads, each as
+    ``module._x (line n)``.
+
+    A name counts as read where its own module loads it, where a module
+    imports it from its module (``from .m import _x``), and where any
+    module reads an attribute of that name.
+    """
+    defined: dict[tuple[str, str], int] = {}
+    read: set[tuple[str, str]] = set()
+    attributes: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[module, node.name] = node.lineno
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            defined[module, name.id] = node.lineno
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((module, node.id))
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                read.update((node.module, alias.name) for alias in node.names)
+    return [
+        f"{module}.{name} (line {line})"
+        for (module, name), line in sorted(defined.items())
+        if name.startswith("_") and not name.startswith("__") and (module, name) not in read and name not in attributes
+    ]
+
+
 def test_the_package_has_modules():
     assert {path.name for path in MODULES} >= {"__init__.py", "simulate.py", "plans.py", "cost.py"}
 
@@ -70,6 +109,39 @@ def test_unused_imports_finds_what_a_module_never_reads():
         "    return math.inf if check_plan(plan, None) else os.path.sep\n"
     )
     assert unused_imports(source) == ["_host_ops (line 5)", "lower (line 5)"]
+
+
+def test_every_private_module_level_name_is_read():
+    assert unread_private_names({path.stem: path.read_text(encoding="utf-8") for path in MODULES}) == []
+
+
+def test_unread_private_names_finds_what_no_module_reads():
+    sources = {
+        "a": (
+            "import math\n"
+            "_LOCAL = 1\n"
+            "_IMPORTED: int = 2\n"
+            "_ATTR, _UNREAD_TOO = 3, 4\n"
+            "__all__ = []\n"
+            "def _unread():\n"
+            "    _shadow = _LOCAL\n"
+            "    return _shadow\n"
+            "class _Cls:\n"
+            "    _field = 0\n"
+        ),
+        "b": (
+            "from .a import _IMPORTED\n"
+            "from .c import _Cls\n"
+            "_STORED = None\n"
+            "_STORED = object()._ATTR\n"
+        ),
+    }
+    assert unread_private_names(sources) == [
+        "a._Cls (line 9)",
+        "a._UNREAD_TOO (line 4)",
+        "a._unread (line 6)",
+        "b._STORED (line 4)",
+    ]
 
 
 def test_every_strategy_has_exactly_one_builder_table_entry():

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from rpusim import (
     STRATEGY_ORDER,
+    DeviceProfile,
     FilterOp,
     GAP_QUERY,
     IllegalPlanError,
@@ -466,20 +467,40 @@ class TestValidateTimeline:
             Violation("resource SCAN", "SCAN conflict: scan [0.0, 6.0) overlaps scan [5.0, 1.0)"),
         ]
 
+    def test_signed_zeros_print_alike_in_either_order(self):
+        # 0.0 and -0.0 tie in the sort, so their input order survives it
+        cases = [
+            (
+                (Phase(Resource.PR, "reconfig", "Q0", 0.0, 3.0), Phase(Resource.PR, "reconfig", "Q1", -0.0, 3.0)),
+                3.0,
+                [Violation("resource PR", "PR conflict: reconfig [0.0, 3.0) overlaps reconfig [0.0, 3.0)")],
+            ),
+            (
+                (Phase(Resource.SCAN, "scan", "Q0", -1.0, 0.0), Phase(Resource.SCAN, "scan", "Q1", -1.0, -0.0)),
+                5.0,
+                [
+                    Violation("resource SCAN", "SCAN conflict: scan [-1.0, 0.0) overlaps scan [-1.0, 0.0)"),
+                    Violation("makespan", "makespan 5.0 != max phase end 0.0"),
+                ],
+            ),
+        ]
+        for phases, makespan, violations in cases:
+            for order in (phases, phases[::-1]):
+                assert validate_timeline(Timeline(order, makespan)) == violations
+
     @settings(deadline=None, max_examples=300)
     @given(case=_mixed_mode_cases(), data=st.data())
     def test_shuffled_phases_get_the_same_violations(self, case, data):
         """A simulated timeline, damaged (times shifted, copied from another
         phase, made non-finite, phases repeated, a wrong makespan), then
         shuffled: each phase keeps its own ``phases[i]`` violations under its
-        new index, and the other violations are the same.  Times stay off
-        -0.0, which compares equal to 0.0 but prints differently."""
+        new index, and the other violations are the same."""
         timeline = simulate(*case)
         phases = list(timeline.phases)
         non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
         for i in range(len(phases)):
             p = phases[i]
-            how = data.draw(st.sampled_from(["keep", "keep", "shift", "copy", "non-finite", "repeat"]))
+            how = data.draw(st.sampled_from(["keep", "keep", "shift", "copy", "non-finite", "signed-zero", "repeat"]))
             if how == "shift":
                 shift = st.one_of(st.just(0.0), st.floats(-20.0, 20.0))
                 phases[i] = p._replace(start=p.start + data.draw(shift), end=p.end + data.draw(shift))
@@ -488,6 +509,8 @@ class TestValidateTimeline:
                 phases[i] = p._replace(start=other.start, end=other.end)
             elif how == "non-finite":
                 phases[i] = p._replace(**{data.draw(st.sampled_from(["start", "end"])): data.draw(non_finite)})
+            elif how == "signed-zero":
+                phases[i] = p._replace(**{data.draw(st.sampled_from(["start", "end"])): data.draw(st.sampled_from([0.0, -0.0]))})
             elif how == "repeat":
                 phases.append(p._replace(start=p.start + data.draw(st.floats(-5.0, 5.0))))
         makespan = data.draw(st.one_of(st.just(timeline.makespan), non_finite, st.floats(0.0, 500.0)))
@@ -542,19 +565,55 @@ def _pinned(phases) -> list[tuple]:
     return [(p.resource, p.label, p.query, p.start.hex(), p.end.hex()) for p in phases]
 
 
+def _tie_heavy_case(rng: random.Random) -> tuple[QuerySequence, DeviceProfile]:
+    """2-8 queries with whole-MB sizes of 0-4, gaps of 0-2 ms and round
+    device rates, so phases of different resources often start together."""
+    n = rng.randint(2, 8)
+    queries = tuple(
+        Query(
+            f"Q{qi}",
+            TableSpec(f"t{qi}", float(rng.randint(0, 4))),
+            tuple(
+                FilterOp(op_id, rng.choice((0.0, 0.25, 0.5, 1.0)), commutes=rng.random() > 0.2)
+                for op_id in rng.sample(("a", "b", "c", "d"), rng.randint(1, 3))
+            ),
+        )
+        for qi in range(n)
+    )
+    gaps = tuple(float(rng.randint(0, 2)) for _ in range(n - 1))
+    round_rate = (0.5, 1.0, 2.0, 4.0)
+    profile = DeviceProfile(
+        t_reconfig=rng.choice(round_rate),
+        r_scan=rng.choice(round_rate),
+        r_acc=rng.choice(round_rate),
+        r_network=rng.choice(round_rate),
+        c_dbms=rng.choice((0.125, 0.25, 0.5, 1.0)),
+    )
+    return QuerySequence(queries, gaps), profile
+
+
 class TestPhaseOrder:
     def test_phases_sorted_by_start_then_resource_name(self):
         rng = random.Random(2053)
-        ties = 0
-        for _ in range(200):
-            seq, profile = random_sequence(rng), random_profile(rng)
+        cases = [(random_sequence(rng), random_profile(rng)) for _ in range(200)]
+        cases += [_tie_heavy_case(rng) for _ in range(200)]
+        ties: Counter = Counter()
+        for seq, profile in cases:
             for plan in enumerate_plans(seq) + [random_plan(rng, seq) for _ in range(2)]:
                 phases = simulate(seq, plan, profile).phases
                 reference = sorted(phases, key=lambda p: (p.start, p.resource.value, p.end, p.label, p.query))
                 assert _pinned(phases) == _pinned(reference), (plan, seq)
-                ties += sum(a.start == b.start and a.resource is not b.resource for a, b in zip(phases, phases[1:]))
-        # resources often start together (a scan and a reconfiguration at 0)
-        assert ties > 500
+                ties.update(
+                    (a.resource.value, b.resource.value)
+                    for a, b in zip(phases, phases[1:])
+                    if a.start == b.start and a.resource is not b.resource
+                )
+        # resources often start together (a scan and a reconfiguration at
+        # 0), and each tie that the simulator's release order must get right
+        # occurs: a gap and the next reconfiguration, a reconfiguration and
+        # its scan, a transfer and the successor's early reconfiguration
+        assert sum(ties.values()) > 500
+        assert ties.keys() >= {("IDLE", "PR"), ("PR", "SCAN"), ("NET", "PR")}, ties
 
     def test_resources_are_dict_keys_and_pickle(self, paper_seq, profile):
         names = {resource: resource.value for resource in Resource}
