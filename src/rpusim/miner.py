@@ -100,7 +100,9 @@ def fingerprint(text: str) -> str:
 class LogEntry:
     """One log line; ``template_id`` is its text's ``fingerprint``.
 
-    Built directly, an entry fingerprints its text.  ``parse_log`` builds
+    Built directly, an entry rejects a non-finite timestamp and a duration
+    that is not finite and >= 0 with :class:`MiningError`, and fingerprints
+    its text.  ``parse_log`` checks each line's fields itself and builds
     each entry with the id of its text's shape, templated once per call.
     """
 
@@ -110,6 +112,10 @@ class LogEntry:
     template_id: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.timestamp_ms):
+            raise MiningError(f"non-finite timestamp {self.timestamp_ms!r}")
+        if self.duration_ms is not None and not 0.0 <= self.duration_ms < math.inf:
+            raise MiningError(f"duration must be finite and >= 0, got {self.duration_ms!r}")
         object.__setattr__(self, "template_id", fingerprint(self.text))
 
 

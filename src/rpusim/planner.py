@@ -10,6 +10,7 @@ or reload it speculatively during the transfer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -85,7 +86,9 @@ def generate_hints(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> li
     Each hint names the shared accelerators in the successor's streaming
     order and carries the pair's expected gap and the successor's scan-time
     estimate.  The plan is checked through :func:`rpusim.plans.check_plan`,
-    so a plan the sequence has already checked is not checked again.
+    so a plan the sequence has already checked is not checked again.  A
+    successor whose scan estimate overflows raises
+    :class:`NonFiniteResultError`.
     """
     check_plan(plan, seq)
     hints: list[Hint] = []
@@ -96,6 +99,8 @@ def generate_hints(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> li
         ordered = [op_id for op_id in order if op_id in shared]
         ordered += [op_id for op_id in shared if op_id not in ordered]
         scan = succ.table.size_mb / profile.r_scan
+        if scan == math.inf:  # size and rate are finite, so only an overflow
+            raise NonFiniteResultError(f"expected scan of {succ.id} overflows: {scan!r} ms")
         hints.append(Hint(next_accelerators=tuple(ordered), expected_gap=gap, expected_scan=scan))
     return hints
 
@@ -112,9 +117,15 @@ def rpu_policy(
     that accelerator moved last (legal only if the query streams it and all
     its operators commute) then a BASELINE boundary.  The rationale keeps
     the paper's inequality terms (``t_trans`` is the running query's
-    transfer plus host work) and adds both totals.  An ``index`` that
-    names no query raises :class:`ValueError`.
+    transfer plus host work) and adds both totals.  A hint whose
+    ``expected_gap`` or ``expected_scan`` is not finite and >= 0, and an
+    ``index`` that names no query, raise :class:`ValueError`.
     """
+    if hint is not None:
+        for name in ("expected_gap", "expected_scan"):
+            value = getattr(hint, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"Hint.{name} must be finite and >= 0, got {value!r}")
     check_plan(plan, seq)
     if not 0 <= index < len(seq.queries):
         raise ValueError(f"query index {index} is outside [0, {len(seq.queries)})")

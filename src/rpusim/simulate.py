@@ -48,6 +48,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -170,6 +171,8 @@ def simulate(seq: QuerySequence, plan: Plan, profile: DeviceProfile) -> Timeline
 # them names its labels in the same order whatever the input order.  -0.0
 # ties with 0.0, so messages print each time as ``t + 0.0``, which is 0.0.
 _ORDER, _END = attrgetter("start", "end", "label"), attrgetter("end")
+_INF = math.inf
+_RESOURCES = tuple(Resource)  # iterating the Enum class runs a Python generator
 
 
 def validate_timeline(timeline: Timeline) -> list[Violation]:
@@ -178,10 +181,10 @@ def validate_timeline(timeline: Timeline) -> list[Violation]:
     Each phase whose start or end is not finite, or that ends before it
     starts, is reported under its input index ``phases[i]``.  Every other
     rule reads one copy of the phases with finite times, sorted by start,
-    end and label, so the order of the input does not change the result:
+    end and label, so only the ``phases[i]`` indexes follow the input order:
 
     * phases on one resource do not overlap (resources are reported in
-      order of first appearance in the sorted copy);
+      :class:`Resource` declaration order);
     * a query's first accelerator starts once its scan has ended;
     * its first transfer starts once its last accelerator (or, with none,
       its scan) has ended;
@@ -189,32 +192,28 @@ def validate_timeline(timeline: Timeline) -> list[Violation]:
     * the makespan equals the largest phase end (0 for no phases).
     """
     phases = timeline.phases
-    # ``not start <= end`` also holds for a NaN time, which would make the
-    # sort depend on input order; an infinite time shows as the first start
-    # or the max end.  Only then is each phase's time classified.
-    reversed_or_nan = [i for i, p in enumerate(phases) if not p.start <= p.end]
-    ordered = [] if reversed_or_nan else sorted(phases, key=_ORDER)
-    max_end = max(map(_END, ordered), default=0.0)
+    # fails for a NaN or infinite time and for a reversed phase
+    flagged = [(i, p) for i, p in enumerate(phases) if not -_INF < p.start <= p.end < _INF]
     out: list[Violation] = []
-    if reversed_or_nan or (ordered and (ordered[0].start == -math.inf or max_end == math.inf)):
-        ordered = []
-        for i, p in enumerate(phases):
-            if not (math.isfinite(p.start) and math.isfinite(p.end)):
-                out.append(Violation(f"phases[{i}]", f"non-finite time [{p.start}, {p.end})"))
-                continue
-            if not p.start <= p.end:
-                out.append(Violation(f"phases[{i}]", f"end {p.end} before start {p.start}"))
-            ordered.append(p)
-        ordered.sort(key=_ORDER)
-        max_end = max(map(_END, ordered), default=0.0)
+    non_finite: set[int] = set()
+    for i, p in flagged:
+        if math.isfinite(p.start) and math.isfinite(p.end):  # reversed: kept in the copy
+            out.append(Violation(f"phases[{i}]", f"end {p.end} before start {p.start}"))
+        else:
+            out.append(Violation(f"phases[{i}]", f"non-finite time [{p.start}, {p.end})"))
+            non_finite.add(i)
+    if non_finite:
+        phases = [p for i, p in enumerate(phases) if i not in non_finite]
+    ordered = sorted(phases, key=_ORDER)
+    max_end = max(map(_END, ordered), default=0.0)
     # reconfig and acc-exec share Resource.PR, so the per-resource check
     # reports every PR exclusivity breach, overlapping accelerators included.
-    by_resource: dict[Resource, list[Phase]] = {}
-    by_query: dict[str, list[Phase]] = {}
+    by_resource: dict[Resource, list[Phase]] = {r: [] for r in _RESOURCES}
+    by_query: defaultdict[str, list[Phase]] = defaultdict(list)
     for p in ordered:
-        by_resource.setdefault(p.resource, []).append(p)
+        by_resource[p.resource].append(p)
         if p.resource is not _IDLE:  # a gap belongs to no query, whatever a query's id
-            by_query.setdefault(p.query, []).append(p)
+            by_query[p.query].append(p)
     for resource, group in by_resource.items():
         for a, b in zip(group, group[1:]):
             if b.start < a.end:
@@ -258,11 +257,24 @@ def validate_timeline(timeline: Timeline) -> list[Violation]:
     return out
 
 
+def _csv_time(t: float) -> tuple[bool, float]:
+    """A sort key for a time: NaN equals nothing, not even itself, so it
+    sorts as one value after every number."""
+    return (True, 0.0) if t != t else (False, t)
+
+
 def timeline_csv(timeline: Timeline) -> str:
-    """Render the timeline as CSV, sorted by start time then resource."""
-    rows = sorted(timeline.phases, key=lambda p: (p.start, p.resource.value))
+    """Render the timeline as CSV, sorted by start, resource name, end, label
+    and query, so the bytes do not depend on the input order.  Times print
+    as ``t + 0.0``, so -0.0 prints as 0.0."""
+    rows = sorted(
+        timeline.phases,
+        key=lambda p: (_csv_time(p.start), p.resource.value, _csv_time(p.end), p.label, p.query),
+    )
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")  # quotes an id with a comma, quote or line break
     writer.writerow(("resource", "label", "query", "start_ms", "end_ms"))
-    writer.writerows((p.resource.value, p.label, p.query, f"{p.start:.6f}", f"{p.end:.6f}") for p in rows)
+    writer.writerows(
+        (p.resource.value, p.label, p.query, f"{p.start + 0.0:.6f}", f"{p.end + 0.0:.6f}") for p in rows
+    )
     return out.getvalue()

@@ -100,6 +100,22 @@ class TestFingerprint:
         with pytest.raises(MiningError, match="empty query text"):
             LogEntry(5.0, "   ")
 
+    @pytest.mark.parametrize("ts", [math.nan, math.inf, -math.inf])
+    def test_log_entry_rejects_a_non_finite_timestamp(self, ts):
+        with pytest.raises(MiningError) as info:
+            LogEntry(ts, "QRY A", 1.0)
+        assert str(info.value) == f"non-finite timestamp {ts!r}"
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf, -100.0, -5e-324])
+    def test_log_entry_rejects_a_duration_that_is_not_finite_and_at_least_0(self, duration):
+        with pytest.raises(MiningError) as info:
+            LogEntry(5.0, "QRY A", duration)
+        assert str(info.value) == f"duration must be finite and >= 0, got {duration!r}"
+
+    def test_log_entry_takes_a_zero_or_missing_duration(self):
+        for duration in (None, 0.0, -0.0):
+            assert LogEntry(-5.0, "QRY A", duration).duration_ms == duration
+
     @given(st.text(alphabet=st.characters(codec="ascii"), min_size=1, max_size=80))
     def test_normalization_is_idempotent(self, text):
         if not text.strip():

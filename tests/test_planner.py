@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from pathlib import Path
@@ -10,13 +11,16 @@ from rpusim import (
     FilterOp,
     Hint,
     Mode,
+    NonFiniteResultError,
     Plan,
     Query,
     QuerySequence,
     ReconfigChoice,
     Strategy,
     TableSpec,
+    calibrated_profile,
     choose_plan,
+    default_scenario,
     enumerate_plans,
     generate_hints,
     plan_cost,
@@ -89,6 +93,14 @@ class TestGenerateHints:
         )
         plan = strategy_plan(seq, Strategy.S)
         assert generate_hints(seq, plan, profile) == []
+
+    def test_overflowing_scan_estimate_is_an_error(self):
+        seq = default_scenario()
+        tiny = dataclasses.replace(calibrated_profile(), r_scan=1e-310)
+        plan = strategy_plan(seq, Strategy.III)
+        with pytest.raises(NonFiniteResultError) as info:
+            generate_hints(seq, plan, tiny)
+        assert str(info.value) == "expected scan of Q1 overflows: inf ms"
 
     def test_three_query_chain(self, profile):
         from rpusim import FilterOp, Query, QuerySequence, TableSpec
@@ -203,6 +215,23 @@ class TestRpuPolicy:
         for index in (-1, len(paper_seq.queries)):
             with pytest.raises(ValueError, match=rf"query index {index} is outside \[0, 2\)"):
                 rpu_policy(hint, paper_seq, plan, index, profile)
+
+    @pytest.mark.parametrize("field", ["expected_gap", "expected_scan"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_hint_time_that_is_not_finite_and_at_least_0_is_a_value_error(self, paper_seq, profile, field, value):
+        hint = dataclasses.replace(Hint(("acc0",), 1.0, 1.0), **{field: value})
+        for strategy in (Strategy.S, Strategy.III):
+            with pytest.raises(ValueError) as info:
+                self._first(hint, paper_seq, profile, strategy)
+            assert str(info.value) == f"Hint.{field} must be finite and >= 0, got {value!r}"
+        # checked even when the hint names no accelerator
+        with pytest.raises(ValueError):
+            self._first(dataclasses.replace(hint, next_accelerators=()), paper_seq, profile)
+
+    def test_hint_with_zero_times_is_taken(self, paper_seq, profile):
+        for zero in (0.0, -0.0):
+            decision = self._first(Hint(("acc0",), zero, zero), paper_seq, profile)
+            assert all(math.isfinite(v) for v in decision.rationale.values())
 
 
 def test_readme_library_quickstart_runs(capsys):

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import importlib
 import io
+import itertools
 import math
 import pickle
 import random
@@ -48,6 +49,14 @@ def _phase(timeline, label, query):
     matches = [p for p in timeline.phases if p.label == label and p.query == query]
     assert matches, f"no {label} phase for {query}"
     return matches
+
+
+def _split(violations, index):
+    """The ``phases[i]`` violations as sorted ``(index[i], message)`` pairs,
+    where ``index`` maps a position in the checked timeline to a phase's
+    original position, and the other violations as a list."""
+    located = sorted((index[int(v.location[7:-1])], v.message) for v in violations if v.location.startswith("phases["))
+    return located, [v for v in violations if not v.location.startswith("phases[")]
 
 
 class TestReferenceTimelines:
@@ -390,11 +399,7 @@ class TestValidateTimeline:
         assert Violation("query Q9", "dbms started before transfer finished") in expected
         rng = random.Random(3)
         for variant in [phases, phases[::-1]] + [rng.sample(phases, len(phases)) for _ in range(20)]:
-            got = validate_timeline(Timeline(tuple(variant), timeline.makespan))
-            # resources are reported in order of first appearance in the sorted copy
-            assert sorted(got, key=lambda v: (v.location, v.message)) == sorted(
-                expected, key=lambda v: (v.location, v.message)
-            )
+            assert validate_timeline(Timeline(tuple(variant), timeline.makespan)) == expected
 
     @pytest.mark.parametrize("later_first", [True, False])
     def test_earliest_transfer_is_checked_against_the_last_accelerator(self, later_first):
@@ -488,6 +493,18 @@ class TestValidateTimeline:
             for order in (phases, phases[::-1]):
                 assert validate_timeline(Timeline(order, makespan)) == violations
 
+    def test_resource_conflicts_come_in_resource_order(self):
+        # SCAN and NET phases that tie on start, end and label: the conflicts
+        # are listed in Resource declaration order, whichever comes first
+        scan_x, net_x = Phase(Resource.SCAN, "x", "Q0", 0.0, 2.0), Phase(Resource.NET, "x", "Q0", 0.0, 2.0)
+        scan_y, net_y = Phase(Resource.SCAN, "y", "Q0", 1.0, 3.0), Phase(Resource.NET, "y", "Q0", 1.0, 3.0)
+        expected = [
+            Violation("resource SCAN", "SCAN conflict: x [0.0, 2.0) overlaps y [1.0, 3.0)"),
+            Violation("resource NET", "NET conflict: x [0.0, 2.0) overlaps y [1.0, 3.0)"),
+        ]
+        for phases in ((scan_x, net_x, scan_y, net_y), (net_x, scan_x, net_y, scan_y)):
+            assert validate_timeline(Timeline(phases, 3.0)) == expected
+
     @settings(deadline=None, max_examples=300)
     @given(case=_mixed_mode_cases(), data=st.data())
     def test_shuffled_phases_get_the_same_violations(self, case, data):
@@ -515,13 +532,9 @@ class TestValidateTimeline:
                 phases.append(p._replace(start=p.start + data.draw(st.floats(-5.0, 5.0))))
         makespan = data.draw(st.one_of(st.just(timeline.makespan), non_finite, st.floats(0.0, 500.0)))
         order = data.draw(st.permutations(range(len(phases))))
-
-        def split(violations, index):
-            located = Counter((index(int(v.location[7:-1])), v.message) for v in violations if v.location.startswith("phases["))
-            return located, Counter(v for v in violations if not v.location.startswith("phases["))
-
         got = validate_timeline(Timeline(tuple(phases[i] for i in order), makespan))
-        assert split(got, order.__getitem__) == split(validate_timeline(Timeline(tuple(phases), makespan)), int)
+        expected = validate_timeline(Timeline(tuple(phases), makespan))
+        assert _split(got, order) == _split(expected, range(len(phases)))
 
 
 class TestTimelineCsv:
@@ -554,11 +567,52 @@ class TestTimelineCsv:
         assert all(len(row) == 5 for row in rows)
         assert {row[2] for row in rows[1:]} == {*ids, GAP_QUERY}
 
+    def test_rows_do_not_depend_on_input_order(self):
+        # the two PR phases tie on start (-0.0 == 0.0), so the end decides
+        phases = (Phase(Resource.PR, "reconfig", "Q0", 0.0, 3.0), Phase(Resource.PR, "acc-exec", "Q0", -0.0, 2.0))
+        expected = (
+            "resource,label,query,start_ms,end_ms\n"
+            "PR,acc-exec,Q0,0.000000,2.000000\n"
+            "PR,reconfig,Q0,0.000000,3.000000\n"
+        )
+        for order in (phases, phases[::-1]):
+            assert timeline_csv(Timeline(order, 3.0)) == expected
+
     def test_byte_deterministic(self, paper_seq, profile):
         plan = strategy_plan(paper_seq, Strategy.IV)
         a = timeline_csv(simulate(paper_seq, plan, profile))
         b = timeline_csv(simulate(paper_seq, plan, profile))
         assert a == b
+
+
+_LABELS = ("gap", "reconfig", "scan", "acc-exec", "transfer", "dbms")
+_TIMES = (-math.inf, -1.0, -0.0, 0.0, 1.0, 2.5, math.inf, math.nan)
+_hand_built_phases = st.lists(
+    st.builds(
+        Phase,
+        st.sampled_from(list(Resource)),
+        st.sampled_from(_LABELS),
+        st.sampled_from(("Q0", "Q1", GAP_QUERY)),
+        st.sampled_from(_TIMES),
+        st.sampled_from(_TIMES),
+    ),
+    max_size=5,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(phases=_hand_built_phases, makespan=st.sampled_from(_TIMES))
+def test_no_output_depends_on_input_order(phases, makespan):
+    """Hand-built phases on a small grid of times, -0.0, NaN and +-inf
+    included, in every order: each ``phases[i]`` violation moves with its
+    phase, the other violations come as the same list, and the CSV is the
+    same bytes."""
+    expected = _split(validate_timeline(Timeline(tuple(phases), makespan)), range(len(phases)))
+    csv_bytes = timeline_csv(Timeline(tuple(phases), makespan))
+    for order in itertools.permutations(range(len(phases))):
+        shuffled = Timeline(tuple(phases[i] for i in order), makespan)
+        assert _split(validate_timeline(shuffled), order) == expected
+        assert timeline_csv(shuffled) == csv_bytes
 
 
 def _pinned(phases) -> list[tuple]:
