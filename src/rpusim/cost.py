@@ -31,7 +31,9 @@ every step.  :func:`_fold` returns a bare total, and fills a per-query
 list only when its caller passes one: :func:`plan_cost` passes one, and
 builds the :class:`CostBreakdown`, only when every boundary is BASELINE,
 because only then does the total decompose per query.  A sweep
-(:func:`rpusim.sweep.run_sweep`) folds each plan to its total alone.
+(:func:`rpusim.sweep.run_sweep`) folds each plan to its total alone, over
+the unchanged sequence, passing each grid point's value as one of
+:func:`_fold`'s overrides instead of building that point's variant.
 :func:`plan_cost` keeps each breakdown in the sequence's memo by
 ``(plan, profile)``, so on one sequence object a plan is costed once per
 device profile; a total that overflows is not kept.
@@ -187,12 +189,29 @@ def _fold(
     seq: QuerySequence,
     profile: DeviceProfile,
     per_query: list[tuple[str, float]] | None = None,
+    *,
+    scale: float = 1.0,
+    selectivity: float | None = None,
+    gaps: Sequence[float] | None = None,
 ) -> float:
     """Total ms of a plan already checked against ``seq``.  When
     ``per_query`` is given, each query's id and time is appended to it; it
     only sums to the total when every boundary is BASELINE.  The caller
     builds any breakdown (:func:`plan_cost` does).
     Raises :class:`NonFiniteResultError` when the total overflows.
+
+    The keyword overrides fold ``seq`` as the sweep transforms of
+    :mod:`rpusim.sweep` would change it, bit for bit, without building the
+    variant (the caller checks that the variant would be valid):
+
+    * ``scale`` multiplies each table size.  A scaled variant stores
+      ``size_mb * factor``, the very product the fold computes here, and
+      ``x * 1.0 == x`` for every float, so the default changes nothing.
+    * ``selectivity`` replaces every operator's selectivity, pushed down or
+      on the host.  The variant's operators hold that same float, and the
+      fold only ever multiplies a stream size by it.
+    * ``gaps`` replaces ``seq.gaps``.  The variant holds the same floats,
+      and the fold only ever adds them to a tail.
 
     The loop makes no call per query: each query's scan, body and tail
     are :func:`order_facts` and each boundary is :func:`boundary`, both
@@ -203,8 +222,10 @@ def _fold(
     r_network, c_dbms = profile.r_network, profile.c_dbms
     total = prev_tail = 0.0
     loaded: str | None = None
-    for q, order, mode, gap in zip(seq.queries, plan.rpu_order, (_BASELINE, *plan.modes), (0.0, *seq.gaps)):
-        size = q.table.size_mb
+    if gaps is None:
+        gaps = seq.gaps
+    for q, order, mode, gap in zip(seq.queries, plan.rpu_order, (_BASELINE, *plan.modes), (0.0, *gaps)):
+        size = q.table.size_mb * scale
         scan = size / r_scan
         # the first op adds a reconfiguration of 0.0 to a body of 0.0,
         # which leaves it 0.0: order_facts skips that addition
@@ -213,7 +234,7 @@ def _fold(
         for op_id in order:
             body += reconfig
             body += size / r_acc
-            size *= by_id[op_id].selectivity
+            size *= by_id[op_id].selectivity if selectivity is None else selectivity
             reconfig = t_reconfig
         trans = size / r_network
         dbms = 0.0
@@ -224,7 +245,7 @@ def _fold(
             for op in ops:
                 if op.id not in order:
                     dbms += c_dbms * size
-                    size *= op.selectivity
+                    size *= op.selectivity if selectivity is None else selectivity
         tail = trans + dbms
         if order:
             lead = t_reconfig if loaded != order[0] else 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -62,8 +63,11 @@ class SweepSpec:
         if self.variable not in VARIABLES:
             raise ValueError(f"variable must be one of {VARIABLES}, got {self.variable!r}")
         for name in ("start", "stop"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"sweep {name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, numbers.Real):
+                raise ValueError(f"sweep {name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"sweep {name} must be finite, got {value}")
         if not self.start <= self.stop:
             raise ValueError(f"invalid range: from {self.start} > to {self.stop}")
         if type(self.steps) is not int:  # a bool is an int too, but not a count
@@ -73,8 +77,13 @@ class SweepSpec:
         # no list holds more items, and a larger count does not convert to a float
         if self.steps > sys.maxsize:
             raise ValueError(f"steps must be <= {sys.maxsize}, got {self.steps}")
+        # a tuple, so the frozen spec hashes whatever sequence it was given
+        object.__setattr__(self, "strategies", tuple(self.strategies))
         if not self.strategies:
             raise ValueError("strategies must not be empty")
+        for strategy in self.strategies:
+            if not isinstance(strategy, Strategy):
+                raise ValueError(f"strategies must be Strategy members, got {strategy!r}")
         if len(set(self.strategies)) != len(self.strategies):
             raise ValueError(f"strategies must not repeat, got {', '.join(map(str, self.strategies))}")
         # the grid rises monotonically, so a finite last point bounds them all
@@ -105,10 +114,14 @@ class SweepRow:
 def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> list[SweepRow]:
     """Evaluate each strategy at every grid point, improvements vs S.
 
-    Each strategy's plan is built and checked once, and every point folds
-    each distinct plan (strategies that build one plan share it) against
-    that point's variant of ``seq`` to its bare total.  No point builds a
-    :class:`rpusim.cost.CostBreakdown`.
+    Only the first point's variant of ``seq`` is built: each strategy's plan
+    is built and checked on it once.  Every point then folds each distinct
+    plan (strategies that build one plan share it) over ``seq`` itself, with
+    the point's value as :func:`rpusim.cost._fold`'s matching override, to
+    its bare total; the totals carry the bits a fold of the point's variant
+    would.  No point builds a sequence or a
+    :class:`rpusim.cost.CostBreakdown`.  A value the variable's transform
+    rejects still raises that transform's error, at its own point.
     """
     variable = spec.variable
     transform = _TRANSFORMS[variable]
@@ -126,12 +139,27 @@ def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> li
     # Each strategy's slot is found once, so no point hashes a plan.
     plans = list(dict.fromkeys(built.values()))
     slots = [(s, plans.index(built[s])) for s in spec.strategies]
+    # ``rejects`` says when the transform raises: a scaled size that
+    # overflows fails the variant's validation, and sizes scale
+    # monotonically, so the largest bounds them all.  The grid rises, so
+    # a negative value is the first point's and already failed in ``first``.
+    if variable == "scale":
+        largest = max(q.table.size_mb for q in seq.queries)
+        rejects = lambda value: value < 0 or not math.isfinite(largest * value)
+        override = lambda value: {"scale": value}
+    elif variable == "selectivity":
+        rejects = lambda value: not 0.0 <= value <= 1.0
+        override = lambda value: {"selectivity": value}
+    else:  # gap
+        n_gaps = len(seq.gaps)
+        rejects = lambda value: value < 0
+        override = lambda value: {"gaps": (value,) * n_gaps}
     rows: list[SweepRow] = []
-    for i, value in enumerate(grid):
-        # each point still builds its variant, so a value the model rejects
-        # (say, a table size that overflows) fails at that point
-        variant = first if i == 0 else transform(seq, value)
-        totals = [_fold(plan, variant, profile) for plan in plans]
+    for value in grid:
+        if rejects(value):
+            transform(seq, value)  # raises the transform's own error
+        kwargs = override(value)
+        totals = [_fold(plan, seq, profile, **kwargs) for plan in plans]
         baseline = totals[0]
         for strategy, slot in slots:
             total = totals[slot]

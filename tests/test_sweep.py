@@ -108,6 +108,30 @@ class TestSweepSpec:
             spec = SweepSpec("selectivity", start, stop, rng.randint(2, 9), (Strategy.S,))
             assert all(start <= value <= stop for value in spec.grid()), spec
 
+    def test_strategies_are_kept_as_a_tuple(self):
+        spec = SweepSpec("gap", 0.0, 1.0, 2, [Strategy.I])
+        assert spec.strategies == (Strategy.I,)
+        assert hash(spec) == hash(SweepSpec("gap", 0.0, 1.0, 2, (Strategy.I,)))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("start", True, "sweep start must be a real number, got True"),
+            ("stop", True, "sweep stop must be a real number, got True"),
+            ("start", "0", "sweep start must be a real number, got '0'"),
+            ("stop", None, "sweep stop must be a real number, got None"),
+            ("strategies", ("I",), "strategies must be Strategy members, got 'I'"),
+            ("strategies", (Strategy.S, "III"), "strategies must be Strategy members, got 'III'"),
+        ],
+    )
+    def test_fields_of_the_wrong_type_are_rejected(self, field, value, message):
+        fields = dict(variable="gap", start=0.0, stop=1.0, steps=2, strategies=(Strategy.I,))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec(**{**fields, field: value})
+
+    def test_int_bounds_are_real_numbers(self):
+        assert SweepSpec("gap", 0, 2, 3, (Strategy.I,)).grid() == [0.0, 1.0, 2.0]
+
     def test_widest_finite_grid_is_accepted(self):
         spec = SweepSpec("scale", 0.0, sys.float_info.max, 3, (Strategy.I,))
         assert spec.grid() == [0.0, sys.float_info.max / 2, sys.float_info.max]
@@ -181,11 +205,24 @@ def per_point_sweep(seq, profile, spec):
 #: Scales every table above about 1.8 MB past the largest float by the last
 #: point, so each sweep over an applicable plan set fails part-way.
 OVERFLOWING = ("scale", 0.0, 1e308)
+#: The first point is a negative scale factor or gap.
+NEGATIVE_SCALE = ("scale", -1.0, 4.0)
+NEGATIVE_GAP = ("gap", -1.0, 40.0)
+#: 0.0, 0.3, ..., 1.5 in six points: the fifth, 1.2, is no selectivity.
+SELECTIVITY_PAST_ONE = ("selectivity", 0.0, 1.5)
 
 
 @pytest.mark.parametrize(
     "variable, start, stop",
-    [("scale", 0.0, 4.0), ("gap", 0.0, 40.0), ("selectivity", 0.0, 1.0), OVERFLOWING],
+    [
+        ("scale", 0.0, 4.0),
+        ("gap", 0.0, 40.0),
+        ("selectivity", 0.0, 1.0),
+        OVERFLOWING,
+        NEGATIVE_SCALE,
+        NEGATIVE_GAP,
+        SELECTIVITY_PAST_ONE,
+    ],
 )
 def test_rows_equal_a_per_point_rebuild(variable, start, stop):
     rng = random.Random(311)
@@ -196,19 +233,27 @@ def test_rows_equal_a_per_point_rebuild(variable, start, stop):
         spec = SweepSpec(variable, start, stop, 6, strategies)
         try:
             expected = per_point_sweep(seq, profile, spec)
-        except (IllegalPlanError, InvalidSequenceError) as exc:
+        except (IllegalPlanError, InvalidSequenceError, ValueError) as exc:
             # the first inapplicable strategy, in spec order, or the first
-            # point whose variant is invalid, is the one reported
+            # point whose value the transform rejects, is the one reported
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 run_sweep(seq, profile, spec)
             raised[type(exc)] += 1
             continue
         assert run_sweep(seq, profile, spec) == expected, (spec, seq)
-    assert raised[IllegalPlanError] > 0
-    if (variable, start, stop) == OVERFLOWING:
-        assert raised[InvalidSequenceError] > 0 and sum(raised.values()) == 150
+    grid = (variable, start, stop)
+    if grid in (NEGATIVE_SCALE, NEGATIVE_GAP):
+        # the first point fails, before any plan is built
+        assert raised == Counter({ValueError: 150})
+    elif grid == SELECTIVITY_PAST_ONE:
+        # a sweep whose plans all apply fails at its fifth point
+        assert raised[IllegalPlanError] > 0 and raised[ValueError] > 0
+        assert raised[IllegalPlanError] + raised[ValueError] == 150
+    elif grid == OVERFLOWING:
+        assert raised[IllegalPlanError] > 0 and raised[InvalidSequenceError] > 0
+        assert raised[IllegalPlanError] + raised[InvalidSequenceError] == 150
     else:
-        assert raised[InvalidSequenceError] == 0 and raised[IllegalPlanError] < 150
+        assert 0 < raised[IllegalPlanError] == sum(raised.values()) < 150
 
 
 def _hexed(row):

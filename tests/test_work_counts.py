@@ -12,8 +12,9 @@ one fold.  Both engines and the device policy read a checked plan's orders
 and modes directly: a public call runs one legality check for a plan that
 sequence has not checked yet, and the whole planning pipeline, simulation
 included, runs one check and one cost fold per distinct plan.
-``plan_cost`` builds one breakdown per plan and profile; a sweep folds
-each distinct plan to a bare total at each point and builds none.
+``plan_cost`` builds one breakdown per plan and profile; a sweep builds
+and validates one variant sequence, folds each distinct plan to a bare
+total at each point and builds no breakdown.
 Parsing a log runs the constant pass once per line and templates each
 distinct constant-free text once.  Validating a sequence walks its
 queries, and each query's ops, once, whether or not it finds a violation.
@@ -34,6 +35,7 @@ import pytest
 import rpusim.cli
 import rpusim.cost
 import rpusim.miner
+import rpusim.model
 import rpusim.planner
 import rpusim.plans
 import rpusim.sweep
@@ -189,7 +191,7 @@ def test_sweeps_build_each_plan_once(monkeypatch, paper_seq, profile, variable, 
     by_strategy = lambda plan, seq: plan.strategy
     built = _counting(monkeypatch, rpusim.sweep, "strategy_plan", key=lambda seq, strategy: strategy)
     checks = _counting(monkeypatch, rpusim.plans, "legality", key=by_strategy)
-    folds = _counting(monkeypatch, rpusim.sweep, "_fold", key=lambda plan, *rest: plan.strategy)
+    folds = _counting(monkeypatch, rpusim.sweep, "_fold", key=lambda plan, *rest, **overrides: plan.strategy)
     breakdowns = _counting(monkeypatch, rpusim.cost, "CostBreakdown")
     spec = SweepSpec(variable, start, stop, 9, (Strategy.III, Strategy.S, Strategy.IV))
     assert len(run_sweep(paper_seq, profile, spec)) == 27
@@ -197,6 +199,25 @@ def test_sweeps_build_each_plan_once(monkeypatch, paper_seq, profile, variable, 
     assert built == checks == once
     assert folds == Counter(dict.fromkeys(once, len(spec.grid())))
     assert not breakdowns
+
+
+@pytest.mark.parametrize("steps", [2, 50])
+@pytest.mark.parametrize("variable, start, stop", [("scale", 0.5, 4.0), ("gap", 0.0, 30.0), ("selectivity", 0.0, 1.0)])
+def test_a_sweep_builds_and_validates_one_variant(monkeypatch, paper_seq, profile, variable, start, stop, steps):
+    """Only the first point's variant is built: a sweep validates one
+    sequence and builds the queries, operators and tables of one transform,
+    however many points it has; every other point folds its value as an
+    override."""
+    validations = _counting(monkeypatch, rpusim.model, "require_valid")
+    made = {cls: _counting(monkeypatch, cls, "__init__") for cls in (Query, FilterOp, TableSpec)}
+    rpusim.sweep._TRANSFORMS[variable](paper_seq, start)
+    one_variant = {cls: sum(calls.values()) for cls, calls in made.items()}
+    for calls in (validations, *made.values()):
+        calls.clear()
+    spec = SweepSpec(variable, start, stop, steps, (Strategy.III, Strategy.I))
+    assert len(run_sweep(paper_seq, profile, spec)) == 2 * steps
+    assert sum(validations.values()) == 1
+    assert {cls: sum(calls.values()) for cls, calls in made.items()} == one_variant
 
 
 @pytest.mark.parametrize(
@@ -236,8 +257,9 @@ def test_planning_pipeline_checks_every_plan_it_receives(monkeypatch, profile):
         assert checks == folds == Counter(dict.fromkeys(distinct, 1))
 
 
-def _plan_key(plan, *rest):
-    """What makes a plan itself: its orders and modes, not its label."""
+def _plan_key(plan, *rest, **overrides):
+    """What makes a plan itself: its orders and modes, not its label (nor
+    a sweep fold's overrides)."""
     return plan.rpu_order, plan.modes
 
 
