@@ -31,9 +31,12 @@ every step.  :func:`_fold` returns a bare total, and fills a per-query
 list only when its caller passes one: :func:`plan_cost` passes one, and
 builds the :class:`CostBreakdown`, only when every boundary is BASELINE,
 because only then does the total decompose per query.  A sweep
-(:func:`rpusim.sweep.run_sweep`) folds each plan to its total alone, over
-the unchanged sequence, passing each grid point's value as one of
-:func:`_fold`'s overrides instead of building that point's variant.
+(:func:`rpusim.sweep.run_sweep`) folds through :func:`_sweep_fold`
+instead: it lowers each plan once, to the per-query floats no swept value
+changes, and folds that record to a bare total at every grid point with
+:func:`_fold`'s float operations, in its order, without building the
+point's variant; a gap sweep computes each query's scan, body and tail
+once and repeats only the boundary sums.
 :func:`plan_cost` keeps each breakdown in the sequence's memo by
 ``(plan, profile)``, so on one sequence object a plan is costed once per
 device profile; a total that overflows is not kept.
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import NonFiniteResultError
 from .model import DeviceProfile, FilterOp, Mode, Plan, Query, QuerySequence
@@ -119,6 +122,7 @@ class CostBreakdown:
 
 # Reading an Enum member off its class is slow; the fold reads these per step.
 _BASELINE, _HOLD, _SPECULATIVE = Mode.BASELINE, Mode.HOLD, Mode.SPECULATIVE
+_OVERFLOW = "plan cost overflows: total {!r} ms"
 
 
 def boundary(mode: Mode, lead: float, scan: float, prev_tail: float, gap: float) -> float:
@@ -189,29 +193,12 @@ def _fold(
     seq: QuerySequence,
     profile: DeviceProfile,
     per_query: list[tuple[str, float]] | None = None,
-    *,
-    scale: float = 1.0,
-    selectivity: float | None = None,
-    gaps: Sequence[float] | None = None,
 ) -> float:
     """Total ms of a plan already checked against ``seq``.  When
     ``per_query`` is given, each query's id and time is appended to it; it
     only sums to the total when every boundary is BASELINE.  The caller
     builds any breakdown (:func:`plan_cost` does).
     Raises :class:`NonFiniteResultError` when the total overflows.
-
-    The keyword overrides fold ``seq`` as the sweep transforms of
-    :mod:`rpusim.sweep` would change it, bit for bit, without building the
-    variant (the caller checks that the variant would be valid):
-
-    * ``scale`` multiplies each table size.  A scaled variant stores
-      ``size_mb * factor``, the very product the fold computes here, and
-      ``x * 1.0 == x`` for every float, so the default changes nothing.
-    * ``selectivity`` replaces every operator's selectivity, pushed down or
-      on the host.  The variant's operators hold that same float, and the
-      fold only ever multiplies a stream size by it.
-    * ``gaps`` replaces ``seq.gaps``.  The variant holds the same floats,
-      and the fold only ever adds them to a tail.
 
     The loop makes no call per query: each query's scan, body and tail
     are :func:`order_facts` and each boundary is :func:`boundary`, both
@@ -222,10 +209,8 @@ def _fold(
     r_network, c_dbms = profile.r_network, profile.c_dbms
     total = prev_tail = 0.0
     loaded: str | None = None
-    if gaps is None:
-        gaps = seq.gaps
-    for q, order, mode, gap in zip(seq.queries, plan.rpu_order, (_BASELINE, *plan.modes), (0.0, *gaps)):
-        size = q.table.size_mb * scale
+    for q, order, mode, gap in zip(seq.queries, plan.rpu_order, (_BASELINE, *plan.modes), (0.0, *seq.gaps)):
+        size = q.table.size_mb
         scan = size / r_scan
         # the first op adds a reconfiguration of 0.0 to a body of 0.0,
         # which leaves it 0.0: order_facts skips that addition
@@ -234,7 +219,7 @@ def _fold(
         for op_id in order:
             body += reconfig
             body += size / r_acc
-            size *= by_id[op_id].selectivity if selectivity is None else selectivity
+            size *= by_id[op_id].selectivity
             reconfig = t_reconfig
         trans = size / r_network
         dbms = 0.0
@@ -245,7 +230,7 @@ def _fold(
             for op in ops:
                 if op.id not in order:
                     dbms += c_dbms * size
-                    size *= op.selectivity if selectivity is None else selectivity
+                    size *= op.selectivity
         tail = trans + dbms
         if order:
             lead = t_reconfig if loaded != order[0] else 0.0
@@ -265,8 +250,131 @@ def _fold(
         prev_tail = tail
     total += prev_tail
     if not math.isfinite(total):
-        raise NonFiniteResultError(f"plan cost overflows: total {total!r} ms")
+        raise NonFiniteResultError(_OVERFLOW.format(total))
     return total
+
+
+def _sweep_fold(
+    plans: Sequence[Plan], seq: QuerySequence, profile: DeviceProfile, variable: str
+) -> Callable[[float], list[float]]:
+    """A function from a grid point's value to the totals of ``plans``,
+    each checked against ``seq``, in a sweep of ``variable`` (``"scale"``,
+    ``"selectivity"`` or ``"gap"``).
+
+    Each total is the one :func:`_fold` gives for the plan over the point's
+    variant of ``seq`` (:mod:`rpusim.sweep`'s transform), bit for bit;
+    the caller checks that the variant would be valid.  The function
+    raises :class:`NonFiniteResultError` at the first plan, in order,
+    whose total overflows.
+
+    Each plan is lowered once, per query, to what no swept value changes:
+    its table size, the selectivities it streams and those the host runs
+    (in :func:`_fold`'s order), its leading reconfiguration ``lead``, which
+    reads only op ids, its mode and its gap.  A point then runs
+    :func:`_fold`'s float operations, in its order, on that record:
+
+    * a scale point multiplies each table size by the value.  The variant
+      stores ``size_mb * factor``, the very product computed here, and
+      :func:`_fold` reads it as it is;
+    * a selectivity point multiplies each stream size by the value where
+      :func:`_fold` multiplies by an op's selectivity.  The variant's ops
+      hold that same float;
+    * a gap changes no query's scan, body or tail, so each query's are
+      kept from one fold at scale ``1.0`` (``x * 1.0 == x`` for every
+      float), and a point only sums the boundaries again, with the value
+      as every gap after the first.  The variant's gaps hold that same
+      float, and a gap is only ever added to a tail.
+    """
+    t_reconfig, r_scan, r_acc = profile.t_reconfig, profile.r_scan, profile.r_acc
+    r_network, c_dbms = profile.r_network, profile.c_dbms
+    lowered = []
+    for plan in plans:
+        record = []
+        loaded: str | None = None
+        for q, order, mode, gap in zip(seq.queries, plan.rpu_order, (_BASELINE, *plan.modes), (0.0, *seq.gaps)):
+            by_id = q._ops_by_id
+            if order:
+                lead = t_reconfig if loaded != order[0] else 0.0
+                loaded = order[-1]
+            else:
+                lead = 0.0
+            # legal orders list distinct ops of the query, so equal lengths
+            # mean every op is pushed down
+            host = () if len(order) == len(q.ops) else tuple([op.selectivity for op in q.ops if op.id not in order])
+            pushed = tuple([by_id[op_id].selectivity for op_id in order])
+            record.append((q.table.size_mb, pushed, host, lead, mode, gap))
+        lowered.append(record)
+
+    def fold(record, scale: float, common: float | None, kept: list | None = None) -> float:
+        """A lowered plan's total, unchecked; ``common``, when not
+        ``None``, stands for every selectivity, and ``kept``, when given,
+        gets each query's scan, body, tail, lead and mode."""
+        total = prev_tail = 0.0
+        for size, pushed, host, lead, mode, gap in record:
+            size *= scale
+            scan = size / r_scan
+            body = reconfig = 0.0
+            for selectivity in pushed:
+                body += reconfig
+                body += size / r_acc
+                size *= selectivity if common is None else common
+                reconfig = t_reconfig
+            trans = size / r_network
+            dbms = 0.0
+            for selectivity in host:
+                dbms += c_dbms * size
+                size *= selectivity if common is None else common
+            tail = trans + dbms
+            if kept is not None:
+                kept.append((scan, body, tail, lead, mode))
+            if mode is _BASELINE:
+                total += prev_tail + gap + (scan if scan > lead else lead) + body
+            elif mode is _HOLD:
+                ready = prev_tail + gap
+                total += (ready if ready > lead else lead) + scan + body
+            else:  # SPECULATIVE
+                ready = prev_tail + gap + scan
+                total += (ready if ready > lead else lead) + body
+            prev_tail = tail
+        return total + prev_tail
+
+    if variable == "scale":
+        return lambda value: _finite([fold(record, value, None) for record in lowered])
+    if variable == "selectivity":
+        return lambda value: _finite([fold(record, 1.0, value) for record in lowered])
+    fixed = []
+    for record in lowered:
+        kept: list = []
+        fold(record, 1.0, None, kept)
+        fixed.append(kept)
+
+    def boundaries(value: float) -> list[float]:
+        totals = []
+        for facts in fixed:
+            total = prev_tail = gap = 0.0
+            for scan, body, tail, lead, mode in facts:
+                if mode is _BASELINE:
+                    total += prev_tail + gap + (scan if scan > lead else lead) + body
+                elif mode is _HOLD:
+                    ready = prev_tail + gap
+                    total += (ready if ready > lead else lead) + scan + body
+                else:  # SPECULATIVE
+                    ready = prev_tail + gap + scan
+                    total += (ready if ready > lead else lead) + body
+                prev_tail = tail
+                gap = value
+            totals.append(total + prev_tail)
+        return _finite(totals)
+
+    return boundaries
+
+
+def _finite(totals: list[float]) -> list[float]:
+    """``totals``, unless one overflows: the first that does raises."""
+    for total in totals:
+        if not math.isfinite(total):
+            raise NonFiniteResultError(_OVERFLOW.format(total))
+    return totals
 
 
 def improvement(candidate_total: float, baseline_total: float) -> float:

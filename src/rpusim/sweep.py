@@ -7,7 +7,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-from .cost import _fold, improvement
+from .cost import _sweep_fold, improvement
 from .model import DeviceProfile, FilterOp, Query, QuerySequence, Strategy, TableSpec
 from .plans import check_plan, enumerate_plans, strategy_plan
 
@@ -78,7 +78,11 @@ class SweepSpec:
         if self.steps > sys.maxsize:
             raise ValueError(f"steps must be <= {sys.maxsize}, got {self.steps}")
         # a tuple, so the frozen spec hashes whatever sequence it was given
-        object.__setattr__(self, "strategies", tuple(self.strategies))
+        try:
+            strategies = tuple(self.strategies)
+        except TypeError:
+            raise ValueError(f"strategies must be an iterable of Strategy members, got {self.strategies!r}") from None
+        object.__setattr__(self, "strategies", strategies)
         if not self.strategies:
             raise ValueError("strategies must not be empty")
         for strategy in self.strategies:
@@ -111,59 +115,80 @@ class SweepRow:
     improvement_pct: float
 
 
+def _sweep_row(variable: str, value: float, strategy: Strategy, total_ms: float, improvement_pct: float) -> SweepRow:
+    """A ``SweepRow``, its fields set in declaration order, as the generated
+    ``__init__`` sets them, without that call's overhead."""
+    row = object.__new__(SweepRow)
+    _set = object.__setattr__
+    _set(row, "variable", variable)
+    _set(row, "value", value)
+    _set(row, "strategy", strategy)
+    _set(row, "total_ms", total_ms)
+    _set(row, "improvement_pct", improvement_pct)
+    return row
+
+
 def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> list[SweepRow]:
     """Evaluate each strategy at every grid point, improvements vs S.
 
-    Only the first point's variant of ``seq`` is built: each strategy's plan
-    is built and checked on it once.  Every point then folds each distinct
-    plan (strategies that build one plan share it) over ``seq`` itself, with
-    the point's value as :func:`rpusim.cost._fold`'s matching override, to
-    its bare total; the totals carry the bits a fold of the point's variant
-    would.  No point builds a sequence or a
-    :class:`rpusim.cost.CostBreakdown`.  A value the variable's transform
-    rejects still raises that transform's error, at its own point.
+    Each strategy's plan is built and checked once per sweep.  A scale or
+    gap sweep takes its plans from ``seq`` itself (its memo holds them once
+    ``seq`` is planned); only a selectivity sweep builds a variant, the
+    first point's, to plan on.  :func:`rpusim.cost._sweep_fold` lowers each
+    distinct plan (strategies that build one plan share it) once, and every
+    point folds each lowered plan to its bare total.  No point builds a
+    sequence or a :class:`rpusim.cost.CostBreakdown`.
+
+    Each total carries the bits a fold of the point's variant would.  A
+    lowered record holds the very floats that fold reads (table sizes,
+    selectivities, leads, modes, gaps), and the point's value enters where
+    the variant holds it, through the same float operation: a scale
+    multiplies each size once, a common selectivity stands for each op's,
+    and a gap is only added to a tail.  So a gap sweep computes each
+    query's scan, body and tail once, which no gap changes, and a point
+    only sums the boundaries again.  ``_sweep_fold``'s docstring gives the
+    argument per variable.
+
+    Errors come in grid order: a value the variable's transform rejects
+    raises that transform's error at its own point (the first point's
+    before any plan is built), and within a point the plans are folded, and
+    the improvements taken, in order.
     """
     variable = spec.variable
     transform = _TRANSFORMS[variable]
     grid = spec.grid()
-    # Plans depend on op ids, commutation and selectivity order only; no
-    # transform changes those (a common selectivity ties every operator).
-    # Legality reads only query and op ids, commute flags and the boundary
-    # count, which no transform changes either, so one check covers every
-    # point.
-    first = transform(seq, grid[0])
+    # ``rejects`` says when the transform raises: a scaled size that
+    # overflows fails the variant's validation, and sizes scale
+    # monotonically, so the largest bounds them all
+    if variable == "scale":
+        largest = max(q.table.size_mb for q in seq.queries)
+        rejects = lambda value: value < 0 or not math.isfinite(largest * value)
+    elif variable == "selectivity":
+        rejects = lambda value: not 0.0 <= value <= 1.0
+    else:  # gap
+        rejects = lambda value: value < 0
+    # Plans and their legality read only op ids, selectivity order, commute
+    # flags and counts.  A scale or a gap changes none of these; a common
+    # selectivity ties every operator, which re-sorts local orders.  A
+    # first point the transform rejects raises here, before any plan is built.
+    planned = transform(seq, grid[0]) if variable == "selectivity" or rejects(grid[0]) else seq
     strategies = dict.fromkeys((Strategy.S, *spec.strategies))
-    enumerate_plans(first, strategies)  # one sort of local orders; the lookups hit the memo
-    built = {s: check_plan(strategy_plan(first, s), first) for s in strategies}
+    enumerate_plans(planned, strategies)  # one sort of local orders; the lookups hit the memo
+    built = {s: check_plan(strategy_plan(planned, s), planned) for s in strategies}
     # strategies that build one plan share its fold; S's plan comes first.
     # Each strategy's slot is found once, so no point hashes a plan.
     plans = list(dict.fromkeys(built.values()))
     slots = [(s, plans.index(built[s])) for s in spec.strategies]
-    # ``rejects`` says when the transform raises: a scaled size that
-    # overflows fails the variant's validation, and sizes scale
-    # monotonically, so the largest bounds them all.  The grid rises, so
-    # a negative value is the first point's and already failed in ``first``.
-    if variable == "scale":
-        largest = max(q.table.size_mb for q in seq.queries)
-        rejects = lambda value: value < 0 or not math.isfinite(largest * value)
-        override = lambda value: {"scale": value}
-    elif variable == "selectivity":
-        rejects = lambda value: not 0.0 <= value <= 1.0
-        override = lambda value: {"selectivity": value}
-    else:  # gap
-        n_gaps = len(seq.gaps)
-        rejects = lambda value: value < 0
-        override = lambda value: {"gaps": (value,) * n_gaps}
+    totals_at = _sweep_fold(plans, seq, profile, variable)
     rows: list[SweepRow] = []
     for value in grid:
         if rejects(value):
             transform(seq, value)  # raises the transform's own error
-        kwargs = override(value)
-        totals = [_fold(plan, seq, profile, **kwargs) for plan in plans]
+        totals = totals_at(value)
         baseline = totals[0]
         for strategy, slot in slots:
             total = totals[slot]
-            rows.append(SweepRow(variable, value, strategy, total, improvement(total, baseline)))
+            rows.append(_sweep_row(variable, value, strategy, total, improvement(total, baseline)))
     return rows
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import FrozenInstanceError, replace
 import re
 import sys
 from collections import Counter
@@ -9,8 +10,10 @@ from collections import Counter
 import pytest
 
 from rpusim import (
+    DeviceProfile,
     IllegalPlanError,
     InvalidSequenceError,
+    NonFiniteResultError,
     Strategy,
     SweepSpec,
     enumerate_plans,
@@ -23,6 +26,7 @@ from rpusim import (
     strategy_plan,
     sweep_csv,
 )
+from conftest import canonical_sequence
 from rpusim.sweep import _TRANSFORMS, SweepRow
 from test_engine_agreement import random_profile, random_sequence
 
@@ -129,6 +133,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SweepSpec(**{**fields, field: value})
 
+    @pytest.mark.parametrize("strategies", [Strategy.I, 3, None], ids=["member", "int", "none"])
+    def test_strategies_that_are_not_iterable_are_rejected(self, strategies):
+        message = f"strategies must be an iterable of Strategy members, got {strategies!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec("gap", 0.0, 1.0, 2, strategies)
+
     def test_int_bounds_are_real_numbers(self):
         assert SweepSpec("gap", 0, 2, 3, (Strategy.I,)).grid() == [0.0, 1.0, 2.0]
 
@@ -188,6 +198,18 @@ def test_sweep_csv_format(paper_seq, profile):
     assert all(len(line.split(",")) == 5 for line in lines[1:])
     # byte-for-byte reproducible
     assert text == sweep_csv(run_sweep(paper_seq, profile, spec))
+
+
+def test_rows_are_plain_sweep_rows(paper_seq, profile):
+    """Rows equal, print and hash as ``SweepRow(...)`` builds them, hold
+    their fields in declaration order and stay frozen."""
+    for variable, start, stop in (("scale", 0.5, 4.0), ("gap", 0.0, 30.0), ("selectivity", 0.0, 1.0)):
+        for row in run_sweep(paper_seq, profile, SweepSpec(variable, start, stop, 3, (Strategy.III, Strategy.S))):
+            twin = SweepRow(row.variable, row.value, row.strategy, row.total_ms, row.improvement_pct)
+            assert row == twin and repr(row) == repr(twin) and hash(row) == hash(twin)
+            assert list(vars(row).items()) == list(vars(twin).items())
+            with pytest.raises(FrozenInstanceError):
+                row.total_ms = 0.0
 
 
 def per_point_sweep(seq, profile, spec):
@@ -277,3 +299,35 @@ def test_long_sweeps_equal_a_per_point_rebuild_bit_for_bit(variable, start, stop
         assert rows == expected
     # the sequences cover plans with HOLD and SPECULATIVE boundaries
     assert applicable[Strategy.II] > 0 and applicable[Strategy.III] > 0
+
+
+def _raises_in_both(seq, profile, spec, error, message):
+    """``run_sweep`` and a per-point rebuild both raise ``error`` with ``message``."""
+    for sweep in (run_sweep, per_point_sweep):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            sweep(seq, profile, spec)
+
+
+def test_a_fold_overflow_at_an_earlier_point_wins_over_a_later_rejection(profile):
+    """At 1 the 1e300 MB table's scan overflows the total; at 1e10 its
+    size overflows, which the transform rejects.  The earlier point wins."""
+    seq = canonical_sequence(s0=1e300)
+    slow_scan = replace(profile, r_scan=1e-10)
+    _raises_in_both(seq, slow_scan, SweepSpec("scale", 1.0, 1e10, 2, (Strategy.S,)),
+                    NonFiniteResultError, "plan cost overflows: total inf ms")
+    with pytest.raises(InvalidSequenceError):
+        scale_sequence(seq, 1e10)
+
+
+def test_an_improvement_overflow_at_an_earlier_point_wins_over_a_later_fold_overflow():
+    """S streams everything, through rates of 1e300 MB/ms, to a tiny total;
+    I and II filter on the host at 1e300 ms per MB.  At scale 1 every total
+    is finite but I's saving over S is not; at 1e10 the host work overflows
+    I's and II's totals.  The earlier point wins."""
+    seq = canonical_sequence(gap=0.0)
+    extreme = DeviceProfile(t_reconfig=1e-300, r_scan=1e300, r_acc=1e300, r_network=1e300, c_dbms=1e300)
+    spec = SweepSpec("scale", 1.0, 1e10, 2, (Strategy.I, Strategy.II))
+    _raises_in_both(seq, extreme, spec, NonFiniteResultError,
+                    "improvement of 2.9700000000000004e+300 over 2.53871e-299 ms is not finite")
+    later = SweepSpec("scale", 1e10, 1e10, 2, spec.strategies)
+    _raises_in_both(seq, extreme, later, NonFiniteResultError, "plan cost overflows: total inf ms")

@@ -12,9 +12,10 @@ one fold.  Both engines and the device policy read a checked plan's orders
 and modes directly: a public call runs one legality check for a plan that
 sequence has not checked yet, and the whole planning pipeline, simulation
 included, runs one check and one cost fold per distinct plan.
-``plan_cost`` builds one breakdown per plan and profile; a sweep builds
-and validates one variant sequence, folds each distinct plan to a bare
-total at each point and builds no breakdown.
+``plan_cost`` builds one breakdown per plan and profile.  A sweep lowers
+each distinct plan once, whatever its step count, folds each to a bare
+total at each point and builds no breakdown; only a selectivity sweep
+builds and validates a variant sequence, and only one.
 Parsing a log runs the constant pass once per line and templates each
 distinct constant-free text once.  Validating a sequence walks its
 queries, and each query's ops, once, whether or not it finds a violation.
@@ -182,42 +183,76 @@ def test_plan_cost_constructs_no_phase_times(monkeypatch, paper_seq, profile):
     assert sum(made.values()) == 1
 
 
+def _counting_sweep_folds(monkeypatch, key) -> tuple[Counter, list[int]]:
+    """Wrap ``sweep._sweep_fold``: count each plan it lowers under
+    ``key(plan)``, and list how many totals each grid point's fold returns."""
+    lowered: Counter = Counter()
+    points: list[int] = []
+    original = rpusim.sweep._sweep_fold
+
+    def counted(plans, *args):
+        lowered.update(map(key, plans))
+        totals_at = original(plans, *args)
+
+        def at(value):
+            totals = totals_at(value)
+            points.append(len(totals))
+            return totals
+
+        return at
+
+    monkeypatch.setattr(rpusim.sweep, "_sweep_fold", counted)
+    return lowered, points
+
+
 @pytest.mark.parametrize("variable, start, stop", [("scale", 0.5, 4.0), ("gap", 0.0, 30.0), ("selectivity", 0.0, 1.0)])
 def test_sweeps_build_each_plan_once(monkeypatch, paper_seq, profile, variable, start, stop):
-    """One build and one legality check per distinct plan, not per grid
-    point.  Each point folds every distinct plan, S included, to a bare
-    total once, and builds no ``CostBreakdown``.
+    """One build, one legality check and one lowering per distinct plan,
+    not per grid point.  Each point folds every distinct plan, S included,
+    to a bare total once; no sweep runs ``plan_cost``'s fold or builds a
+    ``CostBreakdown``.
     """
     by_strategy = lambda plan, seq: plan.strategy
     built = _counting(monkeypatch, rpusim.sweep, "strategy_plan", key=lambda seq, strategy: strategy)
     checks = _counting(monkeypatch, rpusim.plans, "legality", key=by_strategy)
-    folds = _counting(monkeypatch, rpusim.sweep, "_fold", key=lambda plan, *rest, **overrides: plan.strategy)
+    lowered, points = _counting_sweep_folds(monkeypatch, key=lambda plan: plan.strategy)
+    folds = _counting(monkeypatch, rpusim.cost, "_fold")
     breakdowns = _counting(monkeypatch, rpusim.cost, "CostBreakdown")
     spec = SweepSpec(variable, start, stop, 9, (Strategy.III, Strategy.S, Strategy.IV))
     assert len(run_sweep(paper_seq, profile, spec)) == 27
     once = Counter({Strategy.S: 1, Strategy.III: 1, Strategy.IV: 1})
-    assert built == checks == once
-    assert folds == Counter(dict.fromkeys(once, len(spec.grid())))
+    assert built == checks == lowered == once
+    assert points == [len(once)] * len(spec.grid())
+    assert not folds
     assert not breakdowns
 
 
 @pytest.mark.parametrize("steps", [2, 50])
 @pytest.mark.parametrize("variable, start, stop", [("scale", 0.5, 4.0), ("gap", 0.0, 30.0), ("selectivity", 0.0, 1.0)])
-def test_a_sweep_builds_and_validates_one_variant(monkeypatch, paper_seq, profile, variable, start, stop, steps):
-    """Only the first point's variant is built: a sweep validates one
-    sequence and builds the queries, operators and tables of one transform,
-    however many points it has; every other point folds its value as an
-    override."""
+def test_only_a_selectivity_sweep_builds_a_variant(monkeypatch, paper_seq, profile, variable, start, stop, steps):
+    """A scale or a gap changes no plan, so those sweeps plan on the
+    sequence itself: they validate no sequence and build no query,
+    operator or table.  A common selectivity re-sorts local orders, so a
+    selectivity sweep builds the first point's variant, validating one
+    sequence and building one transform's queries, operators and tables,
+    however many points it has.  Every sweep lowers each distinct plan once."""
     validations = _counting(monkeypatch, rpusim.model, "require_valid")
     made = {cls: _counting(monkeypatch, cls, "__init__") for cls in (Query, FilterOp, TableSpec)}
-    rpusim.sweep._TRANSFORMS[variable](paper_seq, start)
-    one_variant = {cls: sum(calls.values()) for cls, calls in made.items()}
-    for calls in (validations, *made.values()):
-        calls.clear()
+    variant = dict.fromkeys(made, 0)
+    if variable == "selectivity":
+        rpusim.sweep._TRANSFORMS[variable](paper_seq, start)
+        variant = {cls: sum(calls.values()) for cls, calls in made.items()}
+        assert variant[Query] == len(paper_seq.queries)
+        for calls in (validations, *made.values()):
+            calls.clear()
+    lowered, points = _counting_sweep_folds(monkeypatch, key=_plan_key)
     spec = SweepSpec(variable, start, stop, steps, (Strategy.III, Strategy.I))
     assert len(run_sweep(paper_seq, profile, spec)) == 2 * steps
-    assert sum(validations.values()) == 1
-    assert {cls: sum(calls.values()) for cls, calls in made.items()} == one_variant
+    assert sum(validations.values()) == (variable == "selectivity")
+    assert {cls: sum(calls.values()) for cls, calls in made.items()} == variant
+    # S, III and I: three distinct plans, each lowered once
+    assert sorted(lowered.values()) == [1, 1, 1]
+    assert points == [3] * steps
 
 
 @pytest.mark.parametrize(
@@ -257,9 +292,8 @@ def test_planning_pipeline_checks_every_plan_it_receives(monkeypatch, profile):
         assert checks == folds == Counter(dict.fromkeys(distinct, 1))
 
 
-def _plan_key(plan, *rest, **overrides):
-    """What makes a plan itself: its orders and modes, not its label (nor
-    a sweep fold's overrides)."""
+def _plan_key(plan, *rest):
+    """What makes a plan itself: its orders and modes, not its label."""
     return plan.rpu_order, plan.modes
 
 
@@ -309,16 +343,18 @@ def _identity_swap_sequence() -> QuerySequence:
     ],
     ids=["scale", "gap", "selectivity"],
 )
-def test_sweep_folds_a_plan_two_strategies_build_once_per_point(monkeypatch, profile, variable, start, stop, sha256):
-    """The plan S, III and IV share is folded once per point, and every
-    requested strategy still gets its own row, pinned bit for bit."""
+def test_sweep_lowers_a_plan_two_strategies_build_once(monkeypatch, profile, variable, start, stop, sha256):
+    """The plan S, III and IV share is lowered once per sweep and folded
+    once per point, and every requested strategy still gets its own row,
+    pinned bit for bit."""
     seq = _identity_swap_sequence()
     plans = {plan.strategy: plan for plan in enumerate_plans(seq)}
     assert plans[Strategy.S] == plans[Strategy.III] == plans[Strategy.IV] != plans[Strategy.I]
-    folds = _counting(monkeypatch, rpusim.sweep, "_fold", key=_plan_key)
+    lowered, points = _counting_sweep_folds(monkeypatch, key=_plan_key)
     spec = SweepSpec(variable, start, stop, 7, (Strategy.IV, Strategy.III, Strategy.S, Strategy.I))
     rows = run_sweep(seq, profile, spec)
-    assert folds == Counter(dict.fromkeys(map(_plan_key, (plans[Strategy.S], plans[Strategy.I])), 7))
+    assert lowered == Counter(dict.fromkeys(map(_plan_key, (plans[Strategy.S], plans[Strategy.I])), 1))
+    assert points == [2] * 7
     assert [row.strategy for row in rows[:4]] == list(spec.strategies)
     text = "".join(
         f"{r.variable},{r.value.hex()},{r.strategy},{r.total_ms.hex()},{r.improvement_pct.hex()}\n" for r in rows
@@ -378,6 +414,34 @@ def test_a_sequence_that_fails_only_at_its_last_op_is_walked_once():
     assert validate_sequence(failing) == expected
     assert failing.queries.walks == clean.queries.walks
     assert broken.ops.walks == 1
+
+
+class _CountedDict(dict):
+    """A dict that counts the lookups (``d[key]``) made in it."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("variable, start, stop", [("scale", 0.5, 4.0), ("gap", 0.0, 30.0), ("selectivity", 0.0, 1.0)])
+def test_a_sweep_reads_each_query_s_ops_as_often_whatever_its_step_count(profile, variable, start, stop):
+    """Each plan is lowered once per sweep: a sweep of 50 points walks each
+    query's ops, and looks them up by id, exactly as often as one of 2."""
+    reads = []
+    for steps in (2, 50):
+        seq = canonical_sequence()  # a fresh memo: every plan is built and checked again
+        for q in seq.queries:
+            object.__setattr__(q, "ops", _CountedTuple(q.ops))
+            object.__setattr__(q, "_ops_by_id", _CountedDict(q._ops_by_id))
+        spec = SweepSpec(variable, start, stop, steps, (Strategy.III, Strategy.I, Strategy.IV))
+        assert len(run_sweep(seq, profile, spec)) == 3 * steps
+        reads.append([(q.ops.walks, q._ops_by_id.reads) for q in seq.queries])
+    assert reads[0] == reads[1]
+    # lowering looks up every pushed-down op
+    assert all(by_id > 0 for _, by_id in reads[0])
 
 
 @pytest.fixture(scope="module")
