@@ -19,27 +19,25 @@ A sequence total is assembled left to right out of three kinds of segments:
   decides what the successor's leading reconfiguration hides behind.
 
 :func:`order_facts` gives a query's scan, body and tail under one operator
-order; they do not depend on what the PR holds.  :func:`boundary` is the
-one formula of the three modes: it joins a query to the state its
-predecessor leaves.  The two are the single-step definitions: the device
-policy (:func:`rpusim.planner.rpu_policy`) weighs its two options with
-them.  :func:`plan_cost` folds a checked plan's positional orders and
-modes in :func:`_fold`, one flat loop that spells both out inline for
-every query, with the same float operations in the same order.  The
-tests pin the fold bit for bit to a fold that calls the two functions at
-every step.  :func:`_fold` returns a bare total, and fills a per-query
-list only when its caller passes one: :func:`plan_cost` passes one, and
-builds the :class:`CostBreakdown`, only when every boundary is BASELINE,
-because only then does the total decompose per query.  A sweep
-(:func:`rpusim.sweep.run_sweep`) folds through :func:`_sweep_fold`
-instead: it lowers each plan once, to the per-query floats no swept value
-changes, and folds that record to a bare total at every grid point with
-:func:`_fold`'s float operations, in its order, without building the
-point's variant; a gap sweep computes each query's scan, body and tail
-once and repeats only the boundary sums.
-:func:`plan_cost` keeps each breakdown in the sequence's memo by
-``(plan, profile)``, so on one sequence object a plan is costed once per
-device profile; a total that overflows is not kept.
+order, whatever the PR holds, and :func:`boundary` joins a query to the
+state its predecessor leaves, under each mode.  They are the single-step
+definitions; the device policy (:func:`rpusim.planner.rpu_policy`) weighs
+its two options with them.  Three loops spell :func:`boundary` out inline,
+with its float operations in its order, and the tests pin each to the
+single-step definitions bit for bit: :func:`_fold`, which
+:func:`plan_cost` runs, and the point fold and the gap-only sums of
+:func:`_sweep_fold`, which :func:`rpusim.sweep.run_sweep` runs per grid
+point on plans lowered once.  Each copy is kept for measured speed:
+summing a gap sweep's boundaries through the point fold cut the short-seq
+benchmark's ``items_per_s`` about 9 % (median 13 182 to 11 976, three
+alternating 15 s pairs), and taking their scans, bodies and tails from
+:func:`order_facts` slowed the seed-1 gap sweeps by up to 17 % (median
+11 %).  :func:`_fold` returns a bare total, and fills a per-query list only
+when its caller passes one: :func:`plan_cost` passes one, and builds the
+:class:`CostBreakdown`, only when every boundary is BASELINE, because only
+then does the total decompose per query.  It keeps each breakdown in the
+sequence's memo by ``(plan, profile)``, so on one sequence object a plan
+is costed once per device profile; a total that overflows is not kept.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import NonFiniteResultError
 from .model import DeviceProfile, FilterOp, Mode, Plan, Query, QuerySequence
-from .plans import check_plan
+from .plans import _host_ops, check_plan
 
 
 def filtered_size(input_size: float, selectivity: float) -> float:
@@ -268,14 +266,14 @@ def _sweep_fold(
     whose total overflows.
 
     Each plan is lowered once, per query, to what no swept value changes:
-    its table size, the selectivities it streams and those the host runs
-    (in :func:`_fold`'s order), its leading reconfiguration ``lead``, which
-    reads only op ids, its mode and its gap.  A point then runs
-    :func:`_fold`'s float operations, in its order, on that record:
+    its table size, the selectivities it streams and those of the ops
+    :func:`rpusim.plans._host_ops` says the host runs, its leading
+    reconfiguration ``lead``, which reads only op ids, its mode and its
+    gap.  A point then runs :func:`_fold`'s float operations, in its
+    order, on that record:
 
     * a scale point multiplies each table size by the value.  The variant
-      stores ``size_mb * factor``, the very product computed here, and
-      :func:`_fold` reads it as it is;
+      stores ``size_mb * factor``, the very product computed here;
     * a selectivity point multiplies each stream size by the value where
       :func:`_fold` multiplies by an op's selectivity.  The variant's ops
       hold that same float;
@@ -288,19 +286,20 @@ def _sweep_fold(
     t_reconfig, r_scan, r_acc = profile.t_reconfig, profile.r_scan, profile.r_acc
     r_network, c_dbms = profile.r_network, profile.c_dbms
     lowered = []
+    gaps = (0.0, *seq.gaps)
     for plan in plans:
         record = []
         loaded: str | None = None
-        for q, order, mode, gap in zip(seq.queries, plan.rpu_order, (_BASELINE, *plan.modes), (0.0, *seq.gaps)):
+        for q, order, mode, gap in zip(seq.queries, plan.rpu_order, (_BASELINE, *plan.modes), gaps):
             by_id = q._ops_by_id
             if order:
                 lead = t_reconfig if loaded != order[0] else 0.0
                 loaded = order[-1]
             else:
                 lead = 0.0
-            # legal orders list distinct ops of the query, so equal lengths
-            # mean every op is pushed down
-            host = () if len(order) == len(q.ops) else tuple([op.selectivity for op in q.ops if op.id not in order])
+            host_ops = _host_ops(q, order)
+            # most orders push every op down: skip the comprehension, a call even when empty
+            host = tuple([op.selectivity for op in host_ops]) if host_ops else ()
             pushed = tuple([by_id[op_id].selectivity for op_id in order])
             record.append((q.table.size_mb, pushed, host, lead, mode, gap))
         lowered.append(record)

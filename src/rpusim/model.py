@@ -15,10 +15,10 @@ Unit conventions (uniform across the package):
 
 from __future__ import annotations
 
-import math
-from math import isfinite
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 
 from .errors import InvalidSequenceError
 
@@ -90,7 +90,7 @@ class Mode(Enum):
 class DeviceProfile:
     """Calibrated rates and reconfiguration time of the modeled device chain.
 
-    All fields must be finite and strictly positive.
+    All fields must be real numbers (not bools), finite and strictly positive.
     """
 
     t_reconfig: float  # ms to load one accelerator into the PR
@@ -102,7 +102,9 @@ class DeviceProfile:
     def __post_init__(self) -> None:
         for name in ("t_reconfig", "r_scan", "r_acc", "r_network", "c_dbms"):
             value = getattr(self, name)
-            if not 0.0 < value < math.inf:
+            if type(value) is not float and _not_real(value):
+                raise ValueError(f"DeviceProfile.{name} must be a real number, got {value!r}")
+            if not 0.0 < value <= _FLOAT_MAX:
                 raise ValueError(f"DeviceProfile.{name} must be finite and > 0, got {value!r}")
 
 
@@ -203,9 +205,44 @@ class QuerySequence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "queries", tuple(self.queries))
-        object.__setattr__(self, "gaps", tuple(map(float, self.gaps)))
+        # the walk sees each gap as given, so it can report one that is not
+        # a real number; a clean sequence then stores its gaps as floats
+        gaps = tuple(self.gaps)
+        object.__setattr__(self, "gaps", gaps)
         require_valid(self)
+        object.__setattr__(self, "gaps", tuple(map(float, gaps)))
         object.__setattr__(self, "_memo", {})
+
+
+#: The largest finite float: a real number is finite, and fits a float, when
+#: its magnitude is at most this.
+_FLOAT_MAX = sys.float_info.max
+
+
+def _not_real(value: object) -> bool:
+    """Whether ``value`` is not a real number: a string, ``None``, or a
+    bool, which is an int but not a quantity."""
+    kind = type(value)
+    if kind is float or kind is int:
+        return False  # skips the ABC check, about 0.7 us a call on CPython 3.11
+    return kind is bool or not isinstance(value, Real)
+
+
+def _check_quantity(out: list[Violation], location: str, value: object, name: str) -> None:
+    """Append why a gap or table size is not a finite real number >= 0, if it is not."""
+    if _not_real(value):
+        out.append(Violation(location, f"{name} must be a real number, got {value!r}"))
+    elif not 0.0 <= value <= _FLOAT_MAX:
+        what = "negative" if -_FLOAT_MAX <= value < 0.0 else "non-finite"
+        out.append(Violation(location, f"{what} {name} {value}"))
+
+
+def _check_selectivity(out: list[Violation], location: str, value: object) -> None:
+    """Append why a selectivity is not a real number in [0, 1], if it is not."""
+    if _not_real(value):
+        out.append(Violation(location, f"selectivity must be a real number, got {value!r}"))
+    elif not 0.0 <= value <= 1.0:
+        out.append(Violation(location, f"selectivity range: {value} outside [0, 1]"))
 
 
 @dataclass(frozen=True)
@@ -226,6 +263,16 @@ def validate_sequence(seq: QuerySequence) -> list[Violation]:
     query's ops when its ``_ops_by_id`` has fewer entries than ops.  So a
     clean sequence builds no set of ids seen so far.
 
+    A gap, table size or selectivity that is not a real number is
+    reported as such, and a clean value makes no call.  The first gap that
+    is not a float in range sends every gap, with its index, to
+    ``_check_quantity``, which accepts any real number in range (the
+    constructor then stores the gaps as floats).  A size or selectivity
+    takes a chained comparison, which raises ``TypeError`` on a string or
+    ``None``; a bool selectivity fails both its tests.  A value that fails
+    goes to ``_check_quantity`` or ``_check_selectivity``.  A bool table
+    size still passes, as 0 or 1 MB.
+
     Violations are data, not exceptions, so callers can report all of them
     at once.  Use :func:`require_valid` to raise instead; constructing a
     :class:`QuerySequence` already does.
@@ -237,23 +284,25 @@ def validate_sequence(seq: QuerySequence) -> list[Violation]:
         out.append(Violation("sequence.queries", f"sequence needs >= 2 queries, got {n}"))
     if len(gaps) != (n - 1 if n else 0):  # not max(n - 1, 0): a call costs more here
         out.append(Violation("sequence.gaps", f"gap count {len(gaps)} does not match queries - 1 = {n - 1}"))
-    i = 0  # running indexes: a clean walk makes no enumerate tuples
+    fmax = _FLOAT_MAX
     for g in gaps:
-        if not (isfinite(g) and g >= 0.0):
-            what = "negative" if isfinite(g) else "non-finite"
-            out.append(Violation(f"sequence.gaps[{i}]", f"{what} gap {g}"))
-        i += 1
+        if type(g) is not float or not 0.0 <= g <= fmax:
+            for i, gap in enumerate(gaps):
+                _check_quantity(out, f"sequence.gaps[{i}]", gap, "gap")
+            break
     seen_ids = set() if len({q.id for q in queries}) < n else None
-    qi = 0
+    qi = 0  # running indexes: a clean walk makes no enumerate tuples
     for q in queries:
         if seen_ids is not None:
             if q.id in seen_ids:
                 out.append(Violation(f"queries[{qi}]", f"duplicate query id {q.id!r} in sequence"))
             seen_ids.add(q.id)
         size = q.table.size_mb
-        if not (isfinite(size) and size >= 0.0):
-            what = "negative" if isfinite(size) else "non-finite"
-            out.append(Violation(f"queries[{qi}].table", f"{what} table size {size}"))
+        try:
+            if not 0.0 <= size <= fmax:
+                _check_quantity(out, f"queries[{qi}].table", size, "table size")
+        except TypeError:
+            _check_quantity(out, f"queries[{qi}].table", size, "table size")
         ops = q.ops
         if not ops:
             out.append(Violation(f"queries[{qi}].ops", "query has no operators"))
@@ -264,11 +313,15 @@ def validate_sequence(seq: QuerySequence) -> list[Violation]:
                 if op.id in op_ids:
                     out.append(Violation(f"queries[{qi}].ops[{oi}]", f"duplicate op id {op.id!r} within query"))
                 op_ids.add(op.id)
-            if not 0.0 <= op.selectivity <= 1.0:
-                out.append(Violation(
-                    f"queries[{qi}].ops[{oi}].selectivity",
-                    f"selectivity range: {op.selectivity} outside [0, 1]",
-                ))
+            try:
+                # a bool compares as 0 or 1, so it fails the strict test;
+                # so does a selectivity of 0 or 1, which the second one passes
+                if not 0.0 < op.selectivity < 1.0 and (
+                    op.selectivity is True or op.selectivity is False or not 0.0 <= op.selectivity <= 1.0
+                ):
+                    _check_selectivity(out, f"queries[{qi}].ops[{oi}].selectivity", op.selectivity)
+            except TypeError:
+                _check_selectivity(out, f"queries[{qi}].ops[{oi}].selectivity", op.selectivity)
             oi += 1
         qi += 1
     return out

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
 from .cost import _sweep_fold, improvement
-from .model import DeviceProfile, FilterOp, Query, QuerySequence, Strategy, TableSpec
+from .model import DeviceProfile, FilterOp, Query, QuerySequence, Strategy, TableSpec, _not_real
 from .plans import check_plan, enumerate_plans, strategy_plan
 
 
@@ -64,7 +63,7 @@ class SweepSpec:
             raise ValueError(f"variable must be one of {VARIABLES}, got {self.variable!r}")
         for name in ("start", "stop"):
             value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, numbers.Real):
+            if _not_real(value):
                 raise ValueError(f"sweep {name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"sweep {name} must be finite, got {value}")

@@ -44,6 +44,7 @@ not.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 
 from typing import NamedTuple, Sequence
@@ -297,8 +298,14 @@ def reference_fold(steps: Sequence[Step], gaps: Sequence[float], profile: Device
     return CostBreakdown(total=total, per_query=tuple(per_query))
 
 
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def reference_validate_sequence(seq: QuerySequence) -> list[Violation]:
-    """Every broken model invariant of ``seq``, in walk order."""
+    """Every broken model invariant of ``seq``, in walk order.  A bool is
+    not a real number here; ``validate_sequence`` still takes a bool table
+    size as 0 or 1 MB, so the property test draws none."""
     out: list[Violation] = []
     n = len(seq.queries)
     if n < 2:
@@ -311,7 +318,9 @@ def reference_validate_sequence(seq: QuerySequence) -> list[Violation]:
             )
         )
     for i, g in enumerate(seq.gaps):
-        if not math.isfinite(g):
+        if not _real(g):
+            out.append(Violation(f"sequence.gaps[{i}]", f"gap must be a real number, got {g!r}"))
+        elif not math.isfinite(g):
             out.append(Violation(f"sequence.gaps[{i}]", f"non-finite gap {g}"))
         elif g < 0:
             out.append(Violation(f"sequence.gaps[{i}]", f"negative gap {g}"))
@@ -321,7 +330,9 @@ def reference_validate_sequence(seq: QuerySequence) -> list[Violation]:
         if q.id in seen_ids:
             out.append(Violation(f"queries[{qi}]", f"duplicate query id {q.id!r} in sequence"))
         seen_ids.add(q.id)
-        if not math.isfinite(q.table.size_mb):
+        if not _real(q.table.size_mb):
+            out.append(Violation(f"queries[{qi}].table", f"table size must be a real number, got {q.table.size_mb!r}"))
+        elif not math.isfinite(q.table.size_mb):
             out.append(Violation(f"queries[{qi}].table", f"non-finite table size {q.table.size_mb}"))
         elif q.table.size_mb < 0:
             out.append(Violation(f"queries[{qi}].table", f"negative table size {q.table.size_mb}"))
@@ -332,7 +343,12 @@ def reference_validate_sequence(seq: QuerySequence) -> list[Violation]:
             if op.id in op_ids:
                 out.append(Violation(f"queries[{qi}].ops[{oi}]", f"duplicate op id {op.id!r} within query"))
             op_ids.add(op.id)
-            if not 0.0 <= op.selectivity <= 1.0:
+            if not _real(op.selectivity):
+                out.append(Violation(
+                    f"queries[{qi}].ops[{oi}].selectivity",
+                    f"selectivity must be a real number, got {op.selectivity!r}",
+                ))
+            elif not 0.0 <= op.selectivity <= 1.0:
                 out.append(Violation(
                     f"queries[{qi}].ops[{oi}].selectivity",
                     f"selectivity range: {op.selectivity} outside [0, 1]",

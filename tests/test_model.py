@@ -132,10 +132,79 @@ class TestValidateSequence:
         assert len(exc.value.violations) == 2
 
 
+class TestRealNumbers:
+    """A gap, table size or selectivity that is not a real number is a
+    violation naming its field, not a value read as a number or a bare
+    ``TypeError``; a device profile field that is not one is a
+    ``ValueError``.  Ints are real numbers."""
+
+    @pytest.mark.parametrize("gap", ["2.5", True, False, None], ids=repr)
+    def test_gap(self, gap):
+        with pytest.raises(InvalidSequenceError) as exc:
+            canonical_sequence(gap=gap)
+        assert [(v.location, v.message) for v in exc.value.violations] == [
+            ("sequence.gaps[0]", f"gap must be a real number, got {gap!r}")
+        ]
+
+    @pytest.mark.parametrize("size", ["9", None], ids=repr)
+    def test_table_size(self, size):
+        with pytest.raises(InvalidSequenceError) as exc:
+            canonical_sequence(s1=size)
+        assert [(v.location, v.message) for v in exc.value.violations] == [
+            ("queries[1].table", f"table size must be a real number, got {size!r}")
+        ]
+
+    @pytest.mark.parametrize("selectivity", ["9", None, True, False], ids=repr)
+    def test_selectivity(self, selectivity):
+        with pytest.raises(InvalidSequenceError) as exc:
+            canonical_sequence(f1=selectivity)
+        assert [(v.location, v.message) for v in exc.value.violations] == [
+            ("queries[0].ops[1].selectivity", f"selectivity must be a real number, got {selectivity!r}")
+        ]
+
+    def test_every_field_is_reported_in_walk_order(self):
+        with pytest.raises(InvalidSequenceError) as exc:
+            canonical_sequence(s0=None, f0="0.5", gap=True)
+        assert [v.location for v in exc.value.violations] == [
+            "sequence.gaps[0]", "queries[0].table", "queries[0].ops[0].selectivity",
+        ]
+
+    def test_an_int_too_large_for_a_float_is_not_finite(self):
+        with pytest.raises(InvalidSequenceError) as exc:
+            canonical_sequence(s0=10**400, gap=10**400)
+        assert [(v.location, v.message.split()[:3]) for v in exc.value.violations] == [
+            ("sequence.gaps[0]", ["non-finite", "gap", "1" + "0" * 400]),
+            ("queries[0].table", ["non-finite", "table", "size"]),
+        ]
+
+    def test_ints_are_accepted_and_gaps_stored_as_floats(self):
+        seq = canonical_sequence(s0=9, f0=0, f1=1, s1=0, gap=3)
+        assert validate_sequence(seq) == []
+        assert seq.gaps == (3.0,) and type(seq.gaps[0]) is float
+        assert seq == canonical_sequence(s0=9.0, f0=0.0, f1=1.0, s1=0.0, gap=3.0)
+
+    @pytest.mark.parametrize("field", ["t_reconfig", "r_scan", "r_acc", "r_network", "c_dbms"])
+    @pytest.mark.parametrize("bad", ["x", True, None], ids=repr)
+    def test_device_profile(self, field, bad):
+        kwargs = dict(t_reconfig=15.0, r_scan=1.0, r_acc=1.5, r_network=0.08, c_dbms=0.03)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=rf"^DeviceProfile\.{field} must be a real number, got {bad!r}$"):
+            DeviceProfile(**kwargs)
+
+    def test_device_profile_int_fields(self):
+        assert DeviceProfile(15, 1, 2, 1, 1).r_acc == 2
+        with pytest.raises(ValueError, match="finite and > 0"):
+            DeviceProfile(10**400, 1, 1, 1, 1)
+
+
 #: Values a broken field takes; the signed zeros and bounds are in range.
 _OFF_SIZES = [math.nan, math.inf, -math.inf, -1.0, -5e-324, -0.0, 0.0, 1.7976931348623157e308]
 _OFF_SELECTIVITIES = [math.nan, math.inf, -math.inf, 1.5, -0.25, 1.0000000000000002, -5e-324, -0.0, 0.0, 1.0]
-_BREAKS = ["gap", "size", "selectivity", "duplicate-query", "duplicate-op", "no-ops", "gap-count", "few-queries"]
+#: Values that are not real numbers; a bool table size is not drawn
+#: (see ``reference_validate_sequence``).
+_NOT_REAL = ["9", None, True, False]
+_BREAKS = ["gap", "size", "selectivity", "duplicate-query", "duplicate-op", "no-ops", "gap-count", "few-queries",
+           "gap-type", "size-type", "selectivity-type"]
 
 
 @st.composite
@@ -157,6 +226,12 @@ def _sequence_fields(draw):
             q[1] = _OFF_SIZES[pick % len(_OFF_SIZES)]
         elif kind == "selectivity" and q and q[2]:
             q[2][pick % len(q[2])][1] = _OFF_SELECTIVITIES[pick % len(_OFF_SELECTIVITIES)]
+        elif kind == "gap-type" and gaps:
+            gaps[i % len(gaps)] = _NOT_REAL[pick % len(_NOT_REAL)]
+        elif kind == "size-type" and q:
+            q[1] = _NOT_REAL[pick % 2]
+        elif kind == "selectivity-type" and q and q[2]:
+            q[2][pick % len(q[2])][1] = _NOT_REAL[pick % len(_NOT_REAL)]
         elif kind == "duplicate-query" and q:
             q[0] = queries[pick % len(queries)][0]
         elif kind == "duplicate-op" and q and q[2]:

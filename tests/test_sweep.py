@@ -13,6 +13,7 @@ from rpusim import (
     DeviceProfile,
     IllegalPlanError,
     InvalidSequenceError,
+    Mode,
     NonFiniteResultError,
     Strategy,
     SweepSpec,
@@ -27,8 +28,10 @@ from rpusim import (
     sweep_csv,
 )
 from conftest import canonical_sequence
+from rpusim.cost import _fold, _sweep_fold
+from rpusim.plans import check_plan
 from rpusim.sweep import _TRANSFORMS, SweepRow
-from test_engine_agreement import random_profile, random_sequence
+from test_engine_agreement import random_cases, random_plan, random_profile, random_sequence
 
 
 class TestTransforms:
@@ -299,6 +302,27 @@ def test_long_sweeps_equal_a_per_point_rebuild_bit_for_bit(variable, start, stop
         assert rows == expected
     # the sequences cover plans with HOLD and SPECULATIVE boundaries
     assert applicable[Strategy.II] > 0 and applicable[Strategy.III] > 0
+
+
+@pytest.mark.parametrize("variable, start, stop", [("scale", 0.0, 4.0), ("gap", 0.0, 40.0), ("selectivity", 0.0, 1.0)])
+def test_sweep_fold_is_the_fold_of_each_variant_bit_for_bit(variable, start, stop):
+    """On hand-built legal plans that mix modes and push nothing down for
+    some queries, as no strategy plan does, each grid point's totals carry
+    the bits of ``_fold`` over that point's variant."""
+    grid = SweepSpec(variable, start, stop, 7, (Strategy.S,)).grid()
+    empty = Counter()
+    for rng, seq, profile in random_cases(3301, 120):
+        plans = [random_plan(rng, seq) for _ in range(4)]
+        totals_at = _sweep_fold(plans, seq, profile, variable)
+        for value in grid:
+            variant = _TRANSFORMS[variable](seq, value)
+            expected = [_fold(check_plan(plan, variant), variant, profile).hex() for plan in plans]
+            assert [total.hex() for total in totals_at(value)] == expected, (value, plans, seq)
+        for plan in plans:
+            for order, mode in zip(plan.rpu_order[1:], plan.modes):
+                empty[mode] += not order
+    # an empty order follows a boundary of every mode
+    assert all(empty[mode] > 0 for mode in Mode), empty
 
 
 def _raises_in_both(seq, profile, spec, error, message):

@@ -524,9 +524,13 @@ def test_simulate_is_independent_of_the_cost_engine(monkeypatch, profile, seq):
 
 @pytest.mark.parametrize("seq", [canonical_sequence(), _long_sequence(200)], ids=["paper", "200-query"])
 def test_costing_calls_no_per_step_helper(monkeypatch, profile, seq):
-    """``plan_cost`` and ``run_sweep`` fold each plan in one flat loop:
-    no call of the single-step definitions ``order_facts`` and
-    ``boundary``, nor of ``plans._host_ops``, per query step."""
+    """``plan_cost`` and ``run_sweep`` fold each plan in one flat loop: no
+    call of the single-step definitions ``order_facts`` and ``boundary``
+    per query step.  ``plan_cost`` spells the host-op rule out inline and
+    does not call ``_host_ops`` at all; a sweep takes each query's host ops
+    from ``_host_ops`` when it lowers a plan, so once per query per
+    distinct plan, whatever its step count.  ``cost`` imports the name, so
+    the patch goes on ``rpusim.cost``, where a call from the fold looks it up."""
     plans = enumerate_plans(seq)
     expected = [plan_cost(seq, plan, profile).total for plan in plans]
 
@@ -535,13 +539,21 @@ def test_costing_calls_no_per_step_helper(monkeypatch, profile, seq):
             raise AssertionError(f"costing called {name}")
         return fail
 
-    for module, name in ((rpusim.cost, "order_facts"), (rpusim.cost, "boundary"), (rpusim.plans, "_host_ops")):
-        monkeypatch.setattr(module, name, raising(name))
+    for name in ("order_facts", "boundary", "_host_ops"):
+        monkeypatch.setattr(rpusim.cost, name, raising(name))
     fresh = QuerySequence(seq.queries, seq.gaps)
     assert [plan_cost(fresh, plan, profile).total for plan in plans] == expected
+    monkeypatch.setattr(rpusim.cost, "_host_ops", rpusim.plans._host_ops)
+    host_ops = _counting(monkeypatch, rpusim.cost, "_host_ops")
+    lowered, _ = _counting_sweep_folds(monkeypatch, key=lambda plan: plan)
     for variable, start, stop in (("scale", 0.5, 4.0), ("gap", 0.0, 30.0), ("selectivity", 0.0, 1.0)):
-        spec = SweepSpec(variable, start, stop, 5, tuple(plan.strategy for plan in plans))
-        assert len(run_sweep(seq, profile, spec)) == 5 * len(plans)
+        for steps in (2, 50):
+            host_ops.clear()
+            lowered.clear()
+            spec = SweepSpec(variable, start, stop, steps, tuple(plan.strategy for plan in plans))
+            assert len(run_sweep(seq, profile, spec)) == steps * len(plans)
+            assert set(lowered.values()) == {1}
+            assert sum(host_ops.values()) == len(seq.queries) * len(lowered)
 
 
 class _CountingPattern:
