@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import stat
@@ -17,14 +18,7 @@ import sys
 
 from .cost import CostBreakdown, improvement, plan_cost
 from .errors import RpusimError
-from .miner import (
-    mine_sequences,
-    normalize_query,
-    parse_catalog,
-    parse_log,
-    report_csv,
-    to_workload,
-)
+from .miner import _mine, _read_log, normalize_query, parse_catalog, report_csv, to_workload
 from .model import HINT_STRATEGIES, DeviceProfile, Plan, QuerySequence, Strategy, calibrated_profile
 from .planner import choose_plan, costed_plans, generate_hints
 from .plans import strategy_plan
@@ -183,10 +177,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    log = parse_log(args.log)
-    mined = mine_sequences(
-        log, min_support=args.min_support, max_len=args.max_len, max_gap=args.max_gap
-    )
+    # the log's columns, mined as they are: no LogEntry is built
+    stamps, query_texts, durations, templates = _read_log(args.log)
+    mined = _mine(stamps, durations, templates, args.min_support, args.max_len, args.max_gap)
     # both files are built and opened before any output, so a bad catalog or
     # an unwritable --workload-out or --out prints nothing and writes no file
     texts = []
@@ -209,11 +202,11 @@ def _cmd_mine(args) -> int:
         sys.stdout.write(report)
     used = {tid for m in mined for tid in m.templates}
     first: dict[str, str] = {}
-    for entry in log:
+    for tid, text in zip(templates, query_texts):
         if len(first) == len(used):
             break
-        if entry.template_id in used and entry.template_id not in first:
-            first[entry.template_id] = entry.text
+        if tid in used and tid not in first:
+            first[tid] = text
     for tid, text in first.items():
         print(f"template {tid}: {normalize_query(text)}")
     if args.workload_out:
@@ -221,6 +214,7 @@ def _cmd_mine(args) -> int:
     return 0
 
 
+@functools.cache  # built at the first main() call, then reused: parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rpusim",

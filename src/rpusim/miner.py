@@ -4,16 +4,18 @@ Log lines are ``epoch_ms<TAB>query_text`` with an optional third
 ``duration_ms`` field.  A query text's template comes in two steps: one regex
 pass replaces its constants by ``?``, then a token pass lowercases keywords
 and joins tokens with single spaces; the template id hashes the template.
-``parse_log`` runs the constant pass once per line and the token pass and
-hash once per distinct constant-free text, so a shape that recurs with other
-constants is templated once per call.  Contiguous template n-grams whose
-internal gaps stay under a session cutoff are then counted.  Counting codes
-each template as a small int and runs per n-gram length: all windows of one
-length are counted at once as integer keys, each built from the window one
-shorter, and gap sums are kept only for the n-grams that reach the minimum
-support.  Gaps are completion-to-arrival: the next arrival minus the previous
-arrival minus the previous duration when the log has durations, minus nothing
-when it does not (which overestimates the gap).
+A log is read into four columns (timestamps, texts, durations, template ids)
+by one pass that runs the constant pass once per line and the token pass and
+hash once per distinct constant-free text.  ``parse_log`` builds a
+``LogEntry`` per row; ``rpusim mine`` mines the columns and builds none.
+Contiguous template n-grams whose internal gaps stay under a session cutoff
+are then counted.  Counting codes each template as a small int and runs per
+n-gram length: all windows of one length are counted at once as integer keys,
+each built from the window one shorter, and gap sums are kept only for the
+n-grams that reach the minimum support.  Gaps are completion-to-arrival: the
+next arrival minus the previous arrival minus the previous duration when the
+log has durations, minus nothing when it does not (which overestimates the
+gap).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
+from operator import lt
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -102,8 +105,9 @@ class LogEntry:
 
     Built directly, an entry rejects a non-finite timestamp and a duration
     that is not finite and >= 0 with :class:`MiningError`, and fingerprints
-    its text.  ``parse_log`` checks each line's fields itself and builds
-    each entry with the id of its text's shape, templated once per call.
+    its text.  ``parse_log`` builds each entry from the columns of a log
+    read once, whose reader checks each line's fields and templates each
+    shape once; ``rpusim mine`` reads the same columns and builds no entry.
     """
 
     timestamp_ms: float
@@ -132,8 +136,9 @@ def _log_entry(timestamp_ms: float, text: str, duration_ms: float | None, templa
     return entry
 
 
-def parse_log(source: str | Path | Iterable[str]) -> list[LogEntry]:
-    """Read log lines and return entries sorted by timestamp."""
+def _read_log(source: str | Path | Iterable[str]) -> tuple[list, list, list, list]:
+    """A log's columns (timestamps, texts, durations, template ids), one row
+    per non-blank line, sorted stably by timestamp."""
     if isinstance(source, (str, Path)):
         # lines end only at "\n" (read_text turns "\r\n" into it), as when
         # iterating an open file; str.splitlines would also split at U+2028 etc.
@@ -143,9 +148,9 @@ def parse_log(source: str | Path | Iterable[str]) -> list[LogEntry]:
             raise MiningError(f"{source}: not UTF-8 text ({exc})") from exc
     else:
         lines = [line.rstrip("\n") for line in source]
-    # constant-free text -> template id, for this call only
+    # constant-free text -> template id, for this read only
     ids: dict[str, str] = {}
-    entries = []
+    stamps, texts, durations, templates = [], [], [], []
     for n, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -168,9 +173,21 @@ def parse_log(source: str | Path | Iterable[str]) -> list[LogEntry]:
         template_id = ids.get(bare)
         if template_id is None:
             template_id = ids[bare] = _template_id(bare)
-        entries.append(_log_entry(ts, text, duration, template_id))
-    entries.sort(key=lambda e: e.timestamp_ms)
-    return entries
+        stamps.append(ts)
+        texts.append(text)
+        durations.append(duration)
+        templates.append(template_id)
+    if any(map(lt, stamps[1:], stamps)):
+        # the row indexes in stable timestamp order, as a stable sort of entries
+        order = sorted(range(len(stamps)), key=stamps.__getitem__)
+        columns = stamps, texts, durations, templates
+        stamps, texts, durations, templates = ([column[i] for i in order] for column in columns)
+    return stamps, texts, durations, templates
+
+
+def parse_log(source: str | Path | Iterable[str]) -> list[LogEntry]:
+    """Read log lines and return entries sorted by timestamp, one per row of the log's columns."""
+    return list(map(_log_entry, *_read_log(source)))
 
 
 @dataclass(frozen=True)
@@ -192,30 +209,40 @@ def mine_sequences(
 
     Windows are broken wherever a completion-to-arrival gap exceeds
     ``max_gap``.  Results carry per-position average gaps and are sorted by
-    support (descending), length (descending), then template ids.
+    support (descending), length (descending), then template ids.  The
+    parameters are checked before any entry is read, then the entries'
+    columns are mined as ``rpusim mine`` mines a log's.
     """
+    _check_mining(min_support, max_len, max_gap)
+    columns = [e.timestamp_ms for e in log], [e.duration_ms for e in log], [e.template_id for e in log]
+    return _mine(*columns, min_support, max_len, max_gap)
+
+
+def _check_mining(min_support: int, max_len: int, max_gap: float) -> None:
     if min_support < 1:
         raise MiningError(f"min_support must be >= 1, got {min_support}")
     if max_len < 2:
         raise MiningError(f"max_len must be >= 2, got {max_len}")
     if not 0.0 <= max_gap < math.inf:
         raise MiningError(f"max_gap must be finite and >= 0, got {max_gap}")
-    for a, b in zip(log, log[1:]):
-        if b.timestamp_ms < a.timestamp_ms:
-            raise MiningError("log is not sorted by timestamp")
 
-    templates = [e.template_id for e in log]
+
+def _mine(
+    stamps: list, durations: list, templates: list, min_support: int, max_len: int, max_gap: float
+) -> list[MinedSequence]:
+    """:func:`mine_sequences` over a log's timestamp, duration and template id columns."""
+    _check_mining(min_support, max_len, max_gap)
+    if any(map(lt, stamps[1:], stamps)):
+        raise MiningError("log is not sorted by timestamp")
+
     # each template as a small int, in order of first appearance
     codes: dict[str, int] = {}
     coded = [codes.setdefault(t, len(codes)) for t in templates]
     radix = len(codes)
-    gap_after = [
-        max(0.0, b.timestamp_ms - (a.timestamp_ms + (a.duration_ms or 0.0)))
-        for a, b in zip(log, log[1:])
-    ]
+    gap_after = [max(0.0, b - (a + (d or 0.0))) for a, d, b in zip(stamps, durations, stamps[1:])]
     # reach[i]: how many consecutive gaps from entry i on stay under the cutoff
-    reach = [0] * len(log)
-    for i in range(len(log) - 2, -1, -1):
+    reach = [0] * len(stamps)
+    for i in range(len(stamps) - 2, -1, -1):
         reach[i] = 0 if gap_after[i] > max_gap else reach[i + 1] + 1
 
     mined = []
@@ -225,23 +252,22 @@ def mine_sequences(
     for n in range(2, min(max_len, max(reach, default=0) + 1) + 1):
         keys = [key * radix + code for key, code in zip(keys, coded[n - 1 :])]
         valid = [r >= n - 1 for r in reach]
-        starts = list(compress(range(len(log)), valid))
         support = Counter(compress(keys, valid))
         frequent = {key for key, count in support.items() if count >= min_support}
         # gaps are max(0.0, ...), never -0.0, so seeding with the first
         # window's gaps equals a fold from 0.0, in log order
         sums: dict[int, list[float]] = {}
         first: dict[int, int] = {}
-        for i in starts:
+        # the starts of the frequent windows only, in log order
+        for i in compress(compress(range(len(stamps)), valid), map(frequent.__contains__, compress(keys, valid))):
             key = keys[i]
-            if key in frequent:
-                acc = sums.get(key)
-                if acc is None:
-                    sums[key] = gap_after[i : i + n - 1]
-                    first[key] = i
-                else:
-                    for j in range(n - 1):
-                        acc[j] += gap_after[i + j]
+            acc = sums.get(key)
+            if acc is None:
+                sums[key] = gap_after[i : i + n - 1]
+                first[key] = i
+            else:
+                for j in range(n - 1):
+                    acc[j] += gap_after[i + j]
         mined.extend(
             MinedSequence(
                 templates=tuple(templates[first[key] : first[key] + n]),

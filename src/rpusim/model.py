@@ -267,11 +267,11 @@ def validate_sequence(seq: QuerySequence) -> list[Violation]:
     reported as such, and a clean value makes no call.  The first gap that
     is not a float in range sends every gap, with its index, to
     ``_check_quantity``, which accepts any real number in range (the
-    constructor then stores the gaps as floats).  A size or selectivity
-    takes a chained comparison, which raises ``TypeError`` on a string or
-    ``None``; a bool selectivity fails both its tests.  A value that fails
-    goes to ``_check_quantity`` or ``_check_selectivity``.  A bool table
-    size still passes, as 0 or 1 MB.
+    constructor then stores the gaps as floats); a table size that is not a
+    float in range goes there alone.  A selectivity takes a chained
+    comparison, which raises ``TypeError`` on a string or ``None``; a bool
+    selectivity fails both its tests.  One that fails goes to
+    ``_check_selectivity``.
 
     Violations are data, not exceptions, so callers can report all of them
     at once.  Use :func:`require_valid` to raise instead; constructing a
@@ -298,10 +298,7 @@ def validate_sequence(seq: QuerySequence) -> list[Violation]:
                 out.append(Violation(f"queries[{qi}]", f"duplicate query id {q.id!r} in sequence"))
             seen_ids.add(q.id)
         size = q.table.size_mb
-        try:
-            if not 0.0 <= size <= fmax:
-                _check_quantity(out, f"queries[{qi}].table", size, "table size")
-        except TypeError:
+        if type(size) is not float or not 0.0 <= size <= fmax:
             _check_quantity(out, f"queries[{qi}].table", size, "table size")
         ops = q.ops
         if not ops:

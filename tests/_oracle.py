@@ -304,8 +304,7 @@ def _real(value) -> bool:
 
 def reference_validate_sequence(seq: QuerySequence) -> list[Violation]:
     """Every broken model invariant of ``seq``, in walk order.  A bool is
-    not a real number here; ``validate_sequence`` still takes a bool table
-    size as 0 or 1 MB, so the property test draws none."""
+    not a real number here."""
     out: list[Violation] = []
     n = len(seq.queries)
     if n < 2:

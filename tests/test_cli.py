@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,6 +17,10 @@ from rpusim import (
     SweepSpec,
     calibrated_profile,
     default_scenario,
+    mine_sequences,
+    normalize_query,
+    parse_log,
+    report_csv,
     run_sweep,
     scale_sequence,
     set_gaps,
@@ -664,25 +669,71 @@ class TestMineCommand:
 
     def test_first_text_scan_stops_once_every_template_has_one(self, tmp_path, capsys, monkeypatch):
         """The planted templates first occur in lines 1-3; the scan for each
-        template's first text reads no entry after that."""
+        template's first text reads no row of the id and text columns after
+        that."""
         log = tmp_path / "queries.log"
         log.write_text("\n".join(planted_log_lines()) + "\n", encoding="utf-8")
-        real_mine = rpusim.cli.mine_sequences
+        real_read, real_mine = rpusim.cli._read_log, rpusim.cli._mine
+        read = []
 
         class Unread:
-            @property
-            def template_id(self):
-                raise AssertionError("entry read after every template had its text")
+            def __hash__(self):
+                raise AssertionError("row read after every template had its text")
 
-        def mine_then_poison(log, **kwargs):
-            mined = real_mine(log, **kwargs)
-            log.append(Unread())
+        def read_log(source):
+            read.append(real_read(source))
+            return read[-1]
+
+        def mine_then_poison(stamps, durations, templates, *params):
+            mined = real_mine(stamps, durations, templates, *params)
+            # one more row in the columns the scan walks
+            templates.append(Unread())
+            read[-1][1].append(Unread())
             return mined
 
-        monkeypatch.setattr(rpusim.cli, "mine_sequences", mine_then_poison)
+        monkeypatch.setattr(rpusim.cli, "_read_log", read_log)
+        monkeypatch.setattr(rpusim.cli, "_mine", mine_then_poison)
         assert main(["mine", "--log", str(log), "--min-support", "5", "--max-gap", "50"]) == 0
         printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("template ")]
         assert [line.split()[1].rstrip(":") for line in printed] == [A_ID, B_ID, C_ID]
+        assert isinstance(read[-1][3][-1], Unread)
+
+    def test_shuffled_logs_mine_as_their_parsed_entries(self, tmp_path, capsys):
+        """On shuffled logs with repeated timestamps, ``rpusim mine``'s report
+        and template lines equal those of mining ``parse_log``'s entries,
+        which are the entries built line by line in a stable sort: the
+        columns are sorted in the order the entries are."""
+        rng = random.Random(37)
+        # the first and last shapes share a template but not a text
+        shapes = ["SELECT a FROM t WHERE k = {}", "select b from t where k = '{}'",
+                  "SELECT c FROM u WHERE k > {}", "Select a From t Where k = {}"]
+        log, report = tmp_path / "queries.log", tmp_path / "report.csv"
+        durations = ["", "\t0", "\t1.5"]
+        seen = {"ties": 0, "mined": 0}
+        for _ in range(80):
+            lines = [
+                f"{rng.randrange(12)}\t{rng.choice(shapes).format(rng.randrange(10))}{rng.choice(durations)}"
+                for _ in range(rng.randrange(40))
+            ]
+            rng.shuffle(lines)
+            log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            entries = parse_log(lines)
+            assert entries == sorted((parse_log([line])[0] for line in lines), key=lambda e: e.timestamp_ms)
+            mined = mine_sequences(entries, min_support=2, max_len=4, max_gap=1.0)
+            args = ["mine", "--log", str(log), "--min-support", "2", "--max-gap", "1", "--out", str(report)]
+            assert main(args) == 0
+            assert report.read_bytes() == report_csv(mined).encode("utf-8")
+            used = {tid for m in mined for tid in m.templates}
+            first = {}
+            for e in entries:
+                if e.template_id in used:
+                    first.setdefault(e.template_id, e.text)
+            assert capsys.readouterr().out.splitlines()[1:] == [
+                f"template {tid}: {normalize_query(text)}" for tid, text in first.items()
+            ]
+            seen["ties"] += len({e.timestamp_ms for e in entries}) < len(entries)
+            seen["mined"] += bool(mined)
+        assert min(seen.values()) > 0
 
 
 class TestExitCodes:
@@ -770,6 +821,28 @@ class TestExitCodes:
                         encoding="utf-8")
         assert main(["plan", "--workload", str(path)]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call_with_no_option_left_over(tmp_path, capsys):
+    """The parser is built once per process; a command run after another
+    prints exactly what it prints as the process's first call."""
+    log = tmp_path / "queries.log"
+    log.write_text("\n".join(planted_log_lines()) + "\n", encoding="utf-8")
+    sweep = ["sweep", "--sweep", "gap", "--from", "0", "--to", "10", "--steps", "3"]
+    runs = [(sweep + ["--fix-scale", "2"], sweep), (["plan", "--no-hints"], ["plan"]),
+            (["plan"], ["mine", "--log", str(log), "--max-gap", "50"])]
+
+    def first_call(argv):
+        rpusim.cli._build_parser.cache_clear()
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    for before, after in runs:
+        expected = first_call(after)
+        assert first_call(before) != expected
+        assert main(after) == 0
+        assert capsys.readouterr().out == expected
+    assert rpusim.cli._build_parser() is rpusim.cli._build_parser()
 
 
 def test_python_dash_m_runs_the_cli(capsys):

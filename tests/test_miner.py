@@ -319,6 +319,17 @@ class TestMineSequences:
         with pytest.raises(MiningError):
             mine_sequences(log, min_support=1, max_len=1)
 
+    @pytest.mark.parametrize("params, message", [
+        ({"min_support": 0}, "min_support must be >= 1, got 0"),
+        ({"min_support": 1, "max_len": 1}, "max_len must be >= 2, got 1"),
+        ({"min_support": 1, "max_gap": math.nan}, "max_gap must be finite and >= 0, got nan"),
+    ])
+    def test_parameters_are_checked_before_any_entry_is_read(self, params, message):
+        """A log holding a non-entry still gets the parameter error, not an
+        ``AttributeError`` from reading its columns."""
+        with pytest.raises(MiningError, match=f"^{message}$"):
+            mine_sequences([object()], **params)
+
     @pytest.mark.parametrize("max_gap", [math.nan, math.inf, -5.0])
     def test_max_gap_must_be_finite_and_non_negative(self, max_gap):
         log = parse_log(["0\tQRY A", "10\tQRY B", "20\tQRY A", "30\tQRY B"])

@@ -146,7 +146,7 @@ class TestRealNumbers:
             ("sequence.gaps[0]", f"gap must be a real number, got {gap!r}")
         ]
 
-    @pytest.mark.parametrize("size", ["9", None], ids=repr)
+    @pytest.mark.parametrize("size", ["9", None, True, False], ids=repr)
     def test_table_size(self, size):
         with pytest.raises(InvalidSequenceError) as exc:
             canonical_sequence(s1=size)
@@ -200,8 +200,7 @@ class TestRealNumbers:
 #: Values a broken field takes; the signed zeros and bounds are in range.
 _OFF_SIZES = [math.nan, math.inf, -math.inf, -1.0, -5e-324, -0.0, 0.0, 1.7976931348623157e308]
 _OFF_SELECTIVITIES = [math.nan, math.inf, -math.inf, 1.5, -0.25, 1.0000000000000002, -5e-324, -0.0, 0.0, 1.0]
-#: Values that are not real numbers; a bool table size is not drawn
-#: (see ``reference_validate_sequence``).
+#: Values that are not real numbers.
 _NOT_REAL = ["9", None, True, False]
 _BREAKS = ["gap", "size", "selectivity", "duplicate-query", "duplicate-op", "no-ops", "gap-count", "few-queries",
            "gap-type", "size-type", "selectivity-type"]
@@ -229,7 +228,7 @@ def _sequence_fields(draw):
         elif kind == "gap-type" and gaps:
             gaps[i % len(gaps)] = _NOT_REAL[pick % len(_NOT_REAL)]
         elif kind == "size-type" and q:
-            q[1] = _NOT_REAL[pick % 2]
+            q[1] = _NOT_REAL[pick % len(_NOT_REAL)]
         elif kind == "selectivity-type" and q and q[2]:
             q[2][pick % len(q[2])][1] = _NOT_REAL[pick % len(_NOT_REAL)]
         elif kind == "duplicate-query" and q:

@@ -571,8 +571,8 @@ class _CountingPattern:
 def test_mine_templates_each_shape_once(monkeypatch, tmp_path, capsys):
     """One ``rpusim mine`` run that also emits a workload: one constant pass
     per log line, one token pass per distinct constant-free text, no
-    ``fingerprint`` call, and one ``normalize_query`` (a constant and a token
-    pass) per printed template line."""
+    ``fingerprint`` call, one ``normalize_query`` (a constant and a token
+    pass) per printed template line, and no ``LogEntry`` built."""
     lines = planted_log_lines()
     shapes = {rpusim.miner._CONSTANT_RE.sub("?", line.split("\t")[1]) for line in lines}
     # the planted templates recur with other constants
@@ -587,6 +587,8 @@ def test_mine_templates_each_shape_once(monkeypatch, tmp_path, capsys):
     token_passes = _counting(monkeypatch, rpusim.miner, "_template")
     fingerprints = _counting(monkeypatch, rpusim.miner, "fingerprint")
     normalized = _counting(monkeypatch, rpusim.cli, "normalize_query")
+    built = _counting(monkeypatch, rpusim.miner, "_log_entry")
+    inits = _counting(monkeypatch, rpusim.miner.LogEntry, "__init__")
     args = ["mine", "--log", str(log), "--min-support", "5", "--max-gap", "50",
             "--out", str(tmp_path / "report.csv"),
             "--catalog", str(catalog), "--workload-out", str(tmp_path / "workload.json")]
@@ -596,6 +598,8 @@ def test_mine_templates_each_shape_once(monkeypatch, tmp_path, capsys):
     assert constants.subs == len(lines) + len(printed)
     assert sum(token_passes.values()) == len(shapes) + len(printed)
     assert sum(fingerprints.values()) == 0
+    # the log stays in columns: no entry is built
+    assert sum(built.values()) == sum(inits.values()) == 0
 
 
 def test_keywords_in_lower_upper_or_title_case_skip_the_per_word_rule(monkeypatch):
