@@ -22,17 +22,17 @@ A sequence total is assembled left to right out of three kinds of segments:
 order, whatever the PR holds, and :func:`boundary` joins a query to the
 state its predecessor leaves, under each mode.  They are the single-step
 definitions; the device policy (:func:`rpusim.planner.rpu_policy`) weighs
-its two options with them.  Three loops spell :func:`boundary` out inline,
+its two options with them.  Two loops spell :func:`boundary` out inline,
 with its float operations in its order, and the tests pin each to the
 single-step definitions bit for bit: :func:`_fold`, which
-:func:`plan_cost` runs, and the point fold and the gap-only sums of
-:func:`_sweep_fold`, which :func:`rpusim.sweep.run_sweep` runs per grid
-point on plans lowered once.  Each copy is kept for measured speed:
-summing a gap sweep's boundaries through the point fold cut the short-seq
-benchmark's ``items_per_s`` about 9 % (median 13 182 to 11 976, three
-alternating 15 s pairs), and taking their scans, bodies and tails from
-:func:`order_facts` slowed the seed-1 gap sweeps by up to 17 % (median
-11 %).  :func:`_fold` returns a bare total, and fills a per-query list only
+:func:`plan_cost` runs, and the point fold of :func:`_sweep_fold`, which
+:func:`rpusim.sweep.run_sweep` runs per grid point, in every swept
+variable, on plans lowered once.  Each copy is kept for measured speed:
+with gap points folded through the point fold and sweep rows built as a
+``NamedTuple``, the short-seq benchmark's ``items_per_s`` read a median
+13 275 against 12 908 for gap-only boundary sums and rows built field
+by field (ten alternating 30 s pairs, ten won, on a shared 2-vCPU host).
+:func:`_fold` returns a bare total, and fills a per-query list only
 when its caller passes one: :func:`plan_cost` passes one, and builds the
 :class:`CostBreakdown`, only when every boundary is BASELINE, because only
 then does the total decompose per query.  It keeps each breakdown in the
@@ -277,11 +277,10 @@ def _sweep_fold(
     * a selectivity point multiplies each stream size by the value where
       :func:`_fold` multiplies by an op's selectivity.  The variant's ops
       hold that same float;
-    * a gap changes no query's scan, body or tail, so each query's are
-      kept from one fold at scale ``1.0`` (``x * 1.0 == x`` for every
-      float), and a point only sums the boundaries again, with the value
-      as every gap after the first.  The variant's gaps hold that same
-      float, and a gap is only ever added to a tail.
+    * a gap point folds the record at scale ``1.0`` (``x * 1.0 == x`` for
+      every float) with the value as every gap after the first.  The
+      variant's gaps hold that same float, and a gap is only ever added
+      to a tail.
     """
     t_reconfig, r_scan, r_acc = profile.t_reconfig, profile.r_scan, profile.r_acc
     r_network, c_dbms = profile.r_network, profile.c_dbms
@@ -304,12 +303,15 @@ def _sweep_fold(
             record.append((q.table.size_mb, pushed, host, lead, mode, gap))
         lowered.append(record)
 
-    def fold(record, scale: float, common: float | None, kept: list | None = None) -> float:
+    def fold(record, scale: float, common: float | None, swept: float | None) -> float:
         """A lowered plan's total, unchecked; ``common``, when not
-        ``None``, stands for every selectivity, and ``kept``, when given,
-        gets each query's scan, body, tail, lead and mode."""
+        ``None``, stands for every selectivity, and ``swept`` for every
+        gap after the first."""
         total = prev_tail = 0.0
+        later = None  # ``swept``, from the second query on
         for size, pushed, host, lead, mode, gap in record:
+            if later is not None:
+                gap = later
             size *= scale
             scan = size / r_scan
             body = reconfig = 0.0
@@ -324,8 +326,6 @@ def _sweep_fold(
                 dbms += c_dbms * size
                 size *= selectivity if common is None else common
             tail = trans + dbms
-            if kept is not None:
-                kept.append((scan, body, tail, lead, mode))
             if mode is _BASELINE:
                 total += prev_tail + gap + (scan if scan > lead else lead) + body
             elif mode is _HOLD:
@@ -335,37 +335,14 @@ def _sweep_fold(
                 ready = prev_tail + gap + scan
                 total += (ready if ready > lead else lead) + body
             prev_tail = tail
+            later = swept
         return total + prev_tail
 
     if variable == "scale":
-        return lambda value: _finite([fold(record, value, None) for record in lowered])
+        return lambda value: _finite([fold(record, value, None, None) for record in lowered])
     if variable == "selectivity":
-        return lambda value: _finite([fold(record, 1.0, value) for record in lowered])
-    fixed = []
-    for record in lowered:
-        kept: list = []
-        fold(record, 1.0, None, kept)
-        fixed.append(kept)
-
-    def boundaries(value: float) -> list[float]:
-        totals = []
-        for facts in fixed:
-            total = prev_tail = gap = 0.0
-            for scan, body, tail, lead, mode in facts:
-                if mode is _BASELINE:
-                    total += prev_tail + gap + (scan if scan > lead else lead) + body
-                elif mode is _HOLD:
-                    ready = prev_tail + gap
-                    total += (ready if ready > lead else lead) + scan + body
-                else:  # SPECULATIVE
-                    ready = prev_tail + gap + scan
-                    total += (ready if ready > lead else lead) + body
-                prev_tail = tail
-                gap = value
-            totals.append(total + prev_tail)
-        return _finite(totals)
-
-    return boundaries
+        return lambda value: _finite([fold(record, 1.0, value, None) for record in lowered])
+    return lambda value: _finite([fold(record, 1.0, None, value) for record in lowered])
 
 
 def _finite(totals: list[float]) -> list[float]:

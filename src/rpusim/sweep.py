@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cost import _sweep_fold, improvement
 from .model import DeviceProfile, FilterOp, Query, QuerySequence, Strategy, TableSpec, _not_real
@@ -100,31 +101,18 @@ class SweepSpec:
 
     def grid(self) -> list[float]:
         # rounding can carry a point just past ``stop``, out of a range
-        # such as a selectivity's [0, 1]; no point leaves the swept range
-        stop = self.stop
-        return [min(self._point(i), stop) for i in range(self.steps)]
+        # such as a selectivity's [0, 1], or leave the last just short of
+        # it; no point leaves the swept range, and the last is ``stop``
+        stop = float(self.stop)
+        return [min(self._point(i), stop) for i in range(self.steps - 1)] + [stop]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     variable: str
     value: float
     strategy: Strategy
     total_ms: float
     improvement_pct: float
-
-
-def _sweep_row(variable: str, value: float, strategy: Strategy, total_ms: float, improvement_pct: float) -> SweepRow:
-    """A ``SweepRow``, its fields set in declaration order, as the generated
-    ``__init__`` sets them, without that call's overhead."""
-    row = object.__new__(SweepRow)
-    _set = object.__setattr__
-    _set(row, "variable", variable)
-    _set(row, "value", value)
-    _set(row, "strategy", strategy)
-    _set(row, "total_ms", total_ms)
-    _set(row, "improvement_pct", improvement_pct)
-    return row
 
 
 def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> list[SweepRow]:
@@ -143,10 +131,8 @@ def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> li
     selectivities, leads, modes, gaps), and the point's value enters where
     the variant holds it, through the same float operation: a scale
     multiplies each size once, a common selectivity stands for each op's,
-    and a gap is only added to a tail.  So a gap sweep computes each
-    query's scan, body and tail once, which no gap changes, and a point
-    only sums the boundaries again.  ``_sweep_fold``'s docstring gives the
-    argument per variable.
+    and a gap is only added to a tail.  ``_sweep_fold``'s docstring gives
+    the argument per variable.
 
     Errors come in grid order: a value the variable's transform rejects
     raises that transform's error at its own point (the first point's
@@ -187,7 +173,7 @@ def run_sweep(seq: QuerySequence, profile: DeviceProfile, spec: SweepSpec) -> li
         baseline = totals[0]
         for strategy, slot in slots:
             total = totals[slot]
-            rows.append(_sweep_row(variable, value, strategy, total, improvement(total, baseline)))
+            rows.append(SweepRow(variable, value, strategy, total, improvement(total, baseline)))
     return rows
 
 

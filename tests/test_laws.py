@@ -11,7 +11,11 @@ has two forms, one that doubles the data and one that halves the device:
 Under either form ``plan_cost`` is exactly twice the original total, every
 ``simulate`` phase starts and ends at exactly twice its time, and
 ``choose_plan`` returns the same plan, with the same label, with hints on
-and off.
+and off.  Every ``run_sweep`` row, in each swept variable, totals exactly
+twice the original with the very same improvement (a gap sweep's range
+doubled too), every hint's expected gap and scan double, and given a hint
+with both doubled, ``rpu_policy`` makes the same choice with every
+rationale value doubled.
 
 Every engine step is monotone in its inputs, and rounding to nearest is
 monotone, so a plan's total never falls when ``t_reconfig``, ``c_dbms``, a
@@ -30,22 +34,29 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 
 from rpusim import (
     DeviceProfile,
     FilterOp,
+    Hint,
     Plan,
     Query,
     QuerySequence,
+    SweepSpec,
     TableSpec,
     choose_plan,
     enumerate_plans,
+    generate_hints,
     plan_cost,
+    rpu_policy,
+    run_sweep,
     scale_sequence,
     simulate,
 )
-from test_engine_agreement import _mixed_mode_cases, random_cases, random_plan
+from rpusim.sweep import _TRANSFORMS
+from test_engine_agreement import _mixed_mode_cases, policy_boundaries, random_cases, random_plan
 
 #: The smallest nonzero size, gap or selectivity a law case holds.
 _TINY = 1e-6
@@ -155,15 +166,20 @@ def test_totals_are_monotone_on_random_mixed_mode_plans(case):
     _check_monotone(seq, [plan], profile)
 
 
+def _assert_not_tiny(seq: QuerySequence) -> None:
+    """No size, gap or selectivity of ``seq`` is nonzero and below ``_TINY``."""
+    values = [*seq.gaps, *(q.table.size_mb for q in seq.queries)]
+    values += [op.selectivity for q in seq.queries for op in q.ops]
+    assert not any(0.0 < value < _TINY for value in values)
+
+
 def _corpus(seed: int, count: int):
     """The engine corpus: each case's applicable plans plus three random
     mixed-mode plans.  Its sizes, gaps and selectivities are uniform
     draws, far from overflow, and a draw below ``_TINY`` is all but
     impossible; the test checks that none occurs."""
     for rng, seq, profile in random_cases(seed, count):
-        values = [*seq.gaps, *(q.table.size_mb for q in seq.queries)]
-        values += [op.selectivity for q in seq.queries for op in q.ops]
-        assert not any(0.0 < value < _TINY for value in values)
+        _assert_not_tiny(seq)
         yield seq, enumerate_plans(seq) + [random_plan(rng, seq) for _ in range(3)], profile
 
 
@@ -179,3 +195,55 @@ def test_totals_are_monotone_on_the_engine_corpus():
     checks = sum(_check_monotone(seq, candidates, profile) for seq, candidates, profile in _corpus(2069, 150))
     assert checks > 20000
 
+
+#: Each swept variable over a range that keeps every value exact to double.
+_SWEEPS = (("scale", 0.0, 4.0), ("selectivity", 0.0, 1.0), ("gap", 0.0, 40.0))
+
+
+def _check_sweeps_and_hints(seq: QuerySequence, plans: list[Plan], profile: DeviceProfile, form) -> int:
+    """Assert that under ``form`` every sweep row and every hint of each
+    plan doubles; return the checks made."""
+    seq2, profile2 = form(seq, profile)
+    checks = 0
+    for variable, start, stop in _SWEEPS:
+        # a sweep plans on its first point's variant, which may reorder filters
+        strategies = tuple(plan.strategy for plan in enumerate_plans(_TRANSFORMS[variable](seq, start)))
+        spec = SweepSpec(variable, start, stop, 7, strategies)
+        factor = 2.0 if variable == "gap" else 1.0
+        rows = run_sweep(seq, profile, spec)
+        rows2 = run_sweep(seq2, profile2, replace(spec, start=start * factor, stop=stop * factor))
+        assert [(r.value.hex(), r.strategy, r.total_ms.hex(), r.improvement_pct.hex()) for r in rows2] == [
+            ((factor * r.value).hex(), r.strategy, (2 * r.total_ms).hex(), r.improvement_pct.hex()) for r in rows
+        ], (form, spec, seq)
+        checks += len(rows)
+    for plan in plans:
+        hints = generate_hints(seq, plan, profile)
+        assert [(h.next_accelerators, h.expected_gap.hex(), h.expected_scan.hex())
+                for h in generate_hints(seq2, plan, profile2)] == [
+            (h.next_accelerators, (2 * h.expected_gap).hex(), (2 * h.expected_scan).hex()) for h in hints
+        ], (form, plan, seq)
+        checks += len(hints)
+    return checks
+
+
+@pytest.mark.parametrize("seed, form", [(7, doubled_data), (11, halved_device)])
+def test_doubling_laws_on_sweeps_and_hints(seed, form):
+    checks = sum(_check_sweeps_and_hints(seq, candidates, profile, form) for seq, candidates, profile in _corpus(seed, 200))
+    assert checks > 20000
+
+
+def test_doubling_laws_on_the_device_policy():
+    decisions = 0
+    for seq, profile, plan, i, _, hint in policy_boundaries():
+        _assert_not_tiny(seq)
+        decision = rpu_policy(hint, seq, plan, i, profile)
+        doubled = Hint(hint.next_accelerators, 2 * hint.expected_gap, 2 * hint.expected_scan)
+        for form in _FORMS:
+            seq2, profile2 = form(seq, profile)
+            decision2 = rpu_policy(doubled, seq2, plan, i, profile2)
+            assert decision2.choice is decision.choice, (form, i, seq)
+            assert [(k, v.hex()) for k, v in decision2.rationale.items()] == [
+                (k, (2 * v).hex()) for k, v in decision.rationale.items()
+            ], (form, i, seq)
+        decisions += 1
+    assert decisions > 300

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 import re
 import sys
 from collections import Counter
@@ -115,6 +115,20 @@ class TestSweepSpec:
             spec = SweepSpec("selectivity", start, stop, rng.randint(2, 9), (Strategy.S,))
             assert all(start <= value <= stop for value in spec.grid()), spec
 
+    def test_grid_runs_from_start_to_stop(self):
+        # the last point of this grid rounds to 0.9999999999999999
+        assert SweepSpec("gap", 0.1, 1.0, 4, (Strategy.S,)).grid()[-1] == 1.0
+        rng = random.Random(17)
+        for _ in range(3000):
+            start = rng.choice((0, 0.1, 0.25, 0.5, rng.uniform(0.0, 10.0)))
+            stop = start + rng.choice((0.2, 0.6, 0.9, 1, 2.5, 4, 30, rng.uniform(0.0, 100.0)))
+            spec = SweepSpec("gap", start, stop, rng.randint(2, 199), (Strategy.S,))
+            grid = spec.grid()
+            assert grid[0] == start and grid[-1] == stop, spec
+            assert grid == sorted(grid) and start <= min(grid) and max(grid) <= stop, spec
+            # an int bound still gives float points
+            assert all(type(value) is float for value in grid), spec
+
     def test_strategies_are_kept_as_a_tuple(self):
         spec = SweepSpec("gap", 0.0, 1.0, 2, [Strategy.I])
         assert spec.strategies == (Strategy.I,)
@@ -206,12 +220,13 @@ def test_sweep_csv_format(paper_seq, profile):
 def test_rows_are_plain_sweep_rows(paper_seq, profile):
     """Rows equal, print and hash as ``SweepRow(...)`` builds them, hold
     their fields in declaration order and stay frozen."""
+    assert SweepRow._fields == ("variable", "value", "strategy", "total_ms", "improvement_pct")
     for variable, start, stop in (("scale", 0.5, 4.0), ("gap", 0.0, 30.0), ("selectivity", 0.0, 1.0)):
         for row in run_sweep(paper_seq, profile, SweepSpec(variable, start, stop, 3, (Strategy.III, Strategy.S))):
             twin = SweepRow(row.variable, row.value, row.strategy, row.total_ms, row.improvement_pct)
             assert row == twin and repr(row) == repr(twin) and hash(row) == hash(twin)
-            assert list(vars(row).items()) == list(vars(twin).items())
-            with pytest.raises(FrozenInstanceError):
+            assert tuple(row) == (row.variable, row.value, row.strategy, row.total_ms, row.improvement_pct)
+            with pytest.raises(AttributeError):
                 row.total_ms = 0.0
 
 
